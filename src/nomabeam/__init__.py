@@ -17,6 +17,7 @@ from .array_geometry import (
     beamwidth,
     beta_matrix,
     beta_metric,
+    steering_matrix,
     steering_vector,
 )
 from .baselines import SchemeId, conjugate_bf_rates, energy_efficiency, oma_dbs_rates
@@ -35,6 +36,7 @@ from .clustering import Cluster, ClusterSet, beta_uc, cluster_beam_dir, order_cl
 from .link_metrics import (
     LinkState,
     compute_link_state,
+    link_states,
     rate,
     sic_feasible,
     sinr_dbs,
@@ -60,6 +62,7 @@ from .sim_harness import (
     ConfigError,
     ScenarioConfig,
     ScenarioResult,
+    evaluate_trial,
     load_scenario,
     parse_config_text,
     run_sweep,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -25,6 +26,7 @@ __all__ = [
     "SteeringVector",
     "NoCrossing",
     "steering_vector",
+    "steering_matrix",
     "direction_cosines",
     "beta_metric",
     "beta_matrix",
@@ -99,18 +101,23 @@ def direction_cosines(direction: Direction) -> tuple[float, float]:
 
 
 def steering_vector(cfg: ArrayConfig, direction: Direction) -> SteeringVector:
-    """Steering vector of the array toward ``direction``.
+    """Steering vector of the array toward ``direction``: one row of :func:`steering_matrix`."""
+    return SteeringVector(entries=steering_matrix(cfg, [direction])[0], direction=direction)
+
+
+def steering_matrix(cfg: ArrayConfig, directions: Sequence[Direction]) -> np.ndarray:
+    """Steering vectors toward ``directions``, one per row (len(directions) x M).
 
     Entry for horizontal index i and vertical index j (flattened as
     ``i * m_v + j``, the Kronecker product of the azimuth and elevation
     progressions) is ``exp(j * 2*pi * d/lambda * (i*u_az + j*u_el))``.
     """
-    u_az, u_el = direction_cosines(direction)
+    cosines = np.array([direction_cosines(d) for d in directions])
     step = 2.0 * math.pi * cfg.d_over_lambda
-    az_phase = step * u_az * np.arange(cfg.m_h)
-    el_phase = step * u_el * np.arange(cfg.m_v)
-    phases = np.add.outer(az_phase, el_phase).ravel()
-    return SteeringVector(entries=np.exp(1j * phases), direction=direction)
+    az_phase = (step * cosines[:, 0])[:, None] * np.arange(cfg.m_h)
+    el_phase = (step * cosines[:, 1])[:, None] * np.arange(cfg.m_v)
+    phases = (az_phase[:, :, None] + el_phase[:, None, :]).reshape(len(cosines), cfg.num_elements)
+    return np.exp(1j * phases)
 
 
 def _axis_factor(m: int, x: float) -> float:

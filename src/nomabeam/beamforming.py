@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .array_geometry import ArrayConfig, steering_vector
+from .array_geometry import ArrayConfig, steering_matrix
 from .clustering import ClusterSet
 
 __all__ = ["BeamformingPlan", "build_plan", "emitted_power_check"]
@@ -72,7 +72,7 @@ def build_plan(
         raise ValueError(f"unknown power split rule: {rule!r}")
     # P_c = eta * ||w_c||^2 * p_c with ||w_c||^2 = M, hence p_c = C * P_c.
     powers = [c_total * p for p in emitted]
-    weights = tuple(steering_vector(cfg, c.beam_dir).entries for c in cs.clusters)
+    weights = tuple(steering_matrix(cfg, [c.beam_dir for c in cs.clusters]))
     return BeamformingPlan(
         weights=weights,
         eta=eta,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_geometry import ArrayConfig, Direction, steering_vector
+from .array_geometry import ArrayConfig, Direction, steering_matrix
 
 __all__ = [
     "BS_HEIGHT_M",
@@ -172,10 +172,14 @@ def generate_user_channel(
 
 
 def channel_vector(uc: UserChannel, cfg: ArrayConfig) -> np.ndarray:
-    """Multipath channel row vector: sum of gain-weighted conjugate steering vectors."""
+    """Multipath channel row vector: sum of gain-weighted conjugate steering vectors.
+
+    The steering vectors of all paths come from one batched computation.
+    """
+    steering = np.conj(steering_matrix(cfg, [path.direction for path in uc.paths]))
     h = np.zeros(cfg.num_elements, dtype=complex)
-    for path in uc.paths:
-        h += path.gain * np.conj(steering_vector(cfg, path.direction).entries)
+    for path, a in zip(uc.paths, steering):
+        h += path.gain * a
     return h
 
 

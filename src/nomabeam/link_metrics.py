@@ -26,6 +26,7 @@ from .channel import UserChannel
 
 __all__ = [
     "LinkState",
+    "link_states",
     "compute_link_state",
     "sinr_dbs",
     "sinr_noma_strong",
@@ -51,6 +52,26 @@ class LinkState:
     zeta: float
 
 
+def link_states(
+    h_rows: np.ndarray,
+    plan: BeamformingPlan,
+    own_clusters: Sequence[int],
+    noise_w: float,
+) -> list[LinkState]:
+    """psi, nu and zeta of every channel row, row k served by ``own_clusters[k]``.
+
+    All of them come from one K x C matrix of weighted beam gains
+    ``eta * p_c * |h_k w_c|^2``.
+    """
+    if not noise_w > 0:
+        raise ValueError(f"noise power must be positive, got {noise_w}")
+    beam_gains = np.abs(h_rows @ plan.weight_matrix) ** 2
+    weighted = plan.eta * np.asarray(plan.cluster_powers_pc) * beam_gains
+    psi = weighted[np.arange(len(weighted)), own_clusters]
+    nu = np.sum(weighted, axis=1) - psi + noise_w
+    return [LinkState(psi=p, nu=n, zeta=p / n) for p, n in zip(psi.tolist(), nu.tolist())]
+
+
 def compute_link_state(
     h: np.ndarray,
     plan: BeamformingPlan,
@@ -58,13 +79,7 @@ def compute_link_state(
     noise_w: float,
 ) -> LinkState:
     """psi, nu and zeta for channel row ``h`` served by ``own_cluster``."""
-    if not noise_w > 0:
-        raise ValueError(f"noise power must be positive, got {noise_w}")
-    beam_gains = np.abs(h @ plan.weight_matrix) ** 2
-    weighted = plan.eta * np.asarray(plan.cluster_powers_pc) * beam_gains
-    psi = float(weighted[own_cluster])
-    nu = float(np.sum(weighted) - weighted[own_cluster] + noise_w)
-    return LinkState(psi=psi, nu=nu, zeta=psi / nu)
+    return link_states(h[np.newaxis], plan, [own_cluster], noise_w)[0]
 
 
 def sinr_dbs(ls: LinkState) -> float:

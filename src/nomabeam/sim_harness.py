@@ -2,11 +2,12 @@
 
 A scenario file is flat ``key = value`` text (``#`` comments, one key per
 line, unknown keys rejected).  A sweep runs every (scheme, user count, trial)
-combination; within a trial index all schemes see the identical user drop and
-channels, because the per-trial random stream is derived only from
-(master_seed, K, trial) through numpy's SeedSequence spawn-key mixing.
-Results are sorted by (scheme, K, trial) before emission so the CSV bytes do
-not depend on execution order.
+combination.  The user drop and channels of a (K, trial) pair are drawn once,
+from a random stream derived only from (master_seed, K, trial) through
+numpy's SeedSequence spawn-key mixing, and every scheme is evaluated on that
+one drop, so scheme comparisons are paired.  Results are sorted by
+(scheme, K, trial) before emission so the CSV bytes do not depend on
+execution order.
 """
 
 from __future__ import annotations
@@ -15,15 +16,16 @@ import logging
 import math
 import statistics
 from dataclasses import dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
 from .array_geometry import ArrayConfig, Direction
 from .baselines import SchemeId, conjugate_bf_rates, energy_efficiency, oma_dbs_rates
 from .beamforming import BeamformingPlan, build_plan
-from .channel import ChannelParams, UserChannel, channel_vector, effective_gain, generate_user_channel
+from .channel import ChannelParams, UserChannel, channel_vector, generate_user_channel
 from .clustering import Cluster, ClusterSet, beta_uc, order_cluster_users
-from .link_metrics import LinkState, compute_link_state, rate, sinr_noma_strong, sinr_noma_weak
+from .link_metrics import LinkState, link_states, rate, sinr_noma_strong, sinr_noma_weak
 from .power_allocation import (
     Branch,
     InfeasibleSic,
@@ -41,6 +43,7 @@ __all__ = [
     "CSV_HEADER",
     "parse_config_text",
     "load_scenario",
+    "evaluate_trial",
     "run_trial",
     "run_sweep",
     "write_csv",
@@ -175,22 +178,12 @@ class AggregateRow:
 # Configuration file handling
 
 
-def _parse_int_interval(raw: str) -> tuple[int, int]:
+def _parse_interval(raw: str, cast) -> tuple:
+    """'lo,hi' or a single value meaning 'v,v', each bound converted by ``cast``."""
     parts = [p.strip() for p in raw.split(",")]
-    if len(parts) == 1:
-        return (int(parts[0]), int(parts[0]))
-    if len(parts) == 2:
-        return (int(parts[0]), int(parts[1]))
-    raise ConfigError(f"expected 'lo,hi' or a single value, got {raw!r}")
-
-
-def _parse_float_interval(raw: str) -> tuple[float, float]:
-    parts = [p.strip() for p in raw.split(",")]
-    if len(parts) == 1:
-        return (float(parts[0]), float(parts[0]))
-    if len(parts) == 2:
-        return (float(parts[0]), float(parts[1]))
-    raise ConfigError(f"expected 'lo,hi' or a single value, got {raw!r}")
+    if len(parts) not in (1, 2):
+        raise ConfigError(f"expected 'lo,hi' or a single value, got {raw!r}")
+    return (cast(parts[0]), cast(parts[-1]))
 
 
 def _parse_schemes(raw: str) -> tuple[SchemeId, ...]:
@@ -217,9 +210,9 @@ _PARSERS = {
     "p_min": float,
     "beta0": float,
     "epsilon": float,
-    "num_time_clusters": _parse_int_interval,
-    "paths_per_cluster": _parse_int_interval,
-    "nlos_gain_offset_db": _parse_float_interval,
+    "num_time_clusters": lambda raw: _parse_interval(raw, int),
+    "paths_per_cluster": lambda raw: _parse_interval(raw, int),
+    "nlos_gain_offset_db": lambda raw: _parse_interval(raw, float),
     "angle_spread_deg": float,
     "shadowing_sigma_db": float,
     "user_counts": lambda raw: tuple(int(p.strip()) for p in raw.split(",") if p.strip()),
@@ -294,32 +287,26 @@ def _drop_users(
     array = config.array_config
     params = config.channel_params
     users = [generate_user_channel(rng, array, params, config.cell_radius_m) for _ in range(k_users)]
-    h_rows = np.stack([channel_vector(u, array) for u in users])
+    # Filled in place: a list of rows and its stacked copy would hold every row twice.
+    h_rows = np.empty((k_users, array.num_elements), dtype=complex)
+    for k, user in enumerate(users):
+        h_rows[k] = channel_vector(user, array)
     los_dirs = [u.los.direction for u in users]
     return users, h_rows, los_dirs
 
 
-def _ordered_clusters(
-    cs: ClusterSet, plan: BeamformingPlan, h_rows: np.ndarray
-) -> list[Cluster]:
-    """Apply the received-power strong/weak ordering inside every cluster."""
-    ordered = []
+def _plan_link_states(
+    config: ScenarioConfig, cs: ClusterSet, h_rows: np.ndarray
+) -> tuple[BeamformingPlan, list[LinkState]]:
+    """The plan for ``cs`` and every user's link state against it, indexed by user."""
+    plan = build_plan(
+        cs, config.array_config, config.total_power_w, len(h_rows), config.inter_cluster_rule
+    )
+    own_clusters = [0] * len(h_rows)
     for c_idx, cluster in enumerate(cs.clusters):
-        gains = [effective_gain(h_rows[m], plan.weights[c_idx]) for m in cluster.members]
-        ordered.append(order_cluster_users(cluster, gains))
-    return ordered
-
-
-def _cluster_link_states(
-    clusters: list[Cluster],
-    plan: BeamformingPlan,
-    h_rows: np.ndarray,
-    noise_w: float,
-) -> list[list[LinkState]]:
-    return [
-        [compute_link_state(h_rows[m], plan, c_idx, noise_w) for m in cluster.members]
-        for c_idx, cluster in enumerate(clusters)
-    ]
+        for m in cluster.members:
+            own_clusters[m] = c_idx
+    return plan, link_states(h_rows, plan, own_clusters, config.noise_w)
 
 
 def _noma_gamma(
@@ -361,43 +348,37 @@ def _noma_gamma(
         return PaResult(gamma1=0.0, branch=Branch.DEACTIVATE)
 
 
-def run_trial(
+# Per scheme: the users' rates in cluster order, shared-beam count, deactivated count.
+_Outcome = tuple[list[float], int, int]
+
+
+def _dbs_outcome(config: ScenarioConfig, h_rows: np.ndarray, los_dirs: list[Direction]) -> _Outcome:
+    singles = ClusterSet(
+        clusters=tuple(Cluster(members=(k,), beam_dir=d) for k, d in enumerate(los_dirs)),
+        noma_count=0,
+    )
+    _, states = _plan_link_states(config, singles, h_rows)
+    return [rate(s.zeta, config.bandwidth_hz) for s in states], 0, 0
+
+
+def _shared_beam_outcomes(
     config: ScenarioConfig,
-    k_users: int,
-    trial_index: int,
-    scheme: SchemeId,
-) -> ScenarioResult:
-    """One full pipeline pass: drop -> channels -> clusters -> powers -> rates.
-
-    Deterministic given (master_seed, K, trial, scheme); the channel draw
-    depends only on (master_seed, K, trial) so schemes are compared on
-    identical drops.
-    """
-    _, h_rows, los_dirs = _drop_users(config, k_users, trial_index)
-    array = config.array_config
+    schemes: list[SchemeId],
+    h_rows: np.ndarray,
+    los_dirs: list[Direction],
+) -> dict[SchemeId, _Outcome]:
+    """The pairing schemes on one pairing, one plan and one strong/weak ordering."""
     bandwidth = config.bandwidth_hz
-    noma_clusters = 0
-    deactivated = 0
-
-    if scheme is SchemeId.CONJUGATE_BF:
-        rates = conjugate_bf_rates(list(h_rows), config.total_power_w, config.noise_w, bandwidth)
-    elif scheme is SchemeId.DBS:
-        singles = ClusterSet(
-            clusters=tuple(Cluster(members=(k,), beam_dir=los_dirs[k]) for k in range(k_users)),
-            noma_count=0,
-        )
-        plan = build_plan(singles, array, config.total_power_w, k_users, config.inter_cluster_rule)
-        states = _cluster_link_states(list(singles.clusters), plan, h_rows, config.noise_w)
-        rates = [rate(per_cluster[0].zeta, bandwidth) for per_cluster in states]
-    else:
-        cs = beta_uc(los_dirs, array, config.beta0)
-        plan = build_plan(cs, array, config.total_power_w, k_users, config.inter_cluster_rule)
-        clusters = _ordered_clusters(cs, plan, h_rows)
-        states = _cluster_link_states(clusters, plan, h_rows, config.noise_w)
-        noma_clusters = cs.noma_count
-        rates = []
+    cs = beta_uc(los_dirs, config.array_config, config.beta0)
+    plan, states = _plan_link_states(config, cs, h_rows)
+    # Strong user first: the larger received power through the shared beam.
+    clusters = [order_cluster_users(c, [states[m].psi for m in c.members]) for c in cs.clusters]
+    outcomes = {}
+    for scheme in schemes:
+        rates: list[float] = []
+        deactivated = 0
         for c_idx, cluster in enumerate(clusters):
-            per_cluster = states[c_idx]
+            per_cluster = [states[m] for m in cluster.members]
             if scheme is SchemeId.OMA_DBS:
                 rates.extend(oma_dbs_rates(cluster, per_cluster, bandwidth))
             elif not cluster.is_noma:
@@ -408,18 +389,63 @@ def run_trial(
                     deactivated += 1
                 rates.append(rate(sinr_noma_strong(per_cluster[0], result.gamma1), bandwidth))
                 rates.append(rate(sinr_noma_weak(per_cluster[1], result.gamma1), bandwidth))
+        outcomes[scheme] = (rates, cs.noma_count, deactivated)
+    return outcomes
 
+
+_SHARED_BEAM_SCHEMES = (SchemeId.NOMA_DBS_FCSI, SchemeId.NOMA_DBS_PCSI, SchemeId.OMA_DBS)
+
+
+def evaluate_trial(
+    config: ScenarioConfig,
+    k_users: int,
+    trial_index: int,
+    schemes: Sequence[SchemeId],
+) -> list[ScenarioResult]:
+    """Every scheme of ``schemes`` on the drop of (master_seed, K, trial), in that order.
+
+    The users and their channels are drawn once and shared by all schemes.
+    ``dbs`` uses the one-beam-per-user plan; ``noma_dbs_fcsi``,
+    ``noma_dbs_pcsi`` and ``oma_dbs`` share one pairing, its plan and its
+    strong/weak ordering.  Each result is the one the scheme gets alone.
+    """
+    _, h_rows, los_dirs = _drop_users(config, k_users, trial_index)
+    outcomes: dict[SchemeId, _Outcome] = {}
+    # Plans and gain matrices live only inside the helpers below, so none is
+    # held while conjugate beamforming builds its K x K temporaries.
+    if SchemeId.CONJUGATE_BF in schemes:
+        cb_rates = conjugate_bf_rates(
+            list(h_rows), config.total_power_w, config.noise_w, config.bandwidth_hz
+        )
+        outcomes[SchemeId.CONJUGATE_BF] = (cb_rates, 0, 0)
+    if SchemeId.DBS in schemes:
+        outcomes[SchemeId.DBS] = _dbs_outcome(config, h_rows, los_dirs)
+    shared = [s for s in _SHARED_BEAM_SCHEMES if s in schemes]
+    if shared:
+        outcomes.update(_shared_beam_outcomes(config, shared, h_rows, los_dirs))
+    return [_result(config, k_users, trial_index, s, *outcomes[s]) for s in schemes]
+
+
+def _result(
+    config: ScenarioConfig,
+    k_users: int,
+    trial_index: int,
+    scheme: SchemeId,
+    rates: list[float],
+    noma_clusters: int,
+    deactivated: int,
+) -> ScenarioResult:
     sum_rate = float(sum(rates))
     return ScenarioResult(
         scheme=scheme,
         K=k_users,
         trial=trial_index,
         sum_rate_bps=sum_rate,
-        spectral_eff_bps_per_hz=sum_rate / bandwidth,
+        spectral_eff_bps_per_hz=sum_rate / config.bandwidth_hz,
         energy_eff_bps_per_j=energy_efficiency(
             sum_rate,
             config.total_power_w,
-            array.num_elements,
+            config.array_config.num_elements,
             PA_INEFFICIENCY_RHO,
             PER_ANTENNA_POWER_W,
             BASE_STATION_POWER_W,
@@ -429,17 +455,33 @@ def run_trial(
     )
 
 
+def run_trial(
+    config: ScenarioConfig,
+    k_users: int,
+    trial_index: int,
+    scheme: SchemeId,
+) -> ScenarioResult:
+    """One scheme on the drop of (master_seed, K, trial): :func:`evaluate_trial` for it alone.
+
+    The drop depends only on (master_seed, K, trial), so every scheme is
+    evaluated on the same users and channels.
+    """
+    return evaluate_trial(config, k_users, trial_index, (scheme,))[0]
+
+
 def run_sweep(config: ScenarioConfig) -> tuple[list[ScenarioResult], list[AggregateRow]]:
     """Every (scheme, K, trial) combination, plus per-(scheme, K) aggregates.
 
-    Results come back sorted by (scheme tag, K, trial), so any parallel or
-    reordered execution of the independent trials yields identical output.
+    Each (K, trial) drop is drawn once and evaluated for all configured
+    schemes by :func:`evaluate_trial`.  Results come back sorted by
+    (scheme tag, K, trial), so the output does not depend on the order in
+    which the independent trials run.
     """
     results = [
-        run_trial(config, k_users, trial, scheme)
-        for scheme in config.schemes
+        result
         for k_users in config.user_counts
         for trial in range(config.trials)
+        for result in evaluate_trial(config, k_users, trial, config.schemes)
     ]
     results.sort(key=lambda r: (r.scheme.value, r.K, r.trial))
     aggregates = []

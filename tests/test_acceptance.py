@@ -31,7 +31,7 @@ from nomabeam.link_metrics import (
     sinr_dbs_multipath_closed,
 )
 from nomabeam.power_allocation import PaInput, gamma_fair, gamma_hat, opa, rc_derivative
-from nomabeam.sim_harness import ScenarioConfig, _drop_users, run_sweep, run_trial, write_csv
+from nomabeam.sim_harness import ScenarioConfig, _drop_users, evaluate_trial, run_sweep, write_csv
 
 from oracles import beta_phasor_sum, pair_rate, pair_rate_grid_max, random_direction
 
@@ -190,14 +190,15 @@ def test_criterion_09_trend_reproduction():
     start = time.perf_counter()
     config = ScenarioConfig(trials=500, master_seed=1)  # rural defaults, M = 64, beta0 = 0.5
     user_counts = (5, 15, 25, 35, 45, 55)
-    means: dict[SchemeId, list[float]] = {}
-    for scheme in (SchemeId.DBS, SchemeId.NOMA_DBS_FCSI, SchemeId.NOMA_DBS_PCSI):
-        means[scheme] = [
-            statistics.fmean(
-                run_trial(config, k, t, scheme).spectral_eff_bps_per_hz for t in range(500)
+    schemes = (SchemeId.DBS, SchemeId.NOMA_DBS_FCSI, SchemeId.NOMA_DBS_PCSI)
+    means: dict[SchemeId, list[float]] = {scheme: [] for scheme in schemes}
+    for k in user_counts:
+        # one evaluation per (K, trial) gives all three schemes on the same drop
+        trials = [evaluate_trial(config, k, t, schemes) for t in range(500)]
+        for i, scheme in enumerate(schemes):
+            means[scheme].append(
+                statistics.fmean(results[i].spectral_eff_bps_per_hz for results in trials)
             )
-            for k in user_counts
-        ]
     gains = [f / d - 1.0 for f, d in zip(means[SchemeId.NOMA_DBS_FCSI], means[SchemeId.DBS])]
     pcsi_dev = [
         abs(p - f) / f

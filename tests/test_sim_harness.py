@@ -1,3 +1,4 @@
+import itertools
 import math
 import statistics
 from dataclasses import replace
@@ -11,6 +12,7 @@ from nomabeam.sim_harness import (
     ConfigError,
     ScenarioConfig,
     _drop_users,
+    evaluate_trial,
     format_aggregates,
     load_scenario,
     parse_config_text,
@@ -79,6 +81,10 @@ class TestConfigParsing:
     def test_interval_single_value_form(self):
         values = parse_config_text("num_time_clusters = 2\n")
         assert values["num_time_clusters"] == (2, 2)
+
+    def test_interval_with_three_values_rejected(self):
+        with pytest.raises(ConfigError, match="expected 'lo,hi' or a single value"):
+            parse_config_text("paths_per_cluster = 1,2,3\n")
 
     def test_scheme_alias_follows_csi_mode(self):
         full = parse_config_text("schemes = noma_dbs\ncsi_mode = full\n")
@@ -171,6 +177,45 @@ class TestRunTrial:
     def test_oma_scheme_runs(self):
         result = run_trial(SMALL, 4, 0, SchemeId.OMA_DBS)
         assert result.sum_rate_bps > 0
+
+
+EQUIVALENCE_BASE = ScenarioConfig(user_counts=(1, 2, 5), master_seed=11)
+EQUIVALENCE_CONFIGS = {
+    "rural-defaults": EQUIVALENCE_BASE,
+    # beta0 this low pairs the two users of K=2 on one beam with no other
+    # beam, the noise-floored partial-CSI branch
+    "lone-shared-beam": replace(EQUIVALENCE_BASE, beta0=0.05, csi_mode="partial"),
+    "uniform-split": replace(EQUIVALENCE_BASE, inter_cluster_rule="uniform"),
+    "single-row-array": replace(EQUIVALENCE_BASE, m_v=1),
+    "four-paths": replace(EQUIVALENCE_BASE, num_time_clusters=(2, 2), paths_per_cluster=(2, 2)),
+}
+
+
+class TestEvaluateTrial:
+    @pytest.mark.parametrize("name", sorted(EQUIVALENCE_CONFIGS))
+    def test_matches_each_scheme_alone_in_every_order(self, name):
+        config = EQUIVALENCE_CONFIGS[name]
+        for k in config.user_counts:
+            for t in range(2):
+                alone = {s: run_trial(config, k, t, s) for s in SchemeId}
+                for size in range(1, len(SchemeId) + 1):
+                    for schemes in itertools.permutations(SchemeId, size):
+                        assert evaluate_trial(config, k, t, schemes) == [alone[s] for s in schemes]
+
+    def test_lone_shared_beam_is_reached(self):
+        config = EQUIVALENCE_CONFIGS["lone-shared-beam"]
+        paired = [
+            t for t in range(2) if run_trial(config, 2, t, SchemeId.NOMA_DBS_PCSI).noma_cluster_count == 1
+        ]
+        assert paired
+
+    def test_four_paths_per_user(self):
+        users, _, _ = _drop_users(EQUIVALENCE_CONFIGS["four-paths"], 5, 0)
+        assert all(u.num_paths == 4 for u in users)
+
+    def test_repeated_scheme_repeats_its_result(self):
+        results = evaluate_trial(SMALL, 4, 1, (SchemeId.DBS, SchemeId.OMA_DBS, SchemeId.DBS))
+        assert results[0] == results[2] == run_trial(SMALL, 4, 1, SchemeId.DBS)
 
 
 class TestRunSweep:
