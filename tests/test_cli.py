@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -60,7 +61,22 @@ class TestSimulateCommand:
         assert code == 2
 
 
+# sha256 of `nomabeam pattern` on the default 32x2 half-wavelength array
+PATTERN_SHA256 = {
+    "1.5708,0.0": "3369096c3651dcc99e3a18e97078cd5760a5f4f0ec4e7c6240cfdfe19a65113e",
+    "0.9,-0.6": "0d8e5687589fa90b8588461b5cb744b4d7a4c926a3a849e8fd0a9051405979e7",
+}
+
+
 class TestPatternCommand:
+    @pytest.mark.parametrize("beam", sorted(PATTERN_SHA256))
+    def test_pinned_bytes(self, tmp_path, beam):
+        cfg = tmp_path / "default.cfg"
+        cfg.write_text("m_h = 32\nm_v = 2\n")
+        out = tmp_path / "pattern.csv"
+        assert main(["pattern", "--config", str(cfg), "--beam", beam, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == PATTERN_SHA256[beam]
+
     def test_writes_both_axis_cuts(self, config_path, tmp_path):
         out = tmp_path / "pattern.csv"
         beam = f"{math.pi / 2},0.0"

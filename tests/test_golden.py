@@ -1,9 +1,12 @@
-"""Golden output: a small sweep's CSV bytes are pinned by their sha256.
+"""Golden output: small sweeps' CSV bytes are pinned by their sha256.
 
-The sweep covers all five schemes, K=1 (nothing to pair), K=2 (a lone pair
-on one shared beam) and K=55, over 20 trials: 400 rows.  A change that moves
-any reported number changes the digest.  A change meant to move the numbers
-updates the digest in the same commit and says why.
+The default-cell sweep covers all five schemes, K=1 (nothing to pair), K=2
+(a lone pair on one shared beam) and K=55, over 20 trials: 400 rows.  The
+low-threshold sweep (beta0 = 0.05, K=2 and 3, 100 trials: 1,000 rows) pairs
+users often enough that a partial-CSI shared beam with no interfering beam,
+whose link ratio takes the noise floor, occurs in dozens of trials.  A change
+that moves any reported number changes a digest.  A change meant to move the
+numbers updates the digest in the same commit and says why.
 """
 
 import hashlib
@@ -13,11 +16,24 @@ from nomabeam.sim_harness import ScenarioConfig, run_sweep, write_csv
 GOLDEN_CONFIG = ScenarioConfig(user_counts=(1, 2, 5, 55), trials=20, master_seed=1)
 GOLDEN_SHA256 = "68bfb80a349a7391f16358a04200fe74dbf752f97cb1d598f4aff1f02efd081c"
 
+LONE_BEAM_CONFIG = ScenarioConfig(user_counts=(2, 3), trials=100, beta0=0.05, master_seed=1)
+LONE_BEAM_SHA256 = "34fd56757203a962688ce63118ff2245a307a57765d6ee1cf27873dac99a5203"
+
+
+def _sweep_csv(config, tmp_path) -> bytes:
+    out = tmp_path / "golden.csv"
+    results, _ = run_sweep(config)
+    write_csv(results, str(out))
+    return out.read_bytes()
+
 
 def test_golden_sweep_digest(tmp_path):
-    out = tmp_path / "golden.csv"
-    results, _ = run_sweep(GOLDEN_CONFIG)
-    write_csv(results, str(out))
-    content = out.read_bytes()
+    content = _sweep_csv(GOLDEN_CONFIG, tmp_path)
     assert content.count(b"\n") == 1 + 400
     assert hashlib.sha256(content).hexdigest() == GOLDEN_SHA256
+
+
+def test_lone_shared_beam_sweep_digest(tmp_path):
+    content = _sweep_csv(LONE_BEAM_CONFIG, tmp_path)
+    assert content.count(b"\n") == 1 + 1000
+    assert hashlib.sha256(content).hexdigest() == LONE_BEAM_SHA256
