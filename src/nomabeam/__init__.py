@@ -12,42 +12,32 @@ from .array_geometry import (
     ArrayConfig,
     Direction,
     NoCrossing,
-    SteeringVector,
-    array_factor,
     beamwidth,
     beta_matrix,
     beta_metric,
+    pattern_cut,
     steering_matrix,
-    steering_vector,
 )
 from .baselines import SchemeId, conjugate_bf_rates, energy_efficiency, oma_dbs_rates
-from .beamforming import BeamformingPlan, build_plan, emitted_power_check
+from .beamforming import BeamformingPlan, build_plan
 from .channel import (
     ChannelParams,
-    DimensionMismatch,
     InvalidParams,
     PathComponent,
     UserChannel,
     channel_vector,
-    effective_gain,
     generate_user_channel,
 )
 from .clustering import Cluster, ClusterSet, beta_uc, cluster_beam_dir, order_cluster_users
 from .link_metrics import (
     LinkState,
-    compute_link_state,
     link_states,
     rate,
-    sic_feasible,
-    sinr_dbs,
-    sinr_dbs_monopath_closed,
-    sinr_dbs_multipath_closed,
     sinr_noma_strong,
     sinr_noma_weak,
 )
 from .power_allocation import (
     Branch,
-    DegenerateInterference,
     InfeasibleSic,
     PaInput,
     PaResult,
@@ -66,7 +56,6 @@ from .sim_harness import (
     load_scenario,
     parse_config_text,
     run_sweep,
-    run_trial,
     write_csv,
 )
 

@@ -23,14 +23,11 @@ import numpy as np
 __all__ = [
     "ArrayConfig",
     "Direction",
-    "SteeringVector",
     "NoCrossing",
-    "steering_vector",
     "steering_matrix",
-    "direction_cosines",
     "beta_metric",
     "beta_matrix",
-    "array_factor",
+    "pattern_cut",
     "beamwidth",
 ]
 
@@ -84,25 +81,9 @@ class Direction:
             raise ValueError(f"direction angles must be finite, got ({self.theta}, {self.phi})")
 
 
-@dataclass(frozen=True)
-class SteeringVector:
-    """Per-element unit-modulus phase profile pointing at ``direction``."""
-
-    entries: np.ndarray
-    direction: Direction
-
-
-def direction_cosines(direction: Direction) -> tuple[float, float]:
-    """(u_az, u_el) for a direction: (cos(theta)cos(phi), sin(phi))."""
-    return (
-        math.cos(direction.theta) * math.cos(direction.phi),
-        math.sin(direction.phi),
-    )
-
-
-def steering_vector(cfg: ArrayConfig, direction: Direction) -> SteeringVector:
-    """Steering vector of the array toward ``direction``: one row of :func:`steering_matrix`."""
-    return SteeringVector(entries=steering_matrix(cfg, [direction])[0], direction=direction)
+def _direction_cosines(theta, phi) -> tuple[np.ndarray, np.ndarray]:
+    """(u_az, u_el) = (cos(theta)cos(phi), sin(phi)), elementwise over angle arrays."""
+    return np.cos(theta) * np.cos(phi), np.sin(phi)
 
 
 def steering_matrix(cfg: ArrayConfig, directions: Sequence[Direction]) -> np.ndarray:
@@ -112,79 +93,65 @@ def steering_matrix(cfg: ArrayConfig, directions: Sequence[Direction]) -> np.nda
     ``i * m_v + j``, the Kronecker product of the azimuth and elevation
     progressions) is ``exp(j * 2*pi * d/lambda * (i*u_az + j*u_el))``.
     """
-    cosines = np.array([direction_cosines(d) for d in directions])
+    u_az, u_el = _direction_cosines(
+        np.array([d.theta for d in directions]), np.array([d.phi for d in directions])
+    )
     step = 2.0 * math.pi * cfg.d_over_lambda
-    az_phase = (step * cosines[:, 0])[:, None] * np.arange(cfg.m_h)
-    el_phase = (step * cosines[:, 1])[:, None] * np.arange(cfg.m_v)
-    phases = (az_phase[:, :, None] + el_phase[:, None, :]).reshape(len(cosines), cfg.num_elements)
+    az_phase = (step * u_az)[:, None] * np.arange(cfg.m_h)
+    el_phase = (step * u_el)[:, None] * np.arange(cfg.m_v)
+    phases = (az_phase[:, :, None] + el_phase[:, None, :]).reshape(len(directions), cfg.num_elements)
     return np.exp(1j * phases)
 
 
-def _axis_factor(m: int, x: float) -> float:
-    """One axis of the normalized pattern: sin(m*x) / (m*sin(x)), limit 1 at sin(x)=0."""
-    s = math.sin(x)
-    if abs(s) < _SINGULAR_EPS:
-        return 1.0
-    return math.sin(m * x) / (m * s)
+def _sin_ratio(m: int, x: np.ndarray) -> np.ndarray:
+    """One axis of the normalized pattern: sin(m*x) / (m*sin(x)), limit 1 where sin(x) vanishes."""
+    s = np.sin(x)
+    singular = np.abs(s) < _SINGULAR_EPS
+    return np.where(singular, 1.0, np.sin(m * x) / (m * np.where(singular, 1.0, s)))
+
+
+def _pattern(cfg: ArrayConfig, theta_k, phi_k, theta_u, phi_u) -> np.ndarray:
+    """beta between directions (theta_k, phi_k) and (theta_u, phi_u), elementwise.
+
+    The angle arguments broadcast against each other like numpy arrays.  Each
+    value is (1/M) |a_k^H a_u| evaluated through the closed-form product of
+    per-axis sin ratios, in [0, 1] and exactly symmetric in the two
+    directions; read as the pattern of a beam steered at u probed at k.
+    """
+    uk_az, uk_el = _direction_cosines(theta_k, phi_k)
+    uu_az, uu_el = _direction_cosines(theta_u, phi_u)
+    c = math.pi * cfg.d_over_lambda
+    return np.abs(_sin_ratio(cfg.m_h, c * (uk_az - uu_az)) * _sin_ratio(cfg.m_v, c * (uk_el - uu_el)))
 
 
 def beta_metric(cfg: ArrayConfig, dir_k: Direction, dir_u: Direction) -> float:
-    """Normalized spatial interference between two directions, in [0, 1].
-
-    Equals (1/M) |a(dir_k)^H a(dir_u)| evaluated through the closed-form
-    product of per-axis sin ratios; symmetric in its direction arguments.
-    """
-    uk_az, uk_el = direction_cosines(dir_k)
-    uu_az, uu_el = direction_cosines(dir_u)
-    c = math.pi * cfg.d_over_lambda
-    f_az = _axis_factor(cfg.m_h, c * (uk_az - uu_az))
-    f_el = _axis_factor(cfg.m_v, c * (uk_el - uu_el))
-    return abs(f_az * f_el)
+    """Normalized spatial interference between two directions, in [0, 1]; symmetric."""
+    return float(_pattern(cfg, dir_k.theta, dir_k.phi, dir_u.theta, dir_u.phi))
 
 
 def beta_matrix(dirs: list[Direction], cfg: ArrayConfig) -> np.ndarray:
     """Symmetric K x K matrix of pairwise ``beta_metric`` values (diagonal 1)."""
-    u_az = np.array([math.cos(d.theta) * math.cos(d.phi) for d in dirs])
-    u_el = np.array([math.sin(d.phi) for d in dirs])
-    c = math.pi * cfg.d_over_lambda
-    x_az = c * (u_az[:, None] - u_az[None, :])
-    x_el = c * (u_el[:, None] - u_el[None, :])
-
-    def factors(m: int, x: np.ndarray) -> np.ndarray:
-        s = np.sin(x)
-        singular = np.abs(s) < _SINGULAR_EPS
-        safe = np.where(singular, 1.0, s)
-        return np.where(singular, 1.0, np.sin(m * x) / (m * safe))
-
-    return np.abs(factors(cfg.m_h, x_az) * factors(cfg.m_v, x_el))
+    theta = np.array([d.theta for d in dirs])
+    phi = np.array([d.phi for d in dirs])
+    return _pattern(cfg, theta[:, None], phi[:, None], theta, phi)
 
 
-def array_factor(cfg: ArrayConfig, beam_dir: Direction, probe_dir: Direction) -> float:
-    """Normalized pattern of a beam steered at ``beam_dir``, probed at ``probe_dir``."""
-    return beta_metric(cfg, probe_dir, beam_dir)
+def pattern_cut(
+    cfg: ArrayConfig, beam_dir: Direction, axis: str, offsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Probe angles and pattern of a beam steered at ``beam_dir`` along one axis.
 
-
-def _sweep_factor(cfg: ArrayConfig, beam_dir: Direction, axis: str, offsets: np.ndarray) -> np.ndarray:
-    """array_factor along one angular axis, vectorized over signed offsets."""
+    ``axis="az"`` offsets the azimuth and ``axis="el"`` the elevation by each
+    of ``offsets``, the other angle held at the beam's.  Returns the probes'
+    theta and phi and the pattern there.
+    """
     if axis == "az":
-        thetas = beam_dir.theta + offsets
-        phis = np.full_like(offsets, beam_dir.phi)
+        theta, phi = beam_dir.theta + offsets, np.full_like(offsets, beam_dir.phi)
+    elif axis == "el":
+        theta, phi = np.full_like(offsets, beam_dir.theta), beam_dir.phi + offsets
     else:
-        thetas = np.full_like(offsets, beam_dir.theta)
-        phis = beam_dir.phi + offsets
-    ub_az = math.cos(beam_dir.theta) * math.cos(beam_dir.phi)
-    ub_el = math.sin(beam_dir.phi)
-    u_az = np.cos(thetas) * np.cos(phis)
-    u_el = np.sin(phis)
-    c = math.pi * cfg.d_over_lambda
-
-    def factors(m: int, x: np.ndarray) -> np.ndarray:
-        s = np.sin(x)
-        singular = np.abs(s) < _SINGULAR_EPS
-        safe = np.where(singular, 1.0, s)
-        return np.where(singular, 1.0, np.sin(m * x) / (m * safe))
-
-    return np.abs(factors(cfg.m_h, c * (u_az - ub_az)) * factors(cfg.m_v, c * (u_el - ub_el)))
+        raise ValueError(f"axis must be 'az' or 'el', got {axis!r}")
+    return theta, phi, _pattern(cfg, theta, phi, beam_dir.theta, beam_dir.phi)
 
 
 def _first_crossing(cfg: ArrayConfig, beam_dir: Direction, axis: str, level: float, tol: float) -> float:
@@ -211,7 +178,7 @@ def _first_crossing(cfg: ArrayConfig, beam_dir: Direction, axis: str, level: flo
         grid = grid[grid <= max_off]
         if grid.size == 0:
             continue
-        values = _sweep_factor(cfg, beam_dir, axis, sign * grid)
+        values = pattern_cut(cfg, beam_dir, axis, sign * grid)[2]
         below = np.nonzero(values <= level)[0]
         if below.size == 0:
             continue
@@ -220,7 +187,7 @@ def _first_crossing(cfg: ArrayConfig, beam_dir: Direction, axis: str, level: flo
         # bisect on f(offset) = pattern - level, f(lo) > 0 >= f(hi)
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
-            val = _sweep_factor(cfg, beam_dir, axis, np.array([sign * mid]))[0]
+            val = pattern_cut(cfg, beam_dir, axis, np.array([sign * mid]))[2][0]
             if val <= level:
                 hi = mid
             else:
@@ -242,7 +209,7 @@ def beamwidth(
     """Angular offsets (azimuth, elevation) at which the pattern falls to ``level``.
 
     For each axis, with the other axis held at the beam direction, returns the
-    smallest offset where ``array_factor`` first crosses ``level``, located by
+    smallest offset where the pattern first crosses ``level``, located by
     bisection to ``tol`` radians.  ``level = sqrt(1/2)`` reproduces the
     half-power (3 dB) beamwidth definition.
 

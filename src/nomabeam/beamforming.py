@@ -17,7 +17,7 @@ import numpy as np
 from .array_geometry import ArrayConfig, steering_matrix
 from .clustering import ClusterSet
 
-__all__ = ["BeamformingPlan", "build_plan", "emitted_power_check"]
+__all__ = ["BeamformingPlan", "build_plan"]
 
 
 @dataclass(frozen=True)
@@ -34,14 +34,17 @@ class BeamformingPlan:
     cluster_powers_pc: tuple[float, ...]
     emitted_powers_Pc: tuple[float, ...]
 
-    @property
-    def num_clusters(self) -> int:
-        return len(self.weights)
-
     @cached_property
     def weight_matrix(self) -> np.ndarray:
         """All weight vectors stacked as the columns of an M x C matrix."""
         return np.column_stack(self.weights)
+
+    def received_powers(self, rows: np.ndarray) -> np.ndarray:
+        """Weighted beam gains ``eta * p_c * |row @ w_c|^2`` of each channel row and beam.
+
+        A 1-D row gives one value per beam, a K x M matrix of rows a K x C matrix.
+        """
+        return self.eta * np.asarray(self.cluster_powers_pc) * np.abs(rows @ self.weight_matrix) ** 2
 
 
 def build_plan(
@@ -80,12 +83,3 @@ def build_plan(
         emitted_powers_Pc=tuple(emitted),
     )
 
-
-def emitted_power_check(plan: BeamformingPlan) -> float:
-    """Total emitted power recomputed from the weights: sum of eta*||w_c||^2*p_c."""
-    return float(
-        sum(
-            plan.eta * float(np.sum(np.abs(w) ** 2)) * p
-            for w, p in zip(plan.weights, plan.cluster_powers_pc)
-        )
-    )

@@ -25,13 +25,11 @@ __all__ = [
     "BS_HEIGHT_M",
     "SPEED_OF_LIGHT",
     "InvalidParams",
-    "DimensionMismatch",
     "PathComponent",
     "UserChannel",
     "ChannelParams",
     "generate_user_channel",
     "channel_vector",
-    "effective_gain",
 ]
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -43,10 +41,6 @@ BS_HEIGHT_M = 10.0
 
 class InvalidParams(ValueError):
     """Channel parameters are out of range (empty interval, bad radius, ...)."""
-
-
-class DimensionMismatch(ValueError):
-    """Vectors fed to an inner product have different lengths."""
 
 
 @dataclass(frozen=True)
@@ -182,9 +176,3 @@ def channel_vector(uc: UserChannel, cfg: ArrayConfig) -> np.ndarray:
         h += path.gain * a
     return h
 
-
-def effective_gain(h: np.ndarray, w: np.ndarray) -> float:
-    """Received beam power |h . w|^2 of channel row ``h`` through weights ``w``."""
-    if len(h) != len(w):
-        raise DimensionMismatch(f"channel has {len(h)} entries, weights {len(w)}")
-    return float(abs(np.dot(h, w)) ** 2)

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .array_geometry import Direction
+from .array_geometry import Direction, pattern_cut
 from .channel import InvalidParams
 from .sim_harness import ConfigError, format_aggregates, load_scenario, run_sweep, write_csv
 
@@ -43,26 +43,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_pattern(args: argparse.Namespace) -> int:
-    from .array_geometry import array_factor  # local import keeps CLI startup light
-
     config = load_scenario(args.config)
-    cfg = config.array_config
     beam = _parse_beam(args.beam)
-    lines = ["axis,offset_rad,theta_rad,phi_rad,array_factor"]
     offsets = np.arange(-math.pi / 2, math.pi / 2 + PATTERN_STEP_RAD, PATTERN_STEP_RAD)
+    lines = ["axis,offset_rad,theta_rad,phi_rad,array_factor"]
     for axis in ("az", "el"):
-        for off in offsets:
-            if axis == "az":
-                probe = Direction(beam.theta + off, beam.phi)
-            else:
-                phi = beam.phi + off
-                if not -math.pi / 2 <= phi <= math.pi / 2:
-                    continue
-                probe = Direction(beam.theta, phi)
-            value = array_factor(cfg, beam, probe)
-            lines.append(
-                f"{axis},{off:.9g},{probe.theta:.9g},{probe.phi:.9g},{value:.9g}"
-            )
+        theta, phi, values = pattern_cut(config.array_config, beam, axis, offsets)
+        # elevation probes stay physical
+        keep = (-math.pi / 2 <= phi) & (phi <= math.pi / 2) if axis == "el" else slice(None)
+        rows = zip(offsets[keep].tolist(), theta[keep].tolist(), phi[keep].tolist(), values[keep].tolist())
+        lines.extend(f"{axis},{o:.9g},{t:.9g},{p:.9g},{v:.9g}" for o, t, p, v in rows)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"wrote pattern cuts to {args.out}")
@@ -95,10 +85,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, InvalidParams) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, InvalidParams, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

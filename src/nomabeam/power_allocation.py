@@ -10,8 +10,8 @@ within a relative ``epsilon`` the throughput is nearly flat and the split
 that equalizes their rates is chosen instead.
 
 The partial-feedback variant computes both link ratios purely from the users'
-LOS directions against the plan's beams (no channel gains, no noise), valid
-in the high-SNR, LOS-dominated regime, and then solves the same problem.
+LOS steering vectors against the plan's beams (no channel gains, no noise),
+valid in the high-SNR, LOS-dominated regime, and then solves the same problem.
 """
 
 from __future__ import annotations
@@ -22,12 +22,10 @@ from enum import Enum
 
 import numpy as np
 
-from .array_geometry import ArrayConfig, Direction, steering_vector
 from .beamforming import BeamformingPlan
 
 __all__ = [
     "InfeasibleSic",
-    "DegenerateInterference",
     "Branch",
     "PaInput",
     "PaResult",
@@ -42,10 +40,6 @@ __all__ = [
 
 class InfeasibleSic(Exception):
     """The cancellation constraint admits no split: p_min exceeds zeta1."""
-
-
-class DegenerateInterference(Exception):
-    """The partial-feedback link ratio is undefined: no interfering beams."""
 
 
 class Branch(Enum):
@@ -157,53 +151,45 @@ def rc_derivative(zeta1: float, zeta2: float, gamma1: float) -> float:
 
 
 def partial_csi_zeta(
-    los_dir: Direction,
+    los_row: np.ndarray,
     plan: BeamformingPlan,
     own_cluster: int,
-    cfg: ArrayConfig,
-    noise_w: float | None = None,
+    noise_w: float,
 ) -> float:
     """Link ratio estimated from the LOS direction alone.
 
-    Uses only the LOS steering vector against the plan's beams: signal part
-    eta * p_c * |a_los^H w_c|^2 over the same quantity summed across the other
-    beams, with no noise term and no path gains (high-SNR form).  When there
-    is no interfering beam the ratio is undefined; with ``noise_w`` given the
-    noise power is used as the floor of the denominator, otherwise
-    DegenerateInterference is raised.
+    ``los_row`` is the conjugated steering vector toward the user's LOS
+    direction, the channel row of a unit-gain single path.  Signal part
+    eta * p_c * |a_los^H w_c|^2 over the same quantity summed across the
+    other beams, with no noise term and no path gains (high-SNR form).  When
+    there is no interfering beam the noise power ``noise_w`` is the floor of
+    the denominator.
     """
-    a_los = steering_vector(cfg, los_dir).entries
-    beam_gains = np.abs(np.conj(a_los) @ plan.weight_matrix) ** 2
-    weighted = plan.eta * np.asarray(plan.cluster_powers_pc) * beam_gains
+    weighted = plan.received_powers(los_row)
     psi = float(weighted[own_cluster])
     nu = float(np.sum(weighted) - weighted[own_cluster])
     if nu == 0.0:
-        if noise_w is None:
-            raise DegenerateInterference(
-                "no interfering beam: the noise-free link ratio is undefined"
-            )
         return psi / (nu + noise_w)
     return psi / nu
 
 
 def opa_partial_csi(
-    strong_los: Direction,
-    weak_los: Direction,
+    strong_los_row: np.ndarray,
+    weak_los_row: np.ndarray,
     plan: BeamformingPlan,
     own_cluster: int,
-    cfg: ArrayConfig,
     p_min: float,
     epsilon: float,
-    noise_w: float | None = None,
+    noise_w: float,
 ) -> PaResult:
     """Intra-cluster split decided from LOS directions only.
 
     The strong/weak roles must already be fixed from the fed-back received
     powers; both link ratios are the geometric estimates of
-    :func:`partial_csi_zeta` and the optimization is the same as :func:`opa`,
-    with the cancellation constraint evaluated against the strong user's
-    estimate.
+    :func:`partial_csi_zeta` from the users' LOS rows, and the optimization
+    is the same as :func:`opa`, with the cancellation constraint evaluated
+    against the strong user's estimate.
     """
-    z1 = partial_csi_zeta(strong_los, plan, own_cluster, cfg, noise_w=noise_w)
-    z2 = partial_csi_zeta(weak_los, plan, own_cluster, cfg, noise_w=noise_w)
+    z1 = partial_csi_zeta(strong_los_row, plan, own_cluster, noise_w)
+    z2 = partial_csi_zeta(weak_los_row, plan, own_cluster, noise_w)
     return opa(PaInput(zeta1=z1, zeta2=z2, p_min=p_min, epsilon=epsilon))

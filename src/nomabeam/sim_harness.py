@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .array_geometry import ArrayConfig, Direction
+from .array_geometry import ArrayConfig, Direction, steering_matrix
 from .baselines import SchemeId, conjugate_bf_rates, energy_efficiency, oma_dbs_rates
 from .beamforming import BeamformingPlan, build_plan
 from .channel import ChannelParams, UserChannel, channel_vector, generate_user_channel
@@ -44,7 +44,6 @@ __all__ = [
     "parse_config_text",
     "load_scenario",
     "evaluate_trial",
-    "run_trial",
     "run_sweep",
     "write_csv",
     "format_aggregates",
@@ -312,24 +311,22 @@ def _plan_link_states(
 def _noma_gamma(
     config: ScenarioConfig,
     scheme: SchemeId,
-    cluster: Cluster,
     c_idx: int,
     states: list[LinkState],
     plan: BeamformingPlan,
-    los_dirs: list[Direction],
+    pair_rows: np.ndarray | None,
 ) -> PaResult:
-    """Intra-cluster split for one shared beam, falling back on infeasibility."""
+    """Intra-cluster split for shared beam ``c_idx``, falling back on infeasibility."""
     try:
         if scheme is SchemeId.NOMA_DBS_PCSI:
             return opa_partial_csi(
-                los_dirs[cluster.members[0]],
-                los_dirs[cluster.members[1]],
+                pair_rows[c_idx, 0],
+                pair_rows[c_idx, 1],
                 plan,
                 c_idx,
-                config.array_config,
                 config.p_min,
                 config.epsilon,
-                noise_w=config.noise_w,
+                config.noise_w,
             )
         return opa(
             PaInput(
@@ -373,6 +370,14 @@ def _shared_beam_outcomes(
     plan, states = _plan_link_states(config, cs, h_rows)
     # Strong user first: the larger received power through the shared beam.
     clusters = [order_cluster_users(c, [states[m].psi for m in c.members]) for c in cs.clusters]
+    # Partial CSI sees each paired user as its LOS steering row, a unit-gain
+    # single path: one call per drop gives the (strong, weak) rows of every shared beam.
+    pair_rows = None
+    if cs.noma_count and SchemeId.NOMA_DBS_PCSI in schemes:
+        rows = steering_matrix(
+            config.array_config, [los_dirs[m] for c in clusters[: cs.noma_count] for m in c.members]
+        )
+        pair_rows = np.conj(rows, out=rows).reshape(cs.noma_count, 2, -1)
     outcomes = {}
     for scheme in schemes:
         rates: list[float] = []
@@ -384,7 +389,7 @@ def _shared_beam_outcomes(
             elif not cluster.is_noma:
                 rates.append(rate(per_cluster[0].zeta, bandwidth))
             else:
-                result = _noma_gamma(config, scheme, cluster, c_idx, per_cluster, plan, los_dirs)
+                result = _noma_gamma(config, scheme, c_idx, per_cluster, plan, pair_rows)
                 if result.gamma1 == 0.0:
                     deactivated += 1
                 rates.append(rate(sinr_noma_strong(per_cluster[0], result.gamma1), bandwidth))
@@ -453,20 +458,6 @@ def _result(
         noma_cluster_count=noma_clusters,
         deactivated_user_count=deactivated,
     )
-
-
-def run_trial(
-    config: ScenarioConfig,
-    k_users: int,
-    trial_index: int,
-    scheme: SchemeId,
-) -> ScenarioResult:
-    """One scheme on the drop of (master_seed, K, trial): :func:`evaluate_trial` for it alone.
-
-    The drop depends only on (master_seed, K, trial), so every scheme is
-    evaluated on the same users and channels.
-    """
-    return evaluate_trial(config, k_users, trial_index, (scheme,))[0]
 
 
 def run_sweep(config: ScenarioConfig) -> tuple[list[ScenarioResult], list[AggregateRow]]:

@@ -6,23 +6,29 @@ under test.
 """
 
 import math
+from typing import Sequence
 
 import numpy as np
 
 from nomabeam.array_geometry import ArrayConfig, Direction
+from nomabeam.beamforming import BeamformingPlan
+from nomabeam.channel import UserChannel
+
+
+def steering_phasors(cfg: ArrayConfig, direction: Direction) -> np.ndarray:
+    """The M element phasors toward ``direction``, flattened as ``i * m_v + j``."""
+    c = 2.0 * math.pi * cfg.d_over_lambda
+    u_az = math.cos(direction.theta) * math.cos(direction.phi)
+    u_el = math.sin(direction.phi)
+    i = np.arange(cfg.m_h)[:, None]
+    j = np.arange(cfg.m_v)[None, :]
+    return np.exp(1j * c * (i * u_az + j * u_el)).ravel()
 
 
 def beta_phasor_sum(cfg: ArrayConfig, dir_k: Direction, dir_u: Direction) -> float:
     """(1/M) |a_k^H a_u| by summing the M element phasors directly."""
-    c = 2.0 * math.pi * cfg.d_over_lambda
-    uk_az = math.cos(dir_k.theta) * math.cos(dir_k.phi)
-    uk_el = math.sin(dir_k.phi)
-    uu_az = math.cos(dir_u.theta) * math.cos(dir_u.phi)
-    uu_el = math.sin(dir_u.phi)
-    i = np.arange(cfg.m_h)[:, None]
-    j = np.arange(cfg.m_v)[None, :]
-    phase = c * (i * (uu_az - uk_az) + j * (uu_el - uk_el))
-    return float(np.abs(np.exp(1j * phase).sum())) / (cfg.m_h * cfg.m_v)
+    a_k, a_u = steering_phasors(cfg, dir_k), steering_phasors(cfg, dir_u)
+    return float(abs(np.vdot(a_k, a_u))) / cfg.num_elements
 
 
 def random_direction(rng: np.random.Generator) -> Direction:
@@ -45,3 +51,70 @@ def pair_rate_grid_max(zeta1: float, zeta2: float, gamma_max: float, step: float
     strong = np.log2(1.0 + zeta1 * grid)
     weak = np.log2(1.0 + zeta2 * (1.0 - grid) / (1.0 + zeta2 * grid))
     return float(np.max(strong + weak))
+
+
+def emitted_power_check(plan: BeamformingPlan) -> float:
+    """Total emitted power recomputed from the weights: sum of eta*||w_c||^2*p_c."""
+    return float(
+        sum(
+            plan.eta * float(np.sum(np.abs(w) ** 2)) * p
+            for w, p in zip(plan.weights, plan.cluster_powers_pc)
+        )
+    )
+
+
+def sinr_dbs_monopath_closed(
+    gains: Sequence[complex],
+    dirs: Sequence[Direction],
+    own: int,
+    eta_dbs: float,
+    noise_w: float,
+    cfg: ArrayConfig,
+) -> float:
+    """Closed-form private-beam SINR when every user has a single path.
+
+    |a_k^H a_k|^2 / (sum_u |a_k^H a_u|^2 + noise / (eta_dbs * |gain_k|^2)),
+    with one beam steered at each user's direction.  ``eta_dbs`` is the full
+    transmit scaling applied per beam (normalization times per-beam signal
+    power), which for the one-beam-per-user split equals P_e / (M * K).
+    """
+    a_own = steering_phasors(cfg, dirs[own])
+    numerator = abs(np.vdot(a_own, a_own)) ** 2
+    interference = sum(
+        abs(np.vdot(a_own, steering_phasors(cfg, dirs[u]))) ** 2
+        for u in range(len(dirs))
+        if u != own
+    )
+    return numerator / (interference + noise_w / (eta_dbs * abs(gains[own]) ** 2))
+
+
+def sinr_dbs_multipath_closed(
+    channels: Sequence[UserChannel],
+    own: int,
+    eta_dbs: float,
+    noise_w: float,
+    cfg: ArrayConfig,
+) -> float:
+    """Closed-form private-beam SINR with multipath channels and LOS-steered beams.
+
+    Both the useful power and the interference accumulate every path of the
+    observing user against each beam, with path amplitudes expressed relative
+    to its LOS amplitude; ``eta_dbs`` is as in the single-path form.
+    """
+    uc = channels[own]
+    alpha_los = uc.los.gain
+    own_paths = [steering_phasors(cfg, p.direction) for p in uc.paths]
+    ratios = [p.gain / alpha_los for p in uc.paths]
+
+    def response_to(beam: np.ndarray) -> complex:
+        return sum(r * np.vdot(a, beam) for r, a in zip(ratios, own_paths))
+
+    own_beam = steering_phasors(cfg, uc.los.direction)
+    numerator = abs(response_to(own_beam)) ** 2
+    interference = 0.0
+    for u, other in enumerate(channels):
+        if u == own:
+            continue
+        beam_u = steering_phasors(cfg, other.los.direction)
+        interference += abs(response_to(beam_u)) ** 2
+    return numerator / (interference + noise_w / (eta_dbs * abs(alpha_los) ** 2))

@@ -21,19 +21,22 @@ import numpy as np
 
 from nomabeam.array_geometry import ArrayConfig, beta_matrix, beta_metric
 from nomabeam.baselines import SchemeId
-from nomabeam.beamforming import build_plan, emitted_power_check
+from nomabeam.beamforming import build_plan
 from nomabeam.channel import ChannelParams, channel_vector, generate_user_channel
 from nomabeam.clustering import Cluster, ClusterSet, beta_uc
-from nomabeam.link_metrics import (
-    compute_link_state,
-    sinr_dbs,
-    sinr_dbs_monopath_closed,
-    sinr_dbs_multipath_closed,
-)
+from nomabeam.link_metrics import link_states
 from nomabeam.power_allocation import PaInput, gamma_fair, gamma_hat, opa, rc_derivative
 from nomabeam.sim_harness import ScenarioConfig, _drop_users, evaluate_trial, run_sweep, write_csv
 
-from oracles import beta_phasor_sum, pair_rate, pair_rate_grid_max, random_direction
+from oracles import (
+    beta_phasor_sum,
+    emitted_power_check,
+    pair_rate,
+    pair_rate_grid_max,
+    random_direction,
+    sinr_dbs_monopath_closed,
+    sinr_dbs_multipath_closed,
+)
 
 SEED = 20260810
 
@@ -147,7 +150,7 @@ def test_criterion_06_pipeline_matches_closed_forms():
             eta_dbs = plan.eta * plan.cluster_powers_pc[0]
             own = int(rng.integers(0, k))
             h = channel_vector(users[own], cfg)
-            pipeline = sinr_dbs(compute_link_state(h, plan, own, noise))
+            pipeline = link_states(h[np.newaxis], plan, [own], noise)[0].zeta
             if closed_fn is sinr_dbs_monopath_closed:
                 gains = [u.los.gain for u in users]
                 closed = closed_fn(gains, dirs, own, eta_dbs, noise, cfg)

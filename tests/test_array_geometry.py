@@ -9,11 +9,11 @@ from nomabeam.array_geometry import (
     ArrayConfig,
     Direction,
     NoCrossing,
-    array_factor,
     beamwidth,
     beta_matrix,
     beta_metric,
-    steering_vector,
+    pattern_cut,
+    steering_matrix,
 )
 
 from oracles import beta_phasor_sum, random_direction
@@ -33,30 +33,34 @@ configs = st.builds(
 )
 
 
+def steering_row(cfg, direction):
+    return steering_matrix(cfg, [direction])[0]
+
+
 class TestSteeringVector:
     def test_single_element_is_one(self):
-        sv = steering_vector(ArrayConfig(1, 1, 0.5), Direction(1.2, -0.4))
-        assert sv.entries.shape == (1,)
-        assert sv.entries[0] == pytest.approx(1.0)
+        entries = steering_row(ArrayConfig(1, 1, 0.5), Direction(1.2, -0.4))
+        assert entries.shape == (1,)
+        assert entries[0] == pytest.approx(1.0)
 
     def test_broadside_is_all_ones(self):
-        sv = steering_vector(ArrayConfig(4, 3, 0.5), BROADSIDE)
-        assert np.allclose(sv.entries, 1.0, atol=1e-12)
+        entries = steering_row(ArrayConfig(4, 3, 0.5), BROADSIDE)
+        assert np.allclose(entries, 1.0, atol=1e-12)
 
     def test_two_element_endfire(self):
         # u_az = 1 with half-wavelength spacing: phases 0 and pi
-        sv = steering_vector(ArrayConfig(2, 1, 0.5), Direction(0.0, 0.0))
-        assert np.allclose(sv.entries, [1.0, -1.0], atol=1e-12)
+        entries = steering_row(ArrayConfig(2, 1, 0.5), Direction(0.0, 0.0))
+        assert np.allclose(entries, [1.0, -1.0], atol=1e-12)
 
     @given(configs, directions)
     def test_unit_modulus_entries(self, cfg, direction):
-        sv = steering_vector(cfg, direction)
-        assert sv.entries.shape == (cfg.num_elements,)
-        assert np.max(np.abs(np.abs(sv.entries) - 1.0)) < 1e-12
+        entries = steering_row(cfg, direction)
+        assert entries.shape == (cfg.num_elements,)
+        assert np.max(np.abs(np.abs(entries) - 1.0)) < 1e-12
 
     @given(configs, directions)
     def test_self_inner_product_is_element_count(self, cfg, direction):
-        entries = steering_vector(cfg, direction).entries
+        entries = steering_row(cfg, direction)
         assert np.vdot(entries, entries).real == pytest.approx(cfg.num_elements, rel=1e-12)
 
     def test_invalid_config_rejected(self):
@@ -126,20 +130,30 @@ class TestBetaMetric:
 
 
 class TestArrayFactor:
+    """The pattern of a steered beam along one axis, as ``pattern_cut`` gives it."""
+
     def test_probe_at_beam_is_one(self):
         cfg = ArrayConfig(16, 2, 0.5)
         beam = Direction(1.0, -0.2)
-        assert array_factor(cfg, beam, beam) == pytest.approx(1.0, abs=1e-12)
+        for axis in ("az", "el"):
+            theta, phi, values = pattern_cut(cfg, beam, axis, np.zeros(1))
+            assert (theta[0], phi[0]) == (beam.theta, beam.phi)
+            assert values[0] == pytest.approx(1.0, abs=1e-12)
 
-    @given(configs, directions, directions)
-    def test_equals_swapped_beta(self, cfg, beam, probe):
-        assert array_factor(cfg, beam, probe) == beta_metric(cfg, probe, beam)
+    @given(configs, directions, st.floats(-math.pi / 2, math.pi / 2), st.sampled_from(["az", "el"]))
+    def test_equals_swapped_beta(self, cfg, beam, offset, axis):
+        theta, phi, values = pattern_cut(cfg, beam, axis, np.array([offset]))
+        probe = Direction(float(theta[0]), float(phi[0]))
+        assert values[0] == beta_metric(cfg, probe, beam)
+
+    def test_unknown_axis_rejected(self):
+        with pytest.raises(ValueError):
+            pattern_cut(ArrayConfig(4, 4, 0.5), BROADSIDE, "x", np.zeros(1))
 
     def test_monotone_decrease_inside_main_lobe(self):
         cfg = ArrayConfig(32, 2, 0.5)
-        thetas = np.linspace(math.pi / 2, math.pi / 2 + 0.06, 300)
-        values = [array_factor(cfg, BROADSIDE, Direction(t, 0.0)) for t in thetas]
-        assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+        _, _, values = pattern_cut(cfg, BROADSIDE, "az", np.linspace(0.0, 0.06, 300))
+        assert np.all(np.diff(values) <= 1e-12)
         assert values[-1] < 0.5 < values[0]
 
 
@@ -152,7 +166,7 @@ def _grid_scan_crossing(cfg, beam, axis, level, step=1e-6):
         else:
             dirs_theta, dirs_phi = np.full_like(coarse, beam.theta), beam.phi + sign * coarse
         values = np.array(
-            [array_factor(cfg, beam, Direction(t, p)) for t, p in zip(dirs_theta, dirs_phi)]
+            [beta_metric(cfg, Direction(t, p), beam) for t, p in zip(dirs_theta, dirs_phi)]
         )
         below = np.nonzero(values <= level)[0]
         if below.size:
@@ -163,7 +177,7 @@ def _grid_scan_crossing(cfg, beam, axis, level, step=1e-6):
                     probe = Direction(beam.theta + sign * off, beam.phi)
                 else:
                     probe = Direction(beam.theta, beam.phi + sign * off)
-                if array_factor(cfg, beam, probe) <= level:
+                if beta_metric(cfg, probe, beam) <= level:
                     return off
     raise AssertionError("no crossing found by the scan oracle")
 
@@ -179,10 +193,10 @@ class TestBeamwidth:
         cfg = ArrayConfig(16, 8, 0.5)
         level = math.sqrt(0.5)
         om_az, om_el = beamwidth(cfg, BROADSIDE, level)
-        assert array_factor(cfg, BROADSIDE, Direction(math.pi / 2 + om_az, 0.0)) == pytest.approx(
+        assert beta_metric(cfg, Direction(math.pi / 2 + om_az, 0.0), BROADSIDE) == pytest.approx(
             level, abs=1e-6
         )
-        assert array_factor(cfg, BROADSIDE, Direction(math.pi / 2, om_el)) == pytest.approx(
+        assert beta_metric(cfg, Direction(math.pi / 2, om_el), BROADSIDE) == pytest.approx(
             level, abs=1e-6
         )
 

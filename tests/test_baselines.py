@@ -8,7 +8,7 @@ from nomabeam.baselines import SchemeId, conjugate_bf_rates, energy_efficiency, 
 from nomabeam.beamforming import build_plan
 from nomabeam.channel import PathComponent, UserChannel, channel_vector
 from nomabeam.clustering import Cluster, ClusterSet
-from nomabeam.link_metrics import LinkState, compute_link_state, rate, sinr_dbs
+from nomabeam.link_metrics import LinkState, link_states, rate
 from nomabeam.power_allocation import InfeasibleSic, PaInput, opa
 
 from oracles import pair_rate
@@ -91,10 +91,7 @@ class TestConjugateBf:
             noma_count=0,
         )
         plan = build_plan(cs, CFG, power, k)
-        steered = [
-            rate(sinr_dbs(compute_link_state(h_rows[i], plan, i, noise)), bandwidth)
-            for i in range(k)
-        ]
+        steered = [rate(ls.zeta, bandwidth) for ls in link_states(np.stack(h_rows), plan, range(k), noise)]
         assert cb == pytest.approx(steered, rel=1e-9)
 
     def test_empty_input_rejected(self):

@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from nomabeam.array_geometry import ArrayConfig, Direction, beta_metric, steering_vector
+from nomabeam.array_geometry import ArrayConfig, Direction, beta_metric, steering_matrix
+from nomabeam.beamforming import BeamformingPlan
 from nomabeam.channel import (
     ChannelParams,
-    DimensionMismatch,
     InvalidParams,
     PathComponent,
     UserChannel,
     channel_vector,
-    effective_gain,
     generate_user_channel,
 )
 
@@ -84,7 +83,7 @@ class TestChannelVector:
         d = Direction(0.8, -0.1)
         uc = UserChannel(paths=(PathComponent(1.0 + 0.0j, d),), range_m=10.0)
         h = channel_vector(uc, CFG)
-        a = steering_vector(CFG, d).entries
+        a = steering_matrix(CFG, [d])[0]
         assert np.allclose(h, np.conj(a), atol=1e-12)
         m = CFG.num_elements
         assert abs(np.dot(h, a)) ** 2 == pytest.approx(m * m, rel=1e-12)
@@ -94,7 +93,7 @@ class TestChannelVector:
         alpha = 0.3 - 0.4j
         uc = UserChannel(paths=(PathComponent(alpha, d),), range_m=10.0)
         h = channel_vector(uc, CFG)
-        a = steering_vector(CFG, d).entries
+        a = steering_matrix(CFG, [d])[0]
         m = CFG.num_elements
         assert abs(np.dot(h, a)) ** 2 == pytest.approx(abs(alpha) ** 2 * m * m, rel=1e-12)
 
@@ -108,23 +107,31 @@ class TestChannelVector:
             paths=(PathComponent(alpha, d1), PathComponent(alpha, d2)), range_m=10.0
         )
         h = channel_vector(uc, CFG)
-        a1 = steering_vector(CFG, d1).entries
+        a1 = steering_matrix(CFG, [d1])[0]
         m = CFG.num_elements
         assert abs(np.dot(h, a1)) ** 2 == pytest.approx(abs(alpha) ** 2 * m * m, rel=1e-9)
 
 
+def unit_plan(w):
+    """A one-beam plan with unit normalization and power, so received power is |h w|^2."""
+    return BeamformingPlan(weights=(w,), eta=1.0, cluster_powers_pc=(1.0,), emitted_powers_Pc=(1.0,))
+
+
 class TestEffectiveGain:
+    """Received beam power |h w|^2 of a channel row through one beam."""
+
     def test_matched_beam_gives_m_squared(self):
         d = Direction(2.0, 0.3)
-        a = steering_vector(CFG, d).entries
+        a = steering_matrix(CFG, [d])[0]
         m = CFG.num_elements
-        assert effective_gain(np.conj(a), a) == pytest.approx(m * m, rel=1e-12)
+        assert unit_plan(a).received_powers(np.conj(a))[0] == pytest.approx(m * m, rel=1e-12)
 
     def test_homogeneity(self, rng):
         h = rng.normal(size=8) + 1j * rng.normal(size=8)
         w = rng.normal(size=8) + 1j * rng.normal(size=8)
-        base = effective_gain(h, w)
-        assert effective_gain(2.5j * h, w) == pytest.approx(abs(2.5j) ** 2 * base, rel=1e-12)
+        plan = unit_plan(w)
+        base = plan.received_powers(h)[0]
+        assert plan.received_powers(2.5j * h)[0] == pytest.approx(abs(2.5j) ** 2 * base, rel=1e-12)
 
     def test_matches_elementwise_accumulation(self, rng):
         for _ in range(25):
@@ -133,8 +140,4 @@ class TestEffectiveGain:
             acc = 0.0 + 0.0j
             for idx in range(12):
                 acc += h[idx] * w[idx]
-            assert effective_gain(h, w) == pytest.approx(abs(acc) ** 2, rel=1e-9)
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            effective_gain(np.ones(3, dtype=complex), np.ones(4, dtype=complex))
+            assert unit_plan(w).received_powers(h)[0] == pytest.approx(abs(acc) ** 2, rel=1e-9)

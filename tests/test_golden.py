@@ -11,29 +11,31 @@ numbers updates the digest in the same commit and says why.
 
 import hashlib
 
+import pytest
+
 from nomabeam.sim_harness import ScenarioConfig, run_sweep, write_csv
 
-GOLDEN_CONFIG = ScenarioConfig(user_counts=(1, 2, 5, 55), trials=20, master_seed=1)
-GOLDEN_SHA256 = "68bfb80a349a7391f16358a04200fe74dbf752f97cb1d598f4aff1f02efd081c"
+# name: (config, rows, sha256 of the CSV)
+GOLDEN_CASES = {
+    "default-cell": (
+        ScenarioConfig(user_counts=(1, 2, 5, 55), trials=20, master_seed=1),
+        400,
+        "68bfb80a349a7391f16358a04200fe74dbf752f97cb1d598f4aff1f02efd081c",
+    ),
+    "lone-shared-beam": (
+        ScenarioConfig(user_counts=(2, 3), trials=100, beta0=0.05, master_seed=1),
+        1000,
+        "34fd56757203a962688ce63118ff2245a307a57765d6ee1cf27873dac99a5203",
+    ),
+}
 
-LONE_BEAM_CONFIG = ScenarioConfig(user_counts=(2, 3), trials=100, beta0=0.05, master_seed=1)
-LONE_BEAM_SHA256 = "34fd56757203a962688ce63118ff2245a307a57765d6ee1cf27873dac99a5203"
 
-
-def _sweep_csv(config, tmp_path) -> bytes:
+@pytest.mark.parametrize("case", list(GOLDEN_CASES))
+def test_golden_sweep_digest(tmp_path, case):
+    config, rows, digest = GOLDEN_CASES[case]
     out = tmp_path / "golden.csv"
     results, _ = run_sweep(config)
     write_csv(results, str(out))
-    return out.read_bytes()
-
-
-def test_golden_sweep_digest(tmp_path):
-    content = _sweep_csv(GOLDEN_CONFIG, tmp_path)
-    assert content.count(b"\n") == 1 + 400
-    assert hashlib.sha256(content).hexdigest() == GOLDEN_SHA256
-
-
-def test_lone_shared_beam_sweep_digest(tmp_path):
-    content = _sweep_csv(LONE_BEAM_CONFIG, tmp_path)
-    assert content.count(b"\n") == 1 + 1000
-    assert hashlib.sha256(content).hexdigest() == LONE_BEAM_SHA256
+    content = out.read_bytes()
+    assert content.count(b"\n") == 1 + rows
+    assert hashlib.sha256(content).hexdigest() == digest

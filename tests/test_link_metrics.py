@@ -3,21 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from nomabeam.array_geometry import ArrayConfig, Direction, beta_metric, steering_vector
+from nomabeam.array_geometry import ArrayConfig, Direction, beta_metric, steering_matrix
 from nomabeam.beamforming import build_plan
 from nomabeam.channel import ChannelParams, PathComponent, UserChannel, channel_vector, generate_user_channel
 from nomabeam.clustering import Cluster, ClusterSet
-from nomabeam.link_metrics import (
-    LinkState,
-    compute_link_state,
-    rate,
-    sic_feasible,
-    sinr_dbs,
-    sinr_dbs_monopath_closed,
-    sinr_dbs_multipath_closed,
-    sinr_noma_strong,
-    sinr_noma_weak,
-)
+from nomabeam.link_metrics import LinkState, link_states, rate, sinr_noma_strong, sinr_noma_weak
+from nomabeam.power_allocation import InfeasibleSic, gamma_hat
+
+from oracles import sinr_dbs_monopath_closed, sinr_dbs_multipath_closed
 
 CFG = ArrayConfig(16, 2, 0.5)
 
@@ -33,13 +26,18 @@ def mono_user(gain, direction):
     return UserChannel(paths=(PathComponent(gain, direction),), range_m=50.0)
 
 
+def link_state(h, plan, own_cluster, noise_w):
+    """The link state of one channel row ``h`` served by ``own_cluster``."""
+    return link_states(h[np.newaxis], plan, [own_cluster], noise_w)[0]
+
+
 class TestComputeLinkState:
     def test_single_cluster_sees_only_noise(self):
         d = Direction(1.0, -0.1)
         cs = singleton_set([d])
         plan = build_plan(cs, CFG, 1.0, 1)
         h = channel_vector(mono_user(0.5 + 0.1j, d), CFG)
-        ls = compute_link_state(h, plan, 0, 1e-9)
+        ls = link_state(h, plan, 0, 1e-9)
         assert ls.nu == pytest.approx(1e-9, rel=1e-12)
         assert ls.zeta == pytest.approx(ls.psi / 1e-9, rel=1e-12)
 
@@ -52,7 +50,7 @@ class TestComputeLinkState:
         plan = build_plan(cs, CFG, 1.0, 2)
         h = channel_vector(mono_user(1.0, d_own), CFG)
         noise = 1e-12
-        ls = compute_link_state(h, plan, 0, noise)
+        ls = link_state(h, plan, 0, noise)
         assert ls.nu == pytest.approx(noise, rel=1e-6)
 
     def test_linear_in_power(self):
@@ -60,8 +58,8 @@ class TestComputeLinkState:
         cs = singleton_set(dirs)
         h = channel_vector(mono_user(0.3, dirs[0]), CFG)
         noise = 1e-10
-        base = compute_link_state(h, build_plan(cs, CFG, 1.0, 3), 0, noise)
-        doubled = compute_link_state(h, build_plan(cs, CFG, 2.0, 3), 0, noise)
+        base = link_state(h, build_plan(cs, CFG, 1.0, 3), 0, noise)
+        doubled = link_state(h, build_plan(cs, CFG, 2.0, 3), 0, noise)
         assert doubled.psi == pytest.approx(2 * base.psi, rel=1e-12)
         assert doubled.nu - noise == pytest.approx(2 * (base.nu - noise), rel=1e-12)
 
@@ -69,12 +67,16 @@ class TestComputeLinkState:
         cs = singleton_set([Direction(1.0, 0.0)])
         plan = build_plan(cs, CFG, 1.0, 1)
         with pytest.raises(ValueError):
-            compute_link_state(np.ones(32, dtype=complex), plan, 0, 0.0)
+            link_state(np.ones(32, dtype=complex), plan, 0, 0.0)
 
 
 class TestSinrFormulas:
     def test_dbs_is_the_ratio(self):
-        assert sinr_dbs(LinkState(psi=2.0, nu=1.0, zeta=2.0)) == 2.0
+        dirs = [Direction(1.0, -0.1), Direction(1.5, 0.0)]
+        plan = build_plan(singleton_set(dirs), CFG, 1.0, 2)
+        h_rows = np.stack([channel_vector(mono_user(3e-4, d), CFG) for d in dirs])
+        for ls in link_states(h_rows, plan, [0, 1], 1e-11):
+            assert ls.zeta == ls.psi / ls.nu
 
     def test_strong_user_endpoints_and_hand_value(self):
         ls = LinkState(psi=4.0, nu=1.0, zeta=4.0)
@@ -108,7 +110,7 @@ class TestSinrFormulas:
         h_strong = channel_vector(mono_user(2e-4 + 1e-4j, dirs[0]), CFG)
         h_weak = channel_vector(mono_user(1e-4 - 2e-5j, dirs[1]), CFG)
         for h, formula in ((h_strong, sinr_noma_strong), (h_weak, sinr_noma_weak)):
-            ls = compute_link_state(h, plan, 0, noise)
+            ls = link_state(h, plan, 0, noise)
             own = plan.eta * plan.cluster_powers_pc[0] * abs(h @ plan.weights[0]) ** 2
             other = plan.eta * plan.cluster_powers_pc[1] * abs(h @ plan.weights[1]) ** 2
             if formula is sinr_noma_strong:
@@ -119,7 +121,7 @@ class TestSinrFormulas:
 
     def test_gamma_one_degenerates_to_dbs(self):
         ls = LinkState(psi=2.5, nu=0.5, zeta=5.0)
-        assert sinr_noma_strong(ls, 1.0) == pytest.approx(sinr_dbs(ls), rel=1e-12)
+        assert sinr_noma_strong(ls, 1.0) == pytest.approx(ls.zeta, rel=1e-12)
 
     def test_gamma_out_of_range(self):
         ls = LinkState(psi=1.0, nu=1.0, zeta=1.0)
@@ -128,16 +130,19 @@ class TestSinrFormulas:
 
 
 class TestSicFeasible:
+    """The cancellation constraint (1 - 2*gamma1) >= p_min / zeta1 holds for gamma1 <= gamma_hat."""
+
     def test_zero_gamma_needs_zeta_above_p_min(self):
-        assert sic_feasible(2.0, 0.0, 1.0)
-        assert not sic_feasible(0.5, 0.0, 1.0)
+        assert gamma_hat(2.0, 1.0) >= 0.0
+        with pytest.raises(InfeasibleSic):
+            gamma_hat(0.5, 1.0)
 
     def test_boundary_is_inclusive(self):
         # 1 - 2*0.375 == 0.25/1.0 exactly in binary floating point
-        assert sic_feasible(1.0, 0.375, 0.25)
+        assert gamma_hat(1.0, 0.25) == 0.375
 
     def test_hand_infeasible_case(self):
-        assert not sic_feasible(2.0, 0.3, 1.0)  # 0.4 < 0.5
+        assert gamma_hat(2.0, 1.0) < 0.3  # 1 - 2*0.3 = 0.4 < 0.5 = p_min / zeta1
 
 
 class TestRate:
@@ -181,7 +186,7 @@ class TestMonopathClosedForm:
             eta_dbs = plan.eta * plan.cluster_powers_pc[0]
             for own in range(k):
                 h = channel_vector(mono_user(gains[own], dirs[own]), CFG)
-                pipeline = sinr_dbs(compute_link_state(h, plan, own, noise))
+                pipeline = link_state(h, plan, own, noise).zeta
                 closed = sinr_dbs_monopath_closed(gains, dirs, own, eta_dbs, noise, CFG)
                 assert pipeline == pytest.approx(closed, rel=1e-9)
 
@@ -209,8 +214,7 @@ class TestMultipathClosedForm:
             paths=(PathComponent(a_los, d_los), PathComponent(a_nlos, d_nlos)), range_m=40.0
         )
         eta_dbs, noise = 1.0 / 16.0, 1e-11
-        v_los = steering_vector(CFG, d_los).entries
-        v_nlos = steering_vector(CFG, d_nlos).entries
+        v_los, v_nlos = steering_matrix(CFG, [d_los, d_nlos])
         numerator = abs(np.vdot(v_los, v_los) + (a_nlos / a_los) * np.vdot(v_nlos, v_los)) ** 2
         expected = numerator / (noise / (eta_dbs * abs(a_los) ** 2))
         assert sinr_dbs_multipath_closed([uc], 0, eta_dbs, noise, CFG) == pytest.approx(
@@ -229,6 +233,6 @@ class TestMultipathClosedForm:
             noise = 8.1e-14
             for own in range(k):
                 h = channel_vector(users[own], CFG)
-                pipeline = sinr_dbs(compute_link_state(h, plan, own, noise))
+                pipeline = link_state(h, plan, own, noise).zeta
                 closed = sinr_dbs_multipath_closed(users, own, eta_dbs, noise, CFG)
                 assert pipeline == pytest.approx(closed, rel=1e-9)

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from nomabeam.array_geometry import ArrayConfig, Direction, beta_metric
+from nomabeam.array_geometry import ArrayConfig, Direction, beta_metric, steering_matrix
 from nomabeam.beamforming import build_plan
 from nomabeam.channel import PathComponent, UserChannel, channel_vector
 from nomabeam.clustering import Cluster, ClusterSet
-from nomabeam.link_metrics import compute_link_state
+from nomabeam.link_metrics import link_states
 from nomabeam.power_allocation import (
     Branch,
-    DegenerateInterference,
     InfeasibleSic,
     PaInput,
     PaResult,
@@ -25,6 +24,12 @@ from nomabeam.power_allocation import (
 from oracles import pair_rate, pair_rate_grid_max
 
 CFG = ArrayConfig(16, 2, 0.5)
+NOISE_W = 8.1e-14
+
+
+def los_row(direction):
+    """The partial-CSI view of a user: its conjugated LOS steering vector."""
+    return np.conj(steering_matrix(CFG, [direction])[0])
 
 
 class TestGammaHat:
@@ -187,7 +192,7 @@ class TestPartialCsiZeta:
         own = Direction(math.pi / 2, 0.0)
         other = Direction(0.9, -0.2)
         plan = two_beam_plan(own, other)
-        z = partial_csi_zeta(own, plan, 0, CFG)
+        z = partial_csi_zeta(los_row(own), plan, 0, NOISE_W)
         a = channel_vector(UserChannel((PathComponent(1.0, own),), 1.0), CFG)
         interference = plan.eta * plan.cluster_powers_pc[1] * abs(a @ plan.weights[1]) ** 2
         m = CFG.num_elements
@@ -198,41 +203,32 @@ class TestPartialCsiZeta:
     def test_power_scale_invariance(self):
         own = Direction(1.2, -0.1)
         other = Direction(0.6, -0.3)
-        z_small = partial_csi_zeta(own, two_beam_plan(own, other, 1.0), 0, CFG)
-        z_large = partial_csi_zeta(own, two_beam_plan(own, other, 250.0), 0, CFG)
+        z_small = partial_csi_zeta(los_row(own), two_beam_plan(own, other, 1.0), 0, NOISE_W)
+        z_large = partial_csi_zeta(los_row(own), two_beam_plan(own, other, 250.0), 0, NOISE_W)
         assert z_small == pytest.approx(z_large, rel=1e-12)
 
     def test_interferer_at_pattern_null_gives_huge_finite_ratio(self):
         own = Direction(math.pi / 2, 0.0)
         null = Direction(math.acos(1.0 / 8.0), 0.0)
         assert beta_metric(CFG, own, null) < 1e-12
-        z = partial_csi_zeta(own, two_beam_plan(own, null), 0, CFG, noise_w=8.1e-14)
+        z = partial_csi_zeta(los_row(own), two_beam_plan(own, null), 0, NOISE_W)
         assert math.isfinite(z)
         assert z > 1e10
-
-    def test_single_beam_raises_without_noise_floor(self):
-        only = ClusterSet(
-            clusters=(Cluster(members=(0, 1), beam_dir=Direction(1.0, 0.0)),), noma_count=1
-        )
-        plan = build_plan(only, CFG, 1.0, 2)
-        with pytest.raises(DegenerateInterference):
-            partial_csi_zeta(Direction(1.0, 0.0), plan, 0, CFG)
 
     def test_single_beam_with_noise_floor(self):
         d = Direction(1.0, 0.0)
         only = ClusterSet(clusters=(Cluster(members=(0, 1), beam_dir=d),), noma_count=1)
         plan = build_plan(only, CFG, 1.0, 2)
-        noise = 8.1e-14
-        z = partial_csi_zeta(d, plan, 0, CFG, noise_w=noise)
+        z = partial_csi_zeta(los_row(d), plan, 0, NOISE_W)
         m = CFG.num_elements
-        assert z == pytest.approx(plan.eta * plan.cluster_powers_pc[0] * m * m / noise, rel=1e-9)
+        assert z == pytest.approx(plan.eta * plan.cluster_powers_pc[0] * m * m / NOISE_W, rel=1e-9)
 
 
 class TestOpaPartialCsi:
     def test_identical_directions_take_fair_branch(self):
         d = Direction(1.3, -0.05)
         plan = two_beam_plan(d, Direction(0.4, -0.3))
-        result = opa_partial_csi(d, d, plan, 0, CFG, p_min=1e-3, epsilon=0.05)
+        result = opa_partial_csi(los_row(d), los_row(d), plan, 0, 1e-3, 0.05, NOISE_W)
         assert result.branch is Branch.FAIR
 
     def test_branch_agrees_with_full_csi_for_equal_gain_monopath(self, rng):
@@ -256,12 +252,9 @@ class TestOpaPartialCsi:
             h2 = channel_vector(
                 UserChannel((PathComponent(amp * np.exp(1j * phase2), d_weak),), 1.0), CFG
             )
-            z1 = compute_link_state(h1, plan, 0, noise).zeta
-            z2 = compute_link_state(h2, plan, 0, noise).zeta
+            z1, z2 = (ls.zeta for ls in link_states(np.stack([h1, h2]), plan, [0, 0], noise))
             full = opa(PaInput(zeta1=z1, zeta2=z2, p_min=1e-3, epsilon=0.05))
-            partial = opa_partial_csi(
-                d_strong, d_weak, plan, 0, CFG, p_min=1e-3, epsilon=0.05, noise_w=noise
-            )
+            partial = opa_partial_csi(los_row(d_strong), los_row(d_weak), plan, 0, 1e-3, 0.05, noise)
             agreements += full.branch is partial.branch
         assert agreements == 50
 
@@ -269,6 +262,6 @@ class TestOpaPartialCsi:
         d = Direction(1.0, 0.0)
         only = ClusterSet(clusters=(Cluster(members=(0, 1), beam_dir=d),), noma_count=1)
         plan = build_plan(only, CFG, 1.0, 2)
-        result = opa_partial_csi(d, d, plan, 0, CFG, p_min=1e-3, epsilon=0.05, noise_w=8.1e-14)
+        result = opa_partial_csi(los_row(d), los_row(d), plan, 0, 1e-3, 0.05, NOISE_W)
         assert isinstance(result, PaResult)
         assert result.branch is Branch.FAIR  # equal estimated ratios

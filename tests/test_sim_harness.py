@@ -6,7 +6,6 @@ from dataclasses import replace
 import pytest
 
 from nomabeam.baselines import SchemeId
-from nomabeam.link_metrics import sinr_dbs_monopath_closed
 from nomabeam.sim_harness import (
     CSV_HEADER,
     ConfigError,
@@ -17,9 +16,10 @@ from nomabeam.sim_harness import (
     load_scenario,
     parse_config_text,
     run_sweep,
-    run_trial,
     write_csv,
 )
+
+from oracles import sinr_dbs_monopath_closed
 
 SMALL = ScenarioConfig(
     user_counts=(4,),
@@ -126,7 +126,7 @@ class TestConfigValidation:
 class TestRunTrial:
     def test_single_user_is_noise_limited(self):
         config = replace(SMALL, user_counts=(1,))
-        result = run_trial(config, 1, 0, SchemeId.DBS)
+        result = evaluate_trial(config, 1, 0, (SchemeId.DBS,))[0]
         assert result.noma_cluster_count == 0
         assert result.sum_rate_bps > 0
         assert result.spectral_eff_bps_per_hz == pytest.approx(
@@ -134,16 +134,16 @@ class TestRunTrial:
         )
 
     def test_deterministic_per_key(self):
-        a = run_trial(SMALL, 4, 2, SchemeId.NOMA_DBS_FCSI)
-        b = run_trial(SMALL, 4, 2, SchemeId.NOMA_DBS_FCSI)
+        a = evaluate_trial(SMALL, 4, 2, (SchemeId.NOMA_DBS_FCSI,))[0]
+        b = evaluate_trial(SMALL, 4, 2, (SchemeId.NOMA_DBS_FCSI,))[0]
         assert a == b
 
     def test_schemes_share_the_same_drop(self):
         # K=1 leaves nothing to pair, so the shared-beam scheme reduces to
         # plain steering on the identical channel draw
         config = replace(SMALL, user_counts=(1,))
-        dbs = run_trial(config, 1, 5, SchemeId.DBS)
-        noma = run_trial(config, 1, 5, SchemeId.NOMA_DBS_FCSI)
+        dbs = evaluate_trial(config, 1, 5, (SchemeId.DBS,))[0]
+        noma = evaluate_trial(config, 1, 5, (SchemeId.NOMA_DBS_FCSI,))[0]
         assert dbs.sum_rate_bps == pytest.approx(noma.sum_rate_bps, rel=1e-12)
 
     def test_monopath_dbs_matches_closed_form(self):
@@ -154,7 +154,7 @@ class TestRunTrial:
             user_counts=(6,),
         )
         k = 6
-        result = run_trial(config, k, 1, SchemeId.DBS)
+        result = evaluate_trial(config, k, 1, (SchemeId.DBS,))[0]
         users, _, dirs = _drop_users(config, k, 1)
         gains = [u.los.gain for u in users]
         eta_dbs = config.total_power_w / (config.array_config.num_elements * k)
@@ -171,11 +171,11 @@ class TestRunTrial:
         assert result.sum_rate_bps == pytest.approx(closed_sum, rel=1e-9)
 
     def test_partial_csi_scheme_runs(self):
-        result = run_trial(SMALL, 4, 0, SchemeId.NOMA_DBS_PCSI)
+        result = evaluate_trial(SMALL, 4, 0, (SchemeId.NOMA_DBS_PCSI,))[0]
         assert result.sum_rate_bps > 0
 
     def test_oma_scheme_runs(self):
-        result = run_trial(SMALL, 4, 0, SchemeId.OMA_DBS)
+        result = evaluate_trial(SMALL, 4, 0, (SchemeId.OMA_DBS,))[0]
         assert result.sum_rate_bps > 0
 
 
@@ -197,7 +197,7 @@ class TestEvaluateTrial:
         config = EQUIVALENCE_CONFIGS[name]
         for k in config.user_counts:
             for t in range(2):
-                alone = {s: run_trial(config, k, t, s) for s in SchemeId}
+                alone = {s: evaluate_trial(config, k, t, (s,))[0] for s in SchemeId}
                 for size in range(1, len(SchemeId) + 1):
                     for schemes in itertools.permutations(SchemeId, size):
                         assert evaluate_trial(config, k, t, schemes) == [alone[s] for s in schemes]
@@ -205,7 +205,9 @@ class TestEvaluateTrial:
     def test_lone_shared_beam_is_reached(self):
         config = EQUIVALENCE_CONFIGS["lone-shared-beam"]
         paired = [
-            t for t in range(2) if run_trial(config, 2, t, SchemeId.NOMA_DBS_PCSI).noma_cluster_count == 1
+            t
+            for t in range(2)
+            if evaluate_trial(config, 2, t, (SchemeId.NOMA_DBS_PCSI,))[0].noma_cluster_count == 1
         ]
         assert paired
 
@@ -215,7 +217,7 @@ class TestEvaluateTrial:
 
     def test_repeated_scheme_repeats_its_result(self):
         results = evaluate_trial(SMALL, 4, 1, (SchemeId.DBS, SchemeId.OMA_DBS, SchemeId.DBS))
-        assert results[0] == results[2] == run_trial(SMALL, 4, 1, SchemeId.DBS)
+        assert results[0] == results[2] == evaluate_trial(SMALL, 4, 1, (SchemeId.DBS,))[0]
 
 
 class TestRunSweep:
@@ -254,10 +256,13 @@ class TestRunSweep:
             trials=60,
             master_seed=5,
         )
-        noma = [run_trial(config, 12, t, SchemeId.NOMA_DBS_FCSI).spectral_eff_bps_per_hz for t in range(60)]
-        dbs = [run_trial(config, 12, t, SchemeId.DBS).spectral_eff_bps_per_hz for t in range(60)]
-        other = replace(config, master_seed=77)
-        dbs_unpaired = [run_trial(other, 12, t, SchemeId.DBS).spectral_eff_bps_per_hz for t in range(60)]
+
+        def spectral_effs(cfg, scheme):
+            return [evaluate_trial(cfg, 12, t, (scheme,))[0].spectral_eff_bps_per_hz for t in range(60)]
+
+        noma = spectral_effs(config, SchemeId.NOMA_DBS_FCSI)
+        dbs = spectral_effs(config, SchemeId.DBS)
+        dbs_unpaired = spectral_effs(replace(config, master_seed=77), SchemeId.DBS)
         paired_var = statistics.variance([n - d for n, d in zip(noma, dbs)])
         unpaired_var = statistics.variance([n - d for n, d in zip(noma, dbs_unpaired)])
         assert paired_var < unpaired_var
