@@ -20,14 +20,7 @@ from .array_geometry import (
 )
 from .baselines import SchemeId, conjugate_bf_rates, energy_efficiency, oma_dbs_rates
 from .beamforming import BeamformingPlan, build_plan
-from .channel import (
-    ChannelParams,
-    InvalidParams,
-    PathComponent,
-    UserChannel,
-    channel_vector,
-    generate_user_channel,
-)
+from .channel import ChannelParams, DropPaths, InvalidParams, channel_rows, draw_paths
 from .clustering import Cluster, ClusterSet, beta_uc, cluster_beam_dir, order_cluster_users
 from .link_metrics import (
     LinkState,

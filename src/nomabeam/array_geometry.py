@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -86,21 +85,19 @@ def _direction_cosines(theta, phi) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(theta) * np.cos(phi), np.sin(phi)
 
 
-def steering_matrix(cfg: ArrayConfig, directions: Sequence[Direction]) -> np.ndarray:
-    """Steering vectors toward ``directions``, one per row (len(directions) x M).
+def steering_matrix(cfg: ArrayConfig, theta, phi) -> np.ndarray:
+    """Steering vectors toward the directions (theta[n], phi[n]), one per row (N x M).
 
     Entry for horizontal index i and vertical index j (flattened as
     ``i * m_v + j``, the Kronecker product of the azimuth and elevation
     progressions) is ``exp(j * 2*pi * d/lambda * (i*u_az + j*u_el))``.
     """
-    u_az, u_el = _direction_cosines(
-        np.array([d.theta for d in directions]), np.array([d.phi for d in directions])
-    )
+    u_az, u_el = _direction_cosines(theta, phi)
     step = 2.0 * math.pi * cfg.d_over_lambda
     az_phase = (step * u_az)[:, None] * np.arange(cfg.m_h)
     el_phase = (step * u_el)[:, None] * np.arange(cfg.m_v)
-    phases = (az_phase[:, :, None] + el_phase[:, None, :]).reshape(len(directions), cfg.num_elements)
-    return np.exp(1j * phases)
+    phases = 1j * (az_phase[:, :, None] + el_phase[:, None, :]).reshape(len(u_az), cfg.num_elements)
+    return np.exp(phases, out=phases)
 
 
 def _sin_ratio(m: int, x: np.ndarray) -> np.ndarray:

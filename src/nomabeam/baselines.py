@@ -55,31 +55,28 @@ def oma_dbs_rates(
 
 
 def conjugate_bf_rates(
-    channels: Sequence[np.ndarray],
+    h_matrix: np.ndarray,
     total_power_w: float,
     noise_w: float,
     bandwidth_hz: float,
 ) -> list[float]:
     """Per-user rates under conjugate (matched-filter) beamforming.
 
-    Each user's weight vector is its conjugated channel normalized to unit
-    norm; the transmit normalization is 1/K (the weight-trace rule for unit-
-    norm columns) with each beam carrying the full signal power, mirroring
-    the one-beam-per-user split of the steered schemes.
+    ``h_matrix`` holds one channel row per user (K x M).  Each user's weight
+    vector is its conjugated channel normalized to unit norm; the transmit
+    normalization is 1/K (the weight-trace rule for unit-norm columns) with
+    each beam carrying the full signal power, mirroring the one-beam-per-user
+    split of the steered schemes.
     """
-    if not channels:
+    k_users = len(h_matrix)
+    if k_users == 0:
         raise ValueError("at least one user is required")
-    h_matrix = np.stack(channels)
     w_matrix = np.conj(h_matrix.T) / np.linalg.norm(h_matrix, axis=1)
-    k_users = len(channels)
     eta = 1.0 / k_users
     beam_gains = eta * total_power_w * np.abs(h_matrix @ w_matrix) ** 2
-    rates = []
-    for k in range(k_users):
-        interference = float(np.sum(beam_gains[k])) - float(beam_gains[k, k])
-        sinr = float(beam_gains[k, k]) / (interference + noise_w)
-        rates.append(rate(sinr, bandwidth_hz))
-    return rates
+    signal = np.diagonal(beam_gains)
+    sinr = signal / (beam_gains.sum(axis=1) - signal + noise_w)
+    return [rate(s, bandwidth_hz) for s in sinr.tolist()]
 
 
 def energy_efficiency(

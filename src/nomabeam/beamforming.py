@@ -75,7 +75,8 @@ def build_plan(
         raise ValueError(f"unknown power split rule: {rule!r}")
     # P_c = eta * ||w_c||^2 * p_c with ||w_c||^2 = M, hence p_c = C * P_c.
     powers = [c_total * p for p in emitted]
-    weights = tuple(steering_matrix(cfg, [c.beam_dir for c in cs.clusters]))
+    beams = [c.beam_dir for c in cs.clusters]
+    weights = tuple(steering_matrix(cfg, [d.theta for d in beams], [d.phi for d in beams]))
     return BeamformingPlan(
         weights=weights,
         eta=eta,

@@ -19,17 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_geometry import ArrayConfig, Direction, steering_matrix
+from .array_geometry import ArrayConfig, steering_matrix
 
 __all__ = [
     "BS_HEIGHT_M",
     "SPEED_OF_LIGHT",
     "InvalidParams",
-    "PathComponent",
-    "UserChannel",
+    "DropPaths",
     "ChannelParams",
-    "generate_user_channel",
-    "channel_vector",
+    "draw_paths",
+    "channel_rows",
 ]
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -44,43 +43,19 @@ class InvalidParams(ValueError):
 
 
 @dataclass(frozen=True)
-class PathComponent:
-    """One propagation path: complex amplitude and departure direction."""
+class DropPaths:
+    """Every propagation path of one drop, as flat arrays.
 
-    gain: complex
-    direction: Direction
-
-    def __post_init__(self) -> None:
-        if not abs(self.gain) > 0:
-            raise InvalidParams("path gain must be nonzero")
-
-
-@dataclass(frozen=True)
-class UserChannel:
-    """Ordered multipath description of one user's downlink channel.
-
-    ``paths[0]`` is the line-of-sight / strongest path; ``range_m`` is the 3D
-    base-station-to-user distance.  The user position is the pair
-    (``range_m``, ``paths[0].direction``).
+    User k's paths are ``starts[k]`` up to ``starts[k + 1]`` (the last user's
+    run to the end), ordered strongest first, so ``starts`` also indexes each
+    user's line-of-sight / strongest path.  ``gains`` are the complex path
+    amplitudes, ``theta`` and ``phi`` the departure angles in radians.
     """
 
-    paths: tuple[PathComponent, ...]
-    range_m: float
-
-    def __post_init__(self) -> None:
-        if not self.paths:
-            raise InvalidParams("a user channel needs at least one path")
-        strongest = abs(self.paths[0].gain)
-        if any(abs(p.gain) > strongest for p in self.paths[1:]):
-            raise InvalidParams("paths must be ordered with the strongest first")
-
-    @property
-    def los(self) -> PathComponent:
-        return self.paths[0]
-
-    @property
-    def num_paths(self) -> int:
-        return len(self.paths)
+    starts: np.ndarray
+    gains: np.ndarray
+    theta: np.ndarray
+    phi: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -116,63 +91,74 @@ class ChannelParams:
         return SPEED_OF_LIGHT / self.carrier_hz
 
 
-def generate_user_channel(
+def draw_paths(
     rng: np.random.Generator,
-    cfg: ArrayConfig,
     params: ChannelParams,
     cell_radius_m: float,
-) -> UserChannel:
-    """Drop one user uniformly in the cell and draw its multipath channel.
+    k_users: int,
+) -> DropPaths:
+    """Drop ``k_users`` users uniformly in the cell and draw their multipath channels.
 
     The line-of-sight amplitude is free-space path loss at the carrier over
     the 3D distance, shadowed log-normally; scattered paths are drawn per
     ``params`` below it and within ``angle_spread_deg`` of the LOS direction.
-    Paths are returned strongest-first.  Identical (rng state, params) yield
-    an identical channel.
+    Users are drawn one after another, each user's paths sorted strongest
+    first (a stable sort).  Identical (rng state, params) yield identical paths.
     """
     if not cell_radius_m > 0:
         raise InvalidParams(f"cell radius must be positive, got {cell_radius_m}")
 
-    ground_r = cell_radius_m * math.sqrt(rng.uniform())
-    theta = rng.uniform(0.0, math.pi)
-    slant = math.hypot(ground_r, BS_HEIGHT_M)
-    phi = -math.asin(BS_HEIGHT_M / slant)
-    los_dir = Direction(theta, phi)
-
-    fspl_amp = params.wavelength_m / (4.0 * math.pi * slant)
-    shadow_db = rng.normal(0.0, params.shadowing_sigma_db)
-    los_amp = fspl_amp * 10.0 ** (shadow_db / 20.0)
-    los_phase = rng.uniform(0.0, 2.0 * math.pi)
-    paths = [PathComponent(los_amp * complex(math.cos(los_phase), math.sin(los_phase)), los_dir)]
-
     lo_tc, hi_tc = params.num_time_clusters_range
     lo_p, hi_p = params.paths_per_cluster_range
-    total_paths = sum(int(rng.integers(lo_p, hi_p + 1)) for _ in range(int(rng.integers(lo_tc, hi_tc + 1))))
     spread = math.radians(params.angle_spread_deg)
-    for _ in range(total_paths - 1):
-        offset_db = rng.uniform(*params.nlos_gain_offset_db)
-        amp = los_amp * 10.0 ** (-offset_db / 20.0)
-        phase = rng.uniform(0.0, 2.0 * math.pi)
-        d_theta = rng.uniform(-spread, spread)
-        d_phi = rng.uniform(-spread, spread)
-        nlos_dir = Direction(
-            (theta + d_theta) % (2.0 * math.pi),
-            min(max(phi + d_phi, -math.pi / 2.0), math.pi / 2.0),
-        )
-        paths.append(PathComponent(amp * complex(math.cos(phase), math.sin(phase)), nlos_dir))
+    starts: list[int] = []
+    paths: list[tuple[complex, float, float]] = []
+    for _ in range(k_users):
+        ground_r = cell_radius_m * math.sqrt(rng.uniform())
+        theta = rng.uniform(0.0, math.pi)
+        slant = math.hypot(ground_r, BS_HEIGHT_M)
+        phi = -math.asin(BS_HEIGHT_M / slant)
 
-    paths.sort(key=lambda p: -abs(p.gain))
-    return UserChannel(paths=tuple(paths), range_m=slant)
+        fspl_amp = params.wavelength_m / (4.0 * math.pi * slant)
+        shadow_db = rng.normal(0.0, params.shadowing_sigma_db)
+        los_amp = fspl_amp * 10.0 ** (shadow_db / 20.0)
+        los_phase = rng.uniform(0.0, 2.0 * math.pi)
+        user = [(los_amp * complex(math.cos(los_phase), math.sin(los_phase)), theta, phi)]
+
+        time_clusters = int(rng.integers(lo_tc, hi_tc + 1))
+        total_paths = sum(int(rng.integers(lo_p, hi_p + 1)) for _ in range(time_clusters))
+        for _ in range(total_paths - 1):
+            offset_db = rng.uniform(*params.nlos_gain_offset_db)
+            amp = los_amp * 10.0 ** (-offset_db / 20.0)
+            phase = rng.uniform(0.0, 2.0 * math.pi)
+            d_theta = rng.uniform(-spread, spread)
+            d_phi = rng.uniform(-spread, spread)
+            user.append(
+                (
+                    amp * complex(math.cos(phase), math.sin(phase)),
+                    (theta + d_theta) % (2.0 * math.pi),
+                    min(max(phi + d_phi, -math.pi / 2.0), math.pi / 2.0),
+                )
+            )
+
+        user.sort(key=lambda path: -abs(path[0]))
+        starts.append(len(paths))
+        paths.extend(user)
+
+    gains, thetas, phis = zip(*paths)
+    drop = DropPaths(np.array(starts), np.array(gains), np.array(thetas), np.array(phis))
+    if not np.all(np.abs(drop.gains) > 0):
+        raise InvalidParams("path gain must be nonzero")
+    return drop
 
 
-def channel_vector(uc: UserChannel, cfg: ArrayConfig) -> np.ndarray:
-    """Multipath channel row vector: sum of gain-weighted conjugate steering vectors.
+def channel_rows(cfg: ArrayConfig, paths: DropPaths) -> np.ndarray:
+    """K x M channel matrix: row k sums user k's gain-weighted conjugate steering vectors.
 
-    The steering vectors of all paths come from one batched computation.
+    The steering vectors of every path of the drop come from one batched
+    computation; each user's paths are summed strongest first.
     """
-    steering = np.conj(steering_matrix(cfg, [path.direction for path in uc.paths]))
-    h = np.zeros(cfg.num_elements, dtype=complex)
-    for path, a in zip(uc.paths, steering):
-        h += path.gain * a
-    return h
-
+    rows = steering_matrix(cfg, paths.theta, paths.phi)
+    np.conj(rows, out=rows)
+    rows *= paths.gains[:, None]
+    return np.add.reduceat(rows, paths.starts, axis=0)

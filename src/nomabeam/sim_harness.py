@@ -23,7 +23,7 @@ import numpy as np
 from .array_geometry import ArrayConfig, Direction, steering_matrix
 from .baselines import SchemeId, conjugate_bf_rates, energy_efficiency, oma_dbs_rates
 from .beamforming import BeamformingPlan, build_plan
-from .channel import ChannelParams, UserChannel, channel_vector, generate_user_channel
+from .channel import ChannelParams, DropPaths, InvalidParams, channel_rows, draw_paths
 from .clustering import Cluster, ClusterSet, beta_uc, order_cluster_users
 from .link_metrics import LinkState, link_states, rate, sinr_noma_strong, sinr_noma_weak
 from .power_allocation import (
@@ -119,6 +119,14 @@ class ScenarioConfig:
             raise ConfigError(f"unknown csi_mode: {self.csi_mode!r}")
         if not self.schemes:
             raise ConfigError("schemes must not be empty")
+        if not 0.0 < self.bandwidth_hz < math.inf:
+            raise ConfigError(f"bandwidth_hz must be positive and finite, got {self.bandwidth_hz}")
+        for name in ("total_power_dbm", "noise_power_dbm"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        if not 0.0 < self.cell_radius_m < math.inf:
+            raise ConfigError(f"cell_radius_m must be positive and finite, got {self.cell_radius_m}")
+        self.channel_params  # validates the generator's knobs
 
     @property
     def array_config(self) -> ArrayConfig:
@@ -129,14 +137,17 @@ class ScenarioConfig:
 
     @property
     def channel_params(self) -> ChannelParams:
-        return ChannelParams(
-            carrier_hz=self.carrier_hz,
-            num_time_clusters_range=self.num_time_clusters,
-            paths_per_cluster_range=self.paths_per_cluster,
-            nlos_gain_offset_db=self.nlos_gain_offset_db,
-            angle_spread_deg=self.angle_spread_deg,
-            shadowing_sigma_db=self.shadowing_sigma_db,
-        )
+        try:
+            return ChannelParams(
+                carrier_hz=self.carrier_hz,
+                num_time_clusters_range=self.num_time_clusters,
+                paths_per_cluster_range=self.paths_per_cluster,
+                nlos_gain_offset_db=self.nlos_gain_offset_db,
+                angle_spread_deg=self.angle_spread_deg,
+                shadowing_sigma_db=self.shadowing_sigma_db,
+            )
+        except InvalidParams as exc:
+            raise ConfigError(str(exc)) from exc
 
     @property
     def total_power_w(self) -> float:
@@ -281,17 +292,15 @@ def _trial_rng(config: ScenarioConfig, k_users: int, trial_index: int) -> np.ran
 
 def _drop_users(
     config: ScenarioConfig, k_users: int, trial_index: int
-) -> tuple[list[UserChannel], np.ndarray, list[Direction]]:
-    rng = _trial_rng(config, k_users, trial_index)
-    array = config.array_config
-    params = config.channel_params
-    users = [generate_user_channel(rng, array, params, config.cell_radius_m) for _ in range(k_users)]
-    # Filled in place: a list of rows and its stacked copy would hold every row twice.
-    h_rows = np.empty((k_users, array.num_elements), dtype=complex)
-    for k, user in enumerate(users):
-        h_rows[k] = channel_vector(user, array)
-    los_dirs = [u.los.direction for u in users]
-    return users, h_rows, los_dirs
+) -> tuple[DropPaths, np.ndarray, list[Direction]]:
+    """The drop's paths, its K x M channel rows and each user's LOS (strongest) direction."""
+    paths = draw_paths(
+        _trial_rng(config, k_users, trial_index), config.channel_params, config.cell_radius_m, k_users
+    )
+    h_rows = channel_rows(config.array_config, paths)
+    los = paths.starts
+    los_dirs = [Direction(t, p) for t, p in zip(paths.theta[los].tolist(), paths.phi[los].tolist())]
+    return paths, h_rows, los_dirs
 
 
 def _plan_link_states(
@@ -374,9 +383,8 @@ def _shared_beam_outcomes(
     # single path: one call per drop gives the (strong, weak) rows of every shared beam.
     pair_rows = None
     if cs.noma_count and SchemeId.NOMA_DBS_PCSI in schemes:
-        rows = steering_matrix(
-            config.array_config, [los_dirs[m] for c in clusters[: cs.noma_count] for m in c.members]
-        )
+        paired = [los_dirs[m] for c in clusters[: cs.noma_count] for m in c.members]
+        rows = steering_matrix(config.array_config, [d.theta for d in paired], [d.phi for d in paired])
         pair_rows = np.conj(rows, out=rows).reshape(cs.noma_count, 2, -1)
     outcomes = {}
     for scheme in schemes:
@@ -419,9 +427,7 @@ def evaluate_trial(
     # Plans and gain matrices live only inside the helpers below, so none is
     # held while conjugate beamforming builds its K x K temporaries.
     if SchemeId.CONJUGATE_BF in schemes:
-        cb_rates = conjugate_bf_rates(
-            list(h_rows), config.total_power_w, config.noise_w, config.bandwidth_hz
-        )
+        cb_rates = conjugate_bf_rates(h_rows, config.total_power_w, config.noise_w, config.bandwidth_hz)
         outcomes[SchemeId.CONJUGATE_BF] = (cb_rates, 0, 0)
     if SchemeId.DBS in schemes:
         outcomes[SchemeId.DBS] = _dbs_outcome(config, h_rows, los_dirs)

@@ -12,7 +12,6 @@ import numpy as np
 
 from nomabeam.array_geometry import ArrayConfig, Direction
 from nomabeam.beamforming import BeamformingPlan
-from nomabeam.channel import UserChannel
 
 
 def steering_phasors(cfg: ArrayConfig, direction: Direction) -> np.ndarray:
@@ -89,7 +88,8 @@ def sinr_dbs_monopath_closed(
 
 
 def sinr_dbs_multipath_closed(
-    channels: Sequence[UserChannel],
+    gains: Sequence[Sequence[complex]],
+    dirs: Sequence[Sequence[Direction]],
     own: int,
     eta_dbs: float,
     noise_w: float,
@@ -97,24 +97,26 @@ def sinr_dbs_multipath_closed(
 ) -> float:
     """Closed-form private-beam SINR with multipath channels and LOS-steered beams.
 
-    Both the useful power and the interference accumulate every path of the
-    observing user against each beam, with path amplitudes expressed relative
-    to its LOS amplitude; ``eta_dbs`` is as in the single-path form.
+    ``gains[k]`` and ``dirs[k]`` are user k's path amplitudes and directions,
+    its LOS (strongest) path first; each beam is steered at its user's LOS
+    direction.  Both the useful power and the interference accumulate every
+    path of the observing user against each beam, with path amplitudes
+    expressed relative to its LOS amplitude; ``eta_dbs`` is as in the
+    single-path form.
     """
-    uc = channels[own]
-    alpha_los = uc.los.gain
-    own_paths = [steering_phasors(cfg, p.direction) for p in uc.paths]
-    ratios = [p.gain / alpha_los for p in uc.paths]
+    alpha_los = gains[own][0]
+    own_paths = [steering_phasors(cfg, d) for d in dirs[own]]
+    ratios = [g / alpha_los for g in gains[own]]
 
     def response_to(beam: np.ndarray) -> complex:
         return sum(r * np.vdot(a, beam) for r, a in zip(ratios, own_paths))
 
-    own_beam = steering_phasors(cfg, uc.los.direction)
+    own_beam = steering_phasors(cfg, dirs[own][0])
     numerator = abs(response_to(own_beam)) ** 2
     interference = 0.0
-    for u, other in enumerate(channels):
+    for u, user_dirs in enumerate(dirs):
         if u == own:
             continue
-        beam_u = steering_phasors(cfg, other.los.direction)
+        beam_u = steering_phasors(cfg, user_dirs[0])
         interference += abs(response_to(beam_u)) ** 2
     return numerator / (interference + noise_w / (eta_dbs * abs(alpha_los) ** 2))

@@ -22,12 +22,13 @@ import numpy as np
 from nomabeam.array_geometry import ArrayConfig, beta_matrix, beta_metric
 from nomabeam.baselines import SchemeId
 from nomabeam.beamforming import build_plan
-from nomabeam.channel import ChannelParams, channel_vector, generate_user_channel
+from nomabeam.channel import ChannelParams, channel_rows, draw_paths
 from nomabeam.clustering import Cluster, ClusterSet, beta_uc
 from nomabeam.link_metrics import link_states
 from nomabeam.power_allocation import PaInput, gamma_fair, gamma_hat, opa, rc_derivative
 from nomabeam.sim_harness import ScenarioConfig, _drop_users, evaluate_trial, run_sweep, write_csv
 
+from drops import user_paths
 from oracles import (
     beta_phasor_sum,
     emitted_power_check,
@@ -140,22 +141,21 @@ def test_criterion_06_pipeline_matches_closed_forms():
     def check(params, closed_fn, drops):
         for _ in range(drops):
             k = int(rng.integers(1, 8))
-            users = [generate_user_channel(rng, cfg, params, 100.0) for _ in range(k)]
-            dirs = [u.los.direction for u in users]
+            paths = draw_paths(rng, params, 100.0, k)
+            gains, dirs = user_paths(paths)
             cs = ClusterSet(
-                clusters=tuple(Cluster(members=(i,), beam_dir=d) for i, d in enumerate(dirs)),
+                clusters=tuple(Cluster(members=(i,), beam_dir=d[0]) for i, d in enumerate(dirs)),
                 noma_count=0,
             )
             plan = build_plan(cs, cfg, 1.0, k)
             eta_dbs = plan.eta * plan.cluster_powers_pc[0]
             own = int(rng.integers(0, k))
-            h = channel_vector(users[own], cfg)
+            h = channel_rows(cfg, paths)[own]
             pipeline = link_states(h[np.newaxis], plan, [own], noise)[0].zeta
             if closed_fn is sinr_dbs_monopath_closed:
-                gains = [u.los.gain for u in users]
-                closed = closed_fn(gains, dirs, own, eta_dbs, noise, cfg)
+                closed = closed_fn([g[0] for g in gains], [d[0] for d in dirs], own, eta_dbs, noise, cfg)
             else:
-                closed = closed_fn(users, own, eta_dbs, noise, cfg)
+                closed = closed_fn(gains, dirs, own, eta_dbs, noise, cfg)
             assert abs(pipeline - closed) <= 1e-9 * abs(closed)
 
     check(mono_params, sinr_dbs_monopath_closed, 200)
@@ -185,7 +185,8 @@ def test_criterion_08_clustering_contract():
     beta0 = 0.5
     for _ in range(500):
         k = int(rng.integers(2, 41))
-        dirs = [generate_user_channel(rng, cfg, params, 100.0).los.direction for _ in range(k)]
+        _, user_dirs = user_paths(draw_paths(rng, params, 100.0, k))
+        dirs = [d[0] for d in user_dirs]
         cs = beta_uc(dirs, cfg, beta0)
         members = sorted(m for c in cs.clusters for m in c.members)
         assert members == list(range(k))

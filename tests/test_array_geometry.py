@@ -34,7 +34,7 @@ configs = st.builds(
 
 
 def steering_row(cfg, direction):
-    return steering_matrix(cfg, [direction])[0]
+    return steering_matrix(cfg, [direction.theta], [direction.phi])[0]
 
 
 class TestSteeringVector:

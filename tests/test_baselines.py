@@ -6,11 +6,12 @@ import pytest
 from nomabeam.array_geometry import ArrayConfig, Direction
 from nomabeam.baselines import SchemeId, conjugate_bf_rates, energy_efficiency, oma_dbs_rates
 from nomabeam.beamforming import build_plan
-from nomabeam.channel import PathComponent, UserChannel, channel_vector
+from nomabeam.channel import channel_rows
 from nomabeam.clustering import Cluster, ClusterSet
 from nomabeam.link_metrics import LinkState, link_states, rate
 from nomabeam.power_allocation import InfeasibleSic, PaInput, opa
 
+from drops import drop_paths
 from oracles import pair_rate
 
 CFG = ArrayConfig(16, 2, 0.5)
@@ -58,7 +59,7 @@ class TestConjugateBf:
         h = rng.normal(size=8) + 1j * rng.normal(size=8)
         noise = 1e-3
         total_power = 2.0
-        rates = conjugate_bf_rates([h], total_power, noise, 1.0)
+        rates = conjugate_bf_rates(h[np.newaxis], total_power, noise, 1.0)
         expected = math.log2(1.0 + total_power * float(np.sum(np.abs(h) ** 2)) / noise)
         assert rates == pytest.approx([expected], rel=1e-12)
 
@@ -68,7 +69,7 @@ class TestConjugateBf:
         h1[0] = 2.0
         h2[1] = 3.0
         noise, power = 1e-2, 1.0
-        rates = conjugate_bf_rates([h1, h2], power, noise, 1.0)
+        rates = conjugate_bf_rates(np.stack([h1, h2]), power, noise, 1.0)
         # eta = 1/2, each beam carries the full signal power
         assert rates[0] == pytest.approx(math.log2(1.0 + 0.5 * power * 4.0 / noise), rel=1e-12)
         assert rates[1] == pytest.approx(math.log2(1.0 + 0.5 * power * 9.0 / noise), rel=1e-12)
@@ -79,11 +80,9 @@ class TestConjugateBf:
         k = 5
         dirs = [Direction(rng.uniform(0.3, 2.8), rng.uniform(-0.4, 0.0)) for _ in range(k)]
         alpha = 3e-4
-        users = [
-            UserChannel((PathComponent(alpha * np.exp(1j * rng.uniform(0, 2 * math.pi)), d),), 60.0)
-            for d in dirs
-        ]
-        h_rows = [channel_vector(u, CFG) for u in users]
+        h_rows = channel_rows(
+            CFG, drop_paths([[(alpha * np.exp(1j * rng.uniform(0, 2 * math.pi)), d)] for d in dirs])
+        )
         noise, power, bandwidth = 8.1e-14, 1.0, 20e6
         cb = conjugate_bf_rates(h_rows, power, noise, bandwidth)
         cs = ClusterSet(
@@ -91,12 +90,12 @@ class TestConjugateBf:
             noma_count=0,
         )
         plan = build_plan(cs, CFG, power, k)
-        steered = [rate(ls.zeta, bandwidth) for ls in link_states(np.stack(h_rows), plan, range(k), noise)]
+        steered = [rate(ls.zeta, bandwidth) for ls in link_states(h_rows, plan, range(k), noise)]
         assert cb == pytest.approx(steered, rel=1e-9)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            conjugate_bf_rates([], 1.0, 1e-3, 1.0)
+            conjugate_bf_rates(np.empty((0, 8), dtype=complex), 1.0, 1e-3, 1.0)
 
 
 class TestEnergyEfficiency:

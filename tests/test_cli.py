@@ -54,6 +54,39 @@ class TestSimulateCommand:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("bandwidth_hz = 0", "bandwidth_hz must be positive"),
+            ("bandwidth_hz = -20e6", "bandwidth_hz must be positive"),
+            ("total_power_dbm = nan", "total_power_dbm must be finite"),
+            ("noise_power_dbm = inf", "noise_power_dbm must be finite"),
+            ("cell_radius_m = 0", "cell_radius_m must be positive"),
+            ("carrier_hz = 0", "carrier must be positive"),
+            ("angle_spread_deg = -1", "angle spread"),
+        ],
+    )
+    def test_config_edge_rejected_with_one_error_line(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text(SMALL_CFG + line + "\n")
+        out = tmp_path / "x.csv"
+        code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert not out.exists()
+
+    def test_zero_path_gain_exits_nonzero(self, tmp_path, capsys):
+        # a 7000 dB offset underflows every scattered path's amplitude to 0
+        cfg = tmp_path / "zero-gain.cfg"
+        cfg.write_text(SMALL_CFG + "paths_per_cluster = 2\nnlos_gain_offset_db = 7000,7000\n")
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "path gain must be nonzero" in err
+
     def test_missing_config_exits_nonzero(self, tmp_path):
         code = main(
             ["simulate", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "x.csv")]

@@ -5,11 +5,12 @@ import pytest
 
 from nomabeam.array_geometry import ArrayConfig, Direction, beta_metric, steering_matrix
 from nomabeam.beamforming import build_plan
-from nomabeam.channel import ChannelParams, PathComponent, UserChannel, channel_vector, generate_user_channel
+from nomabeam.channel import ChannelParams, channel_rows, draw_paths
 from nomabeam.clustering import Cluster, ClusterSet
 from nomabeam.link_metrics import LinkState, link_states, rate, sinr_noma_strong, sinr_noma_weak
 from nomabeam.power_allocation import InfeasibleSic, gamma_hat
 
+from drops import drop_paths, user_paths
 from oracles import sinr_dbs_monopath_closed, sinr_dbs_multipath_closed
 
 CFG = ArrayConfig(16, 2, 0.5)
@@ -22,8 +23,9 @@ def singleton_set(dirs):
     )
 
 
-def mono_user(gain, direction):
-    return UserChannel(paths=(PathComponent(gain, direction),), range_m=50.0)
+def mono_row(gain, direction):
+    """The channel row of a user with one path."""
+    return channel_rows(CFG, drop_paths([[(gain, direction)]]))[0]
 
 
 def link_state(h, plan, own_cluster, noise_w):
@@ -36,7 +38,7 @@ class TestComputeLinkState:
         d = Direction(1.0, -0.1)
         cs = singleton_set([d])
         plan = build_plan(cs, CFG, 1.0, 1)
-        h = channel_vector(mono_user(0.5 + 0.1j, d), CFG)
+        h = mono_row(0.5 + 0.1j, d)
         ls = link_state(h, plan, 0, 1e-9)
         assert ls.nu == pytest.approx(1e-9, rel=1e-12)
         assert ls.zeta == pytest.approx(ls.psi / 1e-9, rel=1e-12)
@@ -48,7 +50,7 @@ class TestComputeLinkState:
         assert beta_metric(CFG, d_own, d_other) < 1e-12
         cs = singleton_set([d_own, d_other])
         plan = build_plan(cs, CFG, 1.0, 2)
-        h = channel_vector(mono_user(1.0, d_own), CFG)
+        h = mono_row(1.0, d_own)
         noise = 1e-12
         ls = link_state(h, plan, 0, noise)
         assert ls.nu == pytest.approx(noise, rel=1e-6)
@@ -56,7 +58,7 @@ class TestComputeLinkState:
     def test_linear_in_power(self):
         dirs = [Direction(1.0, 0.0), Direction(1.4, 0.0), Direction(2.0, 0.0)]
         cs = singleton_set(dirs)
-        h = channel_vector(mono_user(0.3, dirs[0]), CFG)
+        h = mono_row(0.3, dirs[0])
         noise = 1e-10
         base = link_state(h, build_plan(cs, CFG, 1.0, 3), 0, noise)
         doubled = link_state(h, build_plan(cs, CFG, 2.0, 3), 0, noise)
@@ -74,7 +76,7 @@ class TestSinrFormulas:
     def test_dbs_is_the_ratio(self):
         dirs = [Direction(1.0, -0.1), Direction(1.5, 0.0)]
         plan = build_plan(singleton_set(dirs), CFG, 1.0, 2)
-        h_rows = np.stack([channel_vector(mono_user(3e-4, d), CFG) for d in dirs])
+        h_rows = np.stack([mono_row(3e-4, d) for d in dirs])
         for ls in link_states(h_rows, plan, [0, 1], 1e-11):
             assert ls.zeta == ls.psi / ls.nu
 
@@ -107,8 +109,8 @@ class TestSinrFormulas:
         plan = build_plan(cs, CFG, 1.0, 3)
         noise = 1e-11
         gamma1 = 0.3
-        h_strong = channel_vector(mono_user(2e-4 + 1e-4j, dirs[0]), CFG)
-        h_weak = channel_vector(mono_user(1e-4 - 2e-5j, dirs[1]), CFG)
+        h_strong = mono_row(2e-4 + 1e-4j, dirs[0])
+        h_weak = mono_row(1e-4 - 2e-5j, dirs[1])
         for h, formula in ((h_strong, sinr_noma_strong), (h_weak, sinr_noma_weak)):
             ls = link_state(h, plan, 0, noise)
             own = plan.eta * plan.cluster_powers_pc[0] * abs(h @ plan.weights[0]) ** 2
@@ -185,7 +187,7 @@ class TestMonopathClosedForm:
             plan = build_plan(cs, CFG, total_power, k)
             eta_dbs = plan.eta * plan.cluster_powers_pc[0]
             for own in range(k):
-                h = channel_vector(mono_user(gains[own], dirs[own]), CFG)
+                h = mono_row(gains[own], dirs[own])
                 pipeline = link_state(h, plan, own, noise).zeta
                 closed = sinr_dbs_monopath_closed(gains, dirs, own, eta_dbs, noise, CFG)
                 assert pipeline == pytest.approx(closed, rel=1e-9)
@@ -194,15 +196,10 @@ class TestMonopathClosedForm:
 class TestMultipathClosedForm:
     def test_vanishing_scatter_reduces_to_monopath(self):
         d1, d2 = Direction(1.2, -0.1), Direction(0.4, 0.0)
-        users = [
-            UserChannel(
-                paths=(PathComponent(1e-3, d1), PathComponent(1e-30, Direction(1.3, -0.1))),
-                range_m=50.0,
-            ),
-            mono_user(5e-4, d2),
-        ]
+        gains = [[1e-3, 1e-30], [5e-4]]
+        dirs = [[d1, Direction(1.3, -0.1)], [d2]]
         eta_dbs, noise = 1.0 / 32.0, 1e-12
-        multi = sinr_dbs_multipath_closed(users, 0, eta_dbs, noise, CFG)
+        multi = sinr_dbs_multipath_closed(gains, dirs, 0, eta_dbs, noise, CFG)
         mono = sinr_dbs_monopath_closed([1e-3, 5e-4], [d1, d2], 0, eta_dbs, noise, CFG)
         assert multi == pytest.approx(mono, rel=1e-9)
 
@@ -210,14 +207,12 @@ class TestMultipathClosedForm:
         d_los, d_nlos = Direction(1.0, 0.0), Direction(1.15, -0.05)
         a_los = 2e-4 + 0j
         a_nlos = 5e-5 * np.exp(1j * 0.7)
-        uc = UserChannel(
-            paths=(PathComponent(a_los, d_los), PathComponent(a_nlos, d_nlos)), range_m=40.0
-        )
         eta_dbs, noise = 1.0 / 16.0, 1e-11
-        v_los, v_nlos = steering_matrix(CFG, [d_los, d_nlos])
+        v_los, v_nlos = steering_matrix(CFG, [d_los.theta, d_nlos.theta], [d_los.phi, d_nlos.phi])
         numerator = abs(np.vdot(v_los, v_los) + (a_nlos / a_los) * np.vdot(v_nlos, v_los)) ** 2
         expected = numerator / (noise / (eta_dbs * abs(a_los) ** 2))
-        assert sinr_dbs_multipath_closed([uc], 0, eta_dbs, noise, CFG) == pytest.approx(
+        closed = sinr_dbs_multipath_closed([[a_los, a_nlos]], [[d_los, d_nlos]], 0, eta_dbs, noise, CFG)
+        assert closed == pytest.approx(
             expected, rel=1e-12
         )
 
@@ -225,14 +220,14 @@ class TestMultipathClosedForm:
         params = ChannelParams()
         for _ in range(40):
             k = int(rng.integers(1, 7))
-            users = [generate_user_channel(rng, CFG, params, 100.0) for _ in range(k)]
-            dirs = [u.los.direction for u in users]
-            cs = singleton_set(dirs)
+            paths = draw_paths(rng, params, 100.0, k)
+            gains, dirs = user_paths(paths)
+            cs = singleton_set([d[0] for d in dirs])
             plan = build_plan(cs, CFG, 1.0, k)
             eta_dbs = plan.eta * plan.cluster_powers_pc[0]
             noise = 8.1e-14
+            rows = channel_rows(CFG, paths)
             for own in range(k):
-                h = channel_vector(users[own], CFG)
-                pipeline = link_state(h, plan, own, noise).zeta
-                closed = sinr_dbs_multipath_closed(users, own, eta_dbs, noise, CFG)
+                pipeline = link_state(rows[own], plan, own, noise).zeta
+                closed = sinr_dbs_multipath_closed(gains, dirs, own, eta_dbs, noise, CFG)
                 assert pipeline == pytest.approx(closed, rel=1e-9)

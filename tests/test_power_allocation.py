@@ -5,7 +5,7 @@ import pytest
 
 from nomabeam.array_geometry import ArrayConfig, Direction, beta_metric, steering_matrix
 from nomabeam.beamforming import build_plan
-from nomabeam.channel import PathComponent, UserChannel, channel_vector
+from nomabeam.channel import channel_rows
 from nomabeam.clustering import Cluster, ClusterSet
 from nomabeam.link_metrics import link_states
 from nomabeam.power_allocation import (
@@ -21,6 +21,7 @@ from nomabeam.power_allocation import (
     rc_derivative,
 )
 
+from drops import drop_paths
 from oracles import pair_rate, pair_rate_grid_max
 
 CFG = ArrayConfig(16, 2, 0.5)
@@ -29,7 +30,7 @@ NOISE_W = 8.1e-14
 
 def los_row(direction):
     """The partial-CSI view of a user: its conjugated LOS steering vector."""
-    return np.conj(steering_matrix(CFG, [direction])[0])
+    return np.conj(steering_matrix(CFG, [direction.theta], [direction.phi])[0])
 
 
 class TestGammaHat:
@@ -193,7 +194,7 @@ class TestPartialCsiZeta:
         other = Direction(0.9, -0.2)
         plan = two_beam_plan(own, other)
         z = partial_csi_zeta(los_row(own), plan, 0, NOISE_W)
-        a = channel_vector(UserChannel((PathComponent(1.0, own),), 1.0), CFG)
+        a = channel_rows(CFG, drop_paths([[(1.0, own)]]))[0]
         interference = plan.eta * plan.cluster_powers_pc[1] * abs(a @ plan.weights[1]) ** 2
         m = CFG.num_elements
         assert z * interference == pytest.approx(
@@ -246,13 +247,11 @@ class TestOpaPartialCsi:
             plan = two_beam_plan(beam, d_far)
             amp = 1e-4
             phase1, phase2 = rng.uniform(0, 2 * math.pi, size=2)
-            h1 = channel_vector(
-                UserChannel((PathComponent(amp * np.exp(1j * phase1), d_strong),), 1.0), CFG
+            rows = channel_rows(
+                CFG,
+                drop_paths([[(amp * np.exp(1j * phase1), d_strong)], [(amp * np.exp(1j * phase2), d_weak)]]),
             )
-            h2 = channel_vector(
-                UserChannel((PathComponent(amp * np.exp(1j * phase2), d_weak),), 1.0), CFG
-            )
-            z1, z2 = (ls.zeta for ls in link_states(np.stack([h1, h2]), plan, [0, 0], noise))
+            z1, z2 = (ls.zeta for ls in link_states(rows, plan, [0, 0], noise))
             full = opa(PaInput(zeta1=z1, zeta2=z2, p_min=1e-3, epsilon=0.05))
             partial = opa_partial_csi(los_row(d_strong), los_row(d_weak), plan, 0, 1e-3, 0.05, noise)
             agreements += full.branch is partial.branch

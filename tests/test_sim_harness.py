@@ -118,6 +118,22 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ScenarioConfig(csi_mode="none")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("bandwidth_hz", math.inf),
+            ("total_power_dbm", -math.inf),
+            ("cell_radius_m", math.inf),
+            ("carrier_hz", -1.0),
+            ("num_time_clusters", (2, 1)),
+            ("paths_per_cluster", (0, 1)),
+            ("shadowing_sigma_db", -1.0),
+        ],
+    )
+    def test_link_and_channel_values_validated_at_construction(self, field, value):
+        with pytest.raises(ConfigError):
+            ScenarioConfig(**{field: value})
+
     def test_power_conversion(self):
         config = ScenarioConfig(total_power_dbm=33.0)
         assert config.total_power_w == pytest.approx(1.9953, rel=1e-4)
@@ -155,8 +171,8 @@ class TestRunTrial:
         )
         k = 6
         result = evaluate_trial(config, k, 1, (SchemeId.DBS,))[0]
-        users, _, dirs = _drop_users(config, k, 1)
-        gains = [u.los.gain for u in users]
+        paths, _, dirs = _drop_users(config, k, 1)
+        gains = paths.gains[paths.starts].tolist()
         eta_dbs = config.total_power_w / (config.array_config.num_elements * k)
         closed_sum = sum(
             config.bandwidth_hz
@@ -212,8 +228,9 @@ class TestEvaluateTrial:
         assert paired
 
     def test_four_paths_per_user(self):
-        users, _, _ = _drop_users(EQUIVALENCE_CONFIGS["four-paths"], 5, 0)
-        assert all(u.num_paths == 4 for u in users)
+        paths, _, _ = _drop_users(EQUIVALENCE_CONFIGS["four-paths"], 5, 0)
+        assert paths.starts.tolist() == [0, 4, 8, 12, 16]
+        assert len(paths.gains) == 20
 
     def test_repeated_scheme_repeats_its_result(self):
         results = evaluate_trial(SMALL, 4, 1, (SchemeId.DBS, SchemeId.OMA_DBS, SchemeId.DBS))
