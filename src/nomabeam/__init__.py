@@ -11,33 +11,21 @@ sharing, and conjugate beamforming.
 from .array_geometry import (
     ArrayConfig,
     Direction,
-    NoCrossing,
-    beamwidth,
     beta_matrix,
     beta_metric,
     pattern_cut,
     steering_matrix,
 )
-from .baselines import SchemeId, conjugate_bf_rates, energy_efficiency, oma_dbs_rates
+from .baselines import SchemeId, conjugate_bf_rates, energy_efficiency
 from .beamforming import BeamformingPlan, build_plan
 from .channel import ChannelParams, DropPaths, InvalidParams, channel_rows, draw_paths
-from .clustering import Cluster, ClusterSet, beta_uc, cluster_beam_dir, order_cluster_users
-from .link_metrics import (
-    LinkState,
-    link_states,
-    rate,
-    sinr_noma_strong,
-    sinr_noma_weak,
-)
+from .clustering import beta_uc
+from .link_metrics import link_states, rate, sinr_noma_strong, sinr_noma_weak
 from .power_allocation import (
     Branch,
-    InfeasibleSic,
-    PaInput,
-    PaResult,
     gamma_fair,
     gamma_hat,
     opa,
-    opa_partial_csi,
     partial_csi_zeta,
     rc_derivative,
 )

@@ -1,4 +1,4 @@
-"""Uniform planar array geometry: steering vectors, array pattern, beamwidths.
+"""Uniform planar array geometry: steering vectors and the array pattern.
 
 The array is a rectangular grid of ``m_h x m_v`` elements with spacing ``d``
 expressed in wavelengths.  Directions are (azimuth, elevation) pairs mapped to
@@ -22,22 +22,16 @@ import numpy as np
 __all__ = [
     "ArrayConfig",
     "Direction",
-    "NoCrossing",
     "steering_matrix",
     "beta_metric",
     "beta_matrix",
     "pattern_cut",
-    "beamwidth",
 ]
 
 # Below this, |sin(pi * d/lambda * delta)| is treated as a removable
 # singularity of the closed-form pattern and the per-axis factor is its
 # limit, 1.
 _SINGULAR_EPS = 1e-12
-
-
-class NoCrossing(Exception):
-    """The array pattern never drops to the requested level within +/- pi/2."""
 
 
 @dataclass(frozen=True)
@@ -96,8 +90,10 @@ def steering_matrix(cfg: ArrayConfig, theta, phi) -> np.ndarray:
     step = 2.0 * math.pi * cfg.d_over_lambda
     az_phase = (step * u_az)[:, None] * np.arange(cfg.m_h)
     el_phase = (step * u_el)[:, None] * np.arange(cfg.m_v)
-    phases = 1j * (az_phase[:, :, None] + el_phase[:, None, :]).reshape(len(u_az), cfg.num_elements)
-    return np.exp(phases, out=phases)
+    # The phases go straight into the imaginary parts: no real-valued N x M temporary.
+    phases = np.zeros((len(u_az), cfg.m_h, cfg.m_v), dtype=complex)
+    np.add(az_phase[:, :, None], el_phase[:, None, :], out=phases.imag)
+    return np.exp(phases, out=phases).reshape(len(u_az), cfg.num_elements)
 
 
 def _sin_ratio(m: int, x: np.ndarray) -> np.ndarray:
@@ -149,72 +145,3 @@ def pattern_cut(
     else:
         raise ValueError(f"axis must be 'az' or 'el', got {axis!r}")
     return theta, phi, _pattern(cfg, theta, phi, beam_dir.theta, beam_dir.phi)
-
-
-def _first_crossing(cfg: ArrayConfig, beam_dir: Direction, axis: str, level: float, tol: float) -> float:
-    """Smallest |offset| along ``axis`` where the pattern first reaches ``level``.
-
-    Both signed directions are scanned (the pattern is not symmetric in angle
-    away from broadside); the nearer crossing wins.  Elevation probes are kept
-    inside [-pi/2, pi/2].
-    """
-    m_axis = max(cfg.m_h, cfg.m_v)
-    step = min(5e-3, 1.0 / (m_axis * cfg.d_over_lambda) / 16.0)
-    best = math.inf
-    for sign in (1.0, -1.0):
-        max_off = math.pi / 2.0
-        if axis == "el":
-            # keep the probe elevation physical
-            if sign > 0:
-                max_off = min(max_off, math.pi / 2.0 - beam_dir.phi)
-            else:
-                max_off = min(max_off, beam_dir.phi + math.pi / 2.0)
-        if max_off <= 0:
-            continue
-        grid = np.arange(step, max_off + step, step)
-        grid = grid[grid <= max_off]
-        if grid.size == 0:
-            continue
-        values = pattern_cut(cfg, beam_dir, axis, sign * grid)[2]
-        below = np.nonzero(values <= level)[0]
-        if below.size == 0:
-            continue
-        hi = grid[below[0]]
-        lo = grid[below[0] - 1] if below[0] > 0 else 0.0
-        # bisect on f(offset) = pattern - level, f(lo) > 0 >= f(hi)
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            val = pattern_cut(cfg, beam_dir, axis, np.array([sign * mid]))[2][0]
-            if val <= level:
-                hi = mid
-            else:
-                lo = mid
-        best = min(best, hi)
-    if not math.isfinite(best):
-        raise NoCrossing(
-            f"pattern never drops to level {level} within +/- pi/2 along the {axis} axis"
-        )
-    return best
-
-
-def beamwidth(
-    cfg: ArrayConfig,
-    beam_dir: Direction,
-    level: float,
-    tol: float = 1e-9,
-) -> tuple[float, float]:
-    """Angular offsets (azimuth, elevation) at which the pattern falls to ``level``.
-
-    For each axis, with the other axis held at the beam direction, returns the
-    smallest offset where the pattern first crosses ``level``, located by
-    bisection to ``tol`` radians.  ``level = sqrt(1/2)`` reproduces the
-    half-power (3 dB) beamwidth definition.
-
-    Raises NoCrossing if either axis never reaches ``level`` within +/- pi/2
-    (for example a single-element, isotropic pattern).
-    """
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
-    omega_az = _first_crossing(cfg, beam_dir, "az", level, tol)
-    omega_el = _first_crossing(cfg, beam_dir, "el", level, tol)
-    return omega_az, omega_el

@@ -1,24 +1,22 @@
 """Comparison schemes and the energy-efficiency metric.
 
 Three references frame the shared-beam scheme: orthogonal sharing of a beam
-(each paired user gets half the degrees of freedom), conjugate beamforming
-(each user's beam is its matched filter), and the plain one-beam-per-user
-steering that the rest of the package already covers.
+(each paired user gets half the band, which the harness evaluates with the
+same rate formula), conjugate beamforming (each user's beam is its matched
+filter), and the plain one-beam-per-user steering that the rest of the
+package already covers.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
-from .clustering import Cluster
-from .link_metrics import LinkState, rate
+from .link_metrics import rate
 
 __all__ = [
     "SchemeId",
-    "oma_dbs_rates",
     "conjugate_bf_rates",
     "energy_efficiency",
 ]
@@ -32,26 +30,6 @@ class SchemeId(Enum):
     NOMA_DBS_PCSI = "noma_dbs_pcsi"
     OMA_DBS = "oma_dbs"
     CONJUGATE_BF = "cb"
-
-
-def oma_dbs_rates(
-    cluster: Cluster,
-    link_states: Sequence[LinkState],
-    bandwidth_hz: float,
-) -> list[float]:
-    """Per-user rates when a cluster's beam is shared orthogonally.
-
-    A singleton keeps the whole band.  A pair splits the degrees of freedom
-    50/50: each user transmits over half the band with the full cluster power
-    during its share, so there is no intra-beam interference and
-    R = (B/2) * log2(1 + zeta).
-    """
-    if len(link_states) != len(cluster.members):
-        raise ValueError("one link state per member is required")
-    if not cluster.is_noma:
-        return [rate(link_states[0].zeta, bandwidth_hz)]
-    half = bandwidth_hz / 2.0
-    return [rate(ls.zeta, half) for ls in link_states]
 
 
 def conjugate_bf_rates(

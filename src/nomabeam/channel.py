@@ -37,6 +37,13 @@ SPEED_OF_LIGHT = 299_792_458.0
 # and keeps the free-space loss bounded for users close to the mast.
 BS_HEIGHT_M = 10.0
 
+# Upper bounds of the generator's knobs: the largest time-cluster and
+# per-cluster path counts of the NYUSIM channel model, and a shadowing spread
+# well past measured ones that keeps every amplitude and power finite.
+MAX_TIME_CLUSTERS = 6
+MAX_PATHS_PER_CLUSTER = 30
+MAX_SHADOWING_SIGMA_DB = 30.0
+
 
 class InvalidParams(ValueError):
     """Channel parameters are out of range (empty interval, bad radius, ...)."""
@@ -77,14 +84,27 @@ class ChannelParams:
     def __post_init__(self) -> None:
         if not self.carrier_hz > 0:
             raise InvalidParams(f"carrier must be positive, got {self.carrier_hz}")
+        if not 0.0 < self.wavelength_m < math.inf:
+            raise InvalidParams(
+                f"wavelength must be positive and finite, got {self.wavelength_m} m at {self.carrier_hz} Hz"
+            )
         for name in ("num_time_clusters_range", "paths_per_cluster_range", "nlos_gain_offset_db"):
             lo, hi = getattr(self, name)
             if lo > hi:
                 raise InvalidParams(f"{name} is empty: ({lo}, {hi})")
-        if self.num_time_clusters_range[0] < 1 or self.paths_per_cluster_range[0] < 1:
-            raise InvalidParams("path count intervals must start at 1 or more")
-        if self.angle_spread_deg < 0 or self.shadowing_sigma_db < 0:
-            raise InvalidParams("angle spread and shadowing sigma must be nonnegative")
+        for name, cap in (
+            ("num_time_clusters_range", MAX_TIME_CLUSTERS),
+            ("paths_per_cluster_range", MAX_PATHS_PER_CLUSTER),
+        ):
+            lo, hi = getattr(self, name)
+            if lo < 1 or hi > cap:
+                raise InvalidParams(f"{name} must lie within [1, {cap}], got ({lo}, {hi})")
+        if self.angle_spread_deg < 0:
+            raise InvalidParams("angle spread must be nonnegative")
+        if not 0.0 <= self.shadowing_sigma_db <= MAX_SHADOWING_SIGMA_DB:
+            raise InvalidParams(
+                f"shadowing sigma must lie in [0, {MAX_SHADOWING_SIGMA_DB:g}] dB, got {self.shadowing_sigma_db}"
+            )
 
     @property
     def wavelength_m(self) -> float:

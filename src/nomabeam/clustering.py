@@ -1,80 +1,29 @@
-"""Direction-based user clustering and strong/weak ordering.
+"""Direction-based user pairing onto shared beams.
 
 Users whose line-of-sight directions interfere strongly (pattern overlap
 ``beta`` at or above a threshold ``beta0``) are paired two-by-two into shared
 beams, greedily from the most-interfering pair down; everyone left over gets
-a private beam.  Clustering consumes nothing but the users' LOS angles, so it
+a private beam.  Pairing consumes nothing but the users' LOS angles, so it
 works under purely geometric channel feedback.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
 from .array_geometry import ArrayConfig, Direction, beta_matrix
 
-__all__ = [
-    "Cluster",
-    "ClusterSet",
-    "beta_uc",
-    "greedy_pairs",
-    "cluster_beam_dir",
-    "order_cluster_users",
-]
+__all__ = ["beta_uc", "greedy_pairs"]
 
 
-@dataclass(frozen=True)
-class Cluster:
-    """One beam and the user indices it serves (one or two, strong user first)."""
-
-    members: tuple[int, ...]
-    beam_dir: Direction
-
-    def __post_init__(self) -> None:
-        if len(self.members) not in (1, 2):
-            raise ValueError(f"clusters hold 1 or 2 users, got {len(self.members)}")
-
-    @property
-    def is_noma(self) -> bool:
-        return len(self.members) == 2
-
-
-@dataclass(frozen=True)
-class ClusterSet:
-    """A partition of users into shared (2-user) and private (1-user) beams.
-
-    Shared clusters come first, in the order they were selected by the greedy
-    pairing; ``noma_count`` is how many there are.
-    """
-
-    clusters: tuple[Cluster, ...]
-    noma_count: int
-
-    def __post_init__(self) -> None:
-        seen: list[int] = []
-        for cluster in self.clusters:
-            seen.extend(cluster.members)
-        if len(seen) != len(set(seen)):
-            raise ValueError("clusters must not share users")
-        if any(c.is_noma for c in self.clusters[self.noma_count:]) or not all(
-            c.is_noma for c in self.clusters[: self.noma_count]
-        ):
-            raise ValueError("2-user clusters must be listed first and match noma_count")
-
-    @property
-    def total(self) -> int:
-        return len(self.clusters)
-
-
-def greedy_pairs(beta: np.ndarray, beta0: float) -> list[tuple[int, int]]:
+def greedy_pairs(beta: np.ndarray, beta0: float) -> np.ndarray:
     """Greedy maximum-interference pairing on a symmetric ``beta`` matrix.
 
     Repeatedly selects the not-yet-consumed pair (k, u), k < u, with the
     largest beta >= beta0 (ties broken toward the lexicographically smallest
     pair), removes both users, and stops when no eligible pair remains.
-    Returns pairs in selection order, so their beta values are non-increasing.
+    Returns the pairs as the rows of a (P, 2) index array in selection order,
+    so their beta values are non-increasing.
     """
     k_count = beta.shape[0]
     available = np.ones(k_count, dtype=bool)
@@ -86,51 +35,19 @@ def greedy_pairs(beta: np.ndarray, beta0: float) -> list[tuple[int, int]]:
         flat = int(np.argmax(masked))
         k, u = divmod(flat, k_count)
         if not np.isfinite(masked[k, u]):
-            return pairs
+            return np.array(pairs, dtype=np.intp).reshape(-1, 2)
         pairs.append((k, u))
         available[[k, u]] = False
 
 
-def cluster_beam_dir(member_los_dirs: list[Direction]) -> Direction:
-    """Beam direction for a cluster: the LOS direction itself, or the pair's mean."""
-    if len(member_los_dirs) == 1:
-        return member_los_dirs[0]
-    if len(member_los_dirs) == 2:
-        a, b = member_los_dirs
-        return Direction(0.5 * (a.theta + b.theta), 0.5 * (a.phi + b.phi))
-    raise ValueError(f"clusters hold 1 or 2 users, got {len(member_los_dirs)}")
+def beta_uc(dirs: list[Direction], cfg: ArrayConfig, beta0: float) -> np.ndarray:
+    """Pair users by their LOS directions with the greedy beta pairing.
 
-
-def beta_uc(dirs: list[Direction], cfg: ArrayConfig, beta0: float) -> ClusterSet:
-    """Cluster users by their LOS directions with the greedy beta pairing.
-
-    Produces one 2-user cluster per selected pair (beam at the mean of the two
-    LOS directions) followed by singleton clusters (beam at the user's LOS
-    direction) for everyone unpaired.
+    Returns the (P, 2) index array of :func:`greedy_pairs`; the users in no
+    pair keep a private beam each.
     """
     if not dirs:
         raise ValueError("at least one user is required")
     if not 0.0 < beta0 < 1.0:
         raise ValueError(f"beta0 must be in (0, 1), got {beta0}")
-    pairs = greedy_pairs(beta_matrix(dirs, cfg), beta0)
-    paired = {idx for pair in pairs for idx in pair}
-    clusters = [
-        Cluster(members=(k, u), beam_dir=cluster_beam_dir([dirs[k], dirs[u]])) for k, u in pairs
-    ]
-    clusters.extend(
-        Cluster(members=(s,), beam_dir=dirs[s]) for s in range(len(dirs)) if s not in paired
-    )
-    return ClusterSet(clusters=tuple(clusters), noma_count=len(pairs))
-
-
-def order_cluster_users(cluster: Cluster, gains: list[float]) -> Cluster:
-    """Reorder a cluster's members so received beam powers are non-increasing.
-
-    ``gains`` are the members' received powers through the cluster's own beam,
-    in the current member order.  Equal powers keep the input order.
-    """
-    if len(gains) != len(cluster.members):
-        raise ValueError("one gain per member is required")
-    if len(cluster.members) == 2 and gains[1] > gains[0]:
-        return replace(cluster, members=(cluster.members[1], cluster.members[0]))
-    return cluster
+    return greedy_pairs(beta_matrix(dirs, cfg), beta0)

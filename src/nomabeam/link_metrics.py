@@ -1,25 +1,23 @@
 """Per-user link quality: signal/interference decomposition, SINRs, rates.
 
-For a user in cluster c the received superimposed-signal power is
-``psi = eta * p_c * |h w_c|^2`` and the other-cluster interference plus noise
+For a user on beam c the received superimposed-signal power is
+``psi = eta * p_c * |h w_c|^2`` and the other-beam interference plus noise
 is ``nu``; their ratio ``zeta`` is the single scalar that drives every rate
 formula here.  A private (single-user) beam achieves SINR = zeta directly;
 on a shared beam the power-split coefficient ``gamma1`` of the strong user
-scales the two users' SINRs in opposite directions.
+scales the two users' SINRs in opposite directions.  The SINR formulas take
+scalars or arrays alike.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .beamforming import BeamformingPlan
 
 __all__ = [
-    "LinkState",
     "link_states",
     "sinr_noma_strong",
     "sinr_noma_weak",
@@ -27,27 +25,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LinkState:
-    """Signal/interference decomposition for one user against one plan.
-
-    psi: received power of the own-beam superimposed signal.
-    nu: interference from all other beams plus noise power.
-    zeta: psi / nu.
-    """
-
-    psi: float
-    nu: float
-    zeta: float
-
-
 def link_states(
     h_rows: np.ndarray,
     plan: BeamformingPlan,
-    own_clusters: Sequence[int],
+    own_beams: np.ndarray,
     noise_w: float,
-) -> list[LinkState]:
-    """psi, nu and zeta of every channel row, row k served by ``own_clusters[k]``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Arrays psi, nu and zeta = psi / nu of every channel row, row k served by beam ``own_beams[k]``.
 
     All of them come from one K x C matrix of weighted beam gains
     ``eta * p_c * |h_k w_c|^2``.
@@ -55,12 +39,12 @@ def link_states(
     if not noise_w > 0:
         raise ValueError(f"noise power must be positive, got {noise_w}")
     weighted = plan.received_powers(h_rows)
-    psi = weighted[np.arange(len(weighted)), own_clusters]
+    psi = weighted[np.arange(len(weighted)), own_beams]
     nu = np.sum(weighted, axis=1) - psi + noise_w
-    return [LinkState(psi=p, nu=n, zeta=p / n) for p, n in zip(psi.tolist(), nu.tolist())]
+    return psi, nu, psi / nu
 
 
-def sinr_noma_strong(ls: LinkState, gamma1: float) -> float:
+def sinr_noma_strong(zeta, gamma1):
     """SINR of the strong user on a shared beam after it cancels its partner.
 
     The strong user removes the weak user's signal, so only the
@@ -68,20 +52,20 @@ def sinr_noma_strong(ls: LinkState, gamma1: float) -> float:
     interference remains: SINR = zeta * gamma1.
     """
     _check_gamma(gamma1)
-    return ls.zeta * gamma1
+    return zeta * gamma1
 
 
-def sinr_noma_weak(ls: LinkState, gamma1: float) -> float:
+def sinr_noma_weak(zeta, gamma1):
     """SINR of the weak user, which decodes under the strong user's signal.
 
     SINR = zeta * (1 - gamma1) / (1 + zeta * gamma1).
     """
     _check_gamma(gamma1)
-    return ls.zeta * (1.0 - gamma1) / (1.0 + ls.zeta * gamma1)
+    return zeta * (1.0 - gamma1) / (1.0 + zeta * gamma1)
 
 
-def _check_gamma(gamma1: float) -> None:
-    if not 0.0 <= gamma1 <= 1.0:
+def _check_gamma(gamma1) -> None:
+    if not np.all((0.0 <= gamma1) & (gamma1 <= 1.0)):
         raise ValueError(f"gamma1 must be in [0, 1], got {gamma1}")
 
 
@@ -90,4 +74,3 @@ def rate(sinr: float, bandwidth_hz: float) -> float:
     if sinr < 0:
         raise ValueError(f"sinr must be nonnegative, got {sinr}")
     return bandwidth_hz * math.log2(1.0 + sinr)
-

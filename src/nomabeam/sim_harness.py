@@ -12,7 +12,6 @@ execution order.
 
 from __future__ import annotations
 
-import logging
 import math
 import statistics
 from dataclasses import dataclass, fields
@@ -21,19 +20,12 @@ from typing import Sequence
 import numpy as np
 
 from .array_geometry import ArrayConfig, Direction, steering_matrix
-from .baselines import SchemeId, conjugate_bf_rates, energy_efficiency, oma_dbs_rates
-from .beamforming import BeamformingPlan, build_plan
+from .baselines import SchemeId, conjugate_bf_rates, energy_efficiency
+from .beamforming import build_plan
 from .channel import ChannelParams, DropPaths, InvalidParams, channel_rows, draw_paths
-from .clustering import Cluster, ClusterSet, beta_uc, order_cluster_users
-from .link_metrics import LinkState, link_states, rate, sinr_noma_strong, sinr_noma_weak
-from .power_allocation import (
-    Branch,
-    InfeasibleSic,
-    PaInput,
-    PaResult,
-    opa,
-    opa_partial_csi,
-)
+from .clustering import beta_uc
+from .link_metrics import link_states, rate, sinr_noma_strong, sinr_noma_weak
+from .power_allocation import opa, partial_csi_zeta
 
 __all__ = [
     "ConfigError",
@@ -48,8 +40,6 @@ __all__ = [
     "write_csv",
     "format_aggregates",
 ]
-
-log = logging.getLogger(__name__)
 
 CSV_HEADER = "scheme,K,trial,sum_rate_bps,spectral_eff,energy_eff,noma_clusters,deactivated_users"
 
@@ -124,6 +114,12 @@ class ScenarioConfig:
         for name in ("total_power_dbm", "noise_power_dbm"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        for label, dbm, watts in (
+            ("total power", self.total_power_dbm, self.total_power_w),
+            ("noise power", self.noise_power_dbm, self.noise_w),
+        ):
+            if not 0.0 < watts < math.inf:
+                raise ConfigError(f"{label} must be positive and finite, got {watts} W from {dbm} dBm")
         if not 0.0 < self.cell_radius_m < math.inf:
             raise ConfigError(f"cell_radius_m must be positive and finite, got {self.cell_radius_m}")
         self.channel_params  # validates the generator's knobs
@@ -151,11 +147,19 @@ class ScenarioConfig:
 
     @property
     def total_power_w(self) -> float:
-        return 10.0 ** (self.total_power_dbm / 10.0) / 1000.0
+        return _watts(self.total_power_dbm)
 
     @property
     def noise_w(self) -> float:
-        return 10.0 ** (self.noise_power_dbm / 10.0) / 1000.0
+        return _watts(self.noise_power_dbm)
+
+
+def _watts(dbm: float) -> float:
+    """dBm to watts; a power too large for a float is infinite."""
+    try:
+        return 10.0 ** (dbm / 10.0) / 1000.0
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -303,106 +307,80 @@ def _drop_users(
     return paths, h_rows, los_dirs
 
 
-def _plan_link_states(
-    config: ScenarioConfig, cs: ClusterSet, h_rows: np.ndarray
-) -> tuple[BeamformingPlan, list[LinkState]]:
-    """The plan for ``cs`` and every user's link state against it, indexed by user."""
-    plan = build_plan(
-        cs, config.array_config, config.total_power_w, len(h_rows), config.inter_cluster_rule
-    )
-    own_clusters = [0] * len(h_rows)
-    for c_idx, cluster in enumerate(cs.clusters):
-        for m in cluster.members:
-            own_clusters[m] = c_idx
-    return plan, link_states(h_rows, plan, own_clusters, config.noise_w)
-
-
-def _noma_gamma(
-    config: ScenarioConfig,
-    scheme: SchemeId,
-    c_idx: int,
-    states: list[LinkState],
-    plan: BeamformingPlan,
-    pair_rows: np.ndarray | None,
-) -> PaResult:
-    """Intra-cluster split for shared beam ``c_idx``, falling back on infeasibility."""
-    try:
-        if scheme is SchemeId.NOMA_DBS_PCSI:
-            return opa_partial_csi(
-                pair_rows[c_idx, 0],
-                pair_rows[c_idx, 1],
-                plan,
-                c_idx,
-                config.p_min,
-                config.epsilon,
-                config.noise_w,
-            )
-        return opa(
-            PaInput(
-                zeta1=states[0].zeta,
-                zeta2=states[1].zeta,
-                p_min=config.p_min,
-                epsilon=config.epsilon,
-            )
-        )
-    except InfeasibleSic:
-        # Empty feasible interval: serve only the weak user.
-        log.debug(
-            "cluster %d: infeasible cancellation constraint, deactivating the strong user",
-            c_idx,
-        )
-        return PaResult(gamma1=0.0, branch=Branch.DEACTIVATE)
-
-
-# Per scheme: the users' rates in cluster order, shared-beam count, deactivated count.
+# Per scheme: the users' rates in beam order, shared-beam count, deactivated count.
 _Outcome = tuple[list[float], int, int]
 
 
-def _dbs_outcome(config: ScenarioConfig, h_rows: np.ndarray, los_dirs: list[Direction]) -> _Outcome:
-    singles = ClusterSet(
-        clusters=tuple(Cluster(members=(k,), beam_dir=d) for k, d in enumerate(los_dirs)),
-        noma_count=0,
+def _rates(sinr: np.ndarray, bandwidth_hz: float) -> list[float]:
+    return [rate(s, bandwidth_hz) for s in sinr.tolist()]
+
+
+def _dbs_outcome(config: ScenarioConfig, h_rows: np.ndarray, theta: np.ndarray, phi: np.ndarray) -> _Outcome:
+    k_users = len(h_rows)
+    plan = build_plan(
+        config.array_config,
+        theta,
+        phi,
+        np.ones(k_users, dtype=int),
+        config.total_power_w,
+        config.inter_cluster_rule,
     )
-    _, states = _plan_link_states(config, singles, h_rows)
-    return [rate(s.zeta, config.bandwidth_hz) for s in states], 0, 0
+    _, _, zeta = link_states(h_rows, plan, np.arange(k_users), config.noise_w)
+    return _rates(zeta, config.bandwidth_hz), 0, 0
 
 
 def _shared_beam_outcomes(
     config: ScenarioConfig,
     schemes: list[SchemeId],
     h_rows: np.ndarray,
-    los_dirs: list[Direction],
+    pairs: np.ndarray,
+    theta: np.ndarray,
+    phi: np.ndarray,
 ) -> dict[SchemeId, _Outcome]:
-    """The pairing schemes on one pairing, one plan and one strong/weak ordering."""
+    """The pairing schemes on one pairing (P >= 1 pairs), its plan and one strong/weak ordering.
+
+    Beams are the P shared ones in selection order, then one private beam
+    per unpaired user in user order.  Each beam points at the mean of its
+    users' LOS angles: the pair's mean, or the private user's own direction.
+    """
     bandwidth = config.bandwidth_hz
-    cs = beta_uc(los_dirs, config.array_config, config.beta0)
-    plan, states = _plan_link_states(config, cs, h_rows)
+    n_pairs = len(pairs)
+    own_beams = np.full(len(h_rows), -1)
+    own_beams[pairs] = np.arange(n_pairs)[:, None]
+    singles = np.flatnonzero(own_beams < 0)
+    own_beams[singles] = np.arange(n_pairs, n_pairs + len(singles))
+    sizes = np.bincount(own_beams)
+    plan = build_plan(
+        config.array_config,
+        np.bincount(own_beams, weights=theta) / sizes,
+        np.bincount(own_beams, weights=phi) / sizes,
+        sizes,
+        config.total_power_w,
+        config.inter_cluster_rule,
+    )
+    psi, _, zeta = link_states(h_rows, plan, own_beams, config.noise_w)
     # Strong user first: the larger received power through the shared beam.
-    clusters = [order_cluster_users(c, [states[m].psi for m in c.members]) for c in cs.clusters]
-    # Partial CSI sees each paired user as its LOS steering row, a unit-gain
-    # single path: one call per drop gives the (strong, weak) rows of every shared beam.
-    pair_rows = None
-    if cs.noma_count and SchemeId.NOMA_DBS_PCSI in schemes:
-        paired = [los_dirs[m] for c in clusters[: cs.noma_count] for m in c.members]
-        rows = steering_matrix(config.array_config, [d.theta for d in paired], [d.phi for d in paired])
-        pair_rows = np.conj(rows, out=rows).reshape(cs.noma_count, 2, -1)
+    pairs = np.where((psi[pairs[:, 1]] > psi[pairs[:, 0]])[:, None], pairs[:, ::-1], pairs)
+    zeta1, zeta2 = zeta[pairs[:, 0]], zeta[pairs[:, 1]]
+    private_rates = _rates(zeta[singles], bandwidth)
     outcomes = {}
     for scheme in schemes:
-        rates: list[float] = []
-        deactivated = 0
-        for c_idx, cluster in enumerate(clusters):
-            per_cluster = [states[m] for m in cluster.members]
-            if scheme is SchemeId.OMA_DBS:
-                rates.extend(oma_dbs_rates(cluster, per_cluster, bandwidth))
-            elif not cluster.is_noma:
-                rates.append(rate(per_cluster[0].zeta, bandwidth))
-            else:
-                result = _noma_gamma(config, scheme, c_idx, per_cluster, plan, pair_rows)
-                if result.gamma1 == 0.0:
-                    deactivated += 1
-                rates.append(rate(sinr_noma_strong(per_cluster[0], result.gamma1), bandwidth))
-                rates.append(rate(sinr_noma_weak(per_cluster[1], result.gamma1), bandwidth))
-        outcomes[scheme] = (rates, cs.noma_count, deactivated)
+        if scheme is SchemeId.OMA_DBS:
+            # Orthogonal sharing: each paired user gets half the band.
+            outcomes[scheme] = (_rates(zeta[pairs.ravel()], bandwidth / 2.0) + private_rates, n_pairs, 0)
+            continue
+        if scheme is SchemeId.NOMA_DBS_PCSI:
+            # Partial CSI sees each paired user as its LOS steering row, a
+            # unit-gain single path, and splits on those estimated ratios.
+            rows = steering_matrix(config.array_config, theta[pairs.ravel()], phi[pairs.ravel()])
+            np.conj(rows, out=rows)
+            estimated = partial_csi_zeta(rows, plan, np.repeat(np.arange(n_pairs), 2), config.noise_w)
+            gamma1, _ = opa(estimated[0::2], estimated[1::2], config.p_min, config.epsilon)
+        else:
+            gamma1, _ = opa(zeta1, zeta2, config.p_min, config.epsilon)
+        sinr = np.column_stack((sinr_noma_strong(zeta1, gamma1), sinr_noma_weak(zeta2, gamma1)))
+        deactivated = int(np.count_nonzero(gamma1 == 0.0))
+        outcomes[scheme] = (_rates(sinr.ravel(), bandwidth) + private_rates, n_pairs, deactivated)
     return outcomes
 
 
@@ -420,9 +398,11 @@ def evaluate_trial(
     The users and their channels are drawn once and shared by all schemes.
     ``dbs`` uses the one-beam-per-user plan; ``noma_dbs_fcsi``,
     ``noma_dbs_pcsi`` and ``oma_dbs`` share one pairing, its plan and its
-    strong/weak ordering.  Each result is the one the scheme gets alone.
+    strong/weak ordering, and a pairing with no pair gives them the ``dbs``
+    plan.  Each result is the one the scheme gets alone.
     """
-    _, h_rows, los_dirs = _drop_users(config, k_users, trial_index)
+    paths, h_rows, los_dirs = _drop_users(config, k_users, trial_index)
+    theta, phi = paths.theta[paths.starts], paths.phi[paths.starts]
     outcomes: dict[SchemeId, _Outcome] = {}
     # Plans and gain matrices live only inside the helpers below, so none is
     # held while conjugate beamforming builds its K x K temporaries.
@@ -430,10 +410,16 @@ def evaluate_trial(
         cb_rates = conjugate_bf_rates(h_rows, config.total_power_w, config.noise_w, config.bandwidth_hz)
         outcomes[SchemeId.CONJUGATE_BF] = (cb_rates, 0, 0)
     if SchemeId.DBS in schemes:
-        outcomes[SchemeId.DBS] = _dbs_outcome(config, h_rows, los_dirs)
+        outcomes[SchemeId.DBS] = _dbs_outcome(config, h_rows, theta, phi)
     shared = [s for s in _SHARED_BEAM_SCHEMES if s in schemes]
     if shared:
-        outcomes.update(_shared_beam_outcomes(config, shared, h_rows, los_dirs))
+        pairs = beta_uc(los_dirs, config.array_config, config.beta0)
+        if len(pairs):
+            outcomes.update(_shared_beam_outcomes(config, shared, h_rows, pairs, theta, phi))
+        else:
+            # No pair: every beam is private, which is the dbs plan.
+            private = outcomes.get(SchemeId.DBS) or _dbs_outcome(config, h_rows, theta, phi)
+            outcomes.update(dict.fromkeys(shared, private))
     return [_result(config, k_users, trial_index, s, *outcomes[s]) for s in schemes]
 
 

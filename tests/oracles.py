@@ -53,11 +53,11 @@ def pair_rate_grid_max(zeta1: float, zeta2: float, gamma_max: float, step: float
 
 
 def emitted_power_check(plan: BeamformingPlan) -> float:
-    """Total emitted power recomputed from the weights: sum of eta*||w_c||^2*p_c."""
+    """Total emitted power recomputed from the weight columns: sum of eta*||w_c||^2*p_c."""
     return float(
         sum(
             plan.eta * float(np.sum(np.abs(w) ** 2)) * p
-            for w, p in zip(plan.weights, plan.cluster_powers_pc)
+            for w, p in zip(plan.weights.T, plan.cluster_powers_pc)
         )
     )
 

@@ -23,9 +23,9 @@ from nomabeam.array_geometry import ArrayConfig, beta_matrix, beta_metric
 from nomabeam.baselines import SchemeId
 from nomabeam.beamforming import build_plan
 from nomabeam.channel import ChannelParams, channel_rows, draw_paths
-from nomabeam.clustering import Cluster, ClusterSet, beta_uc
+from nomabeam.clustering import beta_uc
 from nomabeam.link_metrics import link_states
-from nomabeam.power_allocation import PaInput, gamma_fair, gamma_hat, opa, rc_derivative
+from nomabeam.power_allocation import gamma_fair, gamma_hat, opa, rc_derivative
 from nomabeam.sim_harness import ScenarioConfig, _drop_users, evaluate_trial, run_sweep, write_csv
 
 from drops import user_paths
@@ -67,8 +67,8 @@ def test_criterion_02_opa_optimality_against_grid_search():
     for _ in range(1000):
         z1 = float(rng.uniform(0.01, 100.0))
         z2 = float(rng.uniform(0.01, 100.0))
-        result = opa(PaInput(zeta1=z1, zeta2=z2, p_min=p_min, epsilon=0.0))
-        achieved = pair_rate(z1, z2, result.gamma1)
+        gamma1, _ = opa(z1, z2, p_min, 0.0)
+        achieved = pair_rate(z1, z2, float(gamma1))
         grid_max = pair_rate_grid_max(z1, z2, gamma_hat(z1, p_min), step=1e-4)
         assert achieved >= grid_max - 1e-6 * abs(grid_max)
     elapsed = time.perf_counter() - start
@@ -143,15 +143,12 @@ def test_criterion_06_pipeline_matches_closed_forms():
             k = int(rng.integers(1, 8))
             paths = draw_paths(rng, params, 100.0, k)
             gains, dirs = user_paths(paths)
-            cs = ClusterSet(
-                clusters=tuple(Cluster(members=(i,), beam_dir=d[0]) for i, d in enumerate(dirs)),
-                noma_count=0,
-            )
-            plan = build_plan(cs, cfg, 1.0, k)
+            los = paths.starts
+            plan = build_plan(cfg, paths.theta[los], paths.phi[los], np.ones(k, dtype=int), 1.0)
             eta_dbs = plan.eta * plan.cluster_powers_pc[0]
             own = int(rng.integers(0, k))
             h = channel_rows(cfg, paths)[own]
-            pipeline = link_states(h[np.newaxis], plan, [own], noise)[0].zeta
+            pipeline = float(link_states(h[np.newaxis], plan, [own], noise)[2][0])
             if closed_fn is sinr_dbs_monopath_closed:
                 closed = closed_fn([g[0] for g in gains], [d[0] for d in dirs], own, eta_dbs, noise, cfg)
             else:
@@ -168,12 +165,16 @@ def test_criterion_07_power_conservation_smoke_sweep():
     total = config.total_power_w
     for trial in range(100):
         _, _, dirs = _drop_users(config, 25, trial)
-        cs = beta_uc(dirs, config.array_config, config.beta0)
-        plan = build_plan(cs, config.array_config, total, 25, config.inter_cluster_rule)
+        pairs = beta_uc(dirs, config.array_config, config.beta0).tolist()
+        singles = sorted(set(range(25)) - {m for pair in pairs for m in pair})
+        beams = [
+            ((dirs[a].theta + dirs[b].theta) / 2, (dirs[a].phi + dirs[b].phi) / 2) for a, b in pairs
+        ] + [(dirs[s].theta, dirs[s].phi) for s in singles]
+        sizes = [2] * len(pairs) + [1] * len(singles)
+        theta, phi = zip(*beams)
+        plan = build_plan(config.array_config, theta, phi, sizes, total, config.inter_cluster_rule)
         assert abs(emitted_power_check(plan) - total) <= 1e-9 * total
-        shares = [
-            p / len(c.members) for p, c in zip(plan.emitted_powers_Pc, cs.clusters)
-        ]
+        shares = [p / k_c for p, k_c in zip(plan.emitted_powers_Pc, sizes)]
         assert all(abs(s - total / 25) <= 1e-12 * total for s in shares)
     print("CRITERION 7: PASS - emitted power = total (1e-9 rel) and P_c/K_c constant on 100 trials")
 
@@ -187,11 +188,11 @@ def test_criterion_08_clustering_contract():
         k = int(rng.integers(2, 41))
         _, user_dirs = user_paths(draw_paths(rng, params, 100.0, k))
         dirs = [d[0] for d in user_dirs]
-        cs = beta_uc(dirs, cfg, beta0)
-        members = sorted(m for c in cs.clusters for m in c.members)
-        assert members == list(range(k))
+        pairs = beta_uc(dirs, cfg, beta0).tolist()
+        paired = [m for pair in pairs for m in pair]
+        assert len(set(paired)) == len(paired) and set(paired) <= set(range(k))
         beta = beta_matrix(dirs, cfg)
-        selected = [beta[c.members[0], c.members[1]] for c in cs.clusters[: cs.noma_count]]
+        selected = [beta[a, b] for a, b in pairs]
         assert all(b >= beta0 for b in selected)
         assert all(a >= b - 1e-12 for a, b in zip(selected, selected[1:]))
     print("CRITERION 8: PASS - partition, pair admissibility and greedy order hold on 500 drops")

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from nomabeam.array_geometry import (
     ArrayConfig,
     Direction,
-    NoCrossing,
-    beamwidth,
     beta_matrix,
     beta_metric,
     pattern_cut,
@@ -155,60 +153,3 @@ class TestArrayFactor:
         _, _, values = pattern_cut(cfg, BROADSIDE, "az", np.linspace(0.0, 0.06, 300))
         assert np.all(np.diff(values) <= 1e-12)
         assert values[-1] < 0.5 < values[0]
-
-
-def _grid_scan_crossing(cfg, beam, axis, level, step=1e-6):
-    """Dense positive-offset scan for the first crossing, refined to `step`."""
-    coarse = np.arange(step, math.pi / 2 + step, 1e-3)
-    for sign in (1.0, -1.0):
-        if axis == "az":
-            dirs_theta, dirs_phi = beam.theta + sign * coarse, np.full_like(coarse, beam.phi)
-        else:
-            dirs_theta, dirs_phi = np.full_like(coarse, beam.theta), beam.phi + sign * coarse
-        values = np.array(
-            [beta_metric(cfg, Direction(t, p), beam) for t, p in zip(dirs_theta, dirs_phi)]
-        )
-        below = np.nonzero(values <= level)[0]
-        if below.size:
-            lo = coarse[below[0] - 1] if below[0] else 0.0
-            fine = np.arange(lo, coarse[below[0]] + step, step)
-            for off in fine:
-                if axis == "az":
-                    probe = Direction(beam.theta + sign * off, beam.phi)
-                else:
-                    probe = Direction(beam.theta, beam.phi + sign * off)
-                if beta_metric(cfg, probe, beam) <= level:
-                    return off
-    raise AssertionError("no crossing found by the scan oracle")
-
-
-class TestBeamwidth:
-    def test_matches_grid_scan_at_broadside(self):
-        cfg = ArrayConfig(32, 2, 0.5)
-        om_az, om_el = beamwidth(cfg, BROADSIDE, 0.5)
-        assert om_az == pytest.approx(_grid_scan_crossing(cfg, BROADSIDE, "az", 0.5), abs=1e-6)
-        assert om_el == pytest.approx(_grid_scan_crossing(cfg, BROADSIDE, "el", 0.5), abs=1e-6)
-
-    def test_half_power_level_hits_sqrt_half(self):
-        cfg = ArrayConfig(16, 8, 0.5)
-        level = math.sqrt(0.5)
-        om_az, om_el = beamwidth(cfg, BROADSIDE, level)
-        assert beta_metric(cfg, Direction(math.pi / 2 + om_az, 0.0), BROADSIDE) == pytest.approx(
-            level, abs=1e-6
-        )
-        assert beta_metric(cfg, Direction(math.pi / 2, om_el), BROADSIDE) == pytest.approx(
-            level, abs=1e-6
-        )
-
-    def test_isotropic_single_element_never_crosses(self):
-        with pytest.raises(NoCrossing):
-            beamwidth(ArrayConfig(1, 1, 0.5), BROADSIDE, 0.5)
-
-    def test_flat_elevation_axis_never_crosses(self):
-        # a 1-element vertical axis has no elevation selectivity
-        with pytest.raises(NoCrossing):
-            beamwidth(ArrayConfig(32, 1, 0.5), BROADSIDE, 0.5)
-
-    def test_level_validation(self):
-        with pytest.raises(ValueError):
-            beamwidth(ArrayConfig(8, 8, 0.5), BROADSIDE, 1.5)

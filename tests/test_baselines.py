@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from nomabeam.array_geometry import ArrayConfig, Direction
-from nomabeam.baselines import SchemeId, conjugate_bf_rates, energy_efficiency, oma_dbs_rates
+from nomabeam.baselines import SchemeId, conjugate_bf_rates, energy_efficiency
 from nomabeam.beamforming import build_plan
 from nomabeam.channel import channel_rows
-from nomabeam.clustering import Cluster, ClusterSet
-from nomabeam.link_metrics import LinkState, link_states, rate
-from nomabeam.power_allocation import InfeasibleSic, PaInput, opa
+from nomabeam.link_metrics import link_states, rate
+from nomabeam.power_allocation import opa
 
 from drops import drop_paths
 from oracles import pair_rate
@@ -17,26 +16,7 @@ from oracles import pair_rate
 CFG = ArrayConfig(16, 2, 0.5)
 
 
-def ls(zeta):
-    return LinkState(psi=zeta, nu=1.0, zeta=zeta)
-
-
-class TestOmaDbsRates:
-    def test_singleton_equals_full_band_rate(self):
-        cluster = Cluster(members=(0,), beam_dir=Direction(1.0, 0.0))
-        assert oma_dbs_rates(cluster, [ls(3.0)], 20e6) == [rate(3.0, 20e6)]
-
-    def test_pair_hand_value(self):
-        cluster = Cluster(members=(0, 1), beam_dir=Direction(1.0, 0.0))
-        rates = oma_dbs_rates(cluster, [ls(3.0), ls(3.0)], 1.0)
-        assert rates == pytest.approx([1.0, 1.0])
-
-    def test_pair_with_dead_weak_user(self):
-        cluster = Cluster(members=(0, 1), beam_dir=Direction(1.0, 0.0))
-        rates = oma_dbs_rates(cluster, [ls(5.0), LinkState(psi=0.0, nu=1.0, zeta=0.0)], 2.0)
-        assert rates[0] == pytest.approx(math.log2(6.0))
-        assert rates[1] == 0.0
-
+class TestOrthogonalSharing:
     def test_noma_beats_oma_on_most_instances(self, rng):
         # log-uniform link-ratio pairs spanning -20..+20 dB
         wins = 0
@@ -44,11 +24,8 @@ class TestOmaDbsRates:
         for _ in range(trials):
             z1 = float(10.0 ** rng.uniform(-2, 2))
             z2 = float(10.0 ** rng.uniform(-2, 2))
-            try:
-                gamma1 = opa(PaInput(zeta1=z1, zeta2=z2, p_min=1e-3, epsilon=0.05)).gamma1
-            except InfeasibleSic:
-                gamma1 = 0.0
-            noma = pair_rate(z1, z2, gamma1)
+            gamma1, _ = opa(z1, z2, 1e-3, 0.05)
+            noma = pair_rate(z1, z2, float(gamma1))
             oma = 0.5 * (math.log2(1.0 + z1) + math.log2(1.0 + z2))
             wins += noma >= oma
         assert wins / trials >= 0.95
@@ -85,12 +62,9 @@ class TestConjugateBf:
         )
         noise, power, bandwidth = 8.1e-14, 1.0, 20e6
         cb = conjugate_bf_rates(h_rows, power, noise, bandwidth)
-        cs = ClusterSet(
-            clusters=tuple(Cluster(members=(i,), beam_dir=d) for i, d in enumerate(dirs)),
-            noma_count=0,
-        )
-        plan = build_plan(cs, CFG, power, k)
-        steered = [rate(ls.zeta, bandwidth) for ls in link_states(h_rows, plan, range(k), noise)]
+        plan = build_plan(CFG, [d.theta for d in dirs], [d.phi for d in dirs], np.ones(k, dtype=int), power)
+        _, _, zeta = link_states(h_rows, plan, np.arange(k), noise)
+        steered = [rate(z, bandwidth) for z in zeta.tolist()]
         assert cb == pytest.approx(steered, rel=1e-9)
 
     def test_empty_input_rejected(self):

@@ -115,7 +115,8 @@ class TestChannelVector:
 
 def unit_plan(w):
     """A one-beam plan with unit normalization and power, so received power is |h w|^2."""
-    return BeamformingPlan(weights=(w,), eta=1.0, cluster_powers_pc=(1.0,), emitted_powers_Pc=(1.0,))
+    one = np.ones(1)
+    return BeamformingPlan(weights=w[:, np.newaxis], eta=1.0, cluster_powers_pc=one, emitted_powers_Pc=one)
 
 
 class TestEffectiveGain:

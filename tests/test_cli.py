@@ -64,6 +64,11 @@ class TestSimulateCommand:
             ("cell_radius_m = 0", "cell_radius_m must be positive"),
             ("carrier_hz = 0", "carrier must be positive"),
             ("angle_spread_deg = -1", "angle spread"),
+            ("total_power_dbm = 4000", "total power must be positive and finite"),
+            ("noise_power_dbm = 4000", "noise power must be positive and finite"),
+            ("noise_power_dbm = -4000", "noise power must be positive and finite"),
+            ("carrier_hz = 1e-300", "wavelength must be positive and finite"),
+            ("shadowing_sigma_db = 10000", "shadowing sigma must lie in [0, 30] dB"),
         ],
     )
     def test_config_edge_rejected_with_one_error_line(self, tmp_path, capsys, line, message):
@@ -75,6 +80,19 @@ class TestSimulateCommand:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+        assert not out.exists()
+
+    def test_path_count_bound_checked_at_load(self, tmp_path, capsys):
+        # `pattern` loads the scenario but draws no channel, so a count the
+        # loader failed to bound would not run here either
+        cfg = tmp_path / "paths.cfg"
+        cfg.write_text(SMALL_CFG + "num_time_clusters = 1,100000000\n")
+        out = tmp_path / "p.csv"
+        code = main(["pattern", "--config", str(cfg), "--beam", "1.5708,0.0", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "num_time_clusters_range must lie within [1, 6]" in err
         assert not out.exists()
 
     def test_zero_path_gain_exits_nonzero(self, tmp_path, capsys):

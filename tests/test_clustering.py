@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from nomabeam.array_geometry import ArrayConfig, Direction, beta_matrix
-from nomabeam.clustering import (
-    Cluster,
-    ClusterSet,
-    beta_uc,
-    cluster_beam_dir,
-    greedy_pairs,
-    order_cluster_users,
-)
+from nomabeam.clustering import beta_uc, greedy_pairs
 
 
 CFG = ArrayConfig(32, 2, 0.5)
@@ -26,23 +19,23 @@ class TestGreedyPairs:
         # (0,1) has the largest interference; taking it consumes user 0 and 1,
         # leaving nothing eligible.
         beta = np.array([[1.0, 0.9, 0.6], [0.9, 1.0, 0.55], [0.6, 0.55, 1.0]])
-        assert greedy_pairs(beta, 0.5) == [(0, 1)]
+        assert greedy_pairs(beta, 0.5).tolist() == [[0, 1]]
 
     def test_no_pair_above_threshold(self):
         beta = np.full((4, 4), 0.2)
         np.fill_diagonal(beta, 1.0)
-        assert greedy_pairs(beta, 0.5) == []
+        assert greedy_pairs(beta, 0.5).shape == (0, 2)
 
     def test_threshold_is_inclusive(self):
         beta = np.array([[1.0, 0.5], [0.5, 1.0]])
-        assert greedy_pairs(beta, 0.5) == [(0, 1)]
+        assert greedy_pairs(beta, 0.5).tolist() == [[0, 1]]
 
     def test_tie_breaks_toward_smallest_pair(self):
         beta = np.full((4, 4), 0.1)
         np.fill_diagonal(beta, 1.0)
         beta[0, 3] = beta[3, 0] = 0.8
         beta[1, 2] = beta[2, 1] = 0.8
-        assert greedy_pairs(beta, 0.5) == [(0, 3), (1, 2)]
+        assert greedy_pairs(beta, 0.5).tolist() == [[0, 3], [1, 2]]
 
     def test_consumed_users_free_their_other_candidates(self):
         # after (0,1) is taken, (2,3) is still eligible and gets paired
@@ -51,24 +44,20 @@ class TestGreedyPairs:
         beta[0, 1] = beta[1, 0] = 0.9
         beta[1, 2] = beta[2, 1] = 0.85
         beta[2, 3] = beta[3, 2] = 0.7
-        assert greedy_pairs(beta, 0.5) == [(0, 1), (2, 3)]
+        assert greedy_pairs(beta, 0.5).tolist() == [[0, 1], [2, 3]]
 
 
 class TestBetaUc:
     def test_selection_order_and_singletons(self, rng):
         # two users nearly collinear pair up; the third is far away
         dirs = [deg(90, 0), deg(90.5, 0), deg(30, 0)]
-        cs = beta_uc(dirs, CFG, 0.5)
-        assert cs.noma_count == 1
-        assert cs.clusters[0].members == (0, 1)
-        assert cs.clusters[1].members == (2,)
-        assert cs.total == 2
+        assert beta_uc(dirs, CFG, 0.5).tolist() == [[0, 1]]
 
     def test_all_far_apart_gives_pure_singletons(self):
         dirs = [deg(20, 0), deg(60, 0), deg(100, 0), deg(140, 0)]
-        cs = beta_uc(dirs, CFG, 0.5)
-        assert cs.noma_count == 0
-        assert [c.members for c in cs.clusters] == [(0,), (1,), (2,), (3,)]
+        pairs = beta_uc(dirs, CFG, 0.5)
+        assert pairs.shape == (0, 2)
+        assert np.issubdtype(pairs.dtype, np.integer)
 
     def test_partition_admissibility_and_greedy_order(self, rng):
         for _ in range(100):
@@ -77,73 +66,20 @@ class TestBetaUc:
                 Direction(rng.uniform(0, math.pi), rng.uniform(-math.pi / 2, 0))
                 for _ in range(k)
             ]
-            cs = beta_uc(dirs, CFG, 0.5)
-            members = sorted(m for c in cs.clusters for m in c.members)
-            assert members == list(range(k))
+            pairs = beta_uc(dirs, CFG, 0.5)
+            assert pairs.shape[1] == 2
+            assert len(set(pairs.ravel().tolist())) == pairs.size  # no user twice
+            assert all(k_ < u for k_, u in pairs.tolist())
             beta = beta_matrix(dirs, CFG)
-            selected = [beta[c.members[0], c.members[1]] for c in cs.clusters[: cs.noma_count]]
+            selected = [beta[k_, u] for k_, u in pairs.tolist()]
             assert all(b >= 0.5 for b in selected)
             assert all(b1 >= b2 - 1e-12 for b1, b2 in zip(selected, selected[1:]))
 
     def test_single_user(self):
-        cs = beta_uc([deg(45, -5)], CFG, 0.5)
-        assert cs.total == 1 and cs.noma_count == 0
+        assert beta_uc([deg(45, -5)], CFG, 0.5).shape == (0, 2)
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
             beta_uc([], CFG, 0.5)
         with pytest.raises(ValueError):
             beta_uc([deg(45, 0)], CFG, 1.0)
-
-
-class TestClusterBeamDir:
-    def test_singleton_keeps_direction(self):
-        d = deg(33, -7)
-        assert cluster_beam_dir([d]) == d
-
-    def test_pair_takes_componentwise_mean(self):
-        out = cluster_beam_dir([deg(10, 80), deg(20, 90)])
-        assert out.theta == pytest.approx(math.radians(15))
-        assert out.phi == pytest.approx(math.radians(85))
-
-    def test_pair_of_identical_directions(self):
-        d = deg(120, -40)
-        out = cluster_beam_dir([d, d])
-        assert out.theta == pytest.approx(d.theta)
-        assert out.phi == pytest.approx(d.phi)
-
-
-class TestOrderClusterUsers:
-    def _pair(self):
-        return Cluster(members=(4, 9), beam_dir=deg(90, 0))
-
-    def test_swaps_when_second_is_stronger(self):
-        assert order_cluster_users(self._pair(), [4.0, 9.0]).members == (9, 4)
-
-    def test_keeps_order_when_first_is_stronger(self):
-        assert order_cluster_users(self._pair(), [9.0, 4.0]).members == (4, 9)
-
-    def test_equal_gains_keep_input_order(self):
-        assert order_cluster_users(self._pair(), [5.0, 5.0]).members == (4, 9)
-
-    def test_singleton_unchanged(self):
-        single = Cluster(members=(3,), beam_dir=deg(10, 0))
-        assert order_cluster_users(single, [2.0]) is single
-
-    def test_idempotent(self):
-        once = order_cluster_users(self._pair(), [4.0, 9.0])
-        again = order_cluster_users(once, [9.0, 4.0])  # gains follow the new order
-        assert again.members == once.members
-
-
-class TestClusterSetValidation:
-    def test_rejects_duplicate_membership(self):
-        c = Cluster(members=(0, 1), beam_dir=deg(90, 0))
-        with pytest.raises(ValueError):
-            ClusterSet(clusters=(c, Cluster(members=(1,), beam_dir=deg(10, 0))), noma_count=1)
-
-    def test_rejects_misplaced_noma_clusters(self):
-        single = Cluster(members=(0,), beam_dir=deg(90, 0))
-        pair = Cluster(members=(1, 2), beam_dir=deg(91, 0))
-        with pytest.raises(ValueError):
-            ClusterSet(clusters=(single, pair), noma_count=1)

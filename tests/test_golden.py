@@ -4,9 +4,11 @@ The default-cell sweep covers all five schemes, K=1 (nothing to pair), K=2
 (a lone pair on one shared beam) and K=55, over 20 trials: 400 rows.  The
 low-threshold sweep (beta0 = 0.05, K=2 and 3, 100 trials: 1,000 rows) pairs
 users often enough that a partial-CSI shared beam with no interfering beam,
-whose link ratio takes the noise floor, occurs in dozens of trials.  A change
-that moves any reported number changes a digest.  A change meant to move the
-numbers updates the digest in the same commit and says why.
+whose link ratio takes the noise floor, occurs in dozens of trials.  The
+uniform-split sweep (one array row, ``inter_cluster_rule = uniform``, K=2, 5
+and 15 over 100 trials: 1,500 rows) covers the equal per-beam power split.  A change that moves any reported
+number changes a digest.  A change meant to move the numbers updates the
+digest in the same commit and says why.
 """
 
 import hashlib
@@ -26,6 +28,11 @@ GOLDEN_CASES = {
         ScenarioConfig(user_counts=(2, 3), trials=100, beta0=0.05, master_seed=1),
         1000,
         "34fd56757203a962688ce63118ff2245a307a57765d6ee1cf27873dac99a5203",
+    ),
+    "uniform-split": (
+        ScenarioConfig(m_v=1, inter_cluster_rule="uniform", user_counts=(2, 5, 15), trials=100, master_seed=1),
+        1500,
+        "e5eae4bbf449bbff0fb95e077d55022071b89a2985dae14f680ab1704b83c27a",
     ),
 }
 

@@ -5,12 +5,21 @@ from dataclasses import replace
 
 import pytest
 
+import numpy as np
+
+from nomabeam.array_geometry import Direction, steering_matrix
 from nomabeam.baselines import SchemeId
+from nomabeam.beamforming import build_plan
+from nomabeam.channel import channel_rows
+from nomabeam.clustering import beta_uc
+from nomabeam.link_metrics import link_states, rate, sinr_noma_strong, sinr_noma_weak
+from nomabeam.power_allocation import opa, partial_csi_zeta
 from nomabeam.sim_harness import (
     CSV_HEADER,
     ConfigError,
     ScenarioConfig,
     _drop_users,
+    _shared_beam_outcomes,
     evaluate_trial,
     format_aggregates,
     load_scenario,
@@ -19,6 +28,7 @@ from nomabeam.sim_harness import (
     write_csv,
 )
 
+from drops import drop_paths
 from oracles import sinr_dbs_monopath_closed
 
 SMALL = ScenarioConfig(
@@ -128,6 +138,12 @@ class TestConfigValidation:
             ("num_time_clusters", (2, 1)),
             ("paths_per_cluster", (0, 1)),
             ("shadowing_sigma_db", -1.0),
+            ("shadowing_sigma_db", 30.5),
+            ("num_time_clusters", (1, 100000000)),
+            ("paths_per_cluster", (1, 31)),
+            ("carrier_hz", 1e-300),
+            ("noise_power_dbm", -4000.0),
+            ("total_power_dbm", 4000.0),
         ],
     )
     def test_link_and_channel_values_validated_at_construction(self, field, value):
@@ -235,6 +251,72 @@ class TestEvaluateTrial:
     def test_repeated_scheme_repeats_its_result(self):
         results = evaluate_trial(SMALL, 4, 1, (SchemeId.DBS, SchemeId.OMA_DBS, SchemeId.DBS))
         assert results[0] == results[2] == evaluate_trial(SMALL, 4, 1, (SchemeId.DBS,))[0]
+
+
+class TestSharedBeams:
+    """One hand-built drop: users 0 and 1 nearly collinear, user 2 far away."""
+
+    CONFIG = ScenarioConfig(m_h=16, m_v=2, user_counts=(3,))
+    DIRS = [Direction(1.2, -0.1), Direction(1.205, -0.1), Direction(0.4, -0.2)]
+
+    def drop(self, amplitudes):
+        paths = drop_paths([[(a, d)] for a, d in zip(amplitudes, self.DIRS)])
+        h_rows = channel_rows(self.CONFIG.array_config, paths)
+        return h_rows, paths.theta, paths.phi
+
+    def pairs(self):
+        pairs = beta_uc(self.DIRS, self.CONFIG.array_config, self.CONFIG.beta0)
+        assert pairs.tolist() == [[0, 1]]
+        return pairs
+
+    def expected_zeta(self, h_rows):
+        """Link ratios against a shared beam at the pair's mean direction and a private one."""
+        d0, d1, d2 = self.DIRS
+        plan = build_plan(
+            self.CONFIG.array_config,
+            [(d0.theta + d1.theta) / 2, d2.theta],
+            [(d0.phi + d1.phi) / 2, d2.phi],
+            [2, 1],
+            self.CONFIG.total_power_w,
+        )
+        return plan, link_states(h_rows, plan, [0, 0, 1], self.CONFIG.noise_w)[2].tolist()
+
+    @pytest.mark.parametrize("amplitudes, strong, weak", [((1e-5, 3e-5, 2e-5), 1, 0), ((3e-5, 1e-5, 2e-5), 0, 1)])
+    def test_stronger_user_comes_first_and_oma_halves_the_band(self, amplitudes, strong, weak):
+        h_rows, theta, phi = self.drop(amplitudes)
+        scheme = SchemeId.OMA_DBS
+        rates, shared, deactivated = _shared_beam_outcomes(
+            self.CONFIG, [scheme], h_rows, self.pairs(), theta, phi
+        )[scheme]
+        _, zeta = self.expected_zeta(h_rows)
+        band = self.CONFIG.bandwidth_hz
+        assert (shared, deactivated) == (1, 0)
+        assert rates == [rate(zeta[strong], band / 2), rate(zeta[weak], band / 2), rate(zeta[2], band)]
+
+    @pytest.mark.parametrize("scheme", [SchemeId.NOMA_DBS_FCSI, SchemeId.NOMA_DBS_PCSI])
+    def test_shared_beam_rates_follow_the_split(self, scheme):
+        h_rows, theta, phi = self.drop((1e-5, 3e-5, 2e-5))
+        rates, shared, deactivated = _shared_beam_outcomes(
+            self.CONFIG, [scheme], h_rows, self.pairs(), theta, phi
+        )[scheme]
+        plan, zeta = self.expected_zeta(h_rows)
+        z_strong, z_weak = zeta[1], zeta[0]
+        if scheme is SchemeId.NOMA_DBS_PCSI:
+            los = np.conj(steering_matrix(self.CONFIG.array_config, theta[[1, 0]], phi[[1, 0]]))
+            split_on = partial_csi_zeta(los, plan, [0, 0], self.CONFIG.noise_w).tolist()
+        else:
+            split_on = [z_strong, z_weak]
+        gamma1 = float(opa(*split_on, self.CONFIG.p_min, self.CONFIG.epsilon)[0])
+        band = self.CONFIG.bandwidth_hz
+        assert (shared, deactivated) == (1, int(gamma1 == 0.0))
+        assert rates == pytest.approx(
+            [
+                rate(sinr_noma_strong(z_strong, gamma1), band),
+                rate(sinr_noma_weak(z_weak, gamma1), band),
+                rate(zeta[2], band),
+            ],
+            rel=1e-12,
+        )
 
 
 class TestRunSweep:
