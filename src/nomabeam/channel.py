@@ -44,6 +44,13 @@ MAX_TIME_CLUSTERS = 6
 MAX_PATHS_PER_CLUSTER = 30
 MAX_SHADOWING_SIGMA_DB = 30.0
 
+# Bytes of steering vectors computed at once.  This bounds a drop's transient
+# memory, and keeps each block below the 4 MiB from which numpy advises the
+# kernel to back an array with transparent huge pages: once freed, such a
+# region of the heap faults in 2 MiB at a time, which made the peak resident
+# size of large drops depend on where small arrays later landed.
+_BLOCK_BYTES = 2**21
+
 
 class InvalidParams(ValueError):
     """Channel parameters are out of range (empty interval, bad radius, ...)."""
@@ -175,10 +182,20 @@ def draw_paths(
 def channel_rows(cfg: ArrayConfig, paths: DropPaths) -> np.ndarray:
     """K x M channel matrix: row k sums user k's gain-weighted conjugate steering vectors.
 
-    The steering vectors of every path of the drop come from one batched
-    computation; each user's paths are summed strongest first.
+    The steering vectors come from one batched computation per block of
+    whole users, at most ``_BLOCK_BYTES`` unless one user's paths need more;
+    each user's paths are summed strongest first.
     """
-    rows = steering_matrix(cfg, paths.theta, paths.phi)
-    np.conj(rows, out=rows)
-    rows *= paths.gains[:, None]
-    return np.add.reduceat(rows, paths.starts, axis=0)
+    k_users = len(paths.starts)
+    bounds = np.append(paths.starts, len(paths.gains))
+    path_bytes = 16 * cfg.num_elements
+    per_block = max(1, _BLOCK_BYTES // (path_bytes * int(np.max(np.diff(bounds)))))
+    rows = np.empty((k_users, cfg.num_elements), dtype=complex)
+    for first in range(0, k_users, per_block):
+        last = min(first + per_block, k_users)
+        lo, hi = bounds[first], bounds[last]
+        block = steering_matrix(cfg, paths.theta[lo:hi], paths.phi[lo:hi])
+        np.conj(block, out=block)
+        block *= paths.gains[lo:hi, None]
+        np.add.reduceat(block, paths.starts[first:last] - lo, axis=0, out=rows[first:last])
+    return rows

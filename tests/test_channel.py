@@ -4,6 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from nomabeam import channel
 from nomabeam.array_geometry import ArrayConfig, Direction, beta_metric, steering_matrix
 from nomabeam.beamforming import BeamformingPlan
 from nomabeam.channel import ChannelParams, DropPaths, InvalidParams, channel_rows, draw_paths
@@ -111,6 +112,14 @@ class TestChannelVector:
         for row, user_gains, user_dirs in zip(rows, gains, dirs):
             alone = channel_rows(CFG, drop_paths([list(zip(user_gains, user_dirs))]))[0]
             assert np.array_equal(row, alone)
+
+    @pytest.mark.parametrize("block_bytes", [1, 3 * 16 * CFG.num_elements * 4])
+    def test_blocks_of_users_give_the_same_rows(self, rng, monkeypatch, block_bytes):
+        # one user per block, then a few users per block with a short last block
+        paths = draw_paths(rng, ChannelParams(num_time_clusters_range=(1, 2)), 100.0, 7)
+        whole = channel_rows(CFG, paths)
+        monkeypatch.setattr(channel, "_BLOCK_BYTES", block_bytes)
+        assert np.array_equal(channel_rows(CFG, paths), whole)
 
 
 def unit_plan(w):
