@@ -1,6 +1,7 @@
-"""Beam weight assembly and the fixed per-beam power split.
+"""Beam plans: the beams' weight vectors and the fixed per-beam power split.
 
-Each beam's weight vector is the steering vector at its direction; the
+Each beam's weight vector is the steering vector at its direction, which
+the caller steers (one per direction, shared between plans); the
 normalization ``eta = 1 / (M * C)`` makes the emitted power independent of
 the beamforming.  The per-beam signal powers are fixed before any
 intra-beam optimization: either proportional to the beam's user count (the
@@ -12,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .array_geometry import ArrayConfig, steering_matrix
 
 __all__ = ["BeamformingPlan", "build_plan"]
 
@@ -42,25 +41,26 @@ class BeamformingPlan:
 
 
 def build_plan(
-    cfg: ArrayConfig,
-    theta: np.ndarray,
-    phi: np.ndarray,
+    weights: np.ndarray,
     sizes: np.ndarray,
     total_power_w: float,
     rule: str = "proportional",
 ) -> BeamformingPlan:
-    """Beam weights toward (theta[c], phi[c]) and the fixed inter-beam power split.
+    """A plan with the beams' steering vectors and the fixed inter-beam power split.
 
-    ``sizes[c]`` is the number of users beam c serves, and K their sum.
-    ``rule="proportional"`` (default) gives each beam an emitted-power share
-    P_c = K_c * P_e / K, so p_c = K_c * C * P_e / K; ``rule="uniform"``
-    splits emitted power evenly, P_c = P_e / C.
+    ``weights`` holds beam c's steering vector as column c of an M x C
+    matrix, and ``sizes[c]`` is the number of users beam c serves, K their
+    sum.  ``rule="proportional"`` (default) gives each beam an emitted-power
+    share P_c = K_c * P_e / K, so p_c = K_c * C * P_e / K;
+    ``rule="uniform"`` splits emitted power evenly, P_c = P_e / C.
     """
     if not total_power_w > 0:
         raise ValueError(f"total power must be positive, got {total_power_w}")
     sizes = np.asarray(sizes)
-    c_total = len(sizes)
-    eta = 1.0 / (cfg.num_elements * c_total)
+    m_elements, c_total = np.shape(weights)
+    if c_total != len(sizes):
+        raise ValueError(f"{c_total} weight vectors for {len(sizes)} beam sizes")
+    eta = 1.0 / (m_elements * c_total)
     if rule == "proportional":
         emitted = sizes * total_power_w / int(np.sum(sizes))
     elif rule == "uniform":
@@ -69,7 +69,7 @@ def build_plan(
         raise ValueError(f"unknown power split rule: {rule!r}")
     # P_c = eta * ||w_c||^2 * p_c with ||w_c||^2 = M, hence p_c = C * P_c.
     return BeamformingPlan(
-        weights=np.ascontiguousarray(steering_matrix(cfg, theta, phi).T),
+        weights=np.ascontiguousarray(weights),
         eta=eta,
         cluster_powers_pc=c_total * emitted,
         emitted_powers_Pc=emitted,

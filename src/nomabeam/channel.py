@@ -44,12 +44,13 @@ MAX_TIME_CLUSTERS = 6
 MAX_PATHS_PER_CLUSTER = 30
 MAX_SHADOWING_SIGMA_DB = 30.0
 
-# Bytes of steering vectors computed at once.  This bounds a drop's transient
-# memory, and keeps each block below the 4 MiB from which numpy advises the
-# kernel to back an array with transparent huge pages: once freed, such a
-# region of the heap faults in 2 MiB at a time, which made the peak resident
-# size of large drops depend on where small arrays later landed.
-_BLOCK_BYTES = 2**21
+# Bytes of scattered-path steering vectors computed at once.  Steering them
+# next to the LOS matrix and the channel rows then takes less memory than the
+# link states that follow, and each block stays far below the 4 MiB from which
+# numpy advises the kernel to back an array with transparent huge pages: once
+# freed, such a region of the heap faults in 2 MiB at a time, which made the
+# peak resident size of large drops depend on where small arrays later landed.
+_BLOCK_BYTES = 2**19
 
 
 class InvalidParams(ValueError):
@@ -129,73 +130,97 @@ def draw_paths(
     The line-of-sight amplitude is free-space path loss at the carrier over
     the 3D distance, shadowed log-normally; scattered paths are drawn per
     ``params`` below it and within ``angle_spread_deg`` of the LOS direction.
-    Users are drawn one after another, each user's paths sorted strongest
-    first (a stable sort).  Identical (rng state, params) yield identical paths.
+    Each user's paths are sorted strongest first (a stable sort).  Identical
+    (rng state, params) yield identical paths.
+
+    The RNG calls are a scalar generator's, user after user, with one call
+    for a user's scattered-path uniforms: numpy's ``uniform(lo, hi)`` is
+    ``lo + (hi - lo) * random()`` and ``normal(0, s)`` is
+    ``s * standard_normal()``.  The arithmetic runs once per drop, except
+    ``math.hypot``, ``math.asin``, ``**`` and complex ``abs``, whose numpy
+    versions differ from them in the last bit on some inputs.
     """
     if not cell_radius_m > 0:
         raise InvalidParams(f"cell radius must be positive, got {cell_radius_m}")
 
     lo_tc, hi_tc = params.num_time_clusters_range
     lo_p, hi_p = params.paths_per_cluster_range
-    spread = math.radians(params.angle_spread_deg)
-    starts: list[int] = []
-    paths: list[tuple[complex, float, float]] = []
+    sigma = params.shadowing_sigma_db
+    los_draws: list[float] = []
+    path_counts: list[int] = []
+    scattered_draws = [np.empty((0, 4))]  # defined even when no user scatters
     for _ in range(k_users):
-        ground_r = cell_radius_m * math.sqrt(rng.uniform())
-        theta = rng.uniform(0.0, math.pi)
-        slant = math.hypot(ground_r, BS_HEIGHT_M)
-        phi = -math.asin(BS_HEIGHT_M / slant)
-
-        fspl_amp = params.wavelength_m / (4.0 * math.pi * slant)
-        shadow_db = rng.normal(0.0, params.shadowing_sigma_db)
-        los_amp = fspl_amp * 10.0 ** (shadow_db / 20.0)
-        los_phase = rng.uniform(0.0, 2.0 * math.pi)
-        user = [(los_amp * complex(math.cos(los_phase), math.sin(los_phase)), theta, phi)]
-
+        los_draws += (rng.random(), rng.random(), sigma * rng.standard_normal(), rng.random())
         time_clusters = int(rng.integers(lo_tc, hi_tc + 1))
         total_paths = sum(int(rng.integers(lo_p, hi_p + 1)) for _ in range(time_clusters))
-        for _ in range(total_paths - 1):
-            offset_db = rng.uniform(*params.nlos_gain_offset_db)
-            amp = los_amp * 10.0 ** (-offset_db / 20.0)
-            phase = rng.uniform(0.0, 2.0 * math.pi)
-            d_theta = rng.uniform(-spread, spread)
-            d_phi = rng.uniform(-spread, spread)
-            user.append(
-                (
-                    amp * complex(math.cos(phase), math.sin(phase)),
-                    (theta + d_theta) % (2.0 * math.pi),
-                    min(max(phi + d_phi, -math.pi / 2.0), math.pi / 2.0),
-                )
-            )
+        path_counts.append(total_paths)
+        if total_paths > 1:
+            scattered_draws.append(rng.random((total_paths - 1, 4)))
 
-        user.sort(key=lambda path: -abs(path[0]))
-        starts.append(len(paths))
-        paths.extend(user)
+    radius_u, theta_u, shadow_db, los_phase_u = np.array(los_draws).reshape(k_users, 4).T
+    ground_r = cell_radius_m * np.sqrt(radius_u)
+    theta = math.pi * theta_u
+    slant = np.array([math.hypot(r, BS_HEIGHT_M) for r in ground_r.tolist()])
+    phi = np.array([-math.asin(s) for s in (BS_HEIGHT_M / slant).tolist()])
+    los_amp = params.wavelength_m / (4.0 * math.pi * slant) * _pow10(shadow_db / 20.0)
 
-    gains, thetas, phis = zip(*paths)
-    drop = DropPaths(np.array(starts), np.array(gains), np.array(thetas), np.array(phis))
-    if not np.all(np.abs(drop.gains) > 0):
+    # Scattered paths: one row each, users in order.
+    offset_u, phase_u, d_theta_u, d_phi_u = np.concatenate(scattered_draws).T
+    counts = np.array(path_counts)
+    owner = np.repeat(np.arange(k_users), counts - 1)
+    lo_db, hi_db = params.nlos_gain_offset_db
+    offset_db = lo_db + (hi_db - lo_db) * offset_u
+    spread = math.radians(params.angle_spread_deg)
+    d_theta = -spread + (spread + spread) * d_theta_u
+    d_phi = -spread + (spread + spread) * d_phi_u
+
+    # Every user's LOS path, then the scattered ones: a stable sort on
+    # (user, -|gain|) puts each user's paths in the scalar generator's order.
+    amp = np.concatenate((los_amp, los_amp[owner] * _pow10(-offset_db / 20.0)))
+    phase = (2.0 * math.pi) * np.concatenate((los_phase_u, phase_u))
+    gains = np.empty(len(amp), dtype=complex)
+    gains.real = amp * np.cos(phase)
+    gains.imag = amp * np.sin(phase)
+    thetas = np.concatenate((theta, (theta[owner] + d_theta) % (2.0 * math.pi)))
+    phis = np.concatenate((phi, np.minimum(np.maximum(phi[owner] + d_phi, -math.pi / 2.0), math.pi / 2.0)))
+    neg_mag = np.array([-abs(g) for g in gains.tolist()])
+    if not (neg_mag < 0).all():
         raise InvalidParams("path gain must be nonzero")
-    return drop
+    order = np.lexsort((neg_mag, np.concatenate((np.arange(k_users), owner))))
+    starts = np.cumsum(counts) - counts
+    return DropPaths(starts, gains[order], thetas[order], phis[order])
 
 
-def channel_rows(cfg: ArrayConfig, paths: DropPaths) -> np.ndarray:
+def _pow10(exponents: np.ndarray) -> np.ndarray:
+    """10 ** x per entry through Python's float power, which numpy's does not match to the ulp."""
+    return np.array([10.0 ** x for x in exponents.tolist()])
+
+
+def channel_rows(cfg: ArrayConfig, paths: DropPaths, los: np.ndarray) -> np.ndarray:
     """K x M channel matrix: row k sums user k's gain-weighted conjugate steering vectors.
 
-    The steering vectors come from one batched computation per block of
-    whole users, at most ``_BLOCK_BYTES`` unless one user's paths need more;
-    each user's paths are summed strongest first.
+    ``los`` holds each user's steering vector toward its first (line-of-sight)
+    path as the columns of an M x K matrix, so only the other paths are
+    steered here, in batches of at most ``_BLOCK_BYTES`` (one path at least).
+    Each row adds its paths strongest first.
     """
     k_users = len(paths.starts)
-    bounds = np.append(paths.starts, len(paths.gains))
-    path_bytes = 16 * cfg.num_elements
-    per_block = max(1, _BLOCK_BYTES // (path_bytes * int(np.max(np.diff(bounds)))))
     rows = np.empty((k_users, cfg.num_elements), dtype=complex)
-    for first in range(0, k_users, per_block):
-        last = min(first + per_block, k_users)
-        lo, hi = bounds[first], bounds[last]
-        block = steering_matrix(cfg, paths.theta[lo:hi], paths.phi[lo:hi])
+    np.conjugate(los.T, out=rows)
+    rows *= paths.gains[paths.starts, None]
+    # The other paths rank by rank (rank 0, each user's first path, is in
+    # ``los``): every user adds its paths in order, and the paths of one rank
+    # belong to distinct users.
+    owner = np.repeat(np.arange(k_users), np.diff(np.append(paths.starts, len(paths.gains))))
+    rank = np.arange(len(owner)) - paths.starts[owner]
+    order = np.argsort(rank, kind="stable")[k_users:]
+    per_block = max(1, _BLOCK_BYTES // (16 * cfg.num_elements))
+    for first in range(0, len(order), per_block):
+        at = order[first : first + per_block]
+        block = steering_matrix(cfg, paths.theta[at], paths.phi[at])
         np.conj(block, out=block)
-        block *= paths.gains[lo:hi, None]
-        np.add.reduceat(block, paths.starts[first:last] - lo, axis=0, out=rows[first:last])
+        block *= paths.gains[at, None]
+        cuts = [0, *(np.flatnonzero(np.diff(rank[at])) + 1).tolist(), len(at)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            rows[owner[at[lo:hi]]] += block[lo:hi]
     return rows

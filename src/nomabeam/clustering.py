@@ -24,20 +24,19 @@ def greedy_pairs(beta: np.ndarray, beta0: float) -> np.ndarray:
     pair), removes both users, and stops when no eligible pair remains.
     Returns the pairs as the rows of a (P, 2) index array in selection order,
     so their beta values are non-increasing.
+
+    One scan does it: the eligible pairs sorted by (-beta, k, u), each taken
+    when both its users are still free.
     """
-    k_count = beta.shape[0]
-    available = np.ones(k_count, dtype=bool)
-    upper = np.triu(np.ones((k_count, k_count), dtype=bool), k=1)
-    candidates = np.where(upper & (beta >= beta0), beta, -np.inf)
+    k_idx, u_idx = np.nonzero(np.triu(beta >= beta0, k=1))  # in (k, u) order
+    order = np.argsort(-beta[k_idx, u_idx], kind="stable")
+    free = [True] * beta.shape[0]
     pairs: list[tuple[int, int]] = []
-    while True:
-        masked = np.where(np.outer(available, available), candidates, -np.inf)
-        flat = int(np.argmax(masked))
-        k, u = divmod(flat, k_count)
-        if not np.isfinite(masked[k, u]):
-            return np.array(pairs, dtype=np.intp).reshape(-1, 2)
-        pairs.append((k, u))
-        available[[k, u]] = False
+    for k, u in zip(k_idx[order].tolist(), u_idx[order].tolist()):
+        if free[k] and free[u]:
+            free[k] = free[u] = False
+            pairs.append((k, u))
+    return np.array(pairs, dtype=np.intp).reshape(-1, 2)
 
 
 def beta_uc(dirs: list[Direction], cfg: ArrayConfig, beta0: float) -> np.ndarray:

@@ -108,8 +108,10 @@ def opa(zeta1, zeta2, p_min: float, epsilon: float) -> tuple[np.ndarray, np.ndar
     _check_p_min(p_min)
     if not 0.0 <= epsilon < 1.0:
         raise ValueError(f"epsilon must be in [0, 1), got {epsilon}")
-    r1 = _log2_1p(z1)
-    fair = np.abs(r1 - _log2_1p(z2)) / r1 < epsilon
+    r1, r2 = _log2_1p(z1), _log2_1p(z2)
+    # A strong rate that rounds to 0 is as far from fair as r2 is from it.
+    gap = np.divide(np.abs(r1 - r2), r1, out=np.where(r1 == r2, 0.0, np.inf), where=r1 > 0)
+    fair = gap < epsilon
     upper = ~fair & (z2 < z1)
     cap = gamma_hat(z1, p_min)
     infeasible = (fair | upper) & np.isnan(cap)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .array_geometry import ArrayConfig, Direction, steering_matrix
 from .baselines import SchemeId, conjugate_bf_rates, energy_efficiency
-from .beamforming import build_plan
+from .beamforming import BeamformingPlan, build_plan
 from .channel import ChannelParams, DropPaths, InvalidParams, channel_rows, draw_paths
 from .clustering import beta_uc
 from .link_metrics import link_states, rate, sinr_noma_strong, sinr_noma_weak
@@ -296,15 +296,13 @@ def _trial_rng(config: ScenarioConfig, k_users: int, trial_index: int) -> np.ran
 
 def _drop_users(
     config: ScenarioConfig, k_users: int, trial_index: int
-) -> tuple[DropPaths, np.ndarray, list[Direction]]:
-    """The drop's paths, its K x M channel rows and each user's LOS (strongest) direction."""
+) -> tuple[DropPaths, list[Direction]]:
+    """The drop's paths and each user's LOS (strongest) direction."""
     paths = draw_paths(
         _trial_rng(config, k_users, trial_index), config.channel_params, config.cell_radius_m, k_users
     )
-    h_rows = channel_rows(config.array_config, paths)
     los = paths.starts
-    los_dirs = [Direction(t, p) for t, p in zip(paths.theta[los].tolist(), paths.phi[los].tolist())]
-    return paths, h_rows, los_dirs
+    return paths, [Direction(t, p) for t, p in zip(paths.theta[los].tolist(), paths.phi[los].tolist())]
 
 
 # Per scheme: the users' rates in beam order, shared-beam count, deactivated count.
@@ -315,18 +313,65 @@ def _rates(sinr: np.ndarray, bandwidth_hz: float) -> list[float]:
     return [rate(s, bandwidth_hz) for s in sinr.tolist()]
 
 
-def _dbs_outcome(config: ScenarioConfig, h_rows: np.ndarray, theta: np.ndarray, phi: np.ndarray) -> _Outcome:
+def _dbs_outcome(config: ScenarioConfig, h_rows: np.ndarray, los: np.ndarray) -> _Outcome:
+    """One private beam per user, its column of ``los``."""
     k_users = len(h_rows)
-    plan = build_plan(
-        config.array_config,
-        theta,
-        phi,
-        np.ones(k_users, dtype=int),
-        config.total_power_w,
-        config.inter_cluster_rule,
-    )
+    plan = build_plan(los, np.ones(k_users, dtype=int), config.total_power_w, config.inter_cluster_rule)
     _, _, zeta = link_states(h_rows, plan, np.arange(k_users), config.noise_w)
     return _rates(zeta, config.bandwidth_hz), 0, 0
+
+
+def _steered_outcomes(
+    config: ScenarioConfig,
+    schemes: Sequence[SchemeId],
+    paths: DropPaths,
+    pairs: np.ndarray | None,
+) -> tuple[np.ndarray, dict[SchemeId, _Outcome]]:
+    """The drop's K x M channel rows and the outcomes of its beam-steering schemes.
+
+    Each LOS direction is steered once, into an M x K matrix: each channel
+    row's LOS path, the dbs plan's weights and the shared plan's private
+    beams.  ``pairs`` is the shared-beam schemes' pairing (None without
+    them); with no pair they get the dbs plan, else P shared beams at their
+    pairs' mean LOS angles, in selection order, then the unpaired users'.
+    """
+    cfg = config.array_config
+    theta, phi = paths.theta[paths.starts], paths.phi[paths.starts]
+    los = np.ascontiguousarray(steering_matrix(cfg, theta, phi).T)
+    h_rows = channel_rows(cfg, paths, los)
+    outcomes: dict[SchemeId, _Outcome] = {}
+    shared = [s for s in _SHARED_BEAM_SCHEMES if s in schemes]
+    if SchemeId.DBS in schemes or (shared and not len(pairs)):
+        outcomes[SchemeId.DBS] = _dbs_outcome(config, h_rows, los)
+    if not shared:
+        return h_rows, outcomes
+    if not len(pairs):
+        outcomes.update(dict.fromkeys(shared, outcomes[SchemeId.DBS]))
+        return h_rows, outcomes
+
+    n_pairs = len(pairs)
+    own_beams = np.full(len(theta), -1)
+    own_beams[pairs] = np.arange(n_pairs)[:, None]
+    singles = np.flatnonzero(own_beams < 0)
+    own_beams[singles] = np.arange(n_pairs, n_pairs + len(singles))
+    # The unpaired users' LOS vectors are their private beams, and partial CSI
+    # sees each paired user as its conjugated LOS vector.  Both leave the LOS
+    # matrix before it goes, and before the shared weights are allocated.
+    private = los[:, singles]
+    pair_rows = None
+    if SchemeId.NOMA_DBS_PCSI in shared:
+        pair_rows = los.T[pairs.ravel()]
+        np.conj(pair_rows, out=pair_rows)
+    del los
+    weights = np.empty((cfg.num_elements, n_pairs + len(singles)), dtype=complex)
+    weights[:, :n_pairs] = steering_matrix(
+        cfg, (theta[pairs[:, 0]] + theta[pairs[:, 1]]) / 2, (phi[pairs[:, 0]] + phi[pairs[:, 1]]) / 2
+    ).T
+    weights[:, n_pairs:] = private
+    del private
+    plan = build_plan(weights, np.bincount(own_beams), config.total_power_w, config.inter_cluster_rule)
+    outcomes.update(_shared_beam_outcomes(config, shared, h_rows, pairs, plan, own_beams, pair_rows))
+    return h_rows, outcomes
 
 
 def _shared_beam_outcomes(
@@ -334,33 +379,24 @@ def _shared_beam_outcomes(
     schemes: list[SchemeId],
     h_rows: np.ndarray,
     pairs: np.ndarray,
-    theta: np.ndarray,
-    phi: np.ndarray,
+    plan: BeamformingPlan,
+    own_beams: np.ndarray,
+    pair_rows: np.ndarray | None,
 ) -> dict[SchemeId, _Outcome]:
     """The pairing schemes on one pairing (P >= 1 pairs), its plan and one strong/weak ordering.
 
-    Beams are the P shared ones in selection order, then one private beam
-    per unpaired user in user order.  Each beam points at the mean of its
-    users' LOS angles: the pair's mean, or the private user's own direction.
+    ``own_beams[k]`` is user k's beam, the P shared ones first.  ``pair_rows``
+    are the paired users' partial-CSI rows in the order of ``pairs.ravel()``,
+    or None without the partial-CSI scheme; they are reordered in place,
+    strong user first.
     """
     bandwidth = config.bandwidth_hz
     n_pairs = len(pairs)
-    own_beams = np.full(len(h_rows), -1)
-    own_beams[pairs] = np.arange(n_pairs)[:, None]
-    singles = np.flatnonzero(own_beams < 0)
-    own_beams[singles] = np.arange(n_pairs, n_pairs + len(singles))
-    sizes = np.bincount(own_beams)
-    plan = build_plan(
-        config.array_config,
-        np.bincount(own_beams, weights=theta) / sizes,
-        np.bincount(own_beams, weights=phi) / sizes,
-        sizes,
-        config.total_power_w,
-        config.inter_cluster_rule,
-    )
+    singles = np.flatnonzero(own_beams >= n_pairs)
     psi, _, zeta = link_states(h_rows, plan, own_beams, config.noise_w)
     # Strong user first: the larger received power through the shared beam.
-    pairs = np.where((psi[pairs[:, 1]] > psi[pairs[:, 0]])[:, None], pairs[:, ::-1], pairs)
+    swap = psi[pairs[:, 1]] > psi[pairs[:, 0]]
+    pairs = np.where(swap[:, None], pairs[:, ::-1], pairs)
     zeta1, zeta2 = zeta[pairs[:, 0]], zeta[pairs[:, 1]]
     private_rates = _rates(zeta[singles], bandwidth)
     outcomes = {}
@@ -370,11 +406,10 @@ def _shared_beam_outcomes(
             outcomes[scheme] = (_rates(zeta[pairs.ravel()], bandwidth / 2.0) + private_rates, n_pairs, 0)
             continue
         if scheme is SchemeId.NOMA_DBS_PCSI:
-            # Partial CSI sees each paired user as its LOS steering row, a
-            # unit-gain single path, and splits on those estimated ratios.
-            rows = steering_matrix(config.array_config, theta[pairs.ravel()], phi[pairs.ravel()])
-            np.conj(rows, out=rows)
-            estimated = partial_csi_zeta(rows, plan, np.repeat(np.arange(n_pairs), 2), config.noise_w)
+            # Partial CSI splits on ratios estimated from the LOS rows alone.
+            by_pair = pair_rows.reshape(n_pairs, 2, -1)
+            by_pair[swap] = by_pair[swap, ::-1]
+            estimated = partial_csi_zeta(pair_rows, plan, np.repeat(np.arange(n_pairs), 2), config.noise_w)
             gamma1, _ = opa(estimated[0::2], estimated[1::2], config.p_min, config.epsilon)
         else:
             gamma1, _ = opa(zeta1, zeta2, config.p_min, config.epsilon)
@@ -401,25 +436,17 @@ def evaluate_trial(
     strong/weak ordering, and a pairing with no pair gives them the ``dbs``
     plan.  Each result is the one the scheme gets alone.
     """
-    paths, h_rows, los_dirs = _drop_users(config, k_users, trial_index)
-    theta, phi = paths.theta[paths.starts], paths.phi[paths.starts]
-    outcomes: dict[SchemeId, _Outcome] = {}
-    # Plans and gain matrices live only inside the helpers below, so none is
+    paths, los_dirs = _drop_users(config, k_users, trial_index)
+    # Pairing runs before any steering, so its K x K temporaries meet no K x M
+    # matrix; plans and gain matrices live only inside the helper, so none is
     # held while conjugate beamforming builds its K x K temporaries.
+    pairs = None
+    if any(s in schemes for s in _SHARED_BEAM_SCHEMES):
+        pairs = beta_uc(los_dirs, config.array_config, config.beta0)
+    h_rows, outcomes = _steered_outcomes(config, schemes, paths, pairs)
     if SchemeId.CONJUGATE_BF in schemes:
         cb_rates = conjugate_bf_rates(h_rows, config.total_power_w, config.noise_w, config.bandwidth_hz)
         outcomes[SchemeId.CONJUGATE_BF] = (cb_rates, 0, 0)
-    if SchemeId.DBS in schemes:
-        outcomes[SchemeId.DBS] = _dbs_outcome(config, h_rows, theta, phi)
-    shared = [s for s in _SHARED_BEAM_SCHEMES if s in schemes]
-    if shared:
-        pairs = beta_uc(los_dirs, config.array_config, config.beta0)
-        if len(pairs):
-            outcomes.update(_shared_beam_outcomes(config, shared, h_rows, pairs, theta, phi))
-        else:
-            # No pair: every beam is private, which is the dbs plan.
-            private = outcomes.get(SchemeId.DBS) or _dbs_outcome(config, h_rows, theta, phi)
-            outcomes.update(dict.fromkeys(shared, private))
     return [_result(config, k_users, trial_index, s, *outcomes[s]) for s in schemes]
 
 

@@ -1,9 +1,11 @@
-"""Channel records built by hand for tests, and their per-user view."""
+"""Channel records built by hand for tests, their per-user view, and their
+channel rows and plans steered from angles."""
 
 import numpy as np
 
-from nomabeam.array_geometry import Direction
-from nomabeam.channel import DropPaths
+from nomabeam.array_geometry import ArrayConfig, Direction, steering_matrix
+from nomabeam.beamforming import build_plan
+from nomabeam.channel import DropPaths, channel_rows
 
 
 def drop_paths(users) -> DropPaths:
@@ -27,3 +29,14 @@ def user_paths(paths: DropPaths) -> tuple[list[list[complex]], list[list[Directi
         for a, b in spans
     ]
     return gains, dirs
+
+
+def channel_matrix(cfg: ArrayConfig, paths: DropPaths) -> np.ndarray:
+    """The drop's K x M channel rows, with its LOS paths steered here."""
+    los = paths.starts
+    return channel_rows(cfg, paths, steering_matrix(cfg, paths.theta[los], paths.phi[los]).T)
+
+
+def plan_toward(cfg: ArrayConfig, theta, phi, sizes, total_power_w: float, rule: str = "proportional"):
+    """A plan whose beam c is steered toward (theta[c], phi[c])."""
+    return build_plan(steering_matrix(cfg, theta, phi).T, sizes, total_power_w, rule)

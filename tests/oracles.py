@@ -2,7 +2,9 @@
 
 Everything here recomputes quantities from first principles (direct phasor
 sums, dense grids, finite differences) without going through the code paths
-under test.
+under test.  The scalar path generator and the masked-argmax pairing are the
+loop versions that the library's array code replaced; the tests require equal
+results from both.
 """
 
 import math
@@ -12,6 +14,10 @@ import numpy as np
 
 from nomabeam.array_geometry import ArrayConfig, Direction
 from nomabeam.beamforming import BeamformingPlan
+from nomabeam.channel import ChannelParams, DropPaths, InvalidParams
+
+# The library's antenna height above the user plane.
+BS_HEIGHT_M = 10.0
 
 
 def steering_phasors(cfg: ArrayConfig, direction: Direction) -> np.ndarray:
@@ -120,3 +126,81 @@ def sinr_dbs_multipath_closed(
         beam_u = steering_phasors(cfg, user_dirs[0])
         interference += abs(response_to(beam_u)) ** 2
     return numerator / (interference + noise_w / (eta_dbs * abs(alpha_los) ** 2))
+
+
+def draw_paths_scalar(
+    rng: np.random.Generator,
+    params: ChannelParams,
+    cell_radius_m: float,
+    k_users: int,
+) -> DropPaths:
+    """The path generator one scalar draw at a time, users one after another.
+
+    Each user's paths are sorted strongest first by a stable sort.
+    """
+    if not cell_radius_m > 0:
+        raise InvalidParams(f"cell radius must be positive, got {cell_radius_m}")
+
+    lo_tc, hi_tc = params.num_time_clusters_range
+    lo_p, hi_p = params.paths_per_cluster_range
+    spread = math.radians(params.angle_spread_deg)
+    starts: list[int] = []
+    paths: list[tuple[complex, float, float]] = []
+    for _ in range(k_users):
+        ground_r = cell_radius_m * math.sqrt(rng.uniform())
+        theta = rng.uniform(0.0, math.pi)
+        slant = math.hypot(ground_r, BS_HEIGHT_M)
+        phi = -math.asin(BS_HEIGHT_M / slant)
+
+        fspl_amp = params.wavelength_m / (4.0 * math.pi * slant)
+        shadow_db = rng.normal(0.0, params.shadowing_sigma_db)
+        los_amp = fspl_amp * 10.0 ** (shadow_db / 20.0)
+        los_phase = rng.uniform(0.0, 2.0 * math.pi)
+        user = [(los_amp * complex(math.cos(los_phase), math.sin(los_phase)), theta, phi)]
+
+        time_clusters = int(rng.integers(lo_tc, hi_tc + 1))
+        total_paths = sum(int(rng.integers(lo_p, hi_p + 1)) for _ in range(time_clusters))
+        for _ in range(total_paths - 1):
+            offset_db = rng.uniform(*params.nlos_gain_offset_db)
+            amp = los_amp * 10.0 ** (-offset_db / 20.0)
+            phase = rng.uniform(0.0, 2.0 * math.pi)
+            d_theta = rng.uniform(-spread, spread)
+            d_phi = rng.uniform(-spread, spread)
+            user.append(
+                (
+                    amp * complex(math.cos(phase), math.sin(phase)),
+                    (theta + d_theta) % (2.0 * math.pi),
+                    min(max(phi + d_phi, -math.pi / 2.0), math.pi / 2.0),
+                )
+            )
+
+        user.sort(key=lambda path: -abs(path[0]))
+        starts.append(len(paths))
+        paths.extend(user)
+
+    gains, thetas, phis = zip(*paths)
+    drop = DropPaths(np.array(starts), np.array(gains), np.array(thetas), np.array(phis))
+    if not np.all(np.abs(drop.gains) > 0):
+        raise InvalidParams("path gain must be nonzero")
+    return drop
+
+
+def greedy_pairs_masked(beta: np.ndarray, beta0: float) -> np.ndarray:
+    """Greedy pairing by one masked K x K argmax per selected pair.
+
+    ``argmax`` returns the first flat index of the largest eligible beta, so
+    ties go to the lexicographically smallest pair (k, u), k < u.
+    """
+    k_count = beta.shape[0]
+    available = np.ones(k_count, dtype=bool)
+    upper = np.triu(np.ones((k_count, k_count), dtype=bool), k=1)
+    candidates = np.where(upper & (beta >= beta0), beta, -np.inf)
+    pairs: list[tuple[int, int]] = []
+    while True:
+        masked = np.where(np.outer(available, available), candidates, -np.inf)
+        flat = int(np.argmax(masked))
+        k, u = divmod(flat, k_count)
+        if not np.isfinite(masked[k, u]):
+            return np.array(pairs, dtype=np.intp).reshape(-1, 2)
+        pairs.append((k, u))
+        available[[k, u]] = False

@@ -21,14 +21,13 @@ import numpy as np
 
 from nomabeam.array_geometry import ArrayConfig, beta_matrix, beta_metric
 from nomabeam.baselines import SchemeId
-from nomabeam.beamforming import build_plan
-from nomabeam.channel import ChannelParams, channel_rows, draw_paths
+from nomabeam.channel import ChannelParams, draw_paths
 from nomabeam.clustering import beta_uc
 from nomabeam.link_metrics import link_states
 from nomabeam.power_allocation import gamma_fair, gamma_hat, opa, rc_derivative
 from nomabeam.sim_harness import ScenarioConfig, _drop_users, evaluate_trial, run_sweep, write_csv
 
-from drops import user_paths
+from drops import channel_matrix, plan_toward, user_paths
 from oracles import (
     beta_phasor_sum,
     emitted_power_check,
@@ -144,10 +143,10 @@ def test_criterion_06_pipeline_matches_closed_forms():
             paths = draw_paths(rng, params, 100.0, k)
             gains, dirs = user_paths(paths)
             los = paths.starts
-            plan = build_plan(cfg, paths.theta[los], paths.phi[los], np.ones(k, dtype=int), 1.0)
+            plan = plan_toward(cfg, paths.theta[los], paths.phi[los], np.ones(k, dtype=int), 1.0)
             eta_dbs = plan.eta * plan.cluster_powers_pc[0]
             own = int(rng.integers(0, k))
-            h = channel_rows(cfg, paths)[own]
+            h = channel_matrix(cfg, paths)[own]
             pipeline = float(link_states(h[np.newaxis], plan, [own], noise)[2][0])
             if closed_fn is sinr_dbs_monopath_closed:
                 closed = closed_fn([g[0] for g in gains], [d[0] for d in dirs], own, eta_dbs, noise, cfg)
@@ -164,7 +163,7 @@ def test_criterion_07_power_conservation_smoke_sweep():
     config = ScenarioConfig(user_counts=(25,), trials=100, master_seed=SEED)
     total = config.total_power_w
     for trial in range(100):
-        _, _, dirs = _drop_users(config, 25, trial)
+        _, dirs = _drop_users(config, 25, trial)
         pairs = beta_uc(dirs, config.array_config, config.beta0).tolist()
         singles = sorted(set(range(25)) - {m for pair in pairs for m in pair})
         beams = [
@@ -172,7 +171,7 @@ def test_criterion_07_power_conservation_smoke_sweep():
         ] + [(dirs[s].theta, dirs[s].phi) for s in singles]
         sizes = [2] * len(pairs) + [1] * len(singles)
         theta, phi = zip(*beams)
-        plan = build_plan(config.array_config, theta, phi, sizes, total, config.inter_cluster_rule)
+        plan = plan_toward(config.array_config, theta, phi, sizes, total, config.inter_cluster_rule)
         assert abs(emitted_power_check(plan) - total) <= 1e-9 * total
         shares = [p / k_c for p, k_c in zip(plan.emitted_powers_Pc, sizes)]
         assert all(abs(s - total / 25) <= 1e-12 * total for s in shares)

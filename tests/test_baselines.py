@@ -5,12 +5,10 @@ import pytest
 
 from nomabeam.array_geometry import ArrayConfig, Direction
 from nomabeam.baselines import SchemeId, conjugate_bf_rates, energy_efficiency
-from nomabeam.beamforming import build_plan
-from nomabeam.channel import channel_rows
 from nomabeam.link_metrics import link_states, rate
 from nomabeam.power_allocation import opa
 
-from drops import drop_paths
+from drops import channel_matrix, drop_paths, plan_toward
 from oracles import pair_rate
 
 CFG = ArrayConfig(16, 2, 0.5)
@@ -57,12 +55,12 @@ class TestConjugateBf:
         k = 5
         dirs = [Direction(rng.uniform(0.3, 2.8), rng.uniform(-0.4, 0.0)) for _ in range(k)]
         alpha = 3e-4
-        h_rows = channel_rows(
+        h_rows = channel_matrix(
             CFG, drop_paths([[(alpha * np.exp(1j * rng.uniform(0, 2 * math.pi)), d)] for d in dirs])
         )
         noise, power, bandwidth = 8.1e-14, 1.0, 20e6
         cb = conjugate_bf_rates(h_rows, power, noise, bandwidth)
-        plan = build_plan(CFG, [d.theta for d in dirs], [d.phi for d in dirs], np.ones(k, dtype=int), power)
+        plan = plan_toward(CFG, [d.theta for d in dirs], [d.phi for d in dirs], np.ones(k, dtype=int), power)
         _, _, zeta = link_states(h_rows, plan, np.arange(k), noise)
         steered = [rate(z, bandwidth) for z in zeta.tolist()]
         assert cb == pytest.approx(steered, rel=1e-9)

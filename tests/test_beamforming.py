@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nomabeam.array_geometry import ArrayConfig
+from nomabeam.array_geometry import ArrayConfig, steering_matrix
 from nomabeam.beamforming import build_plan
 
 from oracles import emitted_power_check
@@ -11,8 +11,8 @@ from oracles import emitted_power_check
 
 def plan_for(sizes, cfg, total_power, rule="proportional"):
     """A plan with one beam per entry of ``sizes``, beams spread over the front."""
-    theta = 0.3 + 0.4 * np.arange(len(sizes))
-    return build_plan(cfg, theta, np.full(len(sizes), -0.1), np.array(sizes), total_power, rule)
+    weights = steering_matrix(cfg, 0.3 + 0.4 * np.arange(len(sizes)), np.full(len(sizes), -0.1)).T
+    return build_plan(weights, np.array(sizes), total_power, rule)
 
 
 class TestBuildPlan:
@@ -47,6 +47,8 @@ class TestBuildPlan:
             plan_for([1, 1], ArrayConfig(4, 2, 0.5), 0.0)
         with pytest.raises(ValueError):
             plan_for([1, 1], ArrayConfig(4, 2, 0.5), 1.0, rule="magic")
+        with pytest.raises(ValueError, match="2 weight vectors for 3 beam sizes"):
+            build_plan(np.ones((8, 2), dtype=complex), [1, 1, 1], 1.0)
 
 
 class TestPowerConservation:

@@ -7,9 +7,10 @@ import pytest
 from nomabeam import channel
 from nomabeam.array_geometry import ArrayConfig, Direction, beta_metric, steering_matrix
 from nomabeam.beamforming import BeamformingPlan
-from nomabeam.channel import ChannelParams, DropPaths, InvalidParams, channel_rows, draw_paths
+from nomabeam.channel import ChannelParams, DropPaths, InvalidParams, draw_paths
 
-from drops import drop_paths, user_paths
+from drops import channel_matrix, drop_paths, user_paths
+from oracles import draw_paths_scalar
 
 CFG = ArrayConfig(16, 2, 0.5)
 MONO = ChannelParams(num_time_clusters_range=(1, 1), paths_per_cluster_range=(1, 1))
@@ -76,10 +77,44 @@ class TestGeneration:
             draw_paths(rng, vanishing, 100.0, 1)
 
 
+ORACLE_PARAMS = {
+    "defaults": ChannelParams(),
+    "pinned-counts": ChannelParams(num_time_clusters_range=(2, 2), paths_per_cluster_range=(3, 3)),
+    "count-caps": ChannelParams(
+        num_time_clusters_range=(1, channel.MAX_TIME_CLUSTERS),
+        paths_per_cluster_range=(1, channel.MAX_PATHS_PER_CLUSTER),
+    ),
+    # scattered paths stronger than line of sight are sorted ahead of it
+    "negative-offsets": ChannelParams(paths_per_cluster_range=(2, 3), nlos_gain_offset_db=(-6.0, -1.0)),
+    # equal scattered amplitudes: the sort's ties differ in the last bits only
+    "equal-offsets": ChannelParams(paths_per_cluster_range=(3, 3), nlos_gain_offset_db=(7.0, 7.0)),
+    "no-spread-no-shadowing": ChannelParams(
+        paths_per_cluster_range=(2, 3), angle_spread_deg=0.0, shadowing_sigma_db=0.0
+    ),
+}
+
+
+class TestScalarOracle:
+    """The array generator against the scalar one: same paths, same stream."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_PARAMS))
+    @pytest.mark.parametrize("k_users", [1, 2, 23])
+    def test_paths_and_stream_match_bit_for_bit(self, name, k_users):
+        params = ORACLE_PARAMS[name]
+        for seed in range(4):
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            drop = draw_paths(rng, params, 100.0, k_users)
+            expected = draw_paths_scalar(oracle_rng, params, 100.0, k_users)
+            for field in fields(DropPaths):
+                got, want = getattr(drop, field.name), getattr(expected, field.name)
+                assert got.dtype == want.dtype and np.array_equal(got, want), field.name
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
 class TestChannelVector:
     def test_single_unit_path_is_conjugate_steering(self):
         d = Direction(0.8, -0.1)
-        h = channel_rows(CFG, drop_paths([[(1.0 + 0.0j, d)]]))[0]
+        h = channel_matrix(CFG, drop_paths([[(1.0 + 0.0j, d)]]))[0]
         a = steering(d)
         assert np.allclose(h, np.conj(a), atol=1e-12)
         m = CFG.num_elements
@@ -88,7 +123,7 @@ class TestChannelVector:
     def test_gain_scales_quadratically(self):
         d = Direction(0.8, -0.1)
         alpha = 0.3 - 0.4j
-        h = channel_rows(CFG, drop_paths([[(alpha, d)]]))[0]
+        h = channel_matrix(CFG, drop_paths([[(alpha, d)]]))[0]
         a = steering(d)
         m = CFG.num_elements
         assert abs(np.dot(h, a)) ** 2 == pytest.approx(abs(alpha) ** 2 * m * m, rel=1e-12)
@@ -99,7 +134,7 @@ class TestChannelVector:
         d2 = Direction(math.acos(1.0 / 8.0), 0.0)
         assert beta_metric(CFG, d1, d2) < 1e-12
         alpha = 0.5 + 0.2j
-        h = channel_rows(CFG, drop_paths([[(alpha, d1), (alpha, d2)]]))[0]
+        h = channel_matrix(CFG, drop_paths([[(alpha, d1), (alpha, d2)]]))[0]
         a1 = steering(d1)
         m = CFG.num_elements
         assert abs(np.dot(h, a1)) ** 2 == pytest.approx(abs(alpha) ** 2 * m * m, rel=1e-9)
@@ -107,19 +142,20 @@ class TestChannelVector:
     def test_each_row_sums_only_its_own_users_paths(self, rng):
         paths = draw_paths(rng, ChannelParams(), 100.0, 6)
         gains, dirs = user_paths(paths)
-        rows = channel_rows(CFG, paths)
+        rows = channel_matrix(CFG, paths)
         assert rows.shape == (6, CFG.num_elements)
         for row, user_gains, user_dirs in zip(rows, gains, dirs):
-            alone = channel_rows(CFG, drop_paths([list(zip(user_gains, user_dirs))]))[0]
+            alone = channel_matrix(CFG, drop_paths([list(zip(user_gains, user_dirs))]))[0]
             assert np.array_equal(row, alone)
 
-    @pytest.mark.parametrize("block_bytes", [1, 3 * 16 * CFG.num_elements * 4])
-    def test_blocks_of_users_give_the_same_rows(self, rng, monkeypatch, block_bytes):
-        # one user per block, then a few users per block with a short last block
+    @pytest.mark.parametrize("block_bytes", [1, 3 * 16 * CFG.num_elements])
+    def test_blocks_of_paths_give_the_same_rows(self, rng, monkeypatch, block_bytes):
+        # one path per block, then blocks that straddle two path ranks and a
+        # short last block
         paths = draw_paths(rng, ChannelParams(num_time_clusters_range=(1, 2)), 100.0, 7)
-        whole = channel_rows(CFG, paths)
+        whole = channel_matrix(CFG, paths)
         monkeypatch.setattr(channel, "_BLOCK_BYTES", block_bytes)
-        assert np.array_equal(channel_rows(CFG, paths), whole)
+        assert np.array_equal(channel_matrix(CFG, paths), whole)
 
 
 def unit_plan(w):

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nomabeam.array_geometry import ArrayConfig, Direction, beta_matrix
 from nomabeam.clustering import beta_uc, greedy_pairs
+
+from oracles import greedy_pairs_masked
 
 
 CFG = ArrayConfig(32, 2, 0.5)
@@ -36,6 +40,23 @@ class TestGreedyPairs:
         beta[0, 3] = beta[3, 0] = 0.8
         beta[1, 2] = beta[2, 1] = 0.8
         assert greedy_pairs(beta, 0.5).tolist() == [[0, 3], [1, 2]]
+
+    @given(
+        # few distinct values, so that many eligible pairs tie
+        st.integers(1, 12).flatmap(
+            lambda k: st.lists(st.sampled_from([0.1, 0.5, 0.6, 0.8, 0.9]), min_size=k * k, max_size=k * k)
+        ),
+        st.sampled_from([0.5, 0.6, 0.8]),
+    )
+    def test_matches_the_masked_argmax_on_tied_values(self, values, beta0):
+        k = math.isqrt(len(values))
+        upper = np.triu(np.array(values).reshape(k, k), k=1)
+        beta = upper + upper.T
+        np.fill_diagonal(beta, 1.0)
+        pairs = greedy_pairs(beta, beta0)
+        expected = greedy_pairs_masked(beta, beta0)
+        assert pairs.dtype == expected.dtype
+        assert pairs.tolist() == expected.tolist()
 
     def test_consumed_users_free_their_other_candidates(self):
         # after (0,1) is taken, (2,3) is still eligible and gets paired

@@ -6,7 +6,11 @@ low-threshold sweep (beta0 = 0.05, K=2 and 3, 100 trials: 1,000 rows) pairs
 users often enough that a partial-CSI shared beam with no interfering beam,
 whose link ratio takes the noise floor, occurs in dozens of trials.  The
 uniform-split sweep (one array row, ``inter_cluster_rule = uniform``, K=2, 5
-and 15 over 100 trials: 1,500 rows) covers the equal per-beam power split.  A change that moves any reported
+and 15 over 100 trials: 1,500 rows) covers the equal per-beam power split.
+The multipath-ties sweep (3 paths per time cluster, every scattered path
+exactly 7 dB below line of sight, no angle spread or shadowing, spacing 0.9
+wavelengths; K=5 and 15 over 40 trials: 400 rows) sorts paths whose
+magnitudes differ only in their last bits.  A change that moves any reported
 number changes a digest.  A change meant to move the numbers updates the
 digest in the same commit and says why.
 """
@@ -33,6 +37,20 @@ GOLDEN_CASES = {
         ScenarioConfig(m_v=1, inter_cluster_rule="uniform", user_counts=(2, 5, 15), trials=100, master_seed=1),
         1500,
         "e5eae4bbf449bbff0fb95e077d55022071b89a2985dae14f680ab1704b83c27a",
+    ),
+    "multipath-ties": (
+        ScenarioConfig(
+            user_counts=(5, 15),
+            trials=40,
+            paths_per_cluster=(3, 3),
+            nlos_gain_offset_db=(7.0, 7.0),
+            angle_spread_deg=0.0,
+            shadowing_sigma_db=0.0,
+            d_over_lambda=0.9,
+            master_seed=1,
+        ),
+        400,
+        "6d5a5d2d503b1406d7ed8e36e41a6fd0b7c8bfd09647fb0526afe8a30cb3a653",
     ),
 }
 

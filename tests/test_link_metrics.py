@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from nomabeam.array_geometry import ArrayConfig, Direction, beta_metric, steering_matrix
-from nomabeam.beamforming import build_plan
-from nomabeam.channel import ChannelParams, channel_rows, draw_paths
+from nomabeam.channel import ChannelParams, draw_paths
 from nomabeam.link_metrics import link_states, rate, sinr_noma_strong, sinr_noma_weak
 from nomabeam.power_allocation import Branch, gamma_hat, opa
 
-from drops import drop_paths, user_paths
+from drops import channel_matrix, drop_paths, plan_toward, user_paths
 from oracles import sinr_dbs_monopath_closed, sinr_dbs_multipath_closed
 
 CFG = ArrayConfig(16, 2, 0.5)
@@ -19,12 +18,12 @@ def private_plan(dirs, total_power=1.0):
     """One private beam steered at each direction."""
     theta = [d.theta for d in dirs]
     phi = [d.phi for d in dirs]
-    return build_plan(CFG, theta, phi, np.ones(len(dirs), dtype=int), total_power)
+    return plan_toward(CFG, theta, phi, np.ones(len(dirs), dtype=int), total_power)
 
 
 def mono_row(gain, direction):
     """The channel row of a user with one path."""
-    return channel_rows(CFG, drop_paths([[(gain, direction)]]))[0]
+    return channel_matrix(CFG, drop_paths([[(gain, direction)]]))[0]
 
 
 def link_state(h, plan, own_beam, noise_w):
@@ -104,7 +103,7 @@ class TestSinrFormulas:
         # SINRs recomputed straight from channel rows, weights and powers
         dirs = [Direction(rng.uniform(0, math.pi), rng.uniform(-0.5, 0.0)) for _ in range(3)]
         # a shared beam at (1.1, -0.2) for users 0 and 1, a private one for user 2
-        plan = build_plan(CFG, [1.1, dirs[2].theta], [-0.2, dirs[2].phi], [2, 1], 1.0)
+        plan = plan_toward(CFG, [1.1, dirs[2].theta], [-0.2, dirs[2].phi], [2, 1], 1.0)
         noise = 1e-11
         gamma1 = 0.3
         h_strong = mono_row(2e-4 + 1e-4j, dirs[0])
@@ -223,7 +222,7 @@ class TestMultipathClosedForm:
             plan = private_plan([d[0] for d in dirs])
             eta_dbs = plan.eta * plan.cluster_powers_pc[0]
             noise = 8.1e-14
-            rows = channel_rows(CFG, paths)
+            rows = channel_matrix(CFG, paths)
             for own in range(k):
                 pipeline = link_state(rows[own], plan, own, noise)[2]
                 closed = sinr_dbs_multipath_closed(gains, dirs, own, eta_dbs, noise, CFG)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,8 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nomabeam.array_geometry import ArrayConfig, Direction, beta_metric, steering_matrix
-from nomabeam.beamforming import build_plan
-from nomabeam.channel import channel_rows
 from nomabeam.link_metrics import link_states
 from nomabeam.power_allocation import (
     Branch,
@@ -18,7 +17,7 @@ from nomabeam.power_allocation import (
     rc_derivative,
 )
 
-from drops import drop_paths
+from drops import channel_matrix, drop_paths, plan_toward
 from oracles import pair_rate, pair_rate_grid_max
 
 CFG = ArrayConfig(16, 2, 0.5)
@@ -135,6 +134,17 @@ class TestOpa:
         assert branch == Branch.DEACTIVATE
         assert gamma1 == 0.0
 
+    def test_rates_that_round_to_zero_need_no_division(self):
+        # log2(1 + zeta) is 0 below zeta ~ 1.1e-16: equal zero rates take the
+        # fair branch, and a zero strong rate below a positive weak one is
+        # infinitely far from fair
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gamma1, branch = opa(1e-17, 1e-17, 0.0, 0.05)
+            assert branch == Branch.FAIR
+            assert gamma1 == pytest.approx(gamma_fair(1e-17, 1e-17), rel=1e-12)
+            assert opa(1e-17, 1.0, 0.0, 0.05) == (0.0, Branch.DEACTIVATE)
+
     def test_optimality_against_grid_search(self, rng):
         for _ in range(200):
             z1 = float(rng.uniform(0.01, 100.0))
@@ -223,12 +233,12 @@ class TestRcDerivative:
 
 def two_beam_plan(own_dir, other_dir, total_power=1.0):
     """A shared beam at ``own_dir`` and a private one at ``other_dir``."""
-    return build_plan(CFG, [own_dir.theta, other_dir.theta], [own_dir.phi, other_dir.phi], [2, 1], total_power)
+    return plan_toward(CFG, [own_dir.theta, other_dir.theta], [own_dir.phi, other_dir.phi], [2, 1], total_power)
 
 
 def lone_beam_plan(direction):
     """One shared beam and no other."""
-    return build_plan(CFG, [direction.theta], [direction.phi], [2], 1.0)
+    return plan_toward(CFG, [direction.theta], [direction.phi], [2], 1.0)
 
 
 class TestPartialCsiZeta:
@@ -237,7 +247,7 @@ class TestPartialCsiZeta:
         other = Direction(0.9, -0.2)
         plan = two_beam_plan(own, other)
         z = estimated_zeta(own, plan)
-        a = channel_rows(CFG, drop_paths([[(1.0, own)]]))[0]
+        a = channel_matrix(CFG, drop_paths([[(1.0, own)]]))[0]
         interference = plan.eta * plan.cluster_powers_pc[1] * abs(a @ plan.weights[:, 1]) ** 2
         m = CFG.num_elements
         assert z * interference == pytest.approx(
@@ -277,7 +287,7 @@ class TestOpaPartialCsi:
     def test_rows_match_each_row_alone(self, rng):
         # one call over every shared beam's rows, as a drop makes it
         dirs = [Direction(rng.uniform(0.4, 2.7), rng.uniform(-0.4, 0.0)) for _ in range(5)]
-        plan = build_plan(CFG, [d.theta for d in dirs], [d.phi for d in dirs], [2, 2, 1, 1, 1], 1.0)
+        plan = plan_toward(CFG, [d.theta for d in dirs], [d.phi for d in dirs], [2, 2, 1, 1, 1], 1.0)
         own = [0, 1, 1, 0, 2]
         together = partial_csi_zeta(los_rows(*dirs), plan, own, NOISE_W)
         alone = [estimated_zeta(d, plan, c) for d, c in zip(dirs, own)]
@@ -299,7 +309,7 @@ class TestOpaPartialCsi:
             plan = two_beam_plan(beam, d_far)
             amp = 1e-4
             phase1, phase2 = rng.uniform(0, 2 * math.pi, size=2)
-            rows = channel_rows(
+            rows = channel_matrix(
                 CFG,
                 drop_paths([[(amp * np.exp(1j * phase1), d_strong)], [(amp * np.exp(1j * phase2), d_weak)]]),
             )

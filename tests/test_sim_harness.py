@@ -9,8 +9,6 @@ import numpy as np
 
 from nomabeam.array_geometry import Direction, steering_matrix
 from nomabeam.baselines import SchemeId
-from nomabeam.beamforming import build_plan
-from nomabeam.channel import channel_rows
 from nomabeam.clustering import beta_uc
 from nomabeam.link_metrics import link_states, rate, sinr_noma_strong, sinr_noma_weak
 from nomabeam.power_allocation import opa, partial_csi_zeta
@@ -19,7 +17,7 @@ from nomabeam.sim_harness import (
     ConfigError,
     ScenarioConfig,
     _drop_users,
-    _shared_beam_outcomes,
+    _steered_outcomes,
     evaluate_trial,
     format_aggregates,
     load_scenario,
@@ -28,7 +26,7 @@ from nomabeam.sim_harness import (
     write_csv,
 )
 
-from drops import drop_paths
+from drops import drop_paths, plan_toward
 from oracles import sinr_dbs_monopath_closed
 
 SMALL = ScenarioConfig(
@@ -187,7 +185,7 @@ class TestRunTrial:
         )
         k = 6
         result = evaluate_trial(config, k, 1, (SchemeId.DBS,))[0]
-        paths, _, dirs = _drop_users(config, k, 1)
+        paths, dirs = _drop_users(config, k, 1)
         gains = paths.gains[paths.starts].tolist()
         eta_dbs = config.total_power_w / (config.array_config.num_elements * k)
         closed_sum = sum(
@@ -244,7 +242,7 @@ class TestEvaluateTrial:
         assert paired
 
     def test_four_paths_per_user(self):
-        paths, _, _ = _drop_users(EQUIVALENCE_CONFIGS["four-paths"], 5, 0)
+        paths, _ = _drop_users(EQUIVALENCE_CONFIGS["four-paths"], 5, 0)
         assert paths.starts.tolist() == [0, 4, 8, 12, 16]
         assert len(paths.gains) == 20
 
@@ -260,9 +258,12 @@ class TestSharedBeams:
     DIRS = [Direction(1.2, -0.1), Direction(1.205, -0.1), Direction(0.4, -0.2)]
 
     def drop(self, amplitudes):
-        paths = drop_paths([[(a, d)] for a, d in zip(amplitudes, self.DIRS)])
-        h_rows = channel_rows(self.CONFIG.array_config, paths)
-        return h_rows, paths.theta, paths.phi
+        return drop_paths([[(a, d)] for a, d in zip(amplitudes, self.DIRS)])
+
+    def outcome(self, scheme, paths):
+        """The drop's channel rows and the scheme's outcome on the pairing."""
+        h_rows, outcomes = _steered_outcomes(self.CONFIG, [scheme], paths, self.pairs())
+        return h_rows, outcomes[scheme]
 
     def pairs(self):
         pairs = beta_uc(self.DIRS, self.CONFIG.array_config, self.CONFIG.beta0)
@@ -272,7 +273,7 @@ class TestSharedBeams:
     def expected_zeta(self, h_rows):
         """Link ratios against a shared beam at the pair's mean direction and a private one."""
         d0, d1, d2 = self.DIRS
-        plan = build_plan(
+        plan = plan_toward(
             self.CONFIG.array_config,
             [(d0.theta + d1.theta) / 2, d2.theta],
             [(d0.phi + d1.phi) / 2, d2.phi],
@@ -283,11 +284,7 @@ class TestSharedBeams:
 
     @pytest.mark.parametrize("amplitudes, strong, weak", [((1e-5, 3e-5, 2e-5), 1, 0), ((3e-5, 1e-5, 2e-5), 0, 1)])
     def test_stronger_user_comes_first_and_oma_halves_the_band(self, amplitudes, strong, weak):
-        h_rows, theta, phi = self.drop(amplitudes)
-        scheme = SchemeId.OMA_DBS
-        rates, shared, deactivated = _shared_beam_outcomes(
-            self.CONFIG, [scheme], h_rows, self.pairs(), theta, phi
-        )[scheme]
+        h_rows, (rates, shared, deactivated) = self.outcome(SchemeId.OMA_DBS, self.drop(amplitudes))
         _, zeta = self.expected_zeta(h_rows)
         band = self.CONFIG.bandwidth_hz
         assert (shared, deactivated) == (1, 0)
@@ -295,14 +292,12 @@ class TestSharedBeams:
 
     @pytest.mark.parametrize("scheme", [SchemeId.NOMA_DBS_FCSI, SchemeId.NOMA_DBS_PCSI])
     def test_shared_beam_rates_follow_the_split(self, scheme):
-        h_rows, theta, phi = self.drop((1e-5, 3e-5, 2e-5))
-        rates, shared, deactivated = _shared_beam_outcomes(
-            self.CONFIG, [scheme], h_rows, self.pairs(), theta, phi
-        )[scheme]
+        paths = self.drop((1e-5, 3e-5, 2e-5))
+        h_rows, (rates, shared, deactivated) = self.outcome(scheme, paths)
         plan, zeta = self.expected_zeta(h_rows)
         z_strong, z_weak = zeta[1], zeta[0]
         if scheme is SchemeId.NOMA_DBS_PCSI:
-            los = np.conj(steering_matrix(self.CONFIG.array_config, theta[[1, 0]], phi[[1, 0]]))
+            los = np.conj(steering_matrix(self.CONFIG.array_config, paths.theta[[1, 0]], paths.phi[[1, 0]]))
             split_on = partial_csi_zeta(los, plan, [0, 0], self.CONFIG.noise_w).tolist()
         else:
             split_on = [z_strong, z_weak]
