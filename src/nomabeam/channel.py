@@ -37,12 +37,18 @@ SPEED_OF_LIGHT = 299_792_458.0
 # and keeps the free-space loss bounded for users close to the mast.
 BS_HEIGHT_M = 10.0
 
-# Upper bounds of the generator's knobs: the largest time-cluster and
-# per-cluster path counts of the NYUSIM channel model, and a shadowing spread
-# well past measured ones that keeps every amplitude and power finite.
+# Bounds of the generator's knobs: the largest time-cluster and per-cluster
+# path counts of the NYUSIM channel model, a shadowing spread well past
+# measured ones, carriers from HF radio to the terahertz band and scattered
+# paths at most 30 dB stronger than line of sight.  Within them, and with the
+# cell radius bounded, every path amplitude is finite and every line-of-sight
+# amplitude nonzero.
 MAX_TIME_CLUSTERS = 6
 MAX_PATHS_PER_CLUSTER = 30
 MAX_SHADOWING_SIGMA_DB = 30.0
+MIN_CARRIER_HZ = 1e6
+MAX_CARRIER_HZ = 1e12
+MIN_NLOS_GAIN_OFFSET_DB = -30.0
 
 # Bytes of scattered-path steering vectors computed at once.  Steering them
 # next to the LOS matrix and the channel rows then takes less memory than the
@@ -96,6 +102,10 @@ class ChannelParams:
             raise InvalidParams(
                 f"wavelength must be positive and finite, got {self.wavelength_m} m at {self.carrier_hz} Hz"
             )
+        if not MIN_CARRIER_HZ <= self.carrier_hz <= MAX_CARRIER_HZ:
+            raise InvalidParams(
+                f"carrier must lie in [{MIN_CARRIER_HZ:g}, {MAX_CARRIER_HZ:g}] Hz, got {self.carrier_hz}"
+            )
         for name in ("num_time_clusters_range", "paths_per_cluster_range", "nlos_gain_offset_db"):
             lo, hi = getattr(self, name)
             if lo > hi:
@@ -107,6 +117,10 @@ class ChannelParams:
             lo, hi = getattr(self, name)
             if lo < 1 or hi > cap:
                 raise InvalidParams(f"{name} must lie within [1, {cap}], got ({lo}, {hi})")
+        if not self.nlos_gain_offset_db[0] >= MIN_NLOS_GAIN_OFFSET_DB:
+            raise InvalidParams(
+                f"nlos_gain_offset_db must not go below {MIN_NLOS_GAIN_OFFSET_DB:g} dB, got {self.nlos_gain_offset_db}"
+            )
         if self.angle_spread_deg < 0:
             raise InvalidParams("angle spread must be nonnegative")
         if not 0.0 <= self.shadowing_sigma_db <= MAX_SHADOWING_SIGMA_DB:

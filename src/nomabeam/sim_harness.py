@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, fields
-from typing import Sequence
+from functools import cached_property
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
@@ -48,6 +49,11 @@ PA_INEFFICIENCY_RHO = 10.0
 PER_ANTENNA_POWER_W = 1.0
 BASE_STATION_POWER_W = 0.2
 
+# Upper bounds of the link's scale: below them every rate is finite and no
+# line-of-sight path loss underflows to zero at a carrier the channel accepts.
+MAX_BANDWIDTH_HZ = 1e12
+MAX_CELL_RADIUS_M = 1e5
+
 
 class ConfigError(ValueError):
     """A scenario file or its values are invalid."""
@@ -55,7 +61,10 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Full description of one simulation campaign (defaults: rural 28 GHz cell)."""
+    """Full description of one simulation campaign (defaults: rural 28 GHz cell).
+
+    Construction builds and validates the derived values, once each.
+    """
 
     m_h: int = 32
     m_v: int = 2
@@ -84,7 +93,6 @@ class ScenarioConfig:
     trials: int = 500
     master_seed: int = 1
     inter_cluster_rule: str = "proportional"
-    csi_mode: str = "full"
 
     def __post_init__(self) -> None:
         array = self.array_config  # validates antenna counts / spacing
@@ -105,12 +113,12 @@ class ScenarioConfig:
             raise ConfigError(f"p_min must be nonnegative, got {self.p_min}")
         if self.inter_cluster_rule not in ("proportional", "uniform"):
             raise ConfigError(f"unknown inter_cluster_rule: {self.inter_cluster_rule!r}")
-        if self.csi_mode not in ("full", "partial"):
-            raise ConfigError(f"unknown csi_mode: {self.csi_mode!r}")
         if not self.schemes:
             raise ConfigError("schemes must not be empty")
-        if not 0.0 < self.bandwidth_hz < math.inf:
-            raise ConfigError(f"bandwidth_hz must be positive and finite, got {self.bandwidth_hz}")
+        if not 0.0 < self.bandwidth_hz <= MAX_BANDWIDTH_HZ:
+            raise ConfigError(
+                f"bandwidth_hz must be positive and at most {MAX_BANDWIDTH_HZ:g} Hz, got {self.bandwidth_hz}"
+            )
         for name in ("total_power_dbm", "noise_power_dbm"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
@@ -120,18 +128,20 @@ class ScenarioConfig:
         ):
             if not 0.0 < watts < math.inf:
                 raise ConfigError(f"{label} must be positive and finite, got {watts} W from {dbm} dBm")
-        if not 0.0 < self.cell_radius_m < math.inf:
-            raise ConfigError(f"cell_radius_m must be positive and finite, got {self.cell_radius_m}")
+        if not 0.0 < self.cell_radius_m <= MAX_CELL_RADIUS_M:
+            raise ConfigError(
+                f"cell_radius_m must be positive and at most {MAX_CELL_RADIUS_M:g} m, got {self.cell_radius_m}"
+            )
         self.channel_params  # validates the generator's knobs
 
-    @property
+    @cached_property
     def array_config(self) -> ArrayConfig:
         try:
             return ArrayConfig(self.m_h, self.m_v, self.d_over_lambda)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    @property
+    @cached_property
     def channel_params(self) -> ChannelParams:
         try:
             return ChannelParams(
@@ -145,11 +155,11 @@ class ScenarioConfig:
         except InvalidParams as exc:
             raise ConfigError(str(exc)) from exc
 
-    @property
+    @cached_property
     def total_power_w(self) -> float:
         return _watts(self.total_power_dbm)
 
-    @property
+    @cached_property
     def noise_w(self) -> float:
         return _watts(self.noise_power_dbm)
 
@@ -200,51 +210,34 @@ def _parse_interval(raw: str, cast) -> tuple:
     return (cast(parts[0]), cast(parts[-1]))
 
 
-def _parse_schemes(raw: str) -> tuple[SchemeId, ...]:
-    tags = [p.strip() for p in raw.split(",") if p.strip()]
-    schemes = []
-    for tag in tags:
-        try:
-            schemes.append(SchemeId(tag))
-        except ValueError as exc:
-            known = ", ".join(s.value for s in SchemeId)
-            raise ConfigError(f"unknown scheme {tag!r} (known: {known}, noma_dbs)") from exc
-    return tuple(schemes)
-
+# The parser of each field type; each key's parser follows from its field.
+_TYPE_PARSERS = {
+    int: int,
+    float: float,
+    str: str,
+    tuple[int, int]: lambda raw: _parse_interval(raw, int),
+    tuple[float, float]: lambda raw: _parse_interval(raw, float),
+    tuple[int, ...]: lambda raw: tuple(int(p.strip()) for p in raw.split(",") if p.strip()),
+}
 
 _PARSERS = {
-    "m_h": int,
-    "m_v": int,
-    "d_over_lambda": float,
-    "carrier_hz": float,
-    "bandwidth_hz": float,
-    "cell_radius_m": float,
-    "total_power_dbm": float,
-    "noise_power_dbm": float,
-    "p_min": float,
-    "beta0": float,
-    "epsilon": float,
-    "num_time_clusters": lambda raw: _parse_interval(raw, int),
-    "paths_per_cluster": lambda raw: _parse_interval(raw, int),
-    "nlos_gain_offset_db": lambda raw: _parse_interval(raw, float),
-    "angle_spread_deg": float,
-    "shadowing_sigma_db": float,
-    "user_counts": lambda raw: tuple(int(p.strip()) for p in raw.split(",") if p.strip()),
-    "schemes": _parse_schemes,
-    "trials": int,
-    "master_seed": int,
-    "inter_cluster_rule": str.strip,
-    "csi_mode": str.strip,
+    name: _TYPE_PARSERS[kind] for name, kind in get_type_hints(ScenarioConfig).items() if name != "schemes"
 }
+
+# What the 'noma_dbs' scheme tag stands for under each csi_mode, a key only files set.
+_NOMA_DBS_BY_CSI_MODE = {"full": SchemeId.NOMA_DBS_FCSI, "partial": SchemeId.NOMA_DBS_PCSI}
 
 
 def parse_config_text(text: str) -> dict:
     """Parse flat ``key = value`` scenario text into constructor keywords.
 
     Lines are independent; ``#`` starts a comment; blank lines are ignored.
-    Unknown keys and malformed values raise ConfigError.
+    Unknown keys and malformed values raise ConfigError.  ``csi_mode``
+    (``full`` or ``partial``, default ``full``) is no constructor keyword:
+    it picks the scheme that the ``noma_dbs`` tag of ``schemes`` stands for.
     """
     values: dict = {}
+    csi_mode = "full"
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -254,20 +247,27 @@ def parse_config_text(text: str) -> dict:
         key, _, raw_value = line.partition("=")
         key = key.strip()
         raw_value = raw_value.strip()
-        if key == "schemes":
+        if key == "csi_mode":
+            if raw_value not in _NOMA_DBS_BY_CSI_MODE:
+                raise ConfigError(f"line {lineno}: unknown csi_mode {raw_value!r} (known: full, partial)")
+            csi_mode = raw_value
+        elif key == "schemes":
             # 'noma_dbs' is resolved against csi_mode after all keys are read
             values[key] = raw_value
-            continue
-        if key not in _PARSERS:
+        elif key not in _PARSERS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        try:
-            values[key] = _PARSERS[key](raw_value)
-        except (ValueError, ConfigError) as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
+        else:
+            try:
+                values[key] = _PARSERS[key](raw_value)
+            except (ValueError, ConfigError) as exc:
+                raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
     if "schemes" in values:
-        alias = "noma_dbs_fcsi" if values.get("csi_mode", "full") == "full" else "noma_dbs_pcsi"
+        known = {s.value: s for s in SchemeId} | {"noma_dbs": _NOMA_DBS_BY_CSI_MODE[csi_mode]}
         tags = [t.strip() for t in values["schemes"].split(",") if t.strip()]
-        values["schemes"] = _parse_schemes(",".join(alias if t == "noma_dbs" else t for t in tags))
+        for tag in tags:
+            if tag not in known:
+                raise ConfigError(f"unknown scheme {tag!r} (known: {', '.join(known)})")
+        values["schemes"] = tuple(known[t] for t in tags)
     return values
 
 
@@ -322,32 +322,24 @@ def _dbs_outcome(config: ScenarioConfig, h_rows: np.ndarray, los: np.ndarray) ->
 
 
 def _steered_outcomes(
-    config: ScenarioConfig,
-    schemes: Sequence[SchemeId],
-    paths: DropPaths,
-    pairs: np.ndarray | None,
+    config: ScenarioConfig, paths: DropPaths, pairs: np.ndarray
 ) -> tuple[np.ndarray, dict[SchemeId, _Outcome]]:
     """The drop's K x M channel rows and the outcomes of its beam-steering schemes.
 
     Each LOS direction is steered once, into an M x K matrix: each channel
     row's LOS path, the dbs plan's weights and the shared plan's private
-    beams.  ``pairs`` is the shared-beam schemes' pairing (None without
-    them); with no pair they get the dbs plan, else P shared beams at their
-    pairs' mean LOS angles, in selection order, then the unpaired users'.
+    beams.  ``pairs`` is the shared-beam schemes' pairing; with no pair they
+    get the dbs plan, else P shared beams at their pairs' mean LOS angles,
+    in selection order, then the unpaired users'.
     """
     cfg = config.array_config
     theta, phi = paths.theta[paths.starts], paths.phi[paths.starts]
     los = np.ascontiguousarray(steering_matrix(cfg, theta, phi).T)
     h_rows = channel_rows(cfg, paths, los)
-    outcomes: dict[SchemeId, _Outcome] = {}
-    shared = [s for s in _SHARED_BEAM_SCHEMES if s in schemes]
-    if SchemeId.DBS in schemes or (shared and not len(pairs)):
-        outcomes[SchemeId.DBS] = _dbs_outcome(config, h_rows, los)
-    if not shared:
-        return h_rows, outcomes
+    dbs = _dbs_outcome(config, h_rows, los)
     if not len(pairs):
-        outcomes.update(dict.fromkeys(shared, outcomes[SchemeId.DBS]))
-        return h_rows, outcomes
+        steered = (SchemeId.DBS, SchemeId.NOMA_DBS_FCSI, SchemeId.NOMA_DBS_PCSI, SchemeId.OMA_DBS)
+        return h_rows, dict.fromkeys(steered, dbs)
 
     n_pairs = len(pairs)
     own_beams = np.full(len(theta), -1)
@@ -358,10 +350,8 @@ def _steered_outcomes(
     # sees each paired user as its conjugated LOS vector.  Both leave the LOS
     # matrix before it goes, and before the shared weights are allocated.
     private = los[:, singles]
-    pair_rows = None
-    if SchemeId.NOMA_DBS_PCSI in shared:
-        pair_rows = los.T[pairs.ravel()]
-        np.conj(pair_rows, out=pair_rows)
+    pair_rows = los.T[pairs.ravel()]
+    np.conj(pair_rows, out=pair_rows)
     del los
     weights = np.empty((cfg.num_elements, n_pairs + len(singles)), dtype=complex)
     weights[:, :n_pairs] = steering_matrix(
@@ -370,25 +360,24 @@ def _steered_outcomes(
     weights[:, n_pairs:] = private
     del private
     plan = build_plan(weights, np.bincount(own_beams), config.total_power_w, config.inter_cluster_rule)
-    outcomes.update(_shared_beam_outcomes(config, shared, h_rows, pairs, plan, own_beams, pair_rows))
+    outcomes = _shared_beam_outcomes(config, h_rows, pairs, plan, own_beams, pair_rows)
+    outcomes[SchemeId.DBS] = dbs
     return h_rows, outcomes
 
 
 def _shared_beam_outcomes(
     config: ScenarioConfig,
-    schemes: list[SchemeId],
     h_rows: np.ndarray,
     pairs: np.ndarray,
     plan: BeamformingPlan,
     own_beams: np.ndarray,
-    pair_rows: np.ndarray | None,
+    pair_rows: np.ndarray,
 ) -> dict[SchemeId, _Outcome]:
     """The pairing schemes on one pairing (P >= 1 pairs), its plan and one strong/weak ordering.
 
     ``own_beams[k]`` is user k's beam, the P shared ones first.  ``pair_rows``
-    are the paired users' partial-CSI rows in the order of ``pairs.ravel()``,
-    or None without the partial-CSI scheme; they are reordered in place,
-    strong user first.
+    are the paired users' partial-CSI rows in the order of ``pairs.ravel()``;
+    they are reordered in place, strong user first.
     """
     bandwidth = config.bandwidth_hz
     n_pairs = len(pairs)
@@ -399,27 +388,23 @@ def _shared_beam_outcomes(
     pairs = np.where(swap[:, None], pairs[:, ::-1], pairs)
     zeta1, zeta2 = zeta[pairs[:, 0]], zeta[pairs[:, 1]]
     private_rates = _rates(zeta[singles], bandwidth)
-    outcomes = {}
-    for scheme in schemes:
-        if scheme is SchemeId.OMA_DBS:
-            # Orthogonal sharing: each paired user gets half the band.
-            outcomes[scheme] = (_rates(zeta[pairs.ravel()], bandwidth / 2.0) + private_rates, n_pairs, 0)
-            continue
-        if scheme is SchemeId.NOMA_DBS_PCSI:
-            # Partial CSI splits on ratios estimated from the LOS rows alone.
-            by_pair = pair_rows.reshape(n_pairs, 2, -1)
-            by_pair[swap] = by_pair[swap, ::-1]
-            estimated = partial_csi_zeta(pair_rows, plan, np.repeat(np.arange(n_pairs), 2), config.noise_w)
-            gamma1, _ = opa(estimated[0::2], estimated[1::2], config.p_min, config.epsilon)
-        else:
-            gamma1, _ = opa(zeta1, zeta2, config.p_min, config.epsilon)
+    # Partial CSI splits on ratios estimated from the LOS rows alone.
+    by_pair = pair_rows.reshape(n_pairs, 2, -1)
+    by_pair[swap] = by_pair[swap, ::-1]
+    estimated = partial_csi_zeta(pair_rows, plan, np.repeat(np.arange(n_pairs), 2), config.noise_w)
+
+    def noma(split_zeta1: np.ndarray, split_zeta2: np.ndarray) -> _Outcome:
+        gamma1, _ = opa(split_zeta1, split_zeta2, config.p_min, config.epsilon)
         sinr = np.column_stack((sinr_noma_strong(zeta1, gamma1), sinr_noma_weak(zeta2, gamma1)))
         deactivated = int(np.count_nonzero(gamma1 == 0.0))
-        outcomes[scheme] = (_rates(sinr.ravel(), bandwidth) + private_rates, n_pairs, deactivated)
-    return outcomes
+        return _rates(sinr.ravel(), bandwidth) + private_rates, n_pairs, deactivated
 
-
-_SHARED_BEAM_SCHEMES = (SchemeId.NOMA_DBS_FCSI, SchemeId.NOMA_DBS_PCSI, SchemeId.OMA_DBS)
+    return {
+        SchemeId.NOMA_DBS_FCSI: noma(zeta1, zeta2),
+        SchemeId.NOMA_DBS_PCSI: noma(estimated[0::2], estimated[1::2]),
+        # Orthogonal sharing: each paired user gets half the band.
+        SchemeId.OMA_DBS: (_rates(zeta[pairs.ravel()], bandwidth / 2.0) + private_rates, n_pairs, 0),
+    }
 
 
 def evaluate_trial(
@@ -430,23 +415,21 @@ def evaluate_trial(
 ) -> list[ScenarioResult]:
     """Every scheme of ``schemes`` on the drop of (master_seed, K, trial), in that order.
 
-    The users and their channels are drawn once and shared by all schemes.
+    The users and their channels are drawn once, and every drop is evaluated
+    for all five schemes; ``schemes`` only picks and orders the results.
     ``dbs`` uses the one-beam-per-user plan; ``noma_dbs_fcsi``,
     ``noma_dbs_pcsi`` and ``oma_dbs`` share one pairing, its plan and its
     strong/weak ordering, and a pairing with no pair gives them the ``dbs``
-    plan.  Each result is the one the scheme gets alone.
+    plan.
     """
     paths, los_dirs = _drop_users(config, k_users, trial_index)
     # Pairing runs before any steering, so its K x K temporaries meet no K x M
     # matrix; plans and gain matrices live only inside the helper, so none is
     # held while conjugate beamforming builds its K x K temporaries.
-    pairs = None
-    if any(s in schemes for s in _SHARED_BEAM_SCHEMES):
-        pairs = beta_uc(los_dirs, config.array_config, config.beta0)
-    h_rows, outcomes = _steered_outcomes(config, schemes, paths, pairs)
-    if SchemeId.CONJUGATE_BF in schemes:
-        cb_rates = conjugate_bf_rates(h_rows, config.total_power_w, config.noise_w, config.bandwidth_hz)
-        outcomes[SchemeId.CONJUGATE_BF] = (cb_rates, 0, 0)
+    pairs = beta_uc(los_dirs, config.array_config, config.beta0)
+    h_rows, outcomes = _steered_outcomes(config, paths, pairs)
+    cb_rates = conjugate_bf_rates(h_rows, config.total_power_w, config.noise_w, config.bandwidth_hz)
+    outcomes[SchemeId.CONJUGATE_BF] = (cb_rates, 0, 0)
     return [_result(config, k_users, trial_index, s, *outcomes[s]) for s in schemes]
 
 

@@ -69,6 +69,11 @@ class TestSimulateCommand:
             ("noise_power_dbm = -4000", "noise power must be positive and finite"),
             ("carrier_hz = 1e-300", "wavelength must be positive and finite"),
             ("shadowing_sigma_db = 10000", "shadowing sigma must lie in [0, 30] dB"),
+            ("carrier_hz = 1e-290", "carrier must lie in [1e+06, 1e+12] Hz"),
+            ("carrier_hz = 1e300", "carrier must lie in [1e+06, 1e+12] Hz"),
+            ("paths_per_cluster = 2\nnlos_gain_offset_db = -7000,-7000", "nlos_gain_offset_db must not go below -30 dB"),
+            ("cell_radius_m = 1e300", "cell_radius_m must be positive and at most 100000 m"),
+            ("bandwidth_hz = 1e308", "bandwidth_hz must be positive and at most 1e+12 Hz"),
         ],
     )
     def test_config_edge_rejected_with_one_error_line(self, tmp_path, capsys, line, message):

@@ -10,16 +10,19 @@ and 15 over 100 trials: 1,500 rows) covers the equal per-beam power split.
 The multipath-ties sweep (3 paths per time cluster, every scattered path
 exactly 7 dB below line of sight, no angle spread or shadowing, spacing 0.9
 wavelengths; K=5 and 15 over 40 trials: 400 rows) sorts paths whose
-magnitudes differ only in their last bits.  A change that moves any reported
-number changes a digest.  A change meant to move the numbers updates the
-digest in the same commit and says why.
+magnitudes differ only in their last bits.  The scheme-subset sweep, read
+from scenario text, asks for three schemes out of order and for the
+``noma_dbs`` alias under partial CSI (K=2, 5 and 15 over 40 trials: 360
+rows).  A change that moves any reported number changes a digest.  A change
+meant to move the numbers updates the digest in the same commit and says
+why.
 """
 
 import hashlib
 
 import pytest
 
-from nomabeam.sim_harness import ScenarioConfig, run_sweep, write_csv
+from nomabeam.sim_harness import ScenarioConfig, parse_config_text, run_sweep, write_csv
 
 # name: (config, rows, sha256 of the CSV)
 GOLDEN_CASES = {
@@ -51,6 +54,15 @@ GOLDEN_CASES = {
         ),
         400,
         "6d5a5d2d503b1406d7ed8e36e41a6fd0b7c8bfd09647fb0526afe8a30cb3a653",
+    ),
+    "scheme-subset": (
+        ScenarioConfig(
+            **parse_config_text(
+                "user_counts = 2,5,15\ntrials = 40\nschemes = cb,noma_dbs,dbs\ncsi_mode = partial\nmaster_seed = 2\n"
+            )
+        ),
+        360,
+        "2b4de7e839a19ac0ec740af5d82292169e94c419a359670d47dc759207b69f9e",
     ),
 }
 

@@ -2,6 +2,7 @@ import itertools
 import math
 import statistics
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -110,6 +111,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown override"):
             load_scenario(str(path), not_a_field=3)
 
+    def test_csi_mode_is_no_override(self, tmp_path):
+        # csi_mode only resolves the 'noma_dbs' tag of the file's schemes line
+        path = tmp_path / "s.cfg"
+        path.write_text("m_h = 8\nschemes = noma_dbs\n")
+        with pytest.raises(ConfigError, match="unknown override"):
+            load_scenario(str(path), csi_mode="partial")
+
+    def test_shipped_config_is_the_default(self):
+        shipped = Path(__file__).resolve().parent.parent / "configs" / "rural_default.cfg"
+        assert load_scenario(str(shipped)) == ScenarioConfig()
+
 
 class TestConfigValidation:
     def test_user_count_must_stay_below_element_count(self):
@@ -124,7 +136,7 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ScenarioConfig(inter_cluster_rule="sideways")
         with pytest.raises(ConfigError):
-            ScenarioConfig(csi_mode="none")
+            parse_config_text("csi_mode = none\n")
 
     @pytest.mark.parametrize(
         "field, value",
@@ -147,6 +159,23 @@ class TestConfigValidation:
     def test_link_and_channel_values_validated_at_construction(self, field, value):
         with pytest.raises(ConfigError):
             ScenarioConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("carrier_hz", 1e6),
+            ("carrier_hz", 1e12),
+            ("nlos_gain_offset_db", (-30.0, -30.0)),
+            ("cell_radius_m", 1e-3),
+            ("cell_radius_m", 1e5),
+            ("bandwidth_hz", 1e12),
+        ],
+    )
+    def test_bounds_give_finite_rates(self, field, value):
+        config = replace(SMALL, paths_per_cluster=(2, 2), **{field: value})
+        for k in (1, 2, 5):
+            for result in evaluate_trial(config, k, 0, tuple(SchemeId)):
+                assert math.isfinite(result.sum_rate_bps) and result.sum_rate_bps >= 0
 
     def test_power_conversion(self):
         config = ScenarioConfig(total_power_dbm=33.0)
@@ -214,7 +243,7 @@ EQUIVALENCE_CONFIGS = {
     "rural-defaults": EQUIVALENCE_BASE,
     # beta0 this low pairs the two users of K=2 on one beam with no other
     # beam, the noise-floored partial-CSI branch
-    "lone-shared-beam": replace(EQUIVALENCE_BASE, beta0=0.05, csi_mode="partial"),
+    "lone-shared-beam": replace(EQUIVALENCE_BASE, beta0=0.05),
     "uniform-split": replace(EQUIVALENCE_BASE, inter_cluster_rule="uniform"),
     "single-row-array": replace(EQUIVALENCE_BASE, m_v=1),
     "four-paths": replace(EQUIVALENCE_BASE, num_time_clusters=(2, 2), paths_per_cluster=(2, 2)),
@@ -262,7 +291,7 @@ class TestSharedBeams:
 
     def outcome(self, scheme, paths):
         """The drop's channel rows and the scheme's outcome on the pairing."""
-        h_rows, outcomes = _steered_outcomes(self.CONFIG, [scheme], paths, self.pairs())
+        h_rows, outcomes = _steered_outcomes(self.CONFIG, paths, self.pairs())
         return h_rows, outcomes[scheme]
 
     def pairs(self):
