@@ -40,21 +40,25 @@ def conjugate_bf_rates(
 ) -> list[float]:
     """Per-user rates under conjugate (matched-filter) beamforming.
 
-    ``h_matrix`` holds one channel row per user (K x M).  Each user's weight
-    vector is its conjugated channel normalized to unit norm; the transmit
-    normalization is 1/K (the weight-trace rule for unit-norm columns) with
-    each beam carrying the full signal power, mirroring the one-beam-per-user
-    split of the steered schemes.
+    ``h_matrix`` holds one channel row per user (K x M), or is a T x K x M
+    block of such drops, whose rates come back drop after drop.  Each user's
+    weight vector is its conjugated channel normalized to unit norm; the
+    transmit normalization is 1/K (the weight-trace rule for unit-norm
+    columns) with each beam carrying the full signal power, mirroring the
+    one-beam-per-user split of the steered schemes.
     """
-    k_users = len(h_matrix)
+    k_users = h_matrix.shape[-2]
     if k_users == 0:
         raise ValueError("at least one user is required")
-    w_matrix = np.conj(h_matrix.T) / np.linalg.norm(h_matrix, axis=1)
+    w_matrix = np.conj(np.swapaxes(h_matrix, -1, -2))
+    w_matrix /= np.linalg.norm(h_matrix, axis=-1)[..., None, :]
     eta = 1.0 / k_users
-    beam_gains = eta * total_power_w * np.abs(h_matrix @ w_matrix) ** 2
-    signal = np.diagonal(beam_gains)
-    sinr = signal / (beam_gains.sum(axis=1) - signal + noise_w)
-    return [rate(s, bandwidth_hz) for s in sinr.tolist()]
+    amplitudes = h_matrix @ w_matrix
+    del w_matrix  # the K x K gains below need no K x M weights beside them
+    beam_gains = eta * total_power_w * np.abs(amplitudes) ** 2
+    signal = np.diagonal(beam_gains, axis1=-2, axis2=-1)
+    sinr = signal / (beam_gains.sum(axis=-1) - signal + noise_w)
+    return [rate(s, bandwidth_hz) for s in sinr.ravel().tolist()]
 
 
 def energy_efficiency(

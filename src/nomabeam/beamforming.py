@@ -35,7 +35,9 @@ class BeamformingPlan:
     def received_powers(self, rows: np.ndarray) -> np.ndarray:
         """Weighted beam gains ``eta * p_c * |row @ w_c|^2`` of each channel row and beam.
 
-        A 1-D row gives one value per beam, a K x M matrix of rows a K x C matrix.
+        A 1-D row gives one value per beam, a K x M matrix of rows a K x C
+        matrix, and T such matrices against a block plan's T x M x C weights a
+        T x K x C array.
         """
         return self.eta * self.cluster_powers_pc * np.abs(rows @ self.weights) ** 2
 
@@ -50,14 +52,15 @@ def build_plan(
 
     ``weights`` holds beam c's steering vector as column c of an M x C
     matrix, and ``sizes[c]`` is the number of users beam c serves, K their
-    sum.  ``rule="proportional"`` (default) gives each beam an emitted-power
-    share P_c = K_c * P_e / K, so p_c = K_c * C * P_e / K;
+    sum; a T x M x C stack of such matrices makes T plans with one power
+    split.  ``rule="proportional"`` (default) gives each beam an
+    emitted-power share P_c = K_c * P_e / K, so p_c = K_c * C * P_e / K;
     ``rule="uniform"`` splits emitted power evenly, P_c = P_e / C.
     """
     if not total_power_w > 0:
         raise ValueError(f"total power must be positive, got {total_power_w}")
     sizes = np.asarray(sizes)
-    m_elements, c_total = np.shape(weights)
+    m_elements, c_total = np.shape(weights)[-2:]
     if c_total != len(sizes):
         raise ValueError(f"{c_total} weight vectors for {len(sizes)} beam sizes")
     eta = 1.0 / (m_elements * c_total)

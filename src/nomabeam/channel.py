@@ -121,8 +121,8 @@ class ChannelParams:
             raise InvalidParams(
                 f"nlos_gain_offset_db must not go below {MIN_NLOS_GAIN_OFFSET_DB:g} dB, got {self.nlos_gain_offset_db}"
             )
-        if self.angle_spread_deg < 0:
-            raise InvalidParams("angle spread must be nonnegative")
+        if not 0.0 <= self.angle_spread_deg < math.inf:
+            raise InvalidParams(f"angle spread must be nonnegative and finite, got {self.angle_spread_deg}")
         if not 0.0 <= self.shadowing_sigma_db <= MAX_SHADOWING_SIGMA_DB:
             raise InvalidParams(
                 f"shadowing sigma must lie in [0, {MAX_SHADOWING_SIGMA_DB:g}] dB, got {self.shadowing_sigma_db}"
@@ -216,12 +216,15 @@ def channel_rows(cfg: ArrayConfig, paths: DropPaths, los: np.ndarray) -> np.ndar
     ``los`` holds each user's steering vector toward its first (line-of-sight)
     path as the columns of an M x K matrix, so only the other paths are
     steered here, in batches of at most ``_BLOCK_BYTES`` (one path at least).
-    Each row adds its paths strongest first.
+    Each row adds its paths strongest first.  A block of T drops, their users
+    concatenated in ``paths``, has T x M x K LOS vectors and T x K x M rows.
     """
     k_users = len(paths.starts)
-    rows = np.empty((k_users, cfg.num_elements), dtype=complex)
-    np.conjugate(los.T, out=rows)
-    rows *= paths.gains[paths.starts, None]
+    m_elements, drop_users = los.shape[-2:]
+    rows = np.empty((*los.shape[:-2], drop_users, m_elements), dtype=complex)
+    np.conjugate(np.swapaxes(los, -1, -2), out=rows)
+    flat = rows.reshape(k_users, m_elements)  # a view: one row per user of the block
+    flat *= paths.gains[paths.starts, None]
     # The other paths rank by rank (rank 0, each user's first path, is in
     # ``los``): every user adds its paths in order, and the paths of one rank
     # belong to distinct users.
@@ -236,5 +239,5 @@ def channel_rows(cfg: ArrayConfig, paths: DropPaths, los: np.ndarray) -> np.ndar
         block *= paths.gains[at, None]
         cuts = [0, *(np.flatnonzero(np.diff(rank[at])) + 1).tolist(), len(at)]
         for lo, hi in zip(cuts, cuts[1:]):
-            rows[owner[at[lo:hi]]] += block[lo:hi]
+            flat[owner[at[lo:hi]]] += block[lo:hi]
     return rows

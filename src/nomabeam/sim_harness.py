@@ -12,6 +12,7 @@ execution order.
 
 from __future__ import annotations
 
+import itertools
 import math
 import statistics
 from dataclasses import dataclass, fields
@@ -22,7 +23,7 @@ import numpy as np
 
 from .array_geometry import ArrayConfig, Direction, steering_matrix
 from .baselines import SchemeId, conjugate_bf_rates, energy_efficiency
-from .beamforming import BeamformingPlan, build_plan
+from .beamforming import build_plan
 from .channel import ChannelParams, DropPaths, InvalidParams, channel_rows, draw_paths
 from .clustering import beta_uc
 from .link_metrics import link_states, rate, sinr_noma_strong, sinr_noma_weak
@@ -49,10 +50,13 @@ PA_INEFFICIENCY_RHO = 10.0
 PER_ANTENNA_POWER_W = 1.0
 BASE_STATION_POWER_W = 0.2
 
-# Upper bounds of the link's scale: below them every rate is finite and no
-# line-of-sight path loss underflows to zero at a carrier the channel accepts.
+# Bounds of the link's scale: within them every rate is finite and no
+# line-of-sight path loss or received power underflows to zero at a carrier
+# the channel accepts.
 MAX_BANDWIDTH_HZ = 1e12
 MAX_CELL_RADIUS_M = 1e5
+MIN_POWER_DBM = -200.0
+MAX_POWER_DBM = 200.0
 
 
 class ConfigError(ValueError):
@@ -115,6 +119,8 @@ class ScenarioConfig:
             raise ConfigError(f"unknown inter_cluster_rule: {self.inter_cluster_rule!r}")
         if not self.schemes:
             raise ConfigError("schemes must not be empty")
+        if len(set(self.schemes)) < len(self.schemes):
+            raise ConfigError(f"schemes must not repeat, got {', '.join(s.value for s in self.schemes)}")
         if not 0.0 < self.bandwidth_hz <= MAX_BANDWIDTH_HZ:
             raise ConfigError(
                 f"bandwidth_hz must be positive and at most {MAX_BANDWIDTH_HZ:g} Hz, got {self.bandwidth_hz}"
@@ -128,6 +134,11 @@ class ScenarioConfig:
         ):
             if not 0.0 < watts < math.inf:
                 raise ConfigError(f"{label} must be positive and finite, got {watts} W from {dbm} dBm")
+        for name in ("total_power_dbm", "noise_power_dbm"):
+            if not MIN_POWER_DBM <= getattr(self, name) <= MAX_POWER_DBM:
+                raise ConfigError(
+                    f"{name} must lie in [{MIN_POWER_DBM:g}, {MAX_POWER_DBM:g}] dBm, got {getattr(self, name)}"
+                )
         if not 0.0 < self.cell_radius_m <= MAX_CELL_RADIUS_M:
             raise ConfigError(
                 f"cell_radius_m must be positive and at most {MAX_CELL_RADIUS_M:g} m, got {self.cell_radius_m}"
@@ -308,102 +319,167 @@ def _drop_users(
 # Per scheme: the users' rates in beam order, shared-beam count, deactivated count.
 _Outcome = tuple[list[float], int, int]
 
+# The schemes that steer beams, which a drop with no pair runs on the dbs plan.
+_STEERED = (SchemeId.DBS, SchemeId.NOMA_DBS_FCSI, SchemeId.NOMA_DBS_PCSI, SchemeId.OMA_DBS)
+
+# A paired drop's shared-beam links: per pair the strong and weak users' link
+# ratios, their partial-CSI estimates (strong, weak, pair after pair) and the
+# unpaired users' ratios.
+_SharedLinks = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+# Bytes of a block's channel rows (16 per entry): a sweep evaluates the trials
+# of one user count max(1, _BLOCK_BYTES // (16 * M * K)) at a time, so that
+# small drops share their numpy calls and a large drop runs alone.
+_BLOCK_BYTES = 2**17
+
 
 def _rates(sinr: np.ndarray, bandwidth_hz: float) -> list[float]:
     return [rate(s, bandwidth_hz) for s in sinr.tolist()]
 
 
-def _dbs_outcome(config: ScenarioConfig, h_rows: np.ndarray, los: np.ndarray) -> _Outcome:
-    """One private beam per user, its column of ``los``."""
-    k_users = len(h_rows)
-    plan = build_plan(los, np.ones(k_users, dtype=int), config.total_power_w, config.inter_cluster_rule)
-    _, _, zeta = link_states(h_rows, plan, np.arange(k_users), config.noise_w)
-    return _rates(zeta, config.bandwidth_hz), 0, 0
+def _split(values: list, counts: list[int]) -> list[list]:
+    """``values`` cut into consecutive runs of the given lengths."""
+    return [values[end - n : end] for n, end in zip(counts, itertools.accumulate(counts))]
 
 
-def _steered_outcomes(
-    config: ScenarioConfig, paths: DropPaths, pairs: np.ndarray
-) -> tuple[np.ndarray, dict[SchemeId, _Outcome]]:
-    """The drop's K x M channel rows and the outcomes of its beam-steering schemes.
+def _trial_outcomes(
+    config: ScenarioConfig, k_users: int, trials: Sequence[int]
+) -> list[dict[SchemeId, _Outcome]]:
+    """Every scheme's outcome on the drop of (master_seed, K, t), for each t of ``trials``.
 
-    Each LOS direction is steered once, into an M x K matrix: each channel
-    row's LOS path, the dbs plan's weights and the shared plan's private
-    beams.  ``pairs`` is the shared-beam schemes' pairing; with no pair they
-    get the dbs plan, else P shared beams at their pairs' mean LOS angles,
-    in selection order, then the unpaired users'.
+    Each drop is drawn and paired on its own, and before any steering, so
+    that its K x K pairing temporaries meet no K x M matrix; the drops are
+    then evaluated as one block.
+    """
+    drops = [_drop_users(config, k_users, t) for t in trials]
+    pairings = [beta_uc(dirs, config.array_config, config.beta0) for _, dirs in drops]
+    return _block_outcomes(config, [paths for paths, _ in drops], pairings)
+
+
+def _block_outcomes(
+    config: ScenarioConfig, drops: list[DropPaths], pairings: list[np.ndarray]
+) -> list[dict[SchemeId, _Outcome]]:
+    """The outcomes of each drop of a block, given its pairing.
+
+    ``dbs`` uses the one-beam-per-user plan; ``noma_dbs_fcsi``,
+    ``noma_dbs_pcsi`` and ``oma_dbs`` share the drop's pairing, its plan and
+    its strong/weak ordering, and a pairing with no pair gives them the
+    ``dbs`` outcome.  A drop's numbers do not depend on the block: every
+    reduction and every matrix product runs per drop, at the drop's shape
+    and memory layout, and each drop's rates are summed alone.
+    """
+    k_users, bandwidth = len(drops[0].starts), config.bandwidth_hz
+    h_rows, dbs_zeta, shared = _steered_links(config, drops, pairings)
+    # No plan or gain matrix is held while conjugate beamforming builds its
+    # K x K temporaries.
+    cb_rates = conjugate_bf_rates(h_rows, config.total_power_w, config.noise_w, bandwidth)
+    per_drop = [k_users] * len(drops)
+    dbs = [(rates, 0, 0) for rates in _split(_rates(dbs_zeta.ravel(), bandwidth), per_drop)]
+    outcomes = [
+        dict.fromkeys(_STEERED, outcome) | {SchemeId.CONJUGATE_BF: (cb, 0, 0)}
+        for outcome, cb in zip(dbs, _split(cb_rates, per_drop))
+    ]
+    if shared:
+        paired = [t for t, pairs in enumerate(pairings) if len(pairs)]
+        for scheme, per_paired in _shared_beam_outcomes(config, k_users, shared).items():
+            for t, outcome in zip(paired, per_paired):
+                outcomes[t][scheme] = outcome
+    return outcomes
+
+
+def _steered_links(
+    config: ScenarioConfig, drops: list[DropPaths], pairings: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, list[_SharedLinks]]:
+    """The block's T x K x M channel rows and dbs link ratios, and each paired drop's shared-beam links.
+
+    Each LOS direction is steered once, into a T x M x K block: each channel
+    row's LOS path, the dbs plans' weights and the shared plans' private
+    beams.  A paired drop's shared plan has P beams at its pairs' mean LOS
+    angles, in selection order, then its unpaired users' beams.
     """
     cfg = config.array_config
+    n_drops, k_users = len(drops), len(drops[0].starts)
+    path_offsets = itertools.accumulate([0, *(len(d.gains) for d in drops[:-1])])
+    paths = DropPaths(
+        starts=np.concatenate([d.starts + offset for d, offset in zip(drops, path_offsets)]),
+        gains=np.concatenate([d.gains for d in drops]),
+        theta=np.concatenate([d.theta for d in drops]),
+        phi=np.concatenate([d.phi for d in drops]),
+    )
     theta, phi = paths.theta[paths.starts], paths.phi[paths.starts]
-    los = np.ascontiguousarray(steering_matrix(cfg, theta, phi).T)
+    los = np.ascontiguousarray(
+        steering_matrix(cfg, theta, phi).reshape(n_drops, k_users, cfg.num_elements).transpose(0, 2, 1)
+    )
     h_rows = channel_rows(cfg, paths, los)
-    dbs = _dbs_outcome(config, h_rows, los)
-    if not len(pairs):
-        steered = (SchemeId.DBS, SchemeId.NOMA_DBS_FCSI, SchemeId.NOMA_DBS_PCSI, SchemeId.OMA_DBS)
-        return h_rows, dict.fromkeys(steered, dbs)
+    del paths
+    plan = build_plan(los, np.ones(k_users, dtype=int), config.total_power_w, config.inter_cluster_rule)
+    dbs_zeta = link_states(h_rows, plan, np.arange(k_users), config.noise_w)[2]
+    del plan
 
-    n_pairs = len(pairs)
-    own_beams = np.full(len(theta), -1)
-    own_beams[pairs] = np.arange(n_pairs)[:, None]
-    singles = np.flatnonzero(own_beams < 0)
-    own_beams[singles] = np.arange(n_pairs, n_pairs + len(singles))
     # The unpaired users' LOS vectors are their private beams, and partial CSI
     # sees each paired user as its conjugated LOS vector.  Both leave the LOS
-    # matrix before it goes, and before the shared weights are allocated.
-    private = los[:, singles]
-    pair_rows = los.T[pairs.ravel()]
-    np.conj(pair_rows, out=pair_rows)
+    # block before it goes, and before any shared weights are allocated.
+    kept = []
+    for t, pairs in enumerate(pairings):
+        if len(pairs):
+            own_beams = np.full(k_users, -1)
+            own_beams[pairs] = np.arange(len(pairs))[:, None]
+            singles = np.flatnonzero(own_beams < 0)
+            own_beams[singles] = np.arange(len(pairs), k_users - len(pairs))
+            pair_rows = los[t].T[pairs.ravel()]
+            np.conj(pair_rows, out=pair_rows)
+            kept.append((t, pairs, own_beams, singles, los[t][:, singles], pair_rows))
     del los
-    weights = np.empty((cfg.num_elements, n_pairs + len(singles)), dtype=complex)
-    weights[:, :n_pairs] = steering_matrix(
-        cfg, (theta[pairs[:, 0]] + theta[pairs[:, 1]]) / 2, (phi[pairs[:, 0]] + phi[pairs[:, 1]]) / 2
-    ).T
-    weights[:, n_pairs:] = private
-    del private
-    plan = build_plan(weights, np.bincount(own_beams), config.total_power_w, config.inter_cluster_rule)
-    outcomes = _shared_beam_outcomes(config, h_rows, pairs, plan, own_beams, pair_rows)
-    outcomes[SchemeId.DBS] = dbs
-    return h_rows, outcomes
+    theta, phi = theta.reshape(n_drops, k_users), phi.reshape(n_drops, k_users)
+    shared = []
+    while kept:
+        t, pairs, own_beams, singles, private, pair_rows = kept.pop(0)
+        n_pairs = len(pairs)
+        weights = np.empty((cfg.num_elements, k_users - n_pairs), dtype=complex)
+        first, second = pairs[:, 0], pairs[:, 1]
+        weights[:, :n_pairs] = steering_matrix(
+            cfg, (theta[t, first] + theta[t, second]) / 2, (phi[t, first] + phi[t, second]) / 2
+        ).T
+        weights[:, n_pairs:] = private
+        del private
+        plan = build_plan(weights, np.bincount(own_beams), config.total_power_w, config.inter_cluster_rule)
+        del weights
+        psi, _, zeta = link_states(h_rows[t], plan, own_beams, config.noise_w)
+        # Strong user first: the larger received power through the shared beam.
+        swap = psi[second] > psi[first]
+        pairs = np.where(swap[:, None], pairs[:, ::-1], pairs)
+        # Partial CSI splits on ratios estimated from the LOS rows alone.
+        by_pair = pair_rows.reshape(n_pairs, 2, -1)
+        by_pair[swap] = by_pair[swap, ::-1]
+        estimated = partial_csi_zeta(pair_rows, plan, np.repeat(np.arange(n_pairs), 2), config.noise_w)
+        del plan, pair_rows, by_pair
+        shared.append((zeta[pairs[:, 0]], zeta[pairs[:, 1]], estimated, zeta[singles]))
+    return h_rows, dbs_zeta, shared
 
 
 def _shared_beam_outcomes(
-    config: ScenarioConfig,
-    h_rows: np.ndarray,
-    pairs: np.ndarray,
-    plan: BeamformingPlan,
-    own_beams: np.ndarray,
-    pair_rows: np.ndarray,
-) -> dict[SchemeId, _Outcome]:
-    """The pairing schemes on one pairing (P >= 1 pairs), its plan and one strong/weak ordering.
-
-    ``own_beams[k]`` is user k's beam, the P shared ones first.  ``pair_rows``
-    are the paired users' partial-CSI rows in the order of ``pairs.ravel()``;
-    they are reordered in place, strong user first.
-    """
+    config: ScenarioConfig, k_users: int, shared: list[_SharedLinks]
+) -> dict[SchemeId, list[_Outcome]]:
+    """The pairing schemes' outcomes of every paired drop, each split over all their shared beams at once."""
     bandwidth = config.bandwidth_hz
-    n_pairs = len(pairs)
-    singles = np.flatnonzero(own_beams >= n_pairs)
-    psi, _, zeta = link_states(h_rows, plan, own_beams, config.noise_w)
-    # Strong user first: the larger received power through the shared beam.
-    swap = psi[pairs[:, 1]] > psi[pairs[:, 0]]
-    pairs = np.where(swap[:, None], pairs[:, ::-1], pairs)
-    zeta1, zeta2 = zeta[pairs[:, 0]], zeta[pairs[:, 1]]
-    private_rates = _rates(zeta[singles], bandwidth)
-    # Partial CSI splits on ratios estimated from the LOS rows alone.
-    by_pair = pair_rows.reshape(n_pairs, 2, -1)
-    by_pair[swap] = by_pair[swap, ::-1]
-    estimated = partial_csi_zeta(pair_rows, plan, np.repeat(np.arange(n_pairs), 2), config.noise_w)
+    n_pairs = [len(zeta1) for zeta1, *_ in shared]
+    per_pair_user = [2 * n for n in n_pairs]
+    zeta1, zeta2, estimated, singles = (np.concatenate(parts) for parts in zip(*shared))
+    private = _split(_rates(singles, bandwidth), [k_users - n for n in per_pair_user])
 
-    def noma(split_zeta1: np.ndarray, split_zeta2: np.ndarray) -> _Outcome:
+    def noma(split_zeta1: np.ndarray, split_zeta2: np.ndarray) -> list[_Outcome]:
         gamma1, _ = opa(split_zeta1, split_zeta2, config.p_min, config.epsilon)
         sinr = np.column_stack((sinr_noma_strong(zeta1, gamma1), sinr_noma_weak(zeta2, gamma1)))
-        deactivated = int(np.count_nonzero(gamma1 == 0.0))
-        return _rates(sinr.ravel(), bandwidth) + private_rates, n_pairs, deactivated
+        rates = _split(_rates(sinr.ravel(), bandwidth), per_pair_user)
+        deactivated = _split((gamma1 == 0.0).tolist(), n_pairs)
+        return [(r + s, n, d.count(True)) for r, s, n, d in zip(rates, private, n_pairs, deactivated)]
 
+    # Orthogonal sharing: each paired user gets half the band.
+    oma = _split(_rates(np.column_stack((zeta1, zeta2)).ravel(), bandwidth / 2.0), per_pair_user)
     return {
         SchemeId.NOMA_DBS_FCSI: noma(zeta1, zeta2),
         SchemeId.NOMA_DBS_PCSI: noma(estimated[0::2], estimated[1::2]),
-        # Orthogonal sharing: each paired user gets half the band.
-        SchemeId.OMA_DBS: (_rates(zeta[pairs.ravel()], bandwidth / 2.0) + private_rates, n_pairs, 0),
+        SchemeId.OMA_DBS: [(r + s, n, 0) for r, s, n in zip(oma, private, n_pairs)],
     }
 
 
@@ -416,20 +492,10 @@ def evaluate_trial(
     """Every scheme of ``schemes`` on the drop of (master_seed, K, trial), in that order.
 
     The users and their channels are drawn once, and every drop is evaluated
-    for all five schemes; ``schemes`` only picks and orders the results.
-    ``dbs`` uses the one-beam-per-user plan; ``noma_dbs_fcsi``,
-    ``noma_dbs_pcsi`` and ``oma_dbs`` share one pairing, its plan and its
-    strong/weak ordering, and a pairing with no pair gives them the ``dbs``
-    plan.
+    for all five schemes; ``schemes`` only picks and orders the results.  It
+    is a block of one trial, and gives the rows a sweep's larger blocks give.
     """
-    paths, los_dirs = _drop_users(config, k_users, trial_index)
-    # Pairing runs before any steering, so its K x K temporaries meet no K x M
-    # matrix; plans and gain matrices live only inside the helper, so none is
-    # held while conjugate beamforming builds its K x K temporaries.
-    pairs = beta_uc(los_dirs, config.array_config, config.beta0)
-    h_rows, outcomes = _steered_outcomes(config, paths, pairs)
-    cb_rates = conjugate_bf_rates(h_rows, config.total_power_w, config.noise_w, config.bandwidth_hz)
-    outcomes[SchemeId.CONJUGATE_BF] = (cb_rates, 0, 0)
+    outcomes = _trial_outcomes(config, k_users, [trial_index])[0]
     return [_result(config, k_users, trial_index, s, *outcomes[s]) for s in schemes]
 
 
@@ -466,16 +532,18 @@ def run_sweep(config: ScenarioConfig) -> tuple[list[ScenarioResult], list[Aggreg
     """Every (scheme, K, trial) combination, plus per-(scheme, K) aggregates.
 
     Each (K, trial) drop is drawn once and evaluated for all configured
-    schemes by :func:`evaluate_trial`.  Results come back sorted by
-    (scheme tag, K, trial), so the output does not depend on the order in
-    which the independent trials run.
+    schemes, the trials of one K in blocks of ``_BLOCK_BYTES`` of channel
+    rows; each row equals :func:`evaluate_trial`'s.  Results come back
+    sorted by (scheme tag, K, trial), so the output does not depend on the
+    order in which the independent trials run.
     """
-    results = [
-        result
-        for k_users in config.user_counts
-        for trial in range(config.trials)
-        for result in evaluate_trial(config, k_users, trial, config.schemes)
-    ]
+    results = []
+    for k_users in config.user_counts:
+        per_block = max(1, _BLOCK_BYTES // (16 * config.array_config.num_elements * k_users))
+        for first in range(0, config.trials, per_block):
+            trials = range(first, min(first + per_block, config.trials))
+            for trial, outcomes in zip(trials, _trial_outcomes(config, k_users, trials)):
+                results.extend(_result(config, k_users, trial, s, *outcomes[s]) for s in config.schemes)
     results.sort(key=lambda r: (r.scheme.value, r.K, r.trial))
     aggregates = []
     for scheme in sorted(config.schemes, key=lambda s: s.value):

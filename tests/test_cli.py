@@ -74,6 +74,15 @@ class TestSimulateCommand:
             ("paths_per_cluster = 2\nnlos_gain_offset_db = -7000,-7000", "nlos_gain_offset_db must not go below -30 dB"),
             ("cell_radius_m = 1e300", "cell_radius_m must be positive and at most 100000 m"),
             ("bandwidth_hz = 1e308", "bandwidth_hz must be positive and at most 1e+12 Hz"),
+            ("paths_per_cluster = 2\ntotal_power_dbm = -3170", "total_power_dbm must lie in [-200, 200] dBm"),
+            ("paths_per_cluster = 2\nangle_spread_deg = inf", "angle spread must be nonnegative and finite"),
+            ("paths_per_cluster = 2\nangle_spread_deg = nan", "angle spread must be nonnegative and finite"),
+            (
+                "paths_per_cluster = 2\ntotal_power_dbm = -3050\ncell_radius_m = 100000",
+                "total_power_dbm must lie in [-200, 200] dBm",
+            ),
+            ("schemes = dbs,dbs", "schemes must not repeat"),
+            ("schemes = noma_dbs,noma_dbs_fcsi\ncsi_mode = full", "schemes must not repeat"),
         ],
     )
     def test_config_edge_rejected_with_one_error_line(self, tmp_path, capsys, line, message):

@@ -13,7 +13,9 @@ wavelengths; K=5 and 15 over 40 trials: 400 rows) sorts paths whose
 magnitudes differ only in their last bits.  The scheme-subset sweep, read
 from scenario text, asks for three schemes out of order and for the
 ``noma_dbs`` alias under partial CSI (K=2, 5 and 15 over 40 trials: 360
-rows).  A change that moves any reported number changes a digest.  A change
+rows).  The massive-array sweep (a 64x8 array, K=128, 256 and 448 over 2
+trials: 30 rows) pins drops whose pairing and link states are largest.  A
+change that moves any reported number changes a digest.  A change
 meant to move the numbers updates the digest in the same commit and says
 why.
 """
@@ -63,6 +65,11 @@ GOLDEN_CASES = {
         ),
         360,
         "2b4de7e839a19ac0ec740af5d82292169e94c419a359670d47dc759207b69f9e",
+    ),
+    "massive-array": (
+        ScenarioConfig(m_h=64, m_v=8, user_counts=(128, 256, 448), trials=2),
+        30,
+        "1dff263ee4c838bd3e8fdf726b8981143acb7f5026ecf3486a2b5a786c3fa3fa",
     ),
 }
 

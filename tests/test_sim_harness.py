@@ -5,6 +5,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import numpy as np
 
@@ -17,8 +19,8 @@ from nomabeam.sim_harness import (
     CSV_HEADER,
     ConfigError,
     ScenarioConfig,
+    _block_outcomes,
     _drop_users,
-    _steered_outcomes,
     evaluate_trial,
     format_aggregates,
     load_scenario,
@@ -27,7 +29,7 @@ from nomabeam.sim_harness import (
     write_csv,
 )
 
-from drops import drop_paths, plan_toward
+from drops import channel_matrix, drop_paths, plan_toward
 from oracles import sinr_dbs_monopath_closed
 
 SMALL = ScenarioConfig(
@@ -118,6 +120,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown override"):
             load_scenario(str(path), csi_mode="partial")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "schemes = dbs,dbs\n",
+            "schemes = cb,oma_dbs,cb\n",
+            # the alias resolves to the scheme named next to it
+            "schemes = noma_dbs,noma_dbs_fcsi\ncsi_mode = full\n",
+            "schemes = noma_dbs_pcsi,noma_dbs\ncsi_mode = partial\n",
+        ],
+    )
+    def test_repeated_scheme_rejected(self, text):
+        with pytest.raises(ConfigError, match="schemes must not repeat"):
+            ScenarioConfig(**parse_config_text(text))
+
     def test_shipped_config_is_the_default(self):
         shipped = Path(__file__).resolve().parent.parent / "configs" / "rural_default.cfg"
         assert load_scenario(str(shipped)) == ScenarioConfig()
@@ -169,6 +185,10 @@ class TestConfigValidation:
             ("cell_radius_m", 1e-3),
             ("cell_radius_m", 1e5),
             ("bandwidth_hz", 1e12),
+            ("total_power_dbm", -200.0),
+            ("total_power_dbm", 200.0),
+            ("noise_power_dbm", -200.0),
+            ("noise_power_dbm", 200.0),
         ],
     )
     def test_bounds_give_finite_rates(self, field, value):
@@ -290,9 +310,9 @@ class TestSharedBeams:
         return drop_paths([[(a, d)] for a, d in zip(amplitudes, self.DIRS)])
 
     def outcome(self, scheme, paths):
-        """The drop's channel rows and the scheme's outcome on the pairing."""
-        h_rows, outcomes = _steered_outcomes(self.CONFIG, paths, self.pairs())
-        return h_rows, outcomes[scheme]
+        """The drop's channel rows and the scheme's outcome on the pairing, in a block of one drop."""
+        outcomes = _block_outcomes(self.CONFIG, [paths], [self.pairs()])
+        return channel_matrix(self.CONFIG.array_config, paths), outcomes[0][scheme]
 
     def pairs(self):
         pairs = beta_uc(self.DIRS, self.CONFIG.array_config, self.CONFIG.beta0)
@@ -389,6 +409,47 @@ class TestRunSweep:
         paired_var = statistics.variance([n - d for n, d in zip(noma, dbs)])
         unpaired_var = statistics.variance([n - d for n, d in zip(noma, dbs_unpaired)])
         assert paired_var < unpaired_var
+
+
+# The edges of a scenario: K in {1, 2, M-1}, one array row, spacing above half
+# a wavelength, beta0 near 0 and 1, no spread or shadowing, single-path
+# channels, cell radii from 1e-3 to 1e5 m.  A 64-element array at K = 63
+# evaluates two trials a block, and up to six trials mix paired and unpaired
+# drops in one block.
+edge_configs = st.builds(
+    dict,
+    m_h=st.sampled_from([2, 4, 8, 32]),
+    m_v=st.sampled_from([1, 2]),
+    d_over_lambda=st.sampled_from([0.5, 0.6, 0.9, 1.5]),
+    beta0=st.sampled_from([1e-6, 0.05, 0.5, 0.95, 1.0 - 1e-6]),
+    zero_spread=st.booleans(),
+    single_path=st.booleans(),
+    cell_radius_m=st.sampled_from([1e-3, 1.0, 100.0, 1e5]),
+    trials=st.integers(1, 6),
+    master_seed=st.integers(0, 2**32),
+)
+
+
+class TestTrialBlocks:
+    @settings(max_examples=40)
+    @given(edge_configs)
+    def test_rows_match_each_trial_alone(self, edges):
+        zero_spread, single_path = edges.pop("zero_spread"), edges.pop("single_path")
+        m = edges["m_h"] * edges["m_v"]
+        config = ScenarioConfig(
+            **edges,
+            user_counts=tuple(sorted({1, min(2, m - 1), m - 1})),
+            angle_spread_deg=0.0 if zero_spread else 15.0,
+            shadowing_sigma_db=0.0 if zero_spread else 4.0,
+            num_time_clusters=(1, 1) if single_path else (1, 2),
+            paths_per_cluster=(1, 1) if single_path else (1, 2),
+        )
+        results, _ = run_sweep(config)
+        assert len(results) == len(config.schemes) * len(config.user_counts) * config.trials
+        for r in results:
+            assert r == evaluate_trial(config, r.K, r.trial, (r.scheme,))[0]
+            assert math.isfinite(r.sum_rate_bps) and r.sum_rate_bps >= 0
+            assert math.isfinite(r.energy_eff_bps_per_j) and r.energy_eff_bps_per_j >= 0
 
 
 class TestCsv:
