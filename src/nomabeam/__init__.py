@@ -16,7 +16,7 @@ from .array_geometry import (
     pattern_cut,
     steering_matrix,
 )
-from .baselines import SchemeId, conjugate_bf_rates, energy_efficiency
+from .baselines import SchemeId, conjugate_bf_sinr, energy_efficiency
 from .beamforming import BeamformingPlan, build_plan
 from .channel import ChannelParams, DropPaths, InvalidParams, channel_rows, draw_paths
 from .clustering import beta_uc

@@ -49,8 +49,8 @@ class ArrayConfig:
     def __post_init__(self) -> None:
         if self.m_h < 1 or self.m_v < 1:
             raise ValueError(f"element counts must be >= 1, got {self.m_h}x{self.m_v}")
-        if not self.d_over_lambda > 0:
-            raise ValueError(f"element spacing must be positive, got {self.d_over_lambda}")
+        if not 0 < self.d_over_lambda < math.inf:
+            raise ValueError(f"element spacing must be positive and finite, got {self.d_over_lambda}")
 
     @property
     def num_elements(self) -> int:

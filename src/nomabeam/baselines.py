@@ -13,11 +13,9 @@ from enum import Enum
 
 import numpy as np
 
-from .link_metrics import rate
-
 __all__ = [
     "SchemeId",
-    "conjugate_bf_rates",
+    "conjugate_bf_sinr",
     "energy_efficiency",
 ]
 
@@ -32,16 +30,11 @@ class SchemeId(Enum):
     CONJUGATE_BF = "cb"
 
 
-def conjugate_bf_rates(
-    h_matrix: np.ndarray,
-    total_power_w: float,
-    noise_w: float,
-    bandwidth_hz: float,
-) -> list[float]:
-    """Per-user rates under conjugate (matched-filter) beamforming.
+def conjugate_bf_sinr(h_matrix: np.ndarray, total_power_w: float, noise_w: float) -> np.ndarray:
+    """Per-user SINRs under conjugate (matched-filter) beamforming.
 
     ``h_matrix`` holds one channel row per user (K x M), or is a T x K x M
-    block of such drops, whose rates come back drop after drop.  Each user's
+    block of such drops, whose SINRs come back as T x K.  Each user's
     weight vector is its conjugated channel normalized to unit norm; the
     transmit normalization is 1/K (the weight-trace rule for unit-norm
     columns) with each beam carrying the full signal power, mirroring the
@@ -57,8 +50,7 @@ def conjugate_bf_rates(
     del w_matrix  # the K x K gains below need no K x M weights beside them
     beam_gains = eta * total_power_w * np.abs(amplitudes) ** 2
     signal = np.diagonal(beam_gains, axis1=-2, axis2=-1)
-    sinr = signal / (beam_gains.sum(axis=-1) - signal + noise_w)
-    return [rate(s, bandwidth_hz) for s in sinr.ravel().tolist()]
+    return signal / (beam_gains.sum(axis=-1) - signal + noise_w)
 
 
 def energy_efficiency(

@@ -5,8 +5,8 @@ For a user on beam c the received superimposed-signal power is
 is ``nu``; their ratio ``zeta`` is the single scalar that drives every rate
 formula here.  A private (single-user) beam achieves SINR = zeta directly;
 on a shared beam the power-split coefficient ``gamma1`` of the strong user
-scales the two users' SINRs in opposite directions.  The SINR formulas take
-scalars or arrays alike.
+scales the two users' SINRs in opposite directions.  The SINR and rate
+formulas take scalars or arrays alike.
 """
 
 from __future__ import annotations
@@ -69,8 +69,13 @@ def _check_gamma(gamma1) -> None:
         raise ValueError(f"gamma1 must be in [0, 1], got {gamma1}")
 
 
-def rate(sinr: float, bandwidth_hz: float) -> float:
-    """Shannon rate in bps: bandwidth * log2(1 + sinr)."""
-    if sinr < 0:
-        raise ValueError(f"sinr must be nonnegative, got {sinr}")
-    return bandwidth_hz * math.log2(1.0 + sinr)
+def rate(sinr, bandwidth_hz):
+    """Shannon rate in bps, bandwidth * log2(1 + sinr), of a scalar or of each entry of an array.
+
+    ``bandwidth_hz`` is one band, or one band per entry.  Each log2 is taken
+    by ``math.log2``, which numpy's log2 does not match to the ulp.
+    """
+    sinr = np.asarray(sinr, dtype=float)
+    if np.any(sinr < 0):
+        raise ValueError(f"sinr must be nonnegative, got {sinr[sinr < 0][0]}")
+    return bandwidth_hz * np.array([math.log2(1.0 + s) for s in sinr.ravel().tolist()]).reshape(sinr.shape)

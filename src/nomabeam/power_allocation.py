@@ -25,6 +25,7 @@ from enum import IntEnum
 import numpy as np
 
 from .beamforming import BeamformingPlan
+from .link_metrics import rate
 
 __all__ = [
     "Branch",
@@ -85,11 +86,6 @@ def gamma_fair(zeta1, zeta2):
     return 2.0 * zeta2 / (s + np.sqrt(s * s + 4.0 * zeta1 * zeta2 * zeta2))
 
 
-def _log2_1p(zeta: np.ndarray) -> np.ndarray:
-    """log2(1 + zeta) per entry through ``math.log2``, which numpy's log2 does not match to the ulp."""
-    return np.array([math.log2(1.0 + z) for z in zeta.ravel().tolist()]).reshape(zeta.shape)
-
-
 def opa(zeta1, zeta2, p_min: float, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """Optimal intra-beam split ``(gamma1, branch)`` of every shared beam.
 
@@ -108,7 +104,7 @@ def opa(zeta1, zeta2, p_min: float, epsilon: float) -> tuple[np.ndarray, np.ndar
     _check_p_min(p_min)
     if not 0.0 <= epsilon < 1.0:
         raise ValueError(f"epsilon must be in [0, 1), got {epsilon}")
-    r1, r2 = _log2_1p(z1), _log2_1p(z2)
+    r1, r2 = rate(z1, 1.0), rate(z2, 1.0)
     # A strong rate that rounds to 0 is as far from fair as r2 is from it.
     gap = np.divide(np.abs(r1 - r2), r1, out=np.where(r1 == r2, 0.0, np.inf), where=r1 > 0)
     fair = gap < epsilon

@@ -5,9 +5,8 @@ line, unknown keys rejected).  A sweep runs every (scheme, user count, trial)
 combination.  The user drop and channels of a (K, trial) pair are drawn once,
 from a random stream derived only from (master_seed, K, trial) through
 numpy's SeedSequence spawn-key mixing, and every scheme is evaluated on that
-one drop, so scheme comparisons are paired.  Results are sorted by
-(scheme, K, trial) before emission so the CSV bytes do not depend on
-execution order.
+one drop, so scheme comparisons are paired.  Rows are emitted in
+(scheme, K, trial) order, so the CSV bytes do not depend on execution order.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from typing import Sequence, get_type_hints
 import numpy as np
 
 from .array_geometry import ArrayConfig, Direction, steering_matrix
-from .baselines import SchemeId, conjugate_bf_rates, energy_efficiency
+from .baselines import SchemeId, conjugate_bf_sinr, energy_efficiency
 from .beamforming import build_plan
 from .channel import ChannelParams, DropPaths, InvalidParams, channel_rows, draw_paths
 from .clustering import beta_uc
@@ -109,12 +108,16 @@ class ScenarioConfig:
                 raise ConfigError(
                     f"user counts must satisfy 1 <= K < M={array.num_elements}, got {k}"
                 )
+        if len(set(self.user_counts)) < len(self.user_counts):
+            raise ConfigError(f"user_counts must not repeat, got {', '.join(map(str, self.user_counts))}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be nonnegative, got {self.master_seed}")
         if not 0.0 < self.beta0 < 1.0:
             raise ConfigError(f"beta0 must be in (0, 1), got {self.beta0}")
         if not 0.0 <= self.epsilon < 1.0:
             raise ConfigError(f"epsilon must be in [0, 1), got {self.epsilon}")
-        if self.p_min < 0:
-            raise ConfigError(f"p_min must be nonnegative, got {self.p_min}")
+        if not 0.0 <= self.p_min < math.inf:
+            raise ConfigError(f"p_min must be nonnegative and finite, got {self.p_min}")
         if self.inter_cluster_rule not in ("proportional", "uniform"):
             raise ConfigError(f"unknown inter_cluster_rule: {self.inter_cluster_rule!r}")
         if not self.schemes:
@@ -316,16 +319,11 @@ def _drop_users(
     return paths, [Direction(t, p) for t, p in zip(paths.theta[los].tolist(), paths.phi[los].tolist())]
 
 
-# Per scheme: the users' rates in beam order, shared-beam count, deactivated count.
-_Outcome = tuple[list[float], int, int]
-
-# The schemes that steer beams, which a drop with no pair runs on the dbs plan.
-_STEERED = (SchemeId.DBS, SchemeId.NOMA_DBS_FCSI, SchemeId.NOMA_DBS_PCSI, SchemeId.OMA_DBS)
-
-# A paired drop's shared-beam links: per pair the strong and weak users' link
-# ratios, their partial-CSI estimates (strong, weak, pair after pair) and the
-# unpaired users' ratios.
-_SharedLinks = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+# Per scheme, a block's outcome: the T x K SINRs in beam order (each pair's
+# strong then weak user, pair after pair, then the unpaired users; a drop
+# with no pair keeps its dbs order), each user's band, and the T shared-beam
+# and T deactivated counts.
+_Outcome = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 # Bytes of a block's channel rows (16 per entry): a sweep evaluates the trials
 # of one user count max(1, _BLOCK_BYTES // (16 * M * K)) at a time, so that
@@ -333,19 +331,8 @@ _SharedLinks = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 _BLOCK_BYTES = 2**17
 
 
-def _rates(sinr: np.ndarray, bandwidth_hz: float) -> list[float]:
-    return [rate(s, bandwidth_hz) for s in sinr.tolist()]
-
-
-def _split(values: list, counts: list[int]) -> list[list]:
-    """``values`` cut into consecutive runs of the given lengths."""
-    return [values[end - n : end] for n, end in zip(counts, itertools.accumulate(counts))]
-
-
-def _trial_outcomes(
-    config: ScenarioConfig, k_users: int, trials: Sequence[int]
-) -> list[dict[SchemeId, _Outcome]]:
-    """Every scheme's outcome on the drop of (master_seed, K, t), for each t of ``trials``.
+def _trial_outcomes(config: ScenarioConfig, k_users: int, trials: Sequence[int]) -> dict[SchemeId, _Outcome]:
+    """Every scheme's outcome on the drops of (master_seed, K, t), t in ``trials``, as one block.
 
     Each drop is drawn and paired on its own, and before any steering, so
     that its K x K pairing temporaries meet no K x M matrix; the drops are
@@ -358,44 +345,57 @@ def _trial_outcomes(
 
 def _block_outcomes(
     config: ScenarioConfig, drops: list[DropPaths], pairings: list[np.ndarray]
-) -> list[dict[SchemeId, _Outcome]]:
-    """The outcomes of each drop of a block, given its pairing.
+) -> dict[SchemeId, _Outcome]:
+    """Every scheme's outcome on a block of drops, given each drop's pairing.
 
     ``dbs`` uses the one-beam-per-user plan; ``noma_dbs_fcsi``,
-    ``noma_dbs_pcsi`` and ``oma_dbs`` share the drop's pairing, its plan and
-    its strong/weak ordering, and a pairing with no pair gives them the
-    ``dbs`` outcome.  A drop's numbers do not depend on the block: every
-    reduction and every matrix product runs per drop, at the drop's shape
-    and memory layout, and each drop's rates are summed alone.
+    ``noma_dbs_pcsi`` and ``oma_dbs`` share each drop's pairing, its plan and
+    its strong/weak ordering, and a drop with no pair gives them the ``dbs``
+    row.  A drop's numbers do not depend on the block: every reduction and
+    every matrix product runs per drop, at the drop's shape and memory layout.
     """
-    k_users, bandwidth = len(drops[0].starts), config.bandwidth_hz
-    h_rows, dbs_zeta, shared = _steered_links(config, drops, pairings)
+    h_rows, dbs_zeta, zeta, estimated = _steered_links(config, drops, pairings)
     # No plan or gain matrix is held while conjugate beamforming builds its
     # K x K temporaries.
-    cb_rates = conjugate_bf_rates(h_rows, config.total_power_w, config.noise_w, bandwidth)
-    per_drop = [k_users] * len(drops)
-    dbs = [(rates, 0, 0) for rates in _split(_rates(dbs_zeta.ravel(), bandwidth), per_drop)]
-    outcomes = [
-        dict.fromkeys(_STEERED, outcome) | {SchemeId.CONJUGATE_BF: (cb, 0, 0)}
-        for outcome, cb in zip(dbs, _split(cb_rates, per_drop))
-    ]
-    if shared:
-        paired = [t for t, pairs in enumerate(pairings) if len(pairs)]
-        for scheme, per_paired in _shared_beam_outcomes(config, k_users, shared).items():
-            for t, outcome in zip(paired, per_paired):
-                outcomes[t][scheme] = outcome
-    return outcomes
+    cb_sinr = conjugate_bf_sinr(h_rows, config.total_power_w, config.noise_w)
+    del h_rows
+    n_pairs = np.array([len(pairs) for pairs in pairings])
+    beam = np.arange(dbs_zeta.shape[1])
+    paired = beam < 2 * n_pairs[:, None]
+    strong, weak = paired & (beam % 2 == 0), paired & (beam % 2 == 1)
+    band = np.full(dbs_zeta.shape, config.bandwidth_hz)
+    unshared = np.zeros_like(n_pairs)
+
+    def noma(split_on: np.ndarray) -> _Outcome:
+        gamma1, _ = opa(split_on[strong], split_on[weak], config.p_min, config.epsilon)
+        sinr = zeta.copy()
+        sinr[strong] = sinr_noma_strong(zeta[strong], gamma1)
+        sinr[weak] = sinr_noma_weak(zeta[weak], gamma1)
+        deactivated = np.bincount(np.nonzero(strong)[0][gamma1 == 0.0], minlength=len(n_pairs))
+        return sinr, band, n_pairs, deactivated
+
+    return {
+        SchemeId.DBS: (dbs_zeta, band, unshared, unshared),
+        SchemeId.NOMA_DBS_FCSI: noma(zeta),
+        SchemeId.NOMA_DBS_PCSI: noma(estimated),
+        # Orthogonal sharing: each paired user gets half the band.
+        SchemeId.OMA_DBS: (zeta, np.where(paired, config.bandwidth_hz / 2.0, band), n_pairs, unshared),
+        SchemeId.CONJUGATE_BF: (cb_sinr, band, unshared, unshared),
+    }
 
 
 def _steered_links(
     config: ScenarioConfig, drops: list[DropPaths], pairings: list[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, list[_SharedLinks]]:
-    """The block's T x K x M channel rows and dbs link ratios, and each paired drop's shared-beam links.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The block's T x K x M channel rows, its T x K dbs link ratios, and its T x K shared-plan ratios.
 
     Each LOS direction is steered once, into a T x M x K block: each channel
     row's LOS path, the dbs plans' weights and the shared plans' private
     beams.  A paired drop's shared plan has P beams at its pairs' mean LOS
-    angles, in selection order, then its unpaired users' beams.
+    angles, in selection order, then its unpaired users' beams.  Its row of
+    shared-plan ratios is in beam order, and so is its row of the ratios
+    partial CSI splits on: the paired users' estimates, then the unpaired
+    users' ratios.  A drop with no pair keeps its dbs row in both.
     """
     cfg = config.array_config
     n_drops, k_users = len(drops), len(drops[0].starts)
@@ -431,7 +431,7 @@ def _steered_links(
             kept.append((t, pairs, own_beams, singles, los[t][:, singles], pair_rows))
     del los
     theta, phi = theta.reshape(n_drops, k_users), phi.reshape(n_drops, k_users)
-    shared = []
+    shared, estimated = dbs_zeta.copy(), dbs_zeta.copy()
     while kept:
         t, pairs, own_beams, singles, private, pair_rows = kept.pop(0)
         n_pairs = len(pairs)
@@ -448,39 +448,15 @@ def _steered_links(
         # Strong user first: the larger received power through the shared beam.
         swap = psi[second] > psi[first]
         pairs = np.where(swap[:, None], pairs[:, ::-1], pairs)
+        shared[t] = estimated[t] = zeta[np.concatenate((pairs.ravel(), singles))]
         # Partial CSI splits on ratios estimated from the LOS rows alone.
         by_pair = pair_rows.reshape(n_pairs, 2, -1)
         by_pair[swap] = by_pair[swap, ::-1]
-        estimated = partial_csi_zeta(pair_rows, plan, np.repeat(np.arange(n_pairs), 2), config.noise_w)
+        estimated[t, : 2 * n_pairs] = partial_csi_zeta(
+            pair_rows, plan, np.repeat(np.arange(n_pairs), 2), config.noise_w
+        )
         del plan, pair_rows, by_pair
-        shared.append((zeta[pairs[:, 0]], zeta[pairs[:, 1]], estimated, zeta[singles]))
-    return h_rows, dbs_zeta, shared
-
-
-def _shared_beam_outcomes(
-    config: ScenarioConfig, k_users: int, shared: list[_SharedLinks]
-) -> dict[SchemeId, list[_Outcome]]:
-    """The pairing schemes' outcomes of every paired drop, each split over all their shared beams at once."""
-    bandwidth = config.bandwidth_hz
-    n_pairs = [len(zeta1) for zeta1, *_ in shared]
-    per_pair_user = [2 * n for n in n_pairs]
-    zeta1, zeta2, estimated, singles = (np.concatenate(parts) for parts in zip(*shared))
-    private = _split(_rates(singles, bandwidth), [k_users - n for n in per_pair_user])
-
-    def noma(split_zeta1: np.ndarray, split_zeta2: np.ndarray) -> list[_Outcome]:
-        gamma1, _ = opa(split_zeta1, split_zeta2, config.p_min, config.epsilon)
-        sinr = np.column_stack((sinr_noma_strong(zeta1, gamma1), sinr_noma_weak(zeta2, gamma1)))
-        rates = _split(_rates(sinr.ravel(), bandwidth), per_pair_user)
-        deactivated = _split((gamma1 == 0.0).tolist(), n_pairs)
-        return [(r + s, n, d.count(True)) for r, s, n, d in zip(rates, private, n_pairs, deactivated)]
-
-    # Orthogonal sharing: each paired user gets half the band.
-    oma = _split(_rates(np.column_stack((zeta1, zeta2)).ravel(), bandwidth / 2.0), per_pair_user)
-    return {
-        SchemeId.NOMA_DBS_FCSI: noma(zeta1, zeta2),
-        SchemeId.NOMA_DBS_PCSI: noma(estimated[0::2], estimated[1::2]),
-        SchemeId.OMA_DBS: [(r + s, n, 0) for r, s, n in zip(oma, private, n_pairs)],
-    }
+    return h_rows, dbs_zeta, shared, estimated
 
 
 def evaluate_trial(
@@ -495,37 +471,38 @@ def evaluate_trial(
     for all five schemes; ``schemes`` only picks and orders the results.  It
     is a block of one trial, and gives the rows a sweep's larger blocks give.
     """
-    outcomes = _trial_outcomes(config, k_users, [trial_index])[0]
-    return [_result(config, k_users, trial_index, s, *outcomes[s]) for s in schemes]
+    outcomes = _trial_outcomes(config, k_users, [trial_index])
+    return [_results(config, k_users, [trial_index], s, outcomes[s])[0] for s in schemes]
 
 
-def _result(
-    config: ScenarioConfig,
-    k_users: int,
-    trial_index: int,
-    scheme: SchemeId,
-    rates: list[float],
-    noma_clusters: int,
-    deactivated: int,
-) -> ScenarioResult:
-    sum_rate = float(sum(rates))
-    return ScenarioResult(
-        scheme=scheme,
-        K=k_users,
-        trial=trial_index,
-        sum_rate_bps=sum_rate,
-        spectral_eff_bps_per_hz=sum_rate / config.bandwidth_hz,
-        energy_eff_bps_per_j=energy_efficiency(
-            sum_rate,
-            config.total_power_w,
-            config.array_config.num_elements,
-            PA_INEFFICIENCY_RHO,
-            PER_ANTENNA_POWER_W,
-            BASE_STATION_POWER_W,
-        ),
-        noma_cluster_count=noma_clusters,
-        deactivated_user_count=deactivated,
-    )
+def _results(
+    config: ScenarioConfig, k_users: int, trials: Sequence[int], scheme: SchemeId, outcome: _Outcome
+) -> list[ScenarioResult]:
+    """One scheme's rows of a block, each trial's rates summed alone and in beam order."""
+    sinr, band, shared, deactivated = outcome
+    results = []
+    for trial, rates, n_shared, n_off in zip(trials, rate(sinr, band).tolist(), shared.tolist(), deactivated.tolist()):
+        sum_rate = float(sum(rates))
+        results.append(
+            ScenarioResult(
+                scheme=scheme,
+                K=k_users,
+                trial=trial,
+                sum_rate_bps=sum_rate,
+                spectral_eff_bps_per_hz=sum_rate / config.bandwidth_hz,
+                energy_eff_bps_per_j=energy_efficiency(
+                    sum_rate,
+                    config.total_power_w,
+                    config.array_config.num_elements,
+                    PA_INEFFICIENCY_RHO,
+                    PER_ANTENNA_POWER_W,
+                    BASE_STATION_POWER_W,
+                ),
+                noma_cluster_count=n_shared,
+                deactivated_user_count=n_off,
+            )
+        )
+    return results
 
 
 def run_sweep(config: ScenarioConfig) -> tuple[list[ScenarioResult], list[AggregateRow]]:
@@ -533,23 +510,24 @@ def run_sweep(config: ScenarioConfig) -> tuple[list[ScenarioResult], list[Aggreg
 
     Each (K, trial) drop is drawn once and evaluated for all configured
     schemes, the trials of one K in blocks of ``_BLOCK_BYTES`` of channel
-    rows; each row equals :func:`evaluate_trial`'s.  Results come back
-    sorted by (scheme tag, K, trial), so the output does not depend on the
-    order in which the independent trials run.
+    rows; each row equals :func:`evaluate_trial`'s.  Rows are collected per
+    (scheme, K) and come back in (scheme tag, K, trial) order, so the output
+    does not depend on the order in which the independent trials run.
     """
-    results = []
+    groups: dict[tuple[SchemeId, int], list[ScenarioResult]] = {}
     for k_users in config.user_counts:
         per_block = max(1, _BLOCK_BYTES // (16 * config.array_config.num_elements * k_users))
         for first in range(0, config.trials, per_block):
             trials = range(first, min(first + per_block, config.trials))
-            for trial, outcomes in zip(trials, _trial_outcomes(config, k_users, trials)):
-                results.extend(_result(config, k_users, trial, s, *outcomes[s]) for s in config.schemes)
-    results.sort(key=lambda r: (r.scheme.value, r.K, r.trial))
-    aggregates = []
+            outcomes = _trial_outcomes(config, k_users, trials)
+            for s in config.schemes:
+                groups.setdefault((s, k_users), []).extend(_results(config, k_users, trials, s, outcomes[s]))
+    results, aggregates = [], []
     for scheme in sorted(config.schemes, key=lambda s: s.value):
         for k_users in sorted(config.user_counts):
-            ses = [r.spectral_eff_bps_per_hz for r in results if r.scheme is scheme and r.K == k_users]
-            ees = [r.energy_eff_bps_per_j for r in results if r.scheme is scheme and r.K == k_users]
+            group = groups[scheme, k_users]
+            results += group
+            ses, ees = zip(*((r.spectral_eff_bps_per_hz, r.energy_eff_bps_per_j) for r in group))
             stderr = statistics.stdev(ses) / math.sqrt(len(ses)) if len(ses) > 1 else 0.0
             aggregates.append(
                 AggregateRow(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nomabeam.array_geometry import ArrayConfig, Direction
-from nomabeam.baselines import SchemeId, conjugate_bf_rates, energy_efficiency
+from nomabeam.baselines import SchemeId, conjugate_bf_sinr, energy_efficiency
 from nomabeam.link_metrics import link_states, rate
 from nomabeam.power_allocation import opa
 
@@ -34,9 +34,9 @@ class TestConjugateBf:
         h = rng.normal(size=8) + 1j * rng.normal(size=8)
         noise = 1e-3
         total_power = 2.0
-        rates = conjugate_bf_rates(h[np.newaxis], total_power, noise, 1.0)
-        expected = math.log2(1.0 + total_power * float(np.sum(np.abs(h) ** 2)) / noise)
-        assert rates == pytest.approx([expected], rel=1e-12)
+        sinr = conjugate_bf_sinr(h[np.newaxis], total_power, noise)
+        expected = total_power * float(np.sum(np.abs(h) ** 2)) / noise
+        assert sinr.tolist() == pytest.approx([expected], rel=1e-12)
 
     def test_orthogonal_channels_see_no_interference(self):
         h1 = np.zeros(8, dtype=complex)
@@ -44,10 +44,10 @@ class TestConjugateBf:
         h1[0] = 2.0
         h2[1] = 3.0
         noise, power = 1e-2, 1.0
-        rates = conjugate_bf_rates(np.stack([h1, h2]), power, noise, 1.0)
+        sinr = conjugate_bf_sinr(np.stack([h1, h2]), power, noise)
         # eta = 1/2, each beam carries the full signal power
-        assert rates[0] == pytest.approx(math.log2(1.0 + 0.5 * power * 4.0 / noise), rel=1e-12)
-        assert rates[1] == pytest.approx(math.log2(1.0 + 0.5 * power * 9.0 / noise), rel=1e-12)
+        assert sinr[0] == pytest.approx(0.5 * power * 4.0 / noise, rel=1e-12)
+        assert sinr[1] == pytest.approx(0.5 * power * 9.0 / noise, rel=1e-12)
 
     def test_monopath_equal_gain_matches_steered_beams(self, rng):
         # with one path per user the matched filter is the steering vector up
@@ -59,7 +59,7 @@ class TestConjugateBf:
             CFG, drop_paths([[(alpha * np.exp(1j * rng.uniform(0, 2 * math.pi)), d)] for d in dirs])
         )
         noise, power, bandwidth = 8.1e-14, 1.0, 20e6
-        cb = conjugate_bf_rates(h_rows, power, noise, bandwidth)
+        cb = rate(conjugate_bf_sinr(h_rows, power, noise), bandwidth).tolist()
         plan = plan_toward(CFG, [d.theta for d in dirs], [d.phi for d in dirs], np.ones(k, dtype=int), power)
         _, _, zeta = link_states(h_rows, plan, np.arange(k), noise)
         steered = [rate(z, bandwidth) for z in zeta.tolist()]
@@ -67,7 +67,7 @@ class TestConjugateBf:
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            conjugate_bf_rates(np.empty((0, 8), dtype=complex), 1.0, 1e-3, 1.0)
+            conjugate_bf_sinr(np.empty((0, 8), dtype=complex), 1.0, 1e-3)
 
 
 class TestEnergyEfficiency:

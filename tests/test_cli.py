@@ -83,6 +83,11 @@ class TestSimulateCommand:
             ),
             ("schemes = dbs,dbs", "schemes must not repeat"),
             ("schemes = noma_dbs,noma_dbs_fcsi\ncsi_mode = full", "schemes must not repeat"),
+            ("user_counts = 3,3", "user_counts must not repeat"),
+            ("master_seed = -1", "master_seed must be nonnegative"),
+            ("d_over_lambda = inf", "element spacing must be positive and finite"),
+            ("p_min = nan", "p_min must be nonnegative and finite"),
+            ("p_min = inf", "p_min must be nonnegative and finite"),
         ],
     )
     def test_config_edge_rejected_with_one_error_line(self, tmp_path, capsys, line, message):
@@ -94,6 +99,15 @@ class TestSimulateCommand:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+        assert not out.exists()
+
+    def test_negative_seed_override_rejected(self, config_path, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main(["simulate", "--config", config_path, "--seed", "-5", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "master_seed must be nonnegative" in err
         assert not out.exists()
 
     def test_path_count_bound_checked_at_load(self, tmp_path, capsys):

@@ -155,6 +155,20 @@ class TestRate:
         with pytest.raises(ValueError):
             rate(-0.1, 1.0)
 
+    def test_arrays_keep_their_shape_and_each_entry(self, rng):
+        sinr = 10.0 ** rng.uniform(-3, 3, size=(3, 4))
+        band = np.where(rng.random((3, 4)) < 0.5, 10e6, 20e6)
+        got = rate(sinr, band)
+        assert got.shape == (3, 4)
+        assert got.tolist() == [
+            [b * math.log2(1.0 + s) for s, b in zip(s_row, b_row)]
+            for s_row, b_row in zip(sinr.tolist(), band.tolist())
+        ]
+
+    def test_any_negative_entry_rejected(self):
+        with pytest.raises(ValueError, match="sinr must be nonnegative"):
+            rate(np.array([[1.0, 2.0], [0.5, -1e-300]]), 1.0)
+
 
 class TestMonopathClosedForm:
     def test_single_user_is_pure_snr(self):

@@ -13,10 +13,11 @@ import numpy as np
 from nomabeam.array_geometry import Direction, steering_matrix
 from nomabeam.baselines import SchemeId
 from nomabeam.clustering import beta_uc
-from nomabeam.link_metrics import link_states, rate, sinr_noma_strong, sinr_noma_weak
+from nomabeam.link_metrics import link_states, sinr_noma_strong, sinr_noma_weak
 from nomabeam.power_allocation import opa, partial_csi_zeta
 from nomabeam.sim_harness import (
     CSV_HEADER,
+    AggregateRow,
     ConfigError,
     ScenarioConfig,
     _block_outcomes,
@@ -310,9 +311,14 @@ class TestSharedBeams:
         return drop_paths([[(a, d)] for a, d in zip(amplitudes, self.DIRS)])
 
     def outcome(self, scheme, paths):
-        """The drop's channel rows and the scheme's outcome on the pairing, in a block of one drop."""
-        outcomes = _block_outcomes(self.CONFIG, [paths], [self.pairs()])
-        return channel_matrix(self.CONFIG.array_config, paths), outcomes[0][scheme]
+        """The drop's channel rows and the scheme's outcome on the pairing, in a block of one drop.
+
+        The outcome is the drop's SINRs in beam order, each user's band, and
+        its shared-beam and deactivated counts.
+        """
+        sinr, band, shared, deactivated = _block_outcomes(self.CONFIG, [paths], [self.pairs()])[scheme]
+        assert sinr.shape == band.shape == (1, 3) and shared.shape == deactivated.shape == (1,)
+        return channel_matrix(self.CONFIG.array_config, paths), (sinr[0], band[0], shared[0], deactivated[0])
 
     def pairs(self):
         pairs = beta_uc(self.DIRS, self.CONFIG.array_config, self.CONFIG.beta0)
@@ -333,16 +339,17 @@ class TestSharedBeams:
 
     @pytest.mark.parametrize("amplitudes, strong, weak", [((1e-5, 3e-5, 2e-5), 1, 0), ((3e-5, 1e-5, 2e-5), 0, 1)])
     def test_stronger_user_comes_first_and_oma_halves_the_band(self, amplitudes, strong, weak):
-        h_rows, (rates, shared, deactivated) = self.outcome(SchemeId.OMA_DBS, self.drop(amplitudes))
+        h_rows, (sinr, bands, shared, deactivated) = self.outcome(SchemeId.OMA_DBS, self.drop(amplitudes))
         _, zeta = self.expected_zeta(h_rows)
         band = self.CONFIG.bandwidth_hz
         assert (shared, deactivated) == (1, 0)
-        assert rates == [rate(zeta[strong], band / 2), rate(zeta[weak], band / 2), rate(zeta[2], band)]
+        assert sinr.tolist() == [zeta[strong], zeta[weak], zeta[2]]
+        assert bands.tolist() == [band / 2, band / 2, band]
 
     @pytest.mark.parametrize("scheme", [SchemeId.NOMA_DBS_FCSI, SchemeId.NOMA_DBS_PCSI])
     def test_shared_beam_rates_follow_the_split(self, scheme):
         paths = self.drop((1e-5, 3e-5, 2e-5))
-        h_rows, (rates, shared, deactivated) = self.outcome(scheme, paths)
+        h_rows, (sinr, bands, shared, deactivated) = self.outcome(scheme, paths)
         plan, zeta = self.expected_zeta(h_rows)
         z_strong, z_weak = zeta[1], zeta[0]
         if scheme is SchemeId.NOMA_DBS_PCSI:
@@ -353,13 +360,9 @@ class TestSharedBeams:
         gamma1 = float(opa(*split_on, self.CONFIG.p_min, self.CONFIG.epsilon)[0])
         band = self.CONFIG.bandwidth_hz
         assert (shared, deactivated) == (1, int(gamma1 == 0.0))
-        assert rates == pytest.approx(
-            [
-                rate(sinr_noma_strong(z_strong, gamma1), band),
-                rate(sinr_noma_weak(z_weak, gamma1), band),
-                rate(zeta[2], band),
-            ],
-            rel=1e-12,
+        assert bands.tolist() == [band] * 3
+        assert sinr.tolist() == pytest.approx(
+            [sinr_noma_strong(z_strong, gamma1), sinr_noma_weak(z_weak, gamma1), zeta[2]], rel=1e-12
         )
 
 
@@ -386,6 +389,31 @@ class TestRunSweep:
         results, _ = run_sweep(config)
         keys = [(r.scheme.value, r.K, r.trial) for r in results]
         assert keys == sorted(keys)
+
+    def test_aggregates_recompute_from_the_rows(self):
+        schemes = (SchemeId.OMA_DBS, SchemeId.CONJUGATE_BF, SchemeId.DBS)
+        config = replace(SMALL, user_counts=(5, 1, 2), schemes=schemes, trials=3)
+        results, aggregates = run_sweep(config)
+        tags = sorted(s.value for s in schemes)
+        assert [(r.scheme.value, r.K, r.trial) for r in results] == list(
+            itertools.product(tags, (1, 2, 5), range(3))
+        )
+        expected = []
+        for scheme in sorted(schemes, key=lambda s: s.value):
+            for k in (1, 2, 5):
+                group = [r for r in results if r.scheme is scheme and r.K == k]
+                ses = [r.spectral_eff_bps_per_hz for r in group]
+                expected.append(
+                    AggregateRow(
+                        scheme=scheme,
+                        K=k,
+                        trials=len(group),
+                        mean_spectral_eff=statistics.fmean(ses),
+                        stderr_spectral_eff=statistics.stdev(ses) / math.sqrt(len(ses)),
+                        mean_energy_eff=statistics.fmean(r.energy_eff_bps_per_j for r in group),
+                    )
+                )
+        assert aggregates == expected
 
     def test_positive_spectral_efficiency(self):
         results, _ = run_sweep(replace(SMALL, trials=2))

@@ -1,0 +1,51 @@
+"""The package holds no dead private name.
+
+Every module-level private name of ``src/nomabeam`` (dunders excepted) must
+be read somewhere in the package: in its own module, imported by name from
+it, or reached as an attribute.  A deletion that leaves a helper, a constant
+or a type alias behind with no reader fails here.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "nomabeam"
+
+
+def _defined(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return {n for n in names if n.startswith("_") and not (n.startswith("__") and n.endswith("__"))}
+
+
+def _read(tree: ast.Module) -> set[str]:
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+
+
+def _imported(tree: ast.Module) -> set[tuple[str, str]]:
+    """(module stem, name) of every relative ``from .module import name``."""
+    return {
+        ((node.module or "").split(".")[-1], alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def test_every_private_name_is_read():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    attributes = {n.attr for tree in trees.values() for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    imported = set().union(*(_imported(tree) for tree in trees.values()))
+    dead = [
+        f"{stem}.{name}"
+        for stem, tree in trees.items()
+        for name in sorted(_defined(tree))
+        if name not in _read(tree) and (stem, name) not in imported and name not in attributes
+    ]
+    assert dead == []
