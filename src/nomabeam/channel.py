@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -65,12 +66,14 @@ class InvalidParams(ValueError):
 
 @dataclass(frozen=True)
 class DropPaths:
-    """Every propagation path of one drop, as flat arrays.
+    """Every propagation path of a block of drops, as flat arrays.
 
+    The users of the block's drops follow one another, drop after drop.
     User k's paths are ``starts[k]`` up to ``starts[k + 1]`` (the last user's
     run to the end), ordered strongest first, so ``starts`` also indexes each
     user's line-of-sight / strongest path.  ``gains`` are the complex path
-    amplitudes, ``theta`` and ``phi`` the departure angles in radians.
+    amplitudes, ``theta`` and ``phi`` the departure angles in radians.  One
+    drop is a block of one.
     """
 
     starts: np.ndarray
@@ -134,23 +137,24 @@ class ChannelParams:
 
 
 def draw_paths(
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
     params: ChannelParams,
     cell_radius_m: float,
     k_users: int,
 ) -> DropPaths:
-    """Drop ``k_users`` users uniformly in the cell and draw their multipath channels.
+    """Draw a block of drops: ``k_users`` users in the cell per generator, and their multipath channels.
 
     The line-of-sight amplitude is free-space path loss at the carrier over
     the 3D distance, shadowed log-normally; scattered paths are drawn per
     ``params`` below it and within ``angle_spread_deg`` of the LOS direction.
-    Each user's paths are sorted strongest first (a stable sort).  Identical
-    (rng state, params) yield identical paths.
+    Each user's paths are sorted strongest first (a stable sort).  Drop t
+    takes its users from ``rngs[t]`` and comes t-th in the block, and
+    identical (rng state, params) yield identical paths, whatever the block.
 
-    The RNG calls are a scalar generator's, user after user, with one call
-    for a user's scattered-path uniforms: numpy's ``uniform(lo, hi)`` is
-    ``lo + (hi - lo) * random()`` and ``normal(0, s)`` is
-    ``s * standard_normal()``.  The arithmetic runs once per drop, except
+    Only the RNG calls run per drop.  They are a scalar generator's, user
+    after user, with one call for a user's scattered-path uniforms: numpy's
+    ``uniform(lo, hi)`` is ``lo + (hi - lo) * random()`` and ``normal(0, s)``
+    is ``s * standard_normal()``.  The arithmetic runs once per block, except
     ``math.hypot``, ``math.asin``, ``**`` and complex ``abs``, whose numpy
     versions differ from them in the last bit on some inputs.
     """
@@ -163,15 +167,17 @@ def draw_paths(
     los_draws: list[float] = []
     path_counts: list[int] = []
     scattered_draws = [np.empty((0, 4))]  # defined even when no user scatters
-    for _ in range(k_users):
-        los_draws += (rng.random(), rng.random(), sigma * rng.standard_normal(), rng.random())
-        time_clusters = int(rng.integers(lo_tc, hi_tc + 1))
-        total_paths = sum(int(rng.integers(lo_p, hi_p + 1)) for _ in range(time_clusters))
-        path_counts.append(total_paths)
-        if total_paths > 1:
-            scattered_draws.append(rng.random((total_paths - 1, 4)))
+    for rng in rngs:
+        for _ in range(k_users):
+            los_draws += (rng.random(), rng.random(), sigma * rng.standard_normal(), rng.random())
+            time_clusters = int(rng.integers(lo_tc, hi_tc + 1))
+            total_paths = sum(int(rng.integers(lo_p, hi_p + 1)) for _ in range(time_clusters))
+            path_counts.append(total_paths)
+            if total_paths > 1:
+                scattered_draws.append(rng.random((total_paths - 1, 4)))
 
-    radius_u, theta_u, shadow_db, los_phase_u = np.array(los_draws).reshape(k_users, 4).T
+    n_users = len(path_counts)
+    radius_u, theta_u, shadow_db, los_phase_u = np.array(los_draws).reshape(n_users, 4).T
     ground_r = cell_radius_m * np.sqrt(radius_u)
     theta = math.pi * theta_u
     slant = np.array([math.hypot(r, BS_HEIGHT_M) for r in ground_r.tolist()])
@@ -181,7 +187,7 @@ def draw_paths(
     # Scattered paths: one row each, users in order.
     offset_u, phase_u, d_theta_u, d_phi_u = np.concatenate(scattered_draws).T
     counts = np.array(path_counts)
-    owner = np.repeat(np.arange(k_users), counts - 1)
+    owner = np.repeat(np.arange(n_users), counts - 1)
     lo_db, hi_db = params.nlos_gain_offset_db
     offset_db = lo_db + (hi_db - lo_db) * offset_u
     spread = math.radians(params.angle_spread_deg)
@@ -200,7 +206,7 @@ def draw_paths(
     neg_mag = np.array([-abs(g) for g in gains.tolist()])
     if not (neg_mag < 0).all():
         raise InvalidParams("path gain must be nonzero")
-    order = np.lexsort((neg_mag, np.concatenate((np.arange(k_users), owner))))
+    order = np.lexsort((neg_mag, np.concatenate((np.arange(n_users), owner))))
     starts = np.cumsum(counts) - counts
     return DropPaths(starts, gains[order], thetas[order], phis[order])
 

@@ -73,9 +73,11 @@ def rate(sinr, bandwidth_hz):
     """Shannon rate in bps, bandwidth * log2(1 + sinr), of a scalar or of each entry of an array.
 
     ``bandwidth_hz`` is one band, or one band per entry.  Each log2 is taken
-    by ``math.log2``, which numpy's log2 does not match to the ulp.
+    by ``math.log2``, which numpy's log2 does not match to the ulp; the sum
+    1 + sinr is one rounded add either way.
     """
     sinr = np.asarray(sinr, dtype=float)
     if np.any(sinr < 0):
         raise ValueError(f"sinr must be nonnegative, got {sinr[sinr < 0][0]}")
-    return bandwidth_hz * np.array([math.log2(1.0 + s) for s in sinr.ravel().tolist()]).reshape(sinr.shape)
+    log2s = np.fromiter(map(math.log2, (1.0 + sinr).ravel().tolist()), float, sinr.size)
+    return bandwidth_hz * log2s.reshape(sinr.shape)

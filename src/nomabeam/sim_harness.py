@@ -11,7 +11,6 @@ one drop, so scheme comparisons are paired.  Rows are emitted in
 
 from __future__ import annotations
 
-import itertools
 import math
 import statistics
 from dataclasses import dataclass, fields
@@ -309,14 +308,16 @@ def _trial_rng(config: ScenarioConfig, k_users: int, trial_index: int) -> np.ran
 
 
 def _drop_users(
-    config: ScenarioConfig, k_users: int, trial_index: int
-) -> tuple[DropPaths, list[Direction]]:
-    """The drop's paths and each user's LOS (strongest) direction."""
+    config: ScenarioConfig, k_users: int, trials: Sequence[int]
+) -> tuple[DropPaths, list[list[Direction]]]:
+    """The drops of (master_seed, K, t), t in ``trials``: their paths as one
+    block, and each drop's LOS (strongest) user directions."""
     paths = draw_paths(
-        _trial_rng(config, k_users, trial_index), config.channel_params, config.cell_radius_m, k_users
+        [_trial_rng(config, k_users, t) for t in trials], config.channel_params, config.cell_radius_m, k_users
     )
     los = paths.starts
-    return paths, [Direction(t, p) for t, p in zip(paths.theta[los].tolist(), paths.phi[los].tolist())]
+    dirs = [Direction(t, p) for t, p in zip(paths.theta[los].tolist(), paths.phi[los].tolist())]
+    return paths, [dirs[first : first + k_users] for first in range(0, len(dirs), k_users)]
 
 
 # Per scheme, a block's outcome: the T x K SINRs in beam order (each pair's
@@ -334,19 +335,19 @@ _BLOCK_BYTES = 2**17
 def _trial_outcomes(config: ScenarioConfig, k_users: int, trials: Sequence[int]) -> dict[SchemeId, _Outcome]:
     """Every scheme's outcome on the drops of (master_seed, K, t), t in ``trials``, as one block.
 
-    Each drop is drawn and paired on its own, and before any steering, so
-    that its K x K pairing temporaries meet no K x M matrix; the drops are
-    then evaluated as one block.
+    The block's drops are drawn at once, and each is paired on its own
+    before any steering, so that its K x K pairing temporaries meet no K x M
+    matrix; the drops are then evaluated as one block.
     """
-    drops = [_drop_users(config, k_users, t) for t in trials]
-    pairings = [beta_uc(dirs, config.array_config, config.beta0) for _, dirs in drops]
-    return _block_outcomes(config, [paths for paths, _ in drops], pairings)
+    paths, dirs = _drop_users(config, k_users, trials)
+    pairings = [beta_uc(drop_dirs, config.array_config, config.beta0) for drop_dirs in dirs]
+    return _block_outcomes(config, paths, pairings)
 
 
 def _block_outcomes(
-    config: ScenarioConfig, drops: list[DropPaths], pairings: list[np.ndarray]
+    config: ScenarioConfig, paths: DropPaths, pairings: list[np.ndarray]
 ) -> dict[SchemeId, _Outcome]:
-    """Every scheme's outcome on a block of drops, given each drop's pairing.
+    """Every scheme's outcome on a block of drops, given their paths and each drop's pairing.
 
     ``dbs`` uses the one-beam-per-user plan; ``noma_dbs_fcsi``,
     ``noma_dbs_pcsi`` and ``oma_dbs`` share each drop's pairing, its plan and
@@ -354,7 +355,7 @@ def _block_outcomes(
     row.  A drop's numbers do not depend on the block: every reduction and
     every matrix product runs per drop, at the drop's shape and memory layout.
     """
-    h_rows, dbs_zeta, zeta, estimated = _steered_links(config, drops, pairings)
+    h_rows, dbs_zeta, zeta, estimated = _steered_links(config, paths, pairings)
     # No plan or gain matrix is held while conjugate beamforming builds its
     # K x K temporaries.
     cb_sinr = conjugate_bf_sinr(h_rows, config.total_power_w, config.noise_w)
@@ -385,7 +386,7 @@ def _block_outcomes(
 
 
 def _steered_links(
-    config: ScenarioConfig, drops: list[DropPaths], pairings: list[np.ndarray]
+    config: ScenarioConfig, paths: DropPaths, pairings: list[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The block's T x K x M channel rows, its T x K dbs link ratios, and its T x K shared-plan ratios.
 
@@ -398,20 +399,13 @@ def _steered_links(
     users' ratios.  A drop with no pair keeps its dbs row in both.
     """
     cfg = config.array_config
-    n_drops, k_users = len(drops), len(drops[0].starts)
-    path_offsets = itertools.accumulate([0, *(len(d.gains) for d in drops[:-1])])
-    paths = DropPaths(
-        starts=np.concatenate([d.starts + offset for d, offset in zip(drops, path_offsets)]),
-        gains=np.concatenate([d.gains for d in drops]),
-        theta=np.concatenate([d.theta for d in drops]),
-        phi=np.concatenate([d.phi for d in drops]),
-    )
+    n_drops = len(pairings)
+    k_users = len(paths.starts) // n_drops
     theta, phi = paths.theta[paths.starts], paths.phi[paths.starts]
     los = np.ascontiguousarray(
         steering_matrix(cfg, theta, phi).reshape(n_drops, k_users, cfg.num_elements).transpose(0, 2, 1)
     )
     h_rows = channel_rows(cfg, paths, los)
-    del paths
     plan = build_plan(los, np.ones(k_users, dtype=int), config.total_power_w, config.inter_cluster_rule)
     dbs_zeta = link_states(h_rows, plan, np.arange(k_users), config.noise_w)[2]
     del plan

@@ -140,7 +140,7 @@ def test_criterion_06_pipeline_matches_closed_forms():
     def check(params, closed_fn, drops):
         for _ in range(drops):
             k = int(rng.integers(1, 8))
-            paths = draw_paths(rng, params, 100.0, k)
+            paths = draw_paths([rng], params, 100.0, k)
             gains, dirs = user_paths(paths)
             los = paths.starts
             plan = plan_toward(cfg, paths.theta[los], paths.phi[los], np.ones(k, dtype=int), 1.0)
@@ -163,7 +163,7 @@ def test_criterion_07_power_conservation_smoke_sweep():
     config = ScenarioConfig(user_counts=(25,), trials=100, master_seed=SEED)
     total = config.total_power_w
     for trial in range(100):
-        _, dirs = _drop_users(config, 25, trial)
+        _, (dirs,) = _drop_users(config, 25, [trial])
         pairs = beta_uc(dirs, config.array_config, config.beta0).tolist()
         singles = sorted(set(range(25)) - {m for pair in pairs for m in pair})
         beams = [
@@ -185,7 +185,7 @@ def test_criterion_08_clustering_contract():
     beta0 = 0.5
     for _ in range(500):
         k = int(rng.integers(2, 41))
-        _, user_dirs = user_paths(draw_paths(rng, params, 100.0, k))
+        _, user_dirs = user_paths(draw_paths([rng], params, 100.0, k))
         dirs = [d[0] for d in user_dirs]
         pairs = beta_uc(dirs, cfg, beta0).tolist()
         paired = [m for pair in pairs for m in pair]

@@ -22,33 +22,33 @@ def steering(d):
 
 class TestGeneration:
     def test_mono_path_params_give_exactly_one_path(self, rng):
-        paths = draw_paths(rng, MONO, 100.0, 50)
+        paths = draw_paths([rng], MONO, 100.0, 50)
         assert len(paths.gains) == 50
         assert paths.starts.tolist() == list(range(50))
 
     def test_rural_defaults_draw_one_or_two_paths_per_cluster(self, rng):
         params = ChannelParams()  # 1-2 time clusters of 1-2 paths
-        gains, _ = user_paths(draw_paths(rng, params, 100.0, 400))
+        gains, _ = user_paths(draw_paths([rng], params, 100.0, 400))
         counts = {len(g) for g in gains}
         assert counts <= {1, 2, 3, 4}
         assert 1 in counts and 2 in counts
 
     def test_same_seed_is_bit_identical(self):
         params = ChannelParams()
-        a = draw_paths(np.random.default_rng(7), params, 100.0, 5)
-        b = draw_paths(np.random.default_rng(7), params, 100.0, 5)
+        a = draw_paths([np.random.default_rng(7)], params, 100.0, 5)
+        b = draw_paths([np.random.default_rng(7)], params, 100.0, 5)
         for field in fields(DropPaths):
             assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
 
     def test_strongest_path_first(self, rng):
         params = ChannelParams(nlos_gain_offset_db=(-3.0, 3.0))  # scatter may beat LOS
-        gains, _ = user_paths(draw_paths(rng, params, 100.0, 200))
+        gains, _ = user_paths(draw_paths([rng], params, 100.0, 200))
         for user in gains:
             mags = [abs(g) for g in user]
             assert mags == sorted(mags, reverse=True)
 
     def test_azimuth_spans_forward_field_of_view(self, rng):
-        paths = draw_paths(rng, MONO, 100.0, 300)
+        paths = draw_paths([rng], MONO, 100.0, 300)
         thetas = paths.theta[paths.starts]
         assert np.all((0.0 <= thetas) & (thetas <= math.pi))
         assert thetas.max() > 2.5 and thetas.min() < 0.5
@@ -57,7 +57,7 @@ class TestGeneration:
         params = ChannelParams(
             num_time_clusters_range=(2, 2), paths_per_cluster_range=(2, 2), angle_spread_deg=5.0
         )
-        _, dirs = user_paths(draw_paths(rng, params, 100.0, 50))
+        _, dirs = user_paths(draw_paths([rng], params, 100.0, 50))
         for user in dirs:
             los = user[0]
             for d in user[1:]:
@@ -66,7 +66,7 @@ class TestGeneration:
 
     def test_bad_inputs_raise(self, rng):
         with pytest.raises(InvalidParams):
-            draw_paths(rng, MONO, 0.0, 1)
+            draw_paths([rng], MONO, 0.0, 1)
         with pytest.raises(InvalidParams):
             ChannelParams(num_time_clusters_range=(2, 1))
         with pytest.raises(InvalidParams):
@@ -74,7 +74,7 @@ class TestGeneration:
         # a 7000 dB offset underflows the scattered amplitude to exactly 0
         vanishing = ChannelParams(paths_per_cluster_range=(2, 2), nlos_gain_offset_db=(7000.0, 7000.0))
         with pytest.raises(InvalidParams, match="path gain must be nonzero"):
-            draw_paths(rng, vanishing, 100.0, 1)
+            draw_paths([rng], vanishing, 100.0, 1)
 
 
 ORACLE_PARAMS = {
@@ -103,12 +103,48 @@ class TestScalarOracle:
         params = ORACLE_PARAMS[name]
         for seed in range(4):
             rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            drop = draw_paths(rng, params, 100.0, k_users)
+            drop = draw_paths([rng], params, 100.0, k_users)
             expected = draw_paths_scalar(oracle_rng, params, 100.0, k_users)
             for field in fields(DropPaths):
                 got, want = getattr(drop, field.name), getattr(expected, field.name)
                 assert got.dtype == want.dtype and np.array_equal(got, want), field.name
             assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+# The oracle's configs and the largest multipath draw the loader accepts.
+BLOCK_PARAMS = {
+    **ORACLE_PARAMS,
+    "six-clusters-of-thirty": ChannelParams(
+        num_time_clusters_range=(channel.MAX_TIME_CLUSTERS, channel.MAX_TIME_CLUSTERS),
+        paths_per_cluster_range=(channel.MAX_PATHS_PER_CLUSTER, channel.MAX_PATHS_PER_CLUSTER),
+    ),
+}
+
+
+class TestBlockDraw:
+    """A block of drops against the same drops drawn one at a time."""
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_PARAMS))
+    @pytest.mark.parametrize("k_users", [1, 2, 23])
+    def test_block_is_its_drops_concatenated(self, name, k_users):
+        params = BLOCK_PARAMS[name]
+        seeds = [3, 1, 4, 15]
+        block_rngs = [np.random.default_rng(seed) for seed in seeds]
+        alone_rngs = [np.random.default_rng(seed) for seed in seeds]
+        block = draw_paths(block_rngs, params, 100.0, k_users)
+        drops = [draw_paths([rng], params, 100.0, k_users) for rng in alone_rngs]
+        offsets = np.cumsum([0] + [len(drop.gains) for drop in drops[:-1]])
+        expected = DropPaths(
+            starts=np.concatenate([drop.starts + offset for drop, offset in zip(drops, offsets)]),
+            gains=np.concatenate([drop.gains for drop in drops]),
+            theta=np.concatenate([drop.theta for drop in drops]),
+            phi=np.concatenate([drop.phi for drop in drops]),
+        )
+        for field in fields(DropPaths):
+            got, want = getattr(block, field.name), getattr(expected, field.name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), field.name
+        for block_rng, alone_rng in zip(block_rngs, alone_rngs):
+            assert block_rng.bit_generator.state == alone_rng.bit_generator.state
 
 
 class TestChannelVector:
@@ -140,7 +176,7 @@ class TestChannelVector:
         assert abs(np.dot(h, a1)) ** 2 == pytest.approx(abs(alpha) ** 2 * m * m, rel=1e-9)
 
     def test_each_row_sums_only_its_own_users_paths(self, rng):
-        paths = draw_paths(rng, ChannelParams(), 100.0, 6)
+        paths = draw_paths([rng], ChannelParams(), 100.0, 6)
         gains, dirs = user_paths(paths)
         rows = channel_matrix(CFG, paths)
         assert rows.shape == (6, CFG.num_elements)
@@ -152,7 +188,7 @@ class TestChannelVector:
     def test_blocks_of_paths_give_the_same_rows(self, rng, monkeypatch, block_bytes):
         # one path per block, then blocks that straddle two path ranks and a
         # short last block
-        paths = draw_paths(rng, ChannelParams(num_time_clusters_range=(1, 2)), 100.0, 7)
+        paths = draw_paths([rng], ChannelParams(num_time_clusters_range=(1, 2)), 100.0, 7)
         whole = channel_matrix(CFG, paths)
         monkeypatch.setattr(channel, "_BLOCK_BYTES", block_bytes)
         assert np.array_equal(channel_matrix(CFG, paths), whole)

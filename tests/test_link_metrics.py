@@ -231,7 +231,7 @@ class TestMultipathClosedForm:
         params = ChannelParams()
         for _ in range(40):
             k = int(rng.integers(1, 7))
-            paths = draw_paths(rng, params, 100.0, k)
+            paths = draw_paths([rng], params, 100.0, k)
             gains, dirs = user_paths(paths)
             plan = private_plan([d[0] for d in dirs])
             eta_dbs = plan.eta * plan.cluster_powers_pc[0]

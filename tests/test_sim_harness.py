@@ -235,7 +235,7 @@ class TestRunTrial:
         )
         k = 6
         result = evaluate_trial(config, k, 1, (SchemeId.DBS,))[0]
-        paths, dirs = _drop_users(config, k, 1)
+        paths, (dirs,) = _drop_users(config, k, [1])
         gains = paths.gains[paths.starts].tolist()
         eta_dbs = config.total_power_w / (config.array_config.num_elements * k)
         closed_sum = sum(
@@ -292,7 +292,7 @@ class TestEvaluateTrial:
         assert paired
 
     def test_four_paths_per_user(self):
-        paths, _ = _drop_users(EQUIVALENCE_CONFIGS["four-paths"], 5, 0)
+        paths, _ = _drop_users(EQUIVALENCE_CONFIGS["four-paths"], 5, [0])
         assert paths.starts.tolist() == [0, 4, 8, 12, 16]
         assert len(paths.gains) == 20
 
@@ -316,7 +316,7 @@ class TestSharedBeams:
         The outcome is the drop's SINRs in beam order, each user's band, and
         its shared-beam and deactivated counts.
         """
-        sinr, band, shared, deactivated = _block_outcomes(self.CONFIG, [paths], [self.pairs()])[scheme]
+        sinr, band, shared, deactivated = _block_outcomes(self.CONFIG, paths, [self.pairs()])[scheme]
         assert sinr.shape == band.shape == (1, 3) and shared.shape == deactivated.shape == (1,)
         return channel_matrix(self.CONFIG.array_config, paths), (sinr[0], band[0], shared[0], deactivated[0])
 

@@ -1,9 +1,11 @@
-"""The package holds no dead private name.
+"""The package holds no dead private name and no unused import.
 
 Every module-level private name of ``src/nomabeam`` (dunders excepted) must
 be read somewhere in the package: in its own module, imported by name from
 it, or reached as an attribute.  A deletion that leaves a helper, a constant
-or a type alias behind with no reader fails here.
+or a type alias behind with no reader fails here.  Every module-level import
+must be read by its own module; ``__init__.py`` only re-exports names, and is
+exempt.
 """
 
 import ast
@@ -49,3 +51,25 @@ def test_every_private_name_is_read():
         if name not in _read(tree) and (stem, name) not in imported and name not in attributes
     ]
     assert dead == []
+
+
+def _imports(tree: ast.Module) -> set[str]:
+    """The names that the module-level imports of a module bind, ``__future__`` aside."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(alias.asname or alias.name for alias in node.names)
+    return names
+
+
+def test_every_import_is_read():
+    unused = [
+        f"{path.stem}.{name}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+        for tree in [ast.parse(path.read_text(encoding="utf-8"))]
+        for name in sorted(_imports(tree) - _read(tree))
+    ]
+    assert unused == []
