@@ -12,7 +12,6 @@ from .array_geometry import (
     ArrayConfig,
     Direction,
     beta_matrix,
-    beta_metric,
     pattern_cut,
     steering_matrix,
 )
@@ -27,7 +26,6 @@ from .power_allocation import (
     gamma_hat,
     opa,
     partial_csi_zeta,
-    rc_derivative,
 )
 from .sim_harness import (
     ConfigError,

@@ -23,7 +23,6 @@ __all__ = [
     "ArrayConfig",
     "Direction",
     "steering_matrix",
-    "beta_metric",
     "beta_matrix",
     "pattern_cut",
 ]
@@ -117,13 +116,8 @@ def _pattern(cfg: ArrayConfig, theta_k, phi_k, theta_u, phi_u) -> np.ndarray:
     return np.abs(_sin_ratio(cfg.m_h, c * (uk_az - uu_az)) * _sin_ratio(cfg.m_v, c * (uk_el - uu_el)))
 
 
-def beta_metric(cfg: ArrayConfig, dir_k: Direction, dir_u: Direction) -> float:
-    """Normalized spatial interference between two directions, in [0, 1]; symmetric."""
-    return float(_pattern(cfg, dir_k.theta, dir_k.phi, dir_u.theta, dir_u.phi))
-
-
 def beta_matrix(dirs: list[Direction], cfg: ArrayConfig) -> np.ndarray:
-    """Symmetric K x K matrix of pairwise ``beta_metric`` values (diagonal 1)."""
+    """Symmetric K x K matrix of the pairwise beta values, in [0, 1] (diagonal 1)."""
     theta = np.array([d.theta for d in dirs])
     phi = np.array([d.phi for d in dirs])
     return _pattern(cfg, theta[:, None], phi[:, None], theta, phi)

@@ -19,7 +19,6 @@ power as the denominator.  The split is then solved as under full feedback.
 
 from __future__ import annotations
 
-import math
 from enum import IntEnum
 
 import numpy as np
@@ -32,7 +31,6 @@ __all__ = [
     "gamma_hat",
     "gamma_fair",
     "opa",
-    "rc_derivative",
     "partial_csi_zeta",
 ]
 
@@ -114,19 +112,6 @@ def opa(zeta1, zeta2, p_min: float, epsilon: float) -> tuple[np.ndarray, np.ndar
     gamma1 = np.where(fair, np.minimum(gamma_fair(z1, z2), cap), np.where(upper, cap, 0.0))
     branch = np.where(fair, Branch.FAIR, np.where(upper, Branch.UPPER_ENDPOINT, Branch.DEACTIVATE))
     return np.where(infeasible, 0.0, gamma1), np.where(infeasible, Branch.INFEASIBLE, branch)
-
-
-def rc_derivative(zeta1: float, zeta2: float, gamma1: float) -> float:
-    """Slope of the shared beam's unit-bandwidth throughput in gamma1.
-
-    (zeta1 - zeta2) / (ln2 * (1 + zeta1*gamma1) * (1 + zeta2*gamma1)): its
-    sign is that of zeta1 - zeta2 over the whole feasible range.
-    """
-    if not 0.0 <= gamma1 <= 0.5:
-        raise ValueError(f"gamma1 must be in [0, 1/2], got {gamma1}")
-    return (zeta1 - zeta2) / (
-        math.log(2.0) * (1.0 + zeta1 * gamma1) * (1.0 + zeta2 * gamma1)
-    )
 
 
 def partial_csi_zeta(

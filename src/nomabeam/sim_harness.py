@@ -103,10 +103,7 @@ class ScenarioConfig:
         if not self.user_counts:
             raise ConfigError("user_counts must not be empty")
         for k in self.user_counts:
-            if k < 1 or k >= array.num_elements:
-                raise ConfigError(
-                    f"user counts must satisfy 1 <= K < M={array.num_elements}, got {k}"
-                )
+            _check_user_count(k, array)
         if len(set(self.user_counts)) < len(self.user_counts):
             raise ConfigError(f"user_counts must not repeat, got {', '.join(map(str, self.user_counts))}")
         if self.master_seed < 0:
@@ -175,6 +172,11 @@ class ScenarioConfig:
     @cached_property
     def noise_w(self) -> float:
         return _watts(self.noise_power_dbm)
+
+
+def _check_user_count(k_users: int, array: ArrayConfig) -> None:
+    if not 1 <= k_users < array.num_elements:
+        raise ConfigError(f"user counts must satisfy 1 <= K < M={array.num_elements}, got {k_users}")
 
 
 def _watts(dbm: float) -> float:
@@ -453,20 +455,18 @@ def _steered_links(
     return h_rows, dbs_zeta, shared, estimated
 
 
-def evaluate_trial(
-    config: ScenarioConfig,
-    k_users: int,
-    trial_index: int,
-    schemes: Sequence[SchemeId],
-) -> list[ScenarioResult]:
-    """Every scheme of ``schemes`` on the drop of (master_seed, K, trial), in that order.
+def evaluate_trial(config: ScenarioConfig, k_users: int, trial_index: int) -> dict[SchemeId, ScenarioResult]:
+    """Every scheme's result on the drop of (master_seed, K, trial), all five of them.
 
-    The users and their channels are drawn once, and every drop is evaluated
-    for all five schemes; ``schemes`` only picks and orders the results.  It
-    is a block of one trial, and gives the rows a sweep's larger blocks give.
+    The users and their channels are drawn once.  It is a block of one
+    trial, and gives the rows a sweep's larger blocks give.  A K outside the
+    loader's 1 <= K < M, or a negative trial index, raises ConfigError.
     """
+    _check_user_count(k_users, config.array_config)
+    if trial_index < 0:
+        raise ConfigError(f"trial index must be nonnegative, got {trial_index}")
     outcomes = _trial_outcomes(config, k_users, [trial_index])
-    return [_results(config, k_users, [trial_index], s, outcomes[s])[0] for s in schemes]
+    return {s: _results(config, k_users, [trial_index], s, outcome)[0] for s, outcome in outcomes.items()}
 
 
 def _results(

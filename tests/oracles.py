@@ -2,7 +2,9 @@
 
 Everything here recomputes quantities from first principles (direct phasor
 sums, dense grids, finite differences) without going through the code paths
-under test.  The scalar path generator and the masked-argmax pairing are the
+under test.  The paper's slope formula for the shared-beam throughput lives
+here too: no library code needs it, and the tests check it against a finite
+difference of ``pair_rate``.  The scalar path generator and the masked-argmax pairing are the
 loop versions that the library's array code replaced; the tests require equal
 results from both.
 """
@@ -45,6 +47,19 @@ def pair_rate(zeta1: float, zeta2: float, gamma1: float) -> float:
     strong = math.log2(1.0 + zeta1 * gamma1)
     weak = math.log2(1.0 + zeta2 * (1.0 - gamma1) / (1.0 + zeta2 * gamma1))
     return strong + weak
+
+
+def rc_derivative(zeta1: float, zeta2: float, gamma1: float) -> float:
+    """Slope of the shared beam's unit-bandwidth throughput in gamma1.
+
+    (zeta1 - zeta2) / (ln2 * (1 + zeta1*gamma1) * (1 + zeta2*gamma1)): its
+    sign is that of zeta1 - zeta2 over the whole feasible range.
+    """
+    if not 0.0 <= gamma1 <= 0.5:
+        raise ValueError(f"gamma1 must be in [0, 1/2], got {gamma1}")
+    return (zeta1 - zeta2) / (
+        math.log(2.0) * (1.0 + zeta1 * gamma1) * (1.0 + zeta2 * gamma1)
+    )
 
 
 def pair_rate_grid_max(zeta1: float, zeta2: float, gamma_max: float, step: float = 1e-4) -> float:

@@ -13,19 +13,18 @@ rate-equalising root that criterion 5 pins (0.0306 there).
 """
 
 import math
-import statistics
 import time
 from dataclasses import replace
 
 import numpy as np
 
-from nomabeam.array_geometry import ArrayConfig, beta_matrix, beta_metric
+from nomabeam.array_geometry import ArrayConfig, beta_matrix
 from nomabeam.baselines import SchemeId
 from nomabeam.channel import ChannelParams, draw_paths
 from nomabeam.clustering import beta_uc
 from nomabeam.link_metrics import link_states
-from nomabeam.power_allocation import gamma_fair, gamma_hat, opa, rc_derivative
-from nomabeam.sim_harness import ScenarioConfig, _drop_users, evaluate_trial, run_sweep, write_csv
+from nomabeam.power_allocation import gamma_fair, gamma_hat, opa
+from nomabeam.sim_harness import ScenarioConfig, _drop_users, run_sweep, write_csv
 
 from drops import channel_matrix, plan_toward, user_paths
 from oracles import (
@@ -34,6 +33,7 @@ from oracles import (
     pair_rate,
     pair_rate_grid_max,
     random_direction,
+    rc_derivative,
     sinr_dbs_monopath_closed,
     sinr_dbs_multipath_closed,
 )
@@ -48,7 +48,7 @@ def test_criterion_01_beta_closed_form_vs_brute_force():
     for _ in range(1000):
         cfg = ArrayConfig(int(rng.integers(1, 65)), int(rng.integers(1, 65)), 0.5)
         dir_k, dir_u = random_direction(rng), random_direction(rng)
-        diff = abs(beta_metric(cfg, dir_k, dir_u) - beta_phasor_sum(cfg, dir_k, dir_u))
+        diff = abs(beta_matrix([dir_k, dir_u], cfg)[0, 1] - beta_phasor_sum(cfg, dir_k, dir_u))
         worst = max(worst, diff)
         assert diff < 1e-9
     elapsed = time.perf_counter() - start
@@ -199,17 +199,14 @@ def test_criterion_08_clustering_contract():
 
 def test_criterion_09_trend_reproduction():
     start = time.perf_counter()
-    config = ScenarioConfig(trials=500, master_seed=1)  # rural defaults, M = 64, beta0 = 0.5
     user_counts = (5, 15, 25, 35, 45, 55)
     schemes = (SchemeId.DBS, SchemeId.NOMA_DBS_FCSI, SchemeId.NOMA_DBS_PCSI)
+    # rural defaults, M = 64, beta0 = 0.5; the sweep evaluates the three
+    # schemes on the same drops, and its means run over the 500 trials of each K
+    config = ScenarioConfig(user_counts=user_counts, schemes=schemes, trials=500, master_seed=1)
     means: dict[SchemeId, list[float]] = {scheme: [] for scheme in schemes}
-    for k in user_counts:
-        # one evaluation per (K, trial) gives all three schemes on the same drop
-        trials = [evaluate_trial(config, k, t, schemes) for t in range(500)]
-        for i, scheme in enumerate(schemes):
-            means[scheme].append(
-                statistics.fmean(results[i].spectral_eff_bps_per_hz for results in trials)
-            )
+    for row in run_sweep(config)[1]:
+        means[row.scheme].append(row.mean_spectral_eff)
     gains = [f / d - 1.0 for f, d in zip(means[SchemeId.NOMA_DBS_FCSI], means[SchemeId.DBS])]
     pcsi_dev = [
         abs(p - f) / f

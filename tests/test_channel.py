@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nomabeam import channel
-from nomabeam.array_geometry import ArrayConfig, Direction, beta_metric, steering_matrix
+from nomabeam.array_geometry import ArrayConfig, Direction, beta_matrix, steering_matrix
 from nomabeam.beamforming import BeamformingPlan
 from nomabeam.channel import ChannelParams, DropPaths, InvalidParams, draw_paths
 
@@ -168,7 +168,7 @@ class TestChannelVector:
         # u_az gap of 1/8 sits on the first null of the 16-element axis
         d1 = Direction(math.pi / 2, 0.0)
         d2 = Direction(math.acos(1.0 / 8.0), 0.0)
-        assert beta_metric(CFG, d1, d2) < 1e-12
+        assert beta_matrix([d1, d2], CFG)[0, 1] < 1e-12
         alpha = 0.5 + 0.2j
         h = channel_matrix(CFG, drop_paths([[(alpha, d1), (alpha, d2)]]))[0]
         a1 = steering(d1)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import statistics
@@ -195,7 +196,7 @@ class TestConfigValidation:
     def test_bounds_give_finite_rates(self, field, value):
         config = replace(SMALL, paths_per_cluster=(2, 2), **{field: value})
         for k in (1, 2, 5):
-            for result in evaluate_trial(config, k, 0, tuple(SchemeId)):
+            for result in evaluate_trial(config, k, 0).values():
                 assert math.isfinite(result.sum_rate_bps) and result.sum_rate_bps >= 0
 
     def test_power_conversion(self):
@@ -206,7 +207,7 @@ class TestConfigValidation:
 class TestRunTrial:
     def test_single_user_is_noise_limited(self):
         config = replace(SMALL, user_counts=(1,))
-        result = evaluate_trial(config, 1, 0, (SchemeId.DBS,))[0]
+        result = evaluate_trial(config, 1, 0)[SchemeId.DBS]
         assert result.noma_cluster_count == 0
         assert result.sum_rate_bps > 0
         assert result.spectral_eff_bps_per_hz == pytest.approx(
@@ -214,16 +215,16 @@ class TestRunTrial:
         )
 
     def test_deterministic_per_key(self):
-        a = evaluate_trial(SMALL, 4, 2, (SchemeId.NOMA_DBS_FCSI,))[0]
-        b = evaluate_trial(SMALL, 4, 2, (SchemeId.NOMA_DBS_FCSI,))[0]
+        a = evaluate_trial(SMALL, 4, 2)[SchemeId.NOMA_DBS_FCSI]
+        b = evaluate_trial(SMALL, 4, 2)[SchemeId.NOMA_DBS_FCSI]
         assert a == b
 
     def test_schemes_share_the_same_drop(self):
         # K=1 leaves nothing to pair, so the shared-beam scheme reduces to
         # plain steering on the identical channel draw
         config = replace(SMALL, user_counts=(1,))
-        dbs = evaluate_trial(config, 1, 5, (SchemeId.DBS,))[0]
-        noma = evaluate_trial(config, 1, 5, (SchemeId.NOMA_DBS_FCSI,))[0]
+        results = evaluate_trial(config, 1, 5)
+        dbs, noma = results[SchemeId.DBS], results[SchemeId.NOMA_DBS_FCSI]
         assert dbs.sum_rate_bps == pytest.approx(noma.sum_rate_bps, rel=1e-12)
 
     def test_monopath_dbs_matches_closed_form(self):
@@ -234,7 +235,7 @@ class TestRunTrial:
             user_counts=(6,),
         )
         k = 6
-        result = evaluate_trial(config, k, 1, (SchemeId.DBS,))[0]
+        result = evaluate_trial(config, k, 1)[SchemeId.DBS]
         paths, (dirs,) = _drop_users(config, k, [1])
         gains = paths.gains[paths.starts].tolist()
         eta_dbs = config.total_power_w / (config.array_config.num_elements * k)
@@ -251,12 +252,22 @@ class TestRunTrial:
         assert result.sum_rate_bps == pytest.approx(closed_sum, rel=1e-9)
 
     def test_partial_csi_scheme_runs(self):
-        result = evaluate_trial(SMALL, 4, 0, (SchemeId.NOMA_DBS_PCSI,))[0]
+        result = evaluate_trial(SMALL, 4, 0)[SchemeId.NOMA_DBS_PCSI]
         assert result.sum_rate_bps > 0
 
     def test_oma_scheme_runs(self):
-        result = evaluate_trial(SMALL, 4, 0, (SchemeId.OMA_DBS,))[0]
+        result = evaluate_trial(SMALL, 4, 0)[SchemeId.OMA_DBS]
         assert result.sum_rate_bps > 0
+
+    @pytest.mark.parametrize("k", [0, 8, 9])
+    def test_user_count_outside_the_array_rejected(self, k):
+        config = replace(SMALL, m_h=4, m_v=2)
+        with pytest.raises(ConfigError, match=f"user counts must satisfy 1 <= K < M=8, got {k}"):
+            evaluate_trial(config, k, 0)
+
+    def test_negative_trial_rejected(self):
+        with pytest.raises(ConfigError, match="trial index must be nonnegative, got -1"):
+            evaluate_trial(SMALL, 4, -1)
 
 
 EQUIVALENCE_BASE = ScenarioConfig(user_counts=(1, 2, 5), master_seed=11)
@@ -272,22 +283,12 @@ EQUIVALENCE_CONFIGS = {
 
 
 class TestEvaluateTrial:
-    @pytest.mark.parametrize("name", sorted(EQUIVALENCE_CONFIGS))
-    def test_matches_each_scheme_alone_in_every_order(self, name):
-        config = EQUIVALENCE_CONFIGS[name]
-        for k in config.user_counts:
-            for t in range(2):
-                alone = {s: evaluate_trial(config, k, t, (s,))[0] for s in SchemeId}
-                for size in range(1, len(SchemeId) + 1):
-                    for schemes in itertools.permutations(SchemeId, size):
-                        assert evaluate_trial(config, k, t, schemes) == [alone[s] for s in schemes]
-
     def test_lone_shared_beam_is_reached(self):
         config = EQUIVALENCE_CONFIGS["lone-shared-beam"]
         paired = [
             t
             for t in range(2)
-            if evaluate_trial(config, 2, t, (SchemeId.NOMA_DBS_PCSI,))[0].noma_cluster_count == 1
+            if evaluate_trial(config, 2, t)[SchemeId.NOMA_DBS_PCSI].noma_cluster_count == 1
         ]
         assert paired
 
@@ -295,10 +296,6 @@ class TestEvaluateTrial:
         paths, _ = _drop_users(EQUIVALENCE_CONFIGS["four-paths"], 5, [0])
         assert paths.starts.tolist() == [0, 4, 8, 12, 16]
         assert len(paths.gains) == 20
-
-    def test_repeated_scheme_repeats_its_result(self):
-        results = evaluate_trial(SMALL, 4, 1, (SchemeId.DBS, SchemeId.OMA_DBS, SchemeId.DBS))
-        assert results[0] == results[2] == evaluate_trial(SMALL, 4, 1, (SchemeId.DBS,))[0]
 
 
 class TestSharedBeams:
@@ -366,7 +363,24 @@ class TestSharedBeams:
         )
 
 
+@functools.cache
+def full_sweep(name):
+    """Every scheme's rows and aggregates over the first two trials of an equivalence config."""
+    return run_sweep(replace(EQUIVALENCE_CONFIGS[name], trials=2))
+
+
 class TestRunSweep:
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from(sorted(EQUIVALENCE_CONFIGS)), st.permutations(list(SchemeId)), st.integers(1, len(SchemeId)))
+    def test_rows_do_not_depend_on_the_other_schemes(self, name, order, size):
+        # any nonempty ordered subset of the schemes gives the full sweep's
+        # rows and aggregates for those schemes
+        schemes = tuple(order[:size])
+        results, aggregates = run_sweep(replace(EQUIVALENCE_CONFIGS[name], trials=2, schemes=schemes))
+        all_results, all_aggregates = full_sweep(name)
+        assert results == [r for r in all_results if r.scheme in schemes]
+        assert aggregates == [a for a in all_aggregates if a.scheme in schemes]
+
     def test_single_combination_gives_one_row(self):
         config = replace(SMALL, user_counts=(3,), schemes=(SchemeId.DBS,), trials=1)
         results, aggregates = run_sweep(config)
@@ -428,12 +442,15 @@ class TestRunSweep:
             master_seed=5,
         )
 
-        def spectral_effs(cfg, scheme):
-            return [evaluate_trial(cfg, 12, t, (scheme,))[0].spectral_eff_bps_per_hz for t in range(60)]
+        def spectral_effs(results, scheme):
+            """The scheme's 60 trials at K = 12, in trial order."""
+            return [r.spectral_eff_bps_per_hz for r in results if r.scheme is scheme]
 
-        noma = spectral_effs(config, SchemeId.NOMA_DBS_FCSI)
-        dbs = spectral_effs(config, SchemeId.DBS)
-        dbs_unpaired = spectral_effs(replace(config, master_seed=77), SchemeId.DBS)
+        paired, _ = run_sweep(config)
+        unpaired, _ = run_sweep(replace(config, master_seed=77, schemes=(SchemeId.DBS,)))
+        noma = spectral_effs(paired, SchemeId.NOMA_DBS_FCSI)
+        dbs = spectral_effs(paired, SchemeId.DBS)
+        dbs_unpaired = spectral_effs(unpaired, SchemeId.DBS)
         paired_var = statistics.variance([n - d for n, d in zip(noma, dbs)])
         unpaired_var = statistics.variance([n - d for n, d in zip(noma, dbs_unpaired)])
         assert paired_var < unpaired_var
@@ -474,8 +491,9 @@ class TestTrialBlocks:
         )
         results, _ = run_sweep(config)
         assert len(results) == len(config.schemes) * len(config.user_counts) * config.trials
+        alone = {(k, t): evaluate_trial(config, k, t) for k in config.user_counts for t in range(config.trials)}
         for r in results:
-            assert r == evaluate_trial(config, r.K, r.trial, (r.scheme,))[0]
+            assert r == alone[r.K, r.trial][r.scheme]
             assert math.isfinite(r.sum_rate_bps) and r.sum_rate_bps >= 0
             assert math.isfinite(r.energy_eff_bps_per_j) and r.energy_eff_bps_per_j >= 0
 

@@ -1,11 +1,14 @@
-"""The package holds no dead private name and no unused import.
+"""The package holds no dead private name, no unused import and no export that
+only tests read.
 
 Every module-level private name of ``src/nomabeam`` (dunders excepted) must
 be read somewhere in the package: in its own module, imported by name from
 it, or reached as an attribute.  A deletion that leaves a helper, a constant
 or a type alias behind with no reader fails here.  Every module-level import
 must be read by its own module; ``__init__.py`` only re-exports names, and is
-exempt.
+exempt.  Every name in a module's ``__all__`` must likewise be read by a
+module of the package other than ``__init__.py``: test oracles live in
+``tests/``, not in the library.
 """
 
 import ast
@@ -73,3 +76,38 @@ def test_every_import_is_read():
         for name in sorted(_imports(tree) - _read(tree))
     ]
     assert unused == []
+
+
+# The one-trial entry point: the tests evaluate single drops through it, and
+# an array draw must keep reproducing one trial alone through it.
+_EXPORTS_READ_OUTSIDE = {("sim_harness", "evaluate_trial")}
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The string entries of a module's ``__all__``."""
+    return {
+        element.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for element in node.value.elts
+    }
+
+
+def test_every_exported_name_is_read():
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    attributes = {n.attr for tree in trees.values() for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    imported = set().union(*(_imported(tree) for tree in trees.values()))
+    unread = [
+        f"{stem}.{name}"
+        for stem, tree in trees.items()
+        for name in sorted(_exported(tree))
+        if name not in _read(tree)
+        and (stem, name) not in imported
+        and name not in attributes
+        and (stem, name) not in _EXPORTS_READ_OUTSIDE
+    ]
+    assert unread == []
