@@ -27,6 +27,11 @@ __all__ = [
     "pattern_cut",
 ]
 
+# The largest element spacing, in wavelengths.  Arrays space their elements
+# half a wavelength apart, and sparse arrays a few wavelengths; ten is past
+# both, and within it every steering phase and pattern value is finite.
+MAX_ELEMENT_SPACING = 10.0
+
 # Below this, |sin(pi * d/lambda * delta)| is treated as a removable
 # singularity of the closed-form pattern and the per-axis factor is its
 # limit, 1.
@@ -48,8 +53,10 @@ class ArrayConfig:
     def __post_init__(self) -> None:
         if self.m_h < 1 or self.m_v < 1:
             raise ValueError(f"element counts must be >= 1, got {self.m_h}x{self.m_v}")
-        if not 0 < self.d_over_lambda < math.inf:
-            raise ValueError(f"element spacing must be positive and finite, got {self.d_over_lambda}")
+        if not 0 < self.d_over_lambda <= MAX_ELEMENT_SPACING:
+            raise ValueError(
+                f"element spacing must lie in (0, {MAX_ELEMENT_SPACING:g}] wavelengths, got {self.d_over_lambda}"
+            )
 
     @property
     def num_elements(self) -> int:

@@ -13,6 +13,9 @@ from enum import Enum
 
 import numpy as np
 
+from .beamforming import BeamformingPlan
+from .link_metrics import link_states
+
 __all__ = [
     "SchemeId",
     "conjugate_bf_sinr",
@@ -38,37 +41,31 @@ def conjugate_bf_sinr(h_matrix: np.ndarray, total_power_w: float, noise_w: float
     weight vector is its conjugated channel normalized to unit norm; the
     transmit normalization is 1/K (the weight-trace rule for unit-norm
     columns) with each beam carrying the full signal power, mirroring the
-    one-beam-per-user split of the steered schemes.
+    one-beam-per-user split of the steered schemes.  User k is served by
+    beam k, and :func:`link_states` scores it like any steered beam.
     """
     k_users = h_matrix.shape[-2]
     if k_users == 0:
         raise ValueError("at least one user is required")
     w_matrix = np.conj(np.swapaxes(h_matrix, -1, -2))
     w_matrix /= np.linalg.norm(h_matrix, axis=-1)[..., None, :]
-    eta = 1.0 / k_users
-    amplitudes = h_matrix @ w_matrix
-    del w_matrix  # the K x K gains below need no K x M weights beside them
-    beam_gains = eta * total_power_w * np.abs(amplitudes) ** 2
-    signal = np.diagonal(beam_gains, axis1=-2, axis2=-1)
-    return signal / (beam_gains.sum(axis=-1) - signal + noise_w)
+    powers = np.full(k_users, total_power_w)
+    plan = BeamformingPlan(w_matrix, 1.0 / k_users, powers, powers / k_users)
+    return link_states(h_matrix, plan, np.arange(k_users), noise_w)[2]
 
 
-def energy_efficiency(
-    sum_rate_bps: float,
-    emitted_power_w: float,
-    num_antennas: int,
-    rho: float,
-    pa_w: float,
-    p0_w: float,
-) -> float:
-    """Sum rate per joule: rate / (rho * P_emitted + M * P_antenna + P_base).
+# Consumption model of the energy-efficiency metric: power-amplifier
+# inefficiency, fixed consumption per antenna and the base-station floor.
+PA_INEFFICIENCY_RHO = 10.0
+PER_ANTENNA_POWER_W = 1.0
+BASE_STATION_POWER_W = 0.2
 
-    ``rho`` models power-amplifier inefficiency, ``pa_w`` the fixed per-
-    antenna consumption and ``p0_w`` the base-station floor.
-    """
+
+def energy_efficiency(sum_rate_bps: float, emitted_power_w: float, num_antennas: int) -> float:
+    """Sum rate per joule: rate / (rho * P_emitted + M * P_antenna + P_base)."""
     if num_antennas < 1:
         raise ValueError(f"antenna count must be >= 1, got {num_antennas}")
-    if min(emitted_power_w, rho, pa_w, p0_w) < 0:
-        raise ValueError("power terms must be nonnegative")
-    consumed = rho * emitted_power_w + num_antennas * pa_w + p0_w
+    if emitted_power_w < 0:
+        raise ValueError(f"emitted power must be nonnegative, got {emitted_power_w}")
+    consumed = PA_INEFFICIENCY_RHO * emitted_power_w + num_antennas * PER_ANTENNA_POWER_W + BASE_STATION_POWER_W
     return sum_rate_bps / consumed

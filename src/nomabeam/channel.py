@@ -99,12 +99,6 @@ class ChannelParams:
     shadowing_sigma_db: float = 4.0
 
     def __post_init__(self) -> None:
-        if not self.carrier_hz > 0:
-            raise InvalidParams(f"carrier must be positive, got {self.carrier_hz}")
-        if not 0.0 < self.wavelength_m < math.inf:
-            raise InvalidParams(
-                f"wavelength must be positive and finite, got {self.wavelength_m} m at {self.carrier_hz} Hz"
-            )
         if not MIN_CARRIER_HZ <= self.carrier_hz <= MAX_CARRIER_HZ:
             raise InvalidParams(
                 f"carrier must lie in [{MIN_CARRIER_HZ:g}, {MAX_CARRIER_HZ:g}] Hz, got {self.carrier_hz}"

@@ -59,15 +59,15 @@ class TestSimulateCommand:
         [
             ("bandwidth_hz = 0", "bandwidth_hz must be positive"),
             ("bandwidth_hz = -20e6", "bandwidth_hz must be positive"),
-            ("total_power_dbm = nan", "total_power_dbm must be finite"),
-            ("noise_power_dbm = inf", "noise_power_dbm must be finite"),
+            ("total_power_dbm = nan", "total_power_dbm must lie in [-200, 200] dBm"),
+            ("noise_power_dbm = inf", "noise_power_dbm must lie in [-200, 200] dBm"),
             ("cell_radius_m = 0", "cell_radius_m must be positive"),
-            ("carrier_hz = 0", "carrier must be positive"),
+            ("carrier_hz = 0", "carrier must lie in [1e+06, 1e+12] Hz"),
             ("angle_spread_deg = -1", "angle spread"),
-            ("total_power_dbm = 4000", "total power must be positive and finite"),
-            ("noise_power_dbm = 4000", "noise power must be positive and finite"),
-            ("noise_power_dbm = -4000", "noise power must be positive and finite"),
-            ("carrier_hz = 1e-300", "wavelength must be positive and finite"),
+            ("total_power_dbm = 4000", "total_power_dbm must lie in [-200, 200] dBm"),
+            ("noise_power_dbm = 4000", "noise_power_dbm must lie in [-200, 200] dBm"),
+            ("noise_power_dbm = -4000", "noise_power_dbm must lie in [-200, 200] dBm"),
+            ("carrier_hz = 1e-300", "carrier must lie in [1e+06, 1e+12] Hz"),
             ("shadowing_sigma_db = 10000", "shadowing sigma must lie in [0, 30] dB"),
             ("carrier_hz = 1e-290", "carrier must lie in [1e+06, 1e+12] Hz"),
             ("carrier_hz = 1e300", "carrier must lie in [1e+06, 1e+12] Hz"),
@@ -85,7 +85,9 @@ class TestSimulateCommand:
             ("schemes = noma_dbs,noma_dbs_fcsi\ncsi_mode = full", "schemes must not repeat"),
             ("user_counts = 3,3", "user_counts must not repeat"),
             ("master_seed = -1", "master_seed must be nonnegative"),
-            ("d_over_lambda = inf", "element spacing must be positive and finite"),
+            ("d_over_lambda = inf", "element spacing must lie in (0, 10] wavelengths"),
+            ("d_over_lambda = 10.000000000000002", "element spacing must lie in (0, 10] wavelengths"),
+            ("d_over_lambda = 1e308", "element spacing must lie in (0, 10] wavelengths"),
             ("p_min = nan", "p_min must be nonnegative and finite"),
             ("p_min = inf", "p_min must be nonnegative and finite"),
         ],

@@ -23,6 +23,7 @@ from nomabeam.sim_harness import (
     ScenarioConfig,
     _block_outcomes,
     _drop_users,
+    _results,
     evaluate_trial,
     format_aggregates,
     load_scenario,
@@ -191,6 +192,7 @@ class TestConfigValidation:
             ("total_power_dbm", 200.0),
             ("noise_power_dbm", -200.0),
             ("noise_power_dbm", 200.0),
+            ("d_over_lambda", 10.0),
         ],
     )
     def test_bounds_give_finite_rates(self, field, value):
@@ -496,6 +498,16 @@ class TestTrialBlocks:
             assert r == alone[r.K, r.trial][r.scheme]
             assert math.isfinite(r.sum_rate_bps) and r.sum_rate_bps >= 0
             assert math.isfinite(r.energy_eff_bps_per_j) and r.energy_eff_bps_per_j >= 0
+
+
+class TestResults:
+    def test_row_sums_left_to_right(self):
+        # SINR = 1 makes each rate its band exactly: ((1 + 1e16) + 1) + 1 rounds
+        # to 1e16 at every step, where a compensated sum gives 1e16 + 4
+        bands = np.array([[1.0, 1e16, 1.0, 1.0]])
+        outcome = (np.ones((1, 4)), bands, np.zeros(1, dtype=int), np.zeros(1, dtype=int))
+        (result,) = _results(SMALL, 4, [0], SchemeId.DBS, outcome)
+        assert result.sum_rate_bps == 1e16
 
 
 class TestCsv:
