@@ -18,7 +18,6 @@ from .array_geometry import (
 from .baselines import SchemeId, conjugate_bf_sinr, energy_efficiency
 from .beamforming import BeamformingPlan, build_plan
 from .channel import ChannelParams, DropPaths, InvalidParams, channel_rows, draw_paths
-from .clustering import beta_uc
 from .link_metrics import link_states, rate, sinr_noma_strong, sinr_noma_weak
 from .power_allocation import (
     Branch,

@@ -123,11 +123,13 @@ def _pattern(cfg: ArrayConfig, theta_k, phi_k, theta_u, phi_u) -> np.ndarray:
     return np.abs(_sin_ratio(cfg.m_h, c * (uk_az - uu_az)) * _sin_ratio(cfg.m_v, c * (uk_el - uu_el)))
 
 
-def beta_matrix(dirs: list[Direction], cfg: ArrayConfig) -> np.ndarray:
-    """Symmetric K x K matrix of the pairwise beta values, in [0, 1] (diagonal 1)."""
-    theta = np.array([d.theta for d in dirs])
-    phi = np.array([d.phi for d in dirs])
-    return _pattern(cfg, theta[:, None], phi[:, None], theta, phi)
+def beta_matrix(theta: np.ndarray, phi: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
+    """Pairwise beta values among each row's directions: (..., K) angle arrays give (..., K, K).
+
+    Each K x K matrix is symmetric, in [0, 1] with diagonal 1.  The pattern
+    is elementwise, so a row's matrix has the bits it has alone.
+    """
+    return _pattern(cfg, theta[..., :, None], phi[..., :, None], theta[..., None, :], phi[..., None, :])
 
 
 def pattern_cut(

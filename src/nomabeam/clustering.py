@@ -11,42 +11,36 @@ from __future__ import annotations
 
 import numpy as np
 
-from .array_geometry import ArrayConfig, Direction, beta_matrix
-
-__all__ = ["beta_uc", "greedy_pairs"]
+__all__ = ["greedy_pairs"]
 
 
-def greedy_pairs(beta: np.ndarray, beta0: float) -> np.ndarray:
-    """Greedy maximum-interference pairing on a symmetric ``beta`` matrix.
+def greedy_pairs(beta: np.ndarray, beta0: float) -> list[np.ndarray]:
+    """Greedy maximum-interference pairing of each drop of a block.
 
-    Repeatedly selects the not-yet-consumed pair (k, u), k < u, with the
+    ``beta`` stacks the T drops' symmetric K x K matrices, T x K x K.  In each
+    drop, repeatedly selects the not-yet-consumed pair (k, u), k < u, with the
     largest beta >= beta0 (ties broken toward the lexicographically smallest
     pair), removes both users, and stops when no eligible pair remains.
-    Returns the pairs as the rows of a (P, 2) index array in selection order,
-    so their beta values are non-increasing.
+    Returns each drop's pairs as the rows of a (P, 2) index array in
+    selection order, so their beta values are non-increasing; the users in
+    no pair keep a private beam each.
 
-    One scan does it: the eligible pairs sorted by (-beta, k, u), each taken
-    when both its users are still free.
+    One scan does the block: the eligible pairs sorted by (drop, -beta, k, u),
+    each taken when both its users are still free in its drop.
     """
-    k_idx, u_idx = np.nonzero(np.triu(beta >= beta0, k=1))  # in (k, u) order
-    order = np.argsort(-beta[k_idx, u_idx], kind="stable")
-    free = [True] * beta.shape[0]
-    pairs: list[tuple[int, int]] = []
-    for k, u in zip(k_idx[order].tolist(), u_idx[order].tolist()):
-        if free[k] and free[u]:
-            free[k] = free[u] = False
-            pairs.append((k, u))
-    return np.array(pairs, dtype=np.intp).reshape(-1, 2)
-
-
-def beta_uc(dirs: list[Direction], cfg: ArrayConfig, beta0: float) -> np.ndarray:
-    """Pair users by their LOS directions with the greedy beta pairing.
-
-    Returns the (P, 2) index array of :func:`greedy_pairs`; the users in no
-    pair keep a private beam each.
-    """
-    if not dirs:
+    k_users = beta.shape[-1]
+    if k_users < 1:
         raise ValueError("at least one user is required")
     if not 0.0 < beta0 < 1.0:
         raise ValueError(f"beta0 must be in (0, 1), got {beta0}")
-    return greedy_pairs(beta_matrix(dirs, cfg), beta0)
+    t_idx, k_idx, u_idx = np.nonzero(np.triu(beta >= beta0, k=1))  # in (t, k, u) order
+    order = np.lexsort((-beta[t_idx, k_idx, u_idx], t_idx))
+    pairs: list[list[tuple[int, int]]] = [[] for _ in range(len(beta))]
+    drop = -1
+    for t, k, u in zip(t_idx[order].tolist(), k_idx[order].tolist(), u_idx[order].tolist()):
+        if t != drop:
+            drop, free = t, [True] * k_users
+        if free[k] and free[u]:
+            free[k] = free[u] = False
+            pairs[t].append((k, u))
+    return [np.array(drop_pairs, dtype=np.intp).reshape(-1, 2) for drop_pairs in pairs]

@@ -19,11 +19,11 @@ from typing import Sequence, get_type_hints
 
 import numpy as np
 
-from .array_geometry import ArrayConfig, Direction, steering_matrix
+from .array_geometry import ArrayConfig, beta_matrix, steering_matrix
 from .baselines import SchemeId, conjugate_bf_sinr, energy_efficiency
 from .beamforming import build_plan
 from .channel import ChannelParams, DropPaths, InvalidParams, channel_rows, draw_paths
-from .clustering import beta_uc
+from .clustering import greedy_pairs
 from .link_metrics import link_states, rate, sinr_noma_strong, sinr_noma_weak
 from .power_allocation import opa, partial_csi_zeta
 
@@ -292,17 +292,11 @@ def _trial_rng(config: ScenarioConfig, k_users: int, trial_index: int) -> np.ran
     return np.random.default_rng(seq)
 
 
-def _drop_users(
-    config: ScenarioConfig, k_users: int, trials: Sequence[int]
-) -> tuple[DropPaths, list[list[Direction]]]:
-    """The drops of (master_seed, K, t), t in ``trials``: their paths as one
-    block, and each drop's LOS (strongest) user directions."""
-    paths = draw_paths(
+def _drop_users(config: ScenarioConfig, k_users: int, trials: Sequence[int]) -> DropPaths:
+    """The paths of the drops of (master_seed, K, t), t in ``trials``, as one block."""
+    return draw_paths(
         [_trial_rng(config, k_users, t) for t in trials], config.channel_params, config.cell_radius_m, k_users
     )
-    los = paths.starts
-    dirs = [Direction(t, p) for t, p in zip(paths.theta[los].tolist(), paths.phi[los].tolist())]
-    return paths, [dirs[first : first + k_users] for first in range(0, len(dirs), k_users)]
 
 
 # Per scheme, a block's outcome: the T x K SINRs in beam order (each pair's
@@ -320,12 +314,14 @@ _BLOCK_BYTES = 2**17
 def _trial_outcomes(config: ScenarioConfig, k_users: int, trials: Sequence[int]) -> dict[SchemeId, _Outcome]:
     """Every scheme's outcome on the drops of (master_seed, K, t), t in ``trials``, as one block.
 
-    The block's drops are drawn at once, and each is paired on its own
-    before any steering, so that its K x K pairing temporaries meet no K x M
-    matrix; the drops are then evaluated as one block.
+    The block's drops are drawn at once and paired in one pass from their
+    T x K LOS (strongest path) angles, before any steering, so that the
+    T x K x K pairing temporaries meet no K x M matrix; the greedy scan still
+    pairs each drop on its own.  The drops are then evaluated as one block.
     """
-    paths, dirs = _drop_users(config, k_users, trials)
-    pairings = [beta_uc(drop_dirs, config.array_config, config.beta0) for drop_dirs in dirs]
+    paths = _drop_users(config, k_users, trials)
+    theta, phi = (angles[paths.starts].reshape(-1, k_users) for angles in (paths.theta, paths.phi))
+    pairings = greedy_pairs(beta_matrix(theta, phi, config.array_config), config.beta0)
     return _block_outcomes(config, paths, pairings)
 
 

@@ -31,6 +31,11 @@ def user_paths(paths: DropPaths) -> tuple[list[list[complex]], list[list[Directi
     return gains, dirs
 
 
+def angles(dirs) -> tuple[np.ndarray, np.ndarray]:
+    """The theta and phi arrays of a list of directions."""
+    return np.array([d.theta for d in dirs]), np.array([d.phi for d in dirs])
+
+
 def channel_matrix(cfg: ArrayConfig, paths: DropPaths) -> np.ndarray:
     """The drop's K x M channel rows, with its LOS paths steered here."""
     los = paths.starts

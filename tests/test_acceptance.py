@@ -21,12 +21,12 @@ import numpy as np
 from nomabeam.array_geometry import ArrayConfig, beta_matrix
 from nomabeam.baselines import SchemeId
 from nomabeam.channel import ChannelParams, draw_paths
-from nomabeam.clustering import beta_uc
+from nomabeam.clustering import greedy_pairs
 from nomabeam.link_metrics import link_states
 from nomabeam.power_allocation import gamma_fair, gamma_hat, opa
 from nomabeam.sim_harness import ScenarioConfig, _drop_users, run_sweep, write_csv
 
-from drops import channel_matrix, plan_toward, user_paths
+from drops import angles, channel_matrix, plan_toward, user_paths
 from oracles import (
     beta_phasor_sum,
     emitted_power_check,
@@ -48,7 +48,7 @@ def test_criterion_01_beta_closed_form_vs_brute_force():
     for _ in range(1000):
         cfg = ArrayConfig(int(rng.integers(1, 65)), int(rng.integers(1, 65)), 0.5)
         dir_k, dir_u = random_direction(rng), random_direction(rng)
-        diff = abs(beta_matrix([dir_k, dir_u], cfg)[0, 1] - beta_phasor_sum(cfg, dir_k, dir_u))
+        diff = abs(beta_matrix(*angles([dir_k, dir_u]), cfg)[0, 1] - beta_phasor_sum(cfg, dir_k, dir_u))
         worst = max(worst, diff)
         assert diff < 1e-9
     elapsed = time.perf_counter() - start
@@ -163,12 +163,14 @@ def test_criterion_07_power_conservation_smoke_sweep():
     config = ScenarioConfig(user_counts=(25,), trials=100, master_seed=SEED)
     total = config.total_power_w
     for trial in range(100):
-        _, (dirs,) = _drop_users(config, 25, [trial])
-        pairs = beta_uc(dirs, config.array_config, config.beta0).tolist()
+        paths = _drop_users(config, 25, [trial])
+        los_theta, los_phi = paths.theta[paths.starts], paths.phi[paths.starts]
+        (pairs,) = greedy_pairs(beta_matrix(los_theta[None], los_phi[None], config.array_config), config.beta0)
+        pairs = pairs.tolist()
         singles = sorted(set(range(25)) - {m for pair in pairs for m in pair})
         beams = [
-            ((dirs[a].theta + dirs[b].theta) / 2, (dirs[a].phi + dirs[b].phi) / 2) for a, b in pairs
-        ] + [(dirs[s].theta, dirs[s].phi) for s in singles]
+            ((los_theta[a] + los_theta[b]) / 2, (los_phi[a] + los_phi[b]) / 2) for a, b in pairs
+        ] + [(los_theta[s], los_phi[s]) for s in singles]
         sizes = [2] * len(pairs) + [1] * len(singles)
         theta, phi = zip(*beams)
         plan = plan_toward(config.array_config, theta, phi, sizes, total, config.inter_cluster_rule)
@@ -185,12 +187,12 @@ def test_criterion_08_clustering_contract():
     beta0 = 0.5
     for _ in range(500):
         k = int(rng.integers(2, 41))
-        _, user_dirs = user_paths(draw_paths([rng], params, 100.0, k))
-        dirs = [d[0] for d in user_dirs]
-        pairs = beta_uc(dirs, cfg, beta0).tolist()
+        paths = draw_paths([rng], params, 100.0, k)
+        beta = beta_matrix(paths.theta[paths.starts], paths.phi[paths.starts], cfg)
+        (pairs,) = greedy_pairs(beta[None], beta0)
+        pairs = pairs.tolist()
         paired = [m for pair in pairs for m in pair]
         assert len(set(paired)) == len(paired) and set(paired) <= set(range(k))
-        beta = beta_matrix(dirs, cfg)
         selected = [beta[a, b] for a, b in pairs]
         assert all(b >= beta0 for b in selected)
         assert all(a >= b - 1e-12 for a, b in zip(selected, selected[1:]))

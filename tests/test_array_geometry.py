@@ -13,6 +13,7 @@ from nomabeam.array_geometry import (
     steering_matrix,
 )
 
+from drops import angles
 from oracles import beta_phasor_sum, random_direction
 
 BROADSIDE = Direction(math.pi / 2, 0.0)  # both direction cosines vanish
@@ -71,32 +72,32 @@ class TestBetaMetric:
     def test_identical_directions_give_one(self):
         cfg = ArrayConfig(8, 4, 0.5)
         d = Direction(0.7, 0.1)
-        assert beta_matrix([d, d], cfg)[0, 1] == pytest.approx(1.0, abs=1e-12)
+        assert beta_matrix(*angles([d, d]), cfg)[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     @given(configs, directions, directions)
     def test_symmetry_is_exact(self, cfg, a, b):
-        assert beta_matrix([a, b], cfg)[0, 1] == beta_matrix([b, a], cfg)[0, 1]
+        assert beta_matrix(*angles([a, b]), cfg)[0, 1] == beta_matrix(*angles([b, a]), cfg)[0, 1]
 
     @given(configs, directions, directions)
     def test_range(self, cfg, a, b):
-        value = beta_matrix([a, b], cfg)[0, 1]
+        value = beta_matrix(*angles([a, b]), cfg)[0, 1]
         assert 0.0 <= value <= 1.0 + 1e-12
 
     def test_two_element_null(self):
         # direction-cosine gap of 1 at half-wavelength spacing: |1 + e^{j pi}| / 2 = 0
         cfg = ArrayConfig(2, 1, 0.5)
-        assert beta_matrix([Direction(0.0, 0.0), BROADSIDE], cfg)[0, 1] == pytest.approx(0.0, abs=1e-12)
+        assert beta_matrix(*angles([Direction(0.0, 0.0), BROADSIDE]), cfg)[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_phasor_sum_on_random_pairs(self, rng):
         for _ in range(300):
             cfg = ArrayConfig(int(rng.integers(1, 65)), int(rng.integers(1, 65)), 0.5)
             a, b = random_direction(rng), random_direction(rng)
-            assert beta_matrix([a, b], cfg)[0, 1] == pytest.approx(beta_phasor_sum(cfg, a, b), abs=1e-9)
+            assert beta_matrix(*angles([a, b]), cfg)[0, 1] == pytest.approx(beta_phasor_sum(cfg, a, b), abs=1e-9)
 
     def test_grating_direction_counts_as_full_interference(self):
         # cosine gap 2 at half-wavelength spacing aliases back onto the beam
         cfg = ArrayConfig(8, 1, 0.5)
-        assert beta_matrix([Direction(0.0, 0.0), Direction(math.pi, 0.0)], cfg)[0, 1] == pytest.approx(
+        assert beta_matrix(*angles([Direction(0.0, 0.0), Direction(math.pi, 0.0)]), cfg)[0, 1] == pytest.approx(
             1.0, abs=1e-9
         )
 
@@ -105,7 +106,7 @@ class TestBetaMetric:
         target = BROADSIDE
         # approach from just inside the first null (cosine half-width 1/16)
         thetas = np.linspace(math.pi / 2 - 0.06, math.pi / 2, 250)
-        values = [beta_matrix([Direction(t, 0.0), target], cfg)[0, 1] for t in thetas]
+        values = [beta_matrix(*angles([Direction(t, 0.0), target]), cfg)[0, 1] for t in thetas]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
         assert values[-1] == pytest.approx(1.0, abs=1e-12)
 
@@ -113,17 +114,19 @@ class TestBetaMetric:
         cfg = ArrayConfig(32, 2, 0.5)
         target = BROADSIDE
         phis = np.linspace(-0.5, 0.0, 250)
-        values = [beta_matrix([Direction(math.pi / 2, p), target], cfg)[0, 1] for p in phis]
+        values = [beta_matrix(*angles([Direction(math.pi / 2, p), target]), cfg)[0, 1] for p in phis]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_beta_matrix_agrees_with_each_pair_alone(self, rng):
         cfg = ArrayConfig(16, 4, 0.5)
         dirs = [random_direction(rng) for _ in range(12)]
-        matrix = beta_matrix(dirs, cfg)
+        theta, phi = angles(dirs)
+        matrix = beta_matrix(theta, phi, cfg)
         assert matrix.shape == (12, 12)
         for i in range(12):
             for j in range(12):
-                assert matrix[i, j] == pytest.approx(beta_matrix([dirs[i], dirs[j]], cfg)[0, 1], abs=1e-12)
+                alone = beta_matrix(theta[[i, j]], phi[[i, j]], cfg)[0, 1]
+                assert matrix[i, j] == pytest.approx(alone, abs=1e-12)
 
 
 class TestArrayFactor:
@@ -141,7 +144,7 @@ class TestArrayFactor:
     def test_equals_swapped_beta(self, cfg, beam, offset, axis):
         theta, phi, values = pattern_cut(cfg, beam, axis, np.array([offset]))
         probe = Direction(float(theta[0]), float(phi[0]))
-        assert values[0] == beta_matrix([probe, beam], cfg)[0, 1]
+        assert values[0] == beta_matrix(*angles([probe, beam]), cfg)[0, 1]
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from nomabeam.array_geometry import ArrayConfig, Direction, beta_matrix, steerin
 from nomabeam.beamforming import BeamformingPlan
 from nomabeam.channel import ChannelParams, DropPaths, InvalidParams, draw_paths
 
-from drops import channel_matrix, drop_paths, user_paths
+from drops import angles, channel_matrix, drop_paths, user_paths
 from oracles import draw_paths_scalar
 
 CFG = ArrayConfig(16, 2, 0.5)
@@ -168,7 +168,7 @@ class TestChannelVector:
         # u_az gap of 1/8 sits on the first null of the 16-element axis
         d1 = Direction(math.pi / 2, 0.0)
         d2 = Direction(math.acos(1.0 / 8.0), 0.0)
-        assert beta_matrix([d1, d2], CFG)[0, 1] < 1e-12
+        assert beta_matrix(*angles([d1, d2]), CFG)[0, 1] < 1e-12
         alpha = 0.5 + 0.2j
         h = channel_matrix(CFG, drop_paths([[(alpha, d1), (alpha, d2)]]))[0]
         a1 = steering(d1)

@@ -6,8 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nomabeam.array_geometry import ArrayConfig, Direction, beta_matrix
-from nomabeam.clustering import beta_uc, greedy_pairs
+from nomabeam.clustering import greedy_pairs
 
+from drops import angles
 from oracles import greedy_pairs_masked
 
 
@@ -18,28 +19,40 @@ def deg(theta, phi):
     return Direction(math.radians(theta), math.radians(phi))
 
 
+def one_drop(beta, beta0):
+    """The pairs of one drop's K x K ``beta``, paired as a block of one."""
+    (pairs,) = greedy_pairs(beta[np.newaxis], beta0)
+    return pairs
+
+
+def pair_users(dirs, beta0):
+    """The pairs of one drop of users at ``dirs``, from its LOS angles."""
+    theta, phi = angles(dirs)
+    return one_drop(beta_matrix(theta, phi, CFG), beta0)
+
+
 class TestGreedyPairs:
     def test_hand_traced_three_users(self):
         # (0,1) has the largest interference; taking it consumes user 0 and 1,
         # leaving nothing eligible.
         beta = np.array([[1.0, 0.9, 0.6], [0.9, 1.0, 0.55], [0.6, 0.55, 1.0]])
-        assert greedy_pairs(beta, 0.5).tolist() == [[0, 1]]
+        assert one_drop(beta, 0.5).tolist() == [[0, 1]]
 
     def test_no_pair_above_threshold(self):
         beta = np.full((4, 4), 0.2)
         np.fill_diagonal(beta, 1.0)
-        assert greedy_pairs(beta, 0.5).shape == (0, 2)
+        assert one_drop(beta, 0.5).shape == (0, 2)
 
     def test_threshold_is_inclusive(self):
         beta = np.array([[1.0, 0.5], [0.5, 1.0]])
-        assert greedy_pairs(beta, 0.5).tolist() == [[0, 1]]
+        assert one_drop(beta, 0.5).tolist() == [[0, 1]]
 
     def test_tie_breaks_toward_smallest_pair(self):
         beta = np.full((4, 4), 0.1)
         np.fill_diagonal(beta, 1.0)
         beta[0, 3] = beta[3, 0] = 0.8
         beta[1, 2] = beta[2, 1] = 0.8
-        assert greedy_pairs(beta, 0.5).tolist() == [[0, 3], [1, 2]]
+        assert one_drop(beta, 0.5).tolist() == [[0, 3], [1, 2]]
 
     @given(
         # few distinct values, so that many eligible pairs tie
@@ -53,7 +66,7 @@ class TestGreedyPairs:
         upper = np.triu(np.array(values).reshape(k, k), k=1)
         beta = upper + upper.T
         np.fill_diagonal(beta, 1.0)
-        pairs = greedy_pairs(beta, beta0)
+        pairs = one_drop(beta, beta0)
         expected = greedy_pairs_masked(beta, beta0)
         assert pairs.dtype == expected.dtype
         assert pairs.tolist() == expected.tolist()
@@ -65,18 +78,18 @@ class TestGreedyPairs:
         beta[0, 1] = beta[1, 0] = 0.9
         beta[1, 2] = beta[2, 1] = 0.85
         beta[2, 3] = beta[3, 2] = 0.7
-        assert greedy_pairs(beta, 0.5).tolist() == [[0, 1], [2, 3]]
+        assert one_drop(beta, 0.5).tolist() == [[0, 1], [2, 3]]
 
 
-class TestBetaUc:
+class TestPairingFromAngles:
     def test_selection_order_and_singletons(self, rng):
         # two users nearly collinear pair up; the third is far away
         dirs = [deg(90, 0), deg(90.5, 0), deg(30, 0)]
-        assert beta_uc(dirs, CFG, 0.5).tolist() == [[0, 1]]
+        assert pair_users(dirs, 0.5).tolist() == [[0, 1]]
 
     def test_all_far_apart_gives_pure_singletons(self):
         dirs = [deg(20, 0), deg(60, 0), deg(100, 0), deg(140, 0)]
-        pairs = beta_uc(dirs, CFG, 0.5)
+        pairs = pair_users(dirs, 0.5)
         assert pairs.shape == (0, 2)
         assert np.issubdtype(pairs.dtype, np.integer)
 
@@ -87,20 +100,58 @@ class TestBetaUc:
                 Direction(rng.uniform(0, math.pi), rng.uniform(-math.pi / 2, 0))
                 for _ in range(k)
             ]
-            pairs = beta_uc(dirs, CFG, 0.5)
+            pairs = pair_users(dirs, 0.5)
             assert pairs.shape[1] == 2
             assert len(set(pairs.ravel().tolist())) == pairs.size  # no user twice
             assert all(k_ < u for k_, u in pairs.tolist())
-            beta = beta_matrix(dirs, CFG)
+            beta = beta_matrix(*angles(dirs), CFG)
             selected = [beta[k_, u] for k_, u in pairs.tolist()]
             assert all(b >= 0.5 for b in selected)
             assert all(b1 >= b2 - 1e-12 for b1, b2 in zip(selected, selected[1:]))
 
     def test_single_user(self):
-        assert beta_uc([deg(45, -5)], CFG, 0.5).shape == (0, 2)
+        assert pair_users([deg(45, -5)], 0.5).shape == (0, 2)
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
-            beta_uc([], CFG, 0.5)
+            greedy_pairs(beta_matrix(np.empty((1, 0)), np.empty((1, 0)), CFG), 0.5)
         with pytest.raises(ValueError):
-            beta_uc([deg(45, 0)], CFG, 1.0)
+            pair_users([deg(45, 0)], 1.0)
+
+
+# The sweep's array, a sparse one whose grating lobes tie distinct
+# directions at beta = 1, and a single element, under which every pair ties.
+BLOCK_ARRAYS = [ArrayConfig(32, 2, 0.5), ArrayConfig(4, 2, 1.5), ArrayConfig(1, 1, 0.5)]
+
+
+@st.composite
+def angle_blocks(draw):
+    """T x K LOS angles in which a user may copy an earlier user of its drop,
+    exactly (a tie at beta = 1) or nearly."""
+    n_drops, k_users = draw(st.integers(1, 8)), draw(st.integers(1, 30))
+    theta, phi = np.empty((n_drops, k_users)), np.empty((n_drops, k_users))
+    for t in range(n_drops):
+        for u in range(k_users):
+            source = draw(st.integers(-1, u - 1))
+            if source < 0:
+                theta[t, u] = draw(st.floats(0.0, math.pi))
+                phi[t, u] = draw(st.floats(-math.pi / 2, 0.0))
+            else:
+                theta[t, u] = theta[t, source] + draw(st.sampled_from([0.0, 1e-3, 0.02]))
+                phi[t, u] = phi[t, source]
+    return theta, phi
+
+
+class TestBlockPairing:
+    @given(angle_blocks(), st.sampled_from(BLOCK_ARRAYS), st.sampled_from([0.05, 0.5, 0.9]))
+    def test_each_drop_pairs_as_it_would_alone(self, block, cfg, beta0):
+        theta, phi = block
+        beta = beta_matrix(theta, phi, cfg)
+        pairs = greedy_pairs(beta, beta0)
+        assert len(pairs) == len(theta)
+        for t, drop_pairs in enumerate(pairs):
+            alone = beta_matrix(theta[t], phi[t], cfg)
+            assert np.array_equal(beta[t], alone)
+            expected = greedy_pairs_masked(alone, beta0)
+            assert drop_pairs.dtype == expected.dtype
+            assert drop_pairs.tolist() == expected.tolist()

@@ -8,7 +8,7 @@ from nomabeam.channel import ChannelParams, draw_paths
 from nomabeam.link_metrics import link_states, rate, sinr_noma_strong, sinr_noma_weak
 from nomabeam.power_allocation import Branch, gamma_hat, opa
 
-from drops import channel_matrix, drop_paths, plan_toward, user_paths
+from drops import angles, channel_matrix, drop_paths, plan_toward, user_paths
 from oracles import sinr_dbs_monopath_closed, sinr_dbs_multipath_closed
 
 CFG = ArrayConfig(16, 2, 0.5)
@@ -44,7 +44,7 @@ class TestComputeLinkState:
         # the other beam sits on the first pattern null of this user's LOS
         d_own = Direction(math.pi / 2, 0.0)
         d_other = Direction(math.acos(1.0 / 8.0), 0.0)
-        assert beta_matrix([d_own, d_other], CFG)[0, 1] < 1e-12
+        assert beta_matrix(*angles([d_own, d_other]), CFG)[0, 1] < 1e-12
         plan = private_plan([d_own, d_other])
         h = mono_row(1.0, d_own)
         noise = 1e-12

@@ -16,7 +16,7 @@ from nomabeam.power_allocation import (
     partial_csi_zeta,
 )
 
-from drops import channel_matrix, drop_paths, plan_toward
+from drops import angles, channel_matrix, drop_paths, plan_toward
 from oracles import pair_rate, pair_rate_grid_max, rc_derivative
 
 CFG = ArrayConfig(16, 2, 0.5)
@@ -263,7 +263,7 @@ class TestPartialCsiZeta:
     def test_interferer_at_pattern_null_gives_huge_finite_ratio(self):
         own = Direction(math.pi / 2, 0.0)
         null = Direction(math.acos(1.0 / 8.0), 0.0)
-        assert beta_matrix([own, null], CFG)[0, 1] < 1e-12
+        assert beta_matrix(*angles([own, null]), CFG)[0, 1] < 1e-12
         z = estimated_zeta(own, two_beam_plan(own, null))
         assert math.isfinite(z)
         assert z > 1e10

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from nomabeam.array_geometry import Direction, steering_matrix
+from nomabeam.array_geometry import Direction, beta_matrix, steering_matrix
 from nomabeam.baselines import SchemeId
-from nomabeam.clustering import beta_uc
+from nomabeam.clustering import greedy_pairs
 from nomabeam.link_metrics import link_states, sinr_noma_strong, sinr_noma_weak
 from nomabeam.power_allocation import opa, partial_csi_zeta
 from nomabeam.sim_harness import (
@@ -32,7 +32,7 @@ from nomabeam.sim_harness import (
     write_csv,
 )
 
-from drops import channel_matrix, drop_paths, plan_toward
+from drops import angles, channel_matrix, drop_paths, plan_toward, user_paths
 from oracles import sinr_dbs_monopath_closed
 
 SMALL = ScenarioConfig(
@@ -238,8 +238,9 @@ class TestRunTrial:
         )
         k = 6
         result = evaluate_trial(config, k, 1)[SchemeId.DBS]
-        paths, (dirs,) = _drop_users(config, k, [1])
+        paths = _drop_users(config, k, [1])
         gains = paths.gains[paths.starts].tolist()
+        dirs = [user[0] for user in user_paths(paths)[1]]
         eta_dbs = config.total_power_w / (config.array_config.num_elements * k)
         closed_sum = sum(
             config.bandwidth_hz
@@ -295,7 +296,7 @@ class TestEvaluateTrial:
         assert paired
 
     def test_four_paths_per_user(self):
-        paths, _ = _drop_users(EQUIVALENCE_CONFIGS["four-paths"], 5, [0])
+        paths = _drop_users(EQUIVALENCE_CONFIGS["four-paths"], 5, [0])
         assert paths.starts.tolist() == [0, 4, 8, 12, 16]
         assert len(paths.gains) == 20
 
@@ -320,7 +321,8 @@ class TestSharedBeams:
         return channel_matrix(self.CONFIG.array_config, paths), (sinr[0], band[0], shared[0], deactivated[0])
 
     def pairs(self):
-        pairs = beta_uc(self.DIRS, self.CONFIG.array_config, self.CONFIG.beta0)
+        theta, phi = angles(self.DIRS)
+        (pairs,) = greedy_pairs(beta_matrix(theta[None], phi[None], self.CONFIG.array_config), self.CONFIG.beta0)
         assert pairs.tolist() == [[0, 1]]
         return pairs
 
