@@ -89,17 +89,21 @@ def steering_matrix(cfg: ArrayConfig, theta, phi) -> np.ndarray:
     """Steering vectors toward the directions (theta[n], phi[n]), one per row (N x M).
 
     Entry for horizontal index i and vertical index j (flattened as
-    ``i * m_v + j``, the Kronecker product of the azimuth and elevation
-    progressions) is ``exp(j * 2*pi * d/lambda * (i*u_az + j*u_el))``.
+    ``i * m_v + j``) is ``exp(j * 2*pi * d/lambda * (i*u_az + j*u_el))``:
+    the Kronecker product of the azimuth progression
+    ``exp(j * 2*pi * d/lambda * i*u_az)`` and the elevation progression
+    ``exp(j * 2*pi * d/lambda * j*u_el)``, so each direction takes m_h + m_v
+    complex exps and one outer product.
     """
     u_az, u_el = _direction_cosines(theta, phi)
     step = 2.0 * math.pi * cfg.d_over_lambda
-    az_phase = (step * u_az)[:, None] * np.arange(cfg.m_h)
-    el_phase = (step * u_el)[:, None] * np.arange(cfg.m_v)
-    # The phases go straight into the imaginary parts: no real-valued N x M temporary.
-    phases = np.zeros((len(u_az), cfg.m_h, cfg.m_v), dtype=complex)
-    np.add(az_phase[:, :, None], el_phase[:, None, :], out=phases.imag)
-    return np.exp(phases, out=phases).reshape(len(u_az), cfg.num_elements)
+    n, m_h = len(u_az), cfg.m_h
+    # Both progressions side by side, their phases straight into the imaginary parts.
+    phasors = np.zeros((n, m_h + cfg.m_v), dtype=complex)
+    np.multiply((step * u_az)[:, None], np.arange(m_h), out=phasors.imag[:, :m_h])
+    np.multiply((step * u_el)[:, None], np.arange(cfg.m_v), out=phasors.imag[:, m_h:])
+    np.exp(phasors, out=phasors)
+    return (phasors[:, :m_h, None] * phasors[:, None, m_h:]).reshape(n, cfg.num_elements)
 
 
 def _sin_ratio(m: int, x: np.ndarray) -> np.ndarray:

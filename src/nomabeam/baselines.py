@@ -49,8 +49,7 @@ def conjugate_bf_sinr(h_matrix: np.ndarray, total_power_w: float, noise_w: float
         raise ValueError("at least one user is required")
     w_matrix = np.conj(np.swapaxes(h_matrix, -1, -2))
     w_matrix /= np.linalg.norm(h_matrix, axis=-1)[..., None, :]
-    powers = np.full(k_users, total_power_w)
-    plan = BeamformingPlan(w_matrix, 1.0 / k_users, powers, powers / k_users)
+    plan = BeamformingPlan(w_matrix, 1.0 / k_users, np.full(k_users, total_power_w))
     return link_states(h_matrix, plan, np.arange(k_users), noise_w)[2]
 
 

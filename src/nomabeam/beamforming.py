@@ -23,14 +23,13 @@ class BeamformingPlan:
 
     ``weights`` holds the C weight vectors as the columns of an M x C
     matrix.  ``cluster_powers_pc`` are the superposed-signal powers p_c
-    entering the transmit chain; ``emitted_powers_Pc`` are the shares of the
-    total emitted power, related by P_c = eta * ||w_c||^2 * p_c.
+    entering the transmit chain; beam c emits P_c = eta * ||w_c||^2 * p_c of
+    the total power.
     """
 
     weights: np.ndarray
     eta: float
     cluster_powers_pc: np.ndarray
-    emitted_powers_Pc: np.ndarray
 
     def received_powers(self, rows: np.ndarray) -> np.ndarray:
         """Weighted beam gains ``eta * p_c * |row @ w_c|^2`` of each channel row and beam.
@@ -71,9 +70,4 @@ def build_plan(
     else:
         raise ValueError(f"unknown power split rule: {rule!r}")
     # P_c = eta * ||w_c||^2 * p_c with ||w_c||^2 = M, hence p_c = C * P_c.
-    return BeamformingPlan(
-        weights=np.ascontiguousarray(weights),
-        eta=eta,
-        cluster_powers_pc=c_total * emitted,
-        emitted_powers_Pc=emitted,
-    )
+    return BeamformingPlan(weights=np.ascontiguousarray(weights), eta=eta, cluster_powers_pc=c_total * emitted)

@@ -73,14 +73,14 @@ def pair_rate_grid_max(zeta1: float, zeta2: float, gamma_max: float, step: float
     return float(np.max(strong + weak))
 
 
+def emitted_powers(plan: BeamformingPlan) -> list[float]:
+    """Each beam's emitted power P_c = eta*||w_c||^2*p_c, recomputed from its weight column."""
+    return [plan.eta * float(np.sum(np.abs(w) ** 2)) * p for w, p in zip(plan.weights.T, plan.cluster_powers_pc)]
+
+
 def emitted_power_check(plan: BeamformingPlan) -> float:
     """Total emitted power recomputed from the weight columns: sum of eta*||w_c||^2*p_c."""
-    return float(
-        sum(
-            plan.eta * float(np.sum(np.abs(w) ** 2)) * p
-            for w, p in zip(plan.weights.T, plan.cluster_powers_pc)
-        )
-    )
+    return float(sum(emitted_powers(plan)))
 
 
 def sinr_dbs_monopath_closed(

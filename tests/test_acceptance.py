@@ -30,6 +30,7 @@ from drops import angles, channel_matrix, plan_toward, user_paths
 from oracles import (
     beta_phasor_sum,
     emitted_power_check,
+    emitted_powers,
     pair_rate,
     pair_rate_grid_max,
     random_direction,
@@ -175,7 +176,7 @@ def test_criterion_07_power_conservation_smoke_sweep():
         theta, phi = zip(*beams)
         plan = plan_toward(config.array_config, theta, phi, sizes, total, config.inter_cluster_rule)
         assert abs(emitted_power_check(plan) - total) <= 1e-9 * total
-        shares = [p / k_c for p, k_c in zip(plan.emitted_powers_Pc, sizes)]
+        shares = [p / k_c for p, k_c in zip(emitted_powers(plan), sizes)]
         assert all(abs(s - total / 25) <= 1e-12 * total for s in shares)
     print("CRITERION 7: PASS - emitted power = total (1e-9 rel) and P_c/K_c constant on 100 trials")
 

@@ -14,7 +14,7 @@ from nomabeam.array_geometry import (
 )
 
 from drops import angles
-from oracles import beta_phasor_sum, random_direction
+from oracles import beta_phasor_sum, random_direction, steering_phasors
 
 BROADSIDE = Direction(math.pi / 2, 0.0)  # both direction cosines vanish
 
@@ -60,6 +60,28 @@ class TestSteeringVector:
     def test_self_inner_product_is_element_count(self, cfg, direction):
         entries = steering_row(cfg, direction)
         assert np.vdot(entries, entries).real == pytest.approx(cfg.num_elements, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [ArrayConfig(32, 2, 0.5), ArrayConfig(64, 8, 0.5), ArrayConfig(16, 4, 10.0)],
+        ids=["32x2", "64x8", "16x4-wide"],
+    )
+    def test_matches_oracle_phasors(self, cfg, rng):
+        # canonical directions, the same ones wrapped by whole turns and
+        # negated, and the two poles
+        theta = rng.uniform(0.0, 2.0 * math.pi, 16)
+        phi = rng.uniform(-math.pi / 2, math.pi / 2, 16)
+        turns = rng.integers(-5, 8, 16)
+        poles = [math.pi / 2, -math.pi / 2, math.pi / 2, -math.pi / 2]
+        theta = np.concatenate([theta, theta + 2.0 * math.pi * turns, -theta, [0.0, 1.3, -2.0, 4.0 * math.pi + 0.5]])
+        phi = np.concatenate([phi, phi, phi, poles])
+        rows = steering_matrix(cfg, theta, phi)
+        expected = np.array([steering_phasors(cfg, Direction(t, p)) for t, p in zip(theta, phi)])
+        # An entry's error is the rounding of its phase, which reaches about
+        # 2*pi*d*(m_h + m_v) radians: a few ulps of that.
+        largest_phase = 2.0 * math.pi * cfg.d_over_lambda * (cfg.m_h + cfg.m_v)
+        assert rows.shape == expected.shape
+        assert np.max(np.abs(rows - expected)) <= 4 * np.finfo(float).eps * largest_phase
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):

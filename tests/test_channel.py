@@ -196,8 +196,7 @@ class TestChannelVector:
 
 def unit_plan(w):
     """A one-beam plan with unit normalization and power, so received power is |h w|^2."""
-    one = np.ones(1)
-    return BeamformingPlan(weights=w[:, np.newaxis], eta=1.0, cluster_powers_pc=one, emitted_powers_Pc=one)
+    return BeamformingPlan(weights=w[:, np.newaxis], eta=1.0, cluster_powers_pc=np.ones(1))
 
 
 class TestEffectiveGain:

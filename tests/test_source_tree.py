@@ -8,7 +8,9 @@ or a type alias behind with no reader fails here.  Every module-level import
 must be read by its own module; ``__init__.py`` only re-exports names, and is
 exempt.  Every name in a module's ``__all__`` must likewise be read by a
 module of the package other than ``__init__.py``: test oracles live in
-``tests/``, not in the library.
+``tests/``, not in the library.  Every field of a package dataclass must be
+read as an attribute by some package module: state that only tests read is
+computed for nobody.
 """
 
 import ast
@@ -109,5 +111,33 @@ def test_every_exported_name_is_read():
         and (stem, name) not in imported
         and name not in attributes
         and (stem, name) not in _EXPORTS_READ_OUTSIDE
+    ]
+    assert unread == []
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        isinstance(target, ast.Name) and target.id == "dataclass"
+        for decorator in node.decorator_list
+        for target in [decorator.func if isinstance(decorator, ast.Call) else decorator]
+    )
+
+
+def test_every_dataclass_field_is_read():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    read = {
+        n.attr
+        for tree in trees.values()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    unread = [
+        f"{stem}.{node.name}.{field.target.id}"
+        for stem, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+        for field in node.body
+        if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+        and field.target.id not in read
     ]
     assert unread == []
