@@ -10,14 +10,13 @@ sharing, and conjugate beamforming.
 
 from .array_geometry import (
     ArrayConfig,
-    Direction,
     beta_matrix,
     pattern_cut,
     steering_matrix,
 )
 from .baselines import SchemeId, conjugate_bf_sinr, energy_efficiency
 from .beamforming import BeamformingPlan, build_plan
-from .channel import ChannelParams, DropPaths, InvalidParams, channel_rows, draw_paths
+from .channel import DropPaths, channel_rows, draw_paths
 from .link_metrics import link_states, rate, sinr_noma_strong, sinr_noma_weak
 from .power_allocation import (
     Branch,

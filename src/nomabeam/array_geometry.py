@@ -21,7 +21,6 @@ import numpy as np
 
 __all__ = [
     "ArrayConfig",
-    "Direction",
     "steering_matrix",
     "beta_matrix",
     "pattern_cut",
@@ -51,33 +50,17 @@ class ArrayConfig:
     d_over_lambda: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.m_h < 1 or self.m_v < 1:
-            raise ValueError(f"element counts must be >= 1, got {self.m_h}x{self.m_v}")
+        for name in ("m_h", "m_v"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0 < self.d_over_lambda <= MAX_ELEMENT_SPACING:
             raise ValueError(
-                f"element spacing must lie in (0, {MAX_ELEMENT_SPACING:g}] wavelengths, got {self.d_over_lambda}"
+                f"d_over_lambda must lie in (0, {MAX_ELEMENT_SPACING:g}] wavelengths, got {self.d_over_lambda}"
             )
 
     @property
     def num_elements(self) -> int:
         return self.m_h * self.m_v
-
-
-@dataclass(frozen=True)
-class Direction:
-    """Departure direction in radians.
-
-    Canonical ranges: azimuth ``theta`` in [0, 2*pi), elevation ``phi`` in
-    [-pi/2, pi/2].  Values outside these ranges are accepted (the trigonometry
-    is total) but the simulator only produces canonical ones.
-    """
-
-    theta: float
-    phi: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
-            raise ValueError(f"direction angles must be finite, got ({self.theta}, {self.phi})")
 
 
 def _direction_cosines(theta, phi) -> tuple[np.ndarray, np.ndarray]:
@@ -137,18 +120,18 @@ def beta_matrix(theta: np.ndarray, phi: np.ndarray, cfg: ArrayConfig) -> np.ndar
 
 
 def pattern_cut(
-    cfg: ArrayConfig, beam_dir: Direction, axis: str, offsets: np.ndarray
+    cfg: ArrayConfig, beam_theta: float, beam_phi: float, axis: str, offsets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Probe angles and pattern of a beam steered at ``beam_dir`` along one axis.
+    """Probe angles and pattern of a beam steered at (``beam_theta``, ``beam_phi``) along one axis.
 
     ``axis="az"`` offsets the azimuth and ``axis="el"`` the elevation by each
     of ``offsets``, the other angle held at the beam's.  Returns the probes'
     theta and phi and the pattern there.
     """
     if axis == "az":
-        theta, phi = beam_dir.theta + offsets, np.full_like(offsets, beam_dir.phi)
+        theta, phi = beam_theta + offsets, np.full_like(offsets, beam_phi)
     elif axis == "el":
-        theta, phi = np.full_like(offsets, beam_dir.theta), beam_dir.phi + offsets
+        theta, phi = np.full_like(offsets, beam_theta), beam_phi + offsets
     else:
         raise ValueError(f"axis must be 'az' or 'el', got {axis!r}")
-    return theta, phi, _pattern(cfg, theta, phi, beam_dir.theta, beam_dir.phi)
+    return theta, phi, _pattern(cfg, theta, phi, beam_theta, beam_phi)

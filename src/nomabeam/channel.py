@@ -3,8 +3,9 @@
 This is a deliberately simple sparse-multipath generator for rural mmWave
 cells: a dominant line-of-sight path with free-space path loss plus log-normal
 shadowing, and a handful of weaker scattered paths clustered in angle around
-it.  Knobs (path counts per time cluster, NLOS gain offsets, angle spread,
-shadowing) are exposed through :class:`ChannelParams`.
+it.  Its knobs (path counts per time cluster, NLOS gain offsets, angle
+spread, shadowing) are fields of the scenario's ``ScenarioConfig``, which
+checks their ranges.
 
 Geometry: the base station sits at the origin with its array at a fixed
 height above the user plane; users are dropped uniformly over the half-disc
@@ -16,18 +17,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .array_geometry import ArrayConfig, steering_matrix
 
+if TYPE_CHECKING:
+    from .sim_harness import ScenarioConfig
+
 __all__ = [
     "BS_HEIGHT_M",
     "SPEED_OF_LIGHT",
-    "InvalidParams",
     "DropPaths",
-    "ChannelParams",
     "draw_paths",
     "channel_rows",
 ]
@@ -38,19 +40,6 @@ SPEED_OF_LIGHT = 299_792_458.0
 # and keeps the free-space loss bounded for users close to the mast.
 BS_HEIGHT_M = 10.0
 
-# Bounds of the generator's knobs: the largest time-cluster and per-cluster
-# path counts of the NYUSIM channel model, a shadowing spread well past
-# measured ones, carriers from HF radio to the terahertz band and scattered
-# paths at most 30 dB stronger than line of sight.  Within them, and with the
-# cell radius bounded, every path amplitude is finite and every line-of-sight
-# amplitude nonzero.
-MAX_TIME_CLUSTERS = 6
-MAX_PATHS_PER_CLUSTER = 30
-MAX_SHADOWING_SIGMA_DB = 30.0
-MIN_CARRIER_HZ = 1e6
-MAX_CARRIER_HZ = 1e12
-MIN_NLOS_GAIN_OFFSET_DB = -30.0
-
 # Bytes of scattered-path steering vectors computed at once.  Steering them
 # next to the LOS matrix and the channel rows then takes less memory than the
 # link states that follow, and each block stays far below the 4 MiB from which
@@ -58,10 +47,6 @@ MIN_NLOS_GAIN_OFFSET_DB = -30.0
 # freed, such a region of the heap faults in 2 MiB at a time, which made the
 # peak resident size of large drops depend on where small arrays later landed.
 _BLOCK_BYTES = 2**19
-
-
-class InvalidParams(ValueError):
-    """Channel parameters are out of range (empty interval, bad radius, ...)."""
 
 
 @dataclass(frozen=True)
@@ -82,68 +67,16 @@ class DropPaths:
     phi: np.ndarray
 
 
-@dataclass(frozen=True)
-class ChannelParams:
-    """Knobs of the multipath generator.
-
-    Integer intervals are inclusive; degenerate intervals (lo == hi) pin the
-    draw.  Rural defaults: 1-2 time clusters of 1-2 paths each, scattered
-    paths 5-15 dB below line of sight within a 15 degree spread.
-    """
-
-    carrier_hz: float = 28e9
-    num_time_clusters_range: tuple[int, int] = (1, 2)
-    paths_per_cluster_range: tuple[int, int] = (1, 2)
-    nlos_gain_offset_db: tuple[float, float] = (5.0, 15.0)
-    angle_spread_deg: float = 15.0
-    shadowing_sigma_db: float = 4.0
-
-    def __post_init__(self) -> None:
-        if not MIN_CARRIER_HZ <= self.carrier_hz <= MAX_CARRIER_HZ:
-            raise InvalidParams(
-                f"carrier must lie in [{MIN_CARRIER_HZ:g}, {MAX_CARRIER_HZ:g}] Hz, got {self.carrier_hz}"
-            )
-        for name in ("num_time_clusters_range", "paths_per_cluster_range", "nlos_gain_offset_db"):
-            lo, hi = getattr(self, name)
-            if lo > hi:
-                raise InvalidParams(f"{name} is empty: ({lo}, {hi})")
-        for name, cap in (
-            ("num_time_clusters_range", MAX_TIME_CLUSTERS),
-            ("paths_per_cluster_range", MAX_PATHS_PER_CLUSTER),
-        ):
-            lo, hi = getattr(self, name)
-            if lo < 1 or hi > cap:
-                raise InvalidParams(f"{name} must lie within [1, {cap}], got ({lo}, {hi})")
-        if not self.nlos_gain_offset_db[0] >= MIN_NLOS_GAIN_OFFSET_DB:
-            raise InvalidParams(
-                f"nlos_gain_offset_db must not go below {MIN_NLOS_GAIN_OFFSET_DB:g} dB, got {self.nlos_gain_offset_db}"
-            )
-        if not 0.0 <= self.angle_spread_deg < math.inf:
-            raise InvalidParams(f"angle spread must be nonnegative and finite, got {self.angle_spread_deg}")
-        if not 0.0 <= self.shadowing_sigma_db <= MAX_SHADOWING_SIGMA_DB:
-            raise InvalidParams(
-                f"shadowing sigma must lie in [0, {MAX_SHADOWING_SIGMA_DB:g}] dB, got {self.shadowing_sigma_db}"
-            )
-
-    @property
-    def wavelength_m(self) -> float:
-        return SPEED_OF_LIGHT / self.carrier_hz
-
-
-def draw_paths(
-    rngs: Sequence[np.random.Generator],
-    params: ChannelParams,
-    cell_radius_m: float,
-    k_users: int,
-) -> DropPaths:
+def draw_paths(rngs: Sequence[np.random.Generator], config: ScenarioConfig, k_users: int) -> DropPaths:
     """Draw a block of drops: ``k_users`` users in the cell per generator, and their multipath channels.
 
     The line-of-sight amplitude is free-space path loss at the carrier over
     the 3D distance, shadowed log-normally; scattered paths are drawn per
-    ``params`` below it and within ``angle_spread_deg`` of the LOS direction.
-    Each user's paths are sorted strongest first (a stable sort).  Drop t
-    takes its users from ``rngs[t]`` and comes t-th in the block, and
-    identical (rng state, params) yield identical paths, whatever the block.
+    ``config``'s knobs below it and within its angle spread of the LOS
+    direction.  Each user's paths are sorted strongest first (a stable
+    sort).  Drop t takes its users from ``rngs[t]`` and comes t-th in the
+    block, and identical (rng state, config) yield identical paths, whatever
+    the block.
 
     Only the RNG calls run per drop.  They are a scalar generator's, user
     after user, with one call for a user's scattered-path uniforms: numpy's
@@ -152,12 +85,9 @@ def draw_paths(
     ``math.hypot``, ``math.asin``, ``**`` and complex ``abs``, whose numpy
     versions differ from them in the last bit on some inputs.
     """
-    if not cell_radius_m > 0:
-        raise InvalidParams(f"cell radius must be positive, got {cell_radius_m}")
-
-    lo_tc, hi_tc = params.num_time_clusters_range
-    lo_p, hi_p = params.paths_per_cluster_range
-    sigma = params.shadowing_sigma_db
+    lo_tc, hi_tc = config.num_time_clusters
+    lo_p, hi_p = config.paths_per_cluster
+    sigma = config.shadowing_sigma_db
     los_draws: list[float] = []
     path_counts: list[int] = []
     scattered_draws = [np.empty((0, 4))]  # defined even when no user scatters
@@ -172,19 +102,20 @@ def draw_paths(
 
     n_users = len(path_counts)
     radius_u, theta_u, shadow_db, los_phase_u = np.array(los_draws).reshape(n_users, 4).T
-    ground_r = cell_radius_m * np.sqrt(radius_u)
+    ground_r = config.cell_radius_m * np.sqrt(radius_u)
     theta = math.pi * theta_u
     slant = np.array([math.hypot(r, BS_HEIGHT_M) for r in ground_r.tolist()])
     phi = np.array([-math.asin(s) for s in (BS_HEIGHT_M / slant).tolist()])
-    los_amp = params.wavelength_m / (4.0 * math.pi * slant) * _pow10(shadow_db / 20.0)
+    wavelength_m = SPEED_OF_LIGHT / config.carrier_hz
+    los_amp = wavelength_m / (4.0 * math.pi * slant) * _pow10(shadow_db / 20.0)
 
     # Scattered paths: one row each, users in order.
     offset_u, phase_u, d_theta_u, d_phi_u = np.concatenate(scattered_draws).T
     counts = np.array(path_counts)
     owner = np.repeat(np.arange(n_users), counts - 1)
-    lo_db, hi_db = params.nlos_gain_offset_db
+    lo_db, hi_db = config.nlos_gain_offset_db
     offset_db = lo_db + (hi_db - lo_db) * offset_u
-    spread = math.radians(params.angle_spread_deg)
+    spread = math.radians(config.angle_spread_deg)
     d_theta = -spread + (spread + spread) * d_theta_u
     d_phi = -spread + (spread + spread) * d_phi_u
 
@@ -198,8 +129,6 @@ def draw_paths(
     thetas = np.concatenate((theta, (theta[owner] + d_theta) % (2.0 * math.pi)))
     phis = np.concatenate((phi, np.minimum(np.maximum(phi[owner] + d_phi, -math.pi / 2.0), math.pi / 2.0)))
     neg_mag = np.array([-abs(g) for g in gains.tolist()])
-    if not (neg_mag < 0).all():
-        raise InvalidParams("path gain must be nonzero")
     order = np.lexsort((neg_mag, np.concatenate((np.arange(n_users), owner))))
     starts = np.cumsum(counts) - counts
     return DropPaths(starts, gains[order], thetas[order], phis[order])

@@ -16,21 +16,25 @@ import sys
 
 import numpy as np
 
-from .array_geometry import Direction, pattern_cut
-from .channel import InvalidParams
+from .array_geometry import pattern_cut
 from .sim_harness import ConfigError, format_aggregates, load_scenario, run_sweep, write_csv
 
 PATTERN_STEP_RAD = 1e-3
 
 
-def _parse_beam(raw: str) -> Direction:
+def _parse_beam(raw: str) -> tuple[float, float]:
+    """The (theta, phi) of a '--beam theta,phi' argument, both finite."""
+    usage = f"--beam expects 'theta,phi' in radians, got {raw!r}"
     parts = raw.split(",")
     if len(parts) != 2:
-        raise ConfigError(f"--beam expects 'theta,phi' in radians, got {raw!r}")
+        raise ConfigError(usage)
     try:
-        return Direction(float(parts[0]), float(parts[1]))
+        theta, phi = float(parts[0]), float(parts[1])
     except ValueError as exc:
-        raise ConfigError(f"--beam expects 'theta,phi' in radians, got {raw!r}: {exc}") from exc
+        raise ConfigError(f"{usage}: {exc}") from exc
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise ConfigError(f"{usage}: direction angles must be finite, got ({theta}, {phi})")
+    return theta, phi
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -44,11 +48,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_pattern(args: argparse.Namespace) -> int:
     config = load_scenario(args.config)
-    beam = _parse_beam(args.beam)
+    beam_theta, beam_phi = _parse_beam(args.beam)
     offsets = np.arange(-math.pi / 2, math.pi / 2 + PATTERN_STEP_RAD, PATTERN_STEP_RAD)
     lines = ["axis,offset_rad,theta_rad,phi_rad,array_factor"]
     for axis in ("az", "el"):
-        theta, phi, values = pattern_cut(config.array_config, beam, axis, offsets)
+        theta, phi, values = pattern_cut(config.array_config, beam_theta, beam_phi, axis, offsets)
         # elevation probes stay physical
         keep = (-math.pi / 2 <= phi) & (phi <= math.pi / 2) if axis == "el" else slice(None)
         rows = zip(offsets[keep].tolist(), theta[keep].tolist(), phi[keep].tolist(), values[keep].tolist())
@@ -85,7 +89,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, InvalidParams, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

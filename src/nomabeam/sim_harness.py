@@ -22,7 +22,7 @@ import numpy as np
 from .array_geometry import ArrayConfig, beta_matrix, steering_matrix
 from .baselines import SchemeId, conjugate_bf_sinr, energy_efficiency
 from .beamforming import build_plan
-from .channel import ChannelParams, DropPaths, InvalidParams, channel_rows, draw_paths
+from .channel import DropPaths, channel_rows, draw_paths
 from .clustering import greedy_pairs
 from .link_metrics import link_states, rate, sinr_noma_strong, sinr_noma_weak
 from .power_allocation import opa, partial_csi_zeta
@@ -44,12 +44,29 @@ __all__ = [
 CSV_HEADER = "scheme,K,trial,sum_rate_bps,spectral_eff,energy_eff,noma_clusters,deactivated_users"
 
 # Bounds of the link's scale: within them every rate is finite and no
-# line-of-sight path loss or received power underflows to zero at a carrier
-# the channel accepts.
+# line-of-sight path loss or received power underflows to zero.
 MAX_BANDWIDTH_HZ = 1e12
 MAX_CELL_RADIUS_M = 1e5
 MIN_POWER_DBM = -200.0
 MAX_POWER_DBM = 200.0
+
+# Bounds of the channel generator's knobs: the largest time-cluster and
+# per-cluster path counts of the NYUSIM channel model, a shadowing spread
+# well past measured ones, carriers from HF radio to the terahertz band, and
+# scattered paths from 30 dB stronger to 200 dB weaker than line of sight.
+# Within them every path amplitude is finite and nonzero: a carrier of at
+# most 1e12 Hz and a slant range of at most hypot(1e5, 10) m keep the
+# free-space amplitude at or above 2.38e-10, a 200 dB offset takes a
+# scattered path 1e-10 below that, and the product of 2.38e-20 and the
+# shadowing factor only falls under the smallest double, 4.9e-324, for a
+# shadowing draw below -6,070 dB, which is -202 sigma at the largest sigma.
+MAX_TIME_CLUSTERS = 6
+MAX_PATHS_PER_CLUSTER = 30
+MAX_SHADOWING_SIGMA_DB = 30.0
+MIN_CARRIER_HZ = 1e6
+MAX_CARRIER_HZ = 1e12
+MIN_NLOS_GAIN_OFFSET_DB = -30.0
+MAX_NLOS_GAIN_OFFSET_DB = 200.0
 
 
 class ConfigError(ValueError):
@@ -60,8 +77,8 @@ class ConfigError(ValueError):
 class ScenarioConfig:
     """Full description of one simulation campaign (defaults: rural 28 GHz cell).
 
-    Construction validates every value and builds the array and channel
-    parameters; each derived value is built once.
+    Construction checks each value once, against its range, and builds the
+    array layout; each derived value is built once.
     """
 
     m_h: int = 32
@@ -129,27 +146,30 @@ class ScenarioConfig:
             raise ConfigError(
                 f"cell_radius_m must be positive and at most {MAX_CELL_RADIUS_M:g} m, got {self.cell_radius_m}"
             )
-        self.channel_params  # validates the generator's knobs
+        if not MIN_CARRIER_HZ <= self.carrier_hz <= MAX_CARRIER_HZ:
+            raise ConfigError(
+                f"carrier_hz must lie in [{MIN_CARRIER_HZ:g}, {MAX_CARRIER_HZ:g}] Hz, got {self.carrier_hz}"
+            )
+        for name, low, high in (
+            ("num_time_clusters", 1, MAX_TIME_CLUSTERS),
+            ("paths_per_cluster", 1, MAX_PATHS_PER_CLUSTER),
+            ("nlos_gain_offset_db", MIN_NLOS_GAIN_OFFSET_DB, MAX_NLOS_GAIN_OFFSET_DB),
+        ):
+            lo, hi = getattr(self, name)
+            if not low <= lo <= hi <= high:
+                raise ConfigError(f"{name} must satisfy {low:g} <= lo <= hi <= {high:g}, got ({lo}, {hi})")
+        if not 0.0 <= self.angle_spread_deg < math.inf:
+            raise ConfigError(f"angle_spread_deg must be nonnegative and finite, got {self.angle_spread_deg}")
+        if not 0.0 <= self.shadowing_sigma_db <= MAX_SHADOWING_SIGMA_DB:
+            raise ConfigError(
+                f"shadowing_sigma_db must lie in [0, {MAX_SHADOWING_SIGMA_DB:g}] dB, got {self.shadowing_sigma_db}"
+            )
 
     @cached_property
     def array_config(self) -> ArrayConfig:
         try:
             return ArrayConfig(self.m_h, self.m_v, self.d_over_lambda)
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    @cached_property
-    def channel_params(self) -> ChannelParams:
-        try:
-            return ChannelParams(
-                carrier_hz=self.carrier_hz,
-                num_time_clusters_range=self.num_time_clusters,
-                paths_per_cluster_range=self.paths_per_cluster,
-                nlos_gain_offset_db=self.nlos_gain_offset_db,
-                angle_spread_deg=self.angle_spread_deg,
-                shadowing_sigma_db=self.shadowing_sigma_db,
-            )
-        except InvalidParams as exc:
             raise ConfigError(str(exc)) from exc
 
     @cached_property
@@ -163,7 +183,7 @@ class ScenarioConfig:
 
 def _check_user_count(k_users: int, array: ArrayConfig) -> None:
     if not 1 <= k_users < array.num_elements:
-        raise ConfigError(f"user counts must satisfy 1 <= K < M={array.num_elements}, got {k_users}")
+        raise ConfigError(f"user_counts must satisfy 1 <= K < M={array.num_elements}, got {k_users}")
 
 
 def _watts(dbm: float) -> float:
@@ -264,7 +284,7 @@ def parse_config_text(text: str) -> dict:
         tags = [t.strip() for t in values["schemes"].split(",") if t.strip()]
         for tag in tags:
             if tag not in known:
-                raise ConfigError(f"unknown scheme {tag!r} (known: {', '.join(known)})")
+                raise ConfigError(f"unknown scheme {tag!r} in schemes (known: {', '.join(known)})")
         values["schemes"] = tuple(known[t] for t in tags)
     return values
 
@@ -294,9 +314,7 @@ def _trial_rng(config: ScenarioConfig, k_users: int, trial_index: int) -> np.ran
 
 def _drop_users(config: ScenarioConfig, k_users: int, trials: Sequence[int]) -> DropPaths:
     """The paths of the drops of (master_seed, K, t), t in ``trials``, as one block."""
-    return draw_paths(
-        [_trial_rng(config, k_users, t) for t in trials], config.channel_params, config.cell_radius_m, k_users
-    )
+    return draw_paths([_trial_rng(config, k_users, t) for t in trials], config, k_users)
 
 
 # Per scheme, a block's outcome: the T x K SINRs in beam order (each pair's

@@ -1,11 +1,20 @@
 """Channel records built by hand for tests, their per-user view, and their
 channel rows and plans steered from angles."""
 
+from typing import NamedTuple
+
 import numpy as np
 
-from nomabeam.array_geometry import ArrayConfig, Direction, steering_matrix
+from nomabeam.array_geometry import ArrayConfig, steering_matrix
 from nomabeam.beamforming import build_plan
 from nomabeam.channel import DropPaths, channel_rows
+
+
+class Direction(NamedTuple):
+    """A departure direction in radians: azimuth ``theta`` and elevation ``phi``."""
+
+    theta: float
+    phi: float
 
 
 def drop_paths(users) -> DropPaths:

@@ -14,12 +14,16 @@ from typing import Sequence
 
 import numpy as np
 
-from nomabeam.array_geometry import ArrayConfig, Direction
+from nomabeam.array_geometry import ArrayConfig
 from nomabeam.beamforming import BeamformingPlan
-from nomabeam.channel import ChannelParams, DropPaths, InvalidParams
+from nomabeam.channel import DropPaths
+from nomabeam.sim_harness import ScenarioConfig
 
-# The library's antenna height above the user plane.
+from drops import Direction
+
+# The library's antenna height above the user plane, and the speed of light.
 BS_HEIGHT_M = 10.0
+SPEED_OF_LIGHT = 299_792_458.0
 
 
 def steering_phasors(cfg: ArrayConfig, direction: Direction) -> np.ndarray:
@@ -143,32 +147,24 @@ def sinr_dbs_multipath_closed(
     return numerator / (interference + noise_w / (eta_dbs * abs(alpha_los) ** 2))
 
 
-def draw_paths_scalar(
-    rng: np.random.Generator,
-    params: ChannelParams,
-    cell_radius_m: float,
-    k_users: int,
-) -> DropPaths:
+def draw_paths_scalar(rng: np.random.Generator, config: ScenarioConfig, k_users: int) -> DropPaths:
     """The path generator one scalar draw at a time, users one after another.
 
     Each user's paths are sorted strongest first by a stable sort.
     """
-    if not cell_radius_m > 0:
-        raise InvalidParams(f"cell radius must be positive, got {cell_radius_m}")
-
-    lo_tc, hi_tc = params.num_time_clusters_range
-    lo_p, hi_p = params.paths_per_cluster_range
-    spread = math.radians(params.angle_spread_deg)
+    lo_tc, hi_tc = config.num_time_clusters
+    lo_p, hi_p = config.paths_per_cluster
+    spread = math.radians(config.angle_spread_deg)
     starts: list[int] = []
     paths: list[tuple[complex, float, float]] = []
     for _ in range(k_users):
-        ground_r = cell_radius_m * math.sqrt(rng.uniform())
+        ground_r = config.cell_radius_m * math.sqrt(rng.uniform())
         theta = rng.uniform(0.0, math.pi)
         slant = math.hypot(ground_r, BS_HEIGHT_M)
         phi = -math.asin(BS_HEIGHT_M / slant)
 
-        fspl_amp = params.wavelength_m / (4.0 * math.pi * slant)
-        shadow_db = rng.normal(0.0, params.shadowing_sigma_db)
+        fspl_amp = SPEED_OF_LIGHT / config.carrier_hz / (4.0 * math.pi * slant)
+        shadow_db = rng.normal(0.0, config.shadowing_sigma_db)
         los_amp = fspl_amp * 10.0 ** (shadow_db / 20.0)
         los_phase = rng.uniform(0.0, 2.0 * math.pi)
         user = [(los_amp * complex(math.cos(los_phase), math.sin(los_phase)), theta, phi)]
@@ -176,7 +172,7 @@ def draw_paths_scalar(
         time_clusters = int(rng.integers(lo_tc, hi_tc + 1))
         total_paths = sum(int(rng.integers(lo_p, hi_p + 1)) for _ in range(time_clusters))
         for _ in range(total_paths - 1):
-            offset_db = rng.uniform(*params.nlos_gain_offset_db)
+            offset_db = rng.uniform(*config.nlos_gain_offset_db)
             amp = los_amp * 10.0 ** (-offset_db / 20.0)
             phase = rng.uniform(0.0, 2.0 * math.pi)
             d_theta = rng.uniform(-spread, spread)
@@ -194,10 +190,7 @@ def draw_paths_scalar(
         paths.extend(user)
 
     gains, thetas, phis = zip(*paths)
-    drop = DropPaths(np.array(starts), np.array(gains), np.array(thetas), np.array(phis))
-    if not np.all(np.abs(drop.gains) > 0):
-        raise InvalidParams("path gain must be nonzero")
-    return drop
+    return DropPaths(np.array(starts), np.array(gains), np.array(thetas), np.array(phis))
 
 
 def greedy_pairs_masked(beta: np.ndarray, beta0: float) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 
 from nomabeam.array_geometry import ArrayConfig, beta_matrix
 from nomabeam.baselines import SchemeId
-from nomabeam.channel import ChannelParams, draw_paths
+from nomabeam.channel import draw_paths
 from nomabeam.clustering import greedy_pairs
 from nomabeam.link_metrics import link_states
 from nomabeam.power_allocation import gamma_fair, gamma_hat, opa
@@ -135,13 +135,13 @@ def test_criterion_06_pipeline_matches_closed_forms():
     rng = np.random.default_rng(SEED)
     cfg = ArrayConfig(16, 2, 0.5)
     noise = 8.1e-14
-    mono_params = ChannelParams(num_time_clusters_range=(1, 1), paths_per_cluster_range=(1, 1))
-    multi_params = ChannelParams(num_time_clusters_range=(2, 2), paths_per_cluster_range=(2, 2))
+    mono = ScenarioConfig(num_time_clusters=(1, 1), paths_per_cluster=(1, 1))
+    multi = ScenarioConfig(num_time_clusters=(2, 2), paths_per_cluster=(2, 2))
 
-    def check(params, closed_fn, drops):
+    def check(config, closed_fn, drops):
         for _ in range(drops):
             k = int(rng.integers(1, 8))
-            paths = draw_paths([rng], params, 100.0, k)
+            paths = draw_paths([rng], config, k)
             gains, dirs = user_paths(paths)
             los = paths.starts
             plan = plan_toward(cfg, paths.theta[los], paths.phi[los], np.ones(k, dtype=int), 1.0)
@@ -155,8 +155,8 @@ def test_criterion_06_pipeline_matches_closed_forms():
                 closed = closed_fn(gains, dirs, own, eta_dbs, noise, cfg)
             assert abs(pipeline - closed) <= 1e-9 * abs(closed)
 
-    check(mono_params, sinr_dbs_monopath_closed, 200)
-    check(multi_params, sinr_dbs_multipath_closed, 200)
+    check(mono, sinr_dbs_monopath_closed, 200)
+    check(multi, sinr_dbs_multipath_closed, 200)
     print("CRITERION 6: PASS - pipeline SINR matches both closed forms on 200+200 drops (1e-9 rel)")
 
 
@@ -184,11 +184,11 @@ def test_criterion_07_power_conservation_smoke_sweep():
 def test_criterion_08_clustering_contract():
     rng = np.random.default_rng(SEED)
     cfg = ArrayConfig(32, 2, 0.5)
-    params = ChannelParams()
+    config = ScenarioConfig()
     beta0 = 0.5
     for _ in range(500):
         k = int(rng.integers(2, 41))
-        paths = draw_paths([rng], params, 100.0, k)
+        paths = draw_paths([rng], config, k)
         beta = beta_matrix(paths.theta[paths.starts], paths.phi[paths.starts], cfg)
         (pairs,) = greedy_pairs(beta[None], beta0)
         pairs = pairs.tolist()

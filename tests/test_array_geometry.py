@@ -5,15 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nomabeam.array_geometry import (
-    ArrayConfig,
-    Direction,
-    beta_matrix,
-    pattern_cut,
-    steering_matrix,
-)
+from nomabeam.array_geometry import ArrayConfig, beta_matrix, pattern_cut, steering_matrix
 
-from drops import angles
+from drops import Direction, angles
 from oracles import beta_phasor_sum, random_direction, steering_phasors
 
 BROADSIDE = Direction(math.pi / 2, 0.0)  # both direction cosines vanish
@@ -158,22 +152,22 @@ class TestArrayFactor:
         cfg = ArrayConfig(16, 2, 0.5)
         beam = Direction(1.0, -0.2)
         for axis in ("az", "el"):
-            theta, phi, values = pattern_cut(cfg, beam, axis, np.zeros(1))
+            theta, phi, values = pattern_cut(cfg, *beam, axis, np.zeros(1))
             assert (theta[0], phi[0]) == (beam.theta, beam.phi)
             assert values[0] == pytest.approx(1.0, abs=1e-12)
 
     @given(configs, directions, st.floats(-math.pi / 2, math.pi / 2), st.sampled_from(["az", "el"]))
     def test_equals_swapped_beta(self, cfg, beam, offset, axis):
-        theta, phi, values = pattern_cut(cfg, beam, axis, np.array([offset]))
+        theta, phi, values = pattern_cut(cfg, *beam, axis, np.array([offset]))
         probe = Direction(float(theta[0]), float(phi[0]))
         assert values[0] == beta_matrix(*angles([probe, beam]), cfg)[0, 1]
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError):
-            pattern_cut(ArrayConfig(4, 4, 0.5), BROADSIDE, "x", np.zeros(1))
+            pattern_cut(ArrayConfig(4, 4, 0.5), *BROADSIDE, "x", np.zeros(1))
 
     def test_monotone_decrease_inside_main_lobe(self):
         cfg = ArrayConfig(32, 2, 0.5)
-        _, _, values = pattern_cut(cfg, BROADSIDE, "az", np.linspace(0.0, 0.06, 300))
+        _, _, values = pattern_cut(cfg, *BROADSIDE, "az", np.linspace(0.0, 0.06, 300))
         assert np.all(np.diff(values) <= 1e-12)
         assert values[-1] < 0.5 < values[0]

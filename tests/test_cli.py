@@ -55,44 +55,77 @@ class TestSimulateCommand:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "line, message",
+        "key, line, message",
         [
-            ("bandwidth_hz = 0", "bandwidth_hz must be positive"),
-            ("bandwidth_hz = -20e6", "bandwidth_hz must be positive"),
-            ("total_power_dbm = nan", "total_power_dbm must lie in [-200, 200] dBm"),
-            ("noise_power_dbm = inf", "noise_power_dbm must lie in [-200, 200] dBm"),
-            ("cell_radius_m = 0", "cell_radius_m must be positive"),
-            ("carrier_hz = 0", "carrier must lie in [1e+06, 1e+12] Hz"),
-            ("angle_spread_deg = -1", "angle spread"),
-            ("total_power_dbm = 4000", "total_power_dbm must lie in [-200, 200] dBm"),
-            ("noise_power_dbm = 4000", "noise_power_dbm must lie in [-200, 200] dBm"),
-            ("noise_power_dbm = -4000", "noise_power_dbm must lie in [-200, 200] dBm"),
-            ("carrier_hz = 1e-300", "carrier must lie in [1e+06, 1e+12] Hz"),
-            ("shadowing_sigma_db = 10000", "shadowing sigma must lie in [0, 30] dB"),
-            ("carrier_hz = 1e-290", "carrier must lie in [1e+06, 1e+12] Hz"),
-            ("carrier_hz = 1e300", "carrier must lie in [1e+06, 1e+12] Hz"),
-            ("paths_per_cluster = 2\nnlos_gain_offset_db = -7000,-7000", "nlos_gain_offset_db must not go below -30 dB"),
-            ("cell_radius_m = 1e300", "cell_radius_m must be positive and at most 100000 m"),
-            ("bandwidth_hz = 1e308", "bandwidth_hz must be positive and at most 1e+12 Hz"),
-            ("paths_per_cluster = 2\ntotal_power_dbm = -3170", "total_power_dbm must lie in [-200, 200] dBm"),
-            ("paths_per_cluster = 2\nangle_spread_deg = inf", "angle spread must be nonnegative and finite"),
-            ("paths_per_cluster = 2\nangle_spread_deg = nan", "angle spread must be nonnegative and finite"),
+            ("bandwidth_hz", "bandwidth_hz = 0", "bandwidth_hz must be positive"),
+            ("bandwidth_hz", "bandwidth_hz = -20e6", "bandwidth_hz must be positive"),
+            ("total_power_dbm", "total_power_dbm = nan", "total_power_dbm must lie in [-200, 200] dBm"),
+            ("noise_power_dbm", "noise_power_dbm = inf", "noise_power_dbm must lie in [-200, 200] dBm"),
+            ("cell_radius_m", "cell_radius_m = 0", "cell_radius_m must be positive"),
+            ("carrier_hz", "carrier_hz = 0", "carrier_hz must lie in [1e+06, 1e+12] Hz"),
+            ("angle_spread_deg", "angle_spread_deg = -1", "angle_spread_deg must be nonnegative and finite"),
+            ("total_power_dbm", "total_power_dbm = 4000", "total_power_dbm must lie in [-200, 200] dBm"),
+            ("noise_power_dbm", "noise_power_dbm = 4000", "noise_power_dbm must lie in [-200, 200] dBm"),
+            ("noise_power_dbm", "noise_power_dbm = -4000", "noise_power_dbm must lie in [-200, 200] dBm"),
+            ("carrier_hz", "carrier_hz = 1e-300", "carrier_hz must lie in [1e+06, 1e+12] Hz"),
+            ("shadowing_sigma_db", "shadowing_sigma_db = 10000", "shadowing_sigma_db must lie in [0, 30] dB"),
+            ("carrier_hz", "carrier_hz = 1e-290", "carrier_hz must lie in [1e+06, 1e+12] Hz"),
+            ("carrier_hz", "carrier_hz = 1e300", "carrier_hz must lie in [1e+06, 1e+12] Hz"),
             (
+                "nlos_gain_offset_db",
+                "paths_per_cluster = 2\nnlos_gain_offset_db = -7000,-7000",
+                "nlos_gain_offset_db must satisfy -30 <= lo <= hi <= 200",
+            ),
+            # a 7000 dB offset would underflow every scattered path's amplitude to 0
+            (
+                "nlos_gain_offset_db",
+                "paths_per_cluster = 2\nnlos_gain_offset_db = 7000,7000",
+                "nlos_gain_offset_db must satisfy -30 <= lo <= hi <= 200",
+            ),
+            (
+                "nlos_gain_offset_db",
+                "paths_per_cluster = 2\nnlos_gain_offset_db = 5,200.00000000000003",
+                "nlos_gain_offset_db must satisfy -30 <= lo <= hi <= 200",
+            ),
+            ("num_time_clusters", "num_time_clusters = 2,1", "num_time_clusters must satisfy 1 <= lo <= hi <= 6"),
+            ("paths_per_cluster", "paths_per_cluster = 1,31", "paths_per_cluster must satisfy 1 <= lo <= hi <= 30"),
+            ("cell_radius_m", "cell_radius_m = 1e300", "cell_radius_m must be positive and at most 100000 m"),
+            ("bandwidth_hz", "bandwidth_hz = 1e308", "bandwidth_hz must be positive and at most 1e+12 Hz"),
+            (
+                "total_power_dbm",
+                "paths_per_cluster = 2\ntotal_power_dbm = -3170",
+                "total_power_dbm must lie in [-200, 200] dBm",
+            ),
+            (
+                "angle_spread_deg",
+                "paths_per_cluster = 2\nangle_spread_deg = inf",
+                "angle_spread_deg must be nonnegative and finite",
+            ),
+            (
+                "angle_spread_deg",
+                "paths_per_cluster = 2\nangle_spread_deg = nan",
+                "angle_spread_deg must be nonnegative and finite",
+            ),
+            (
+                "total_power_dbm",
                 "paths_per_cluster = 2\ntotal_power_dbm = -3050\ncell_radius_m = 100000",
                 "total_power_dbm must lie in [-200, 200] dBm",
             ),
-            ("schemes = dbs,dbs", "schemes must not repeat"),
-            ("schemes = noma_dbs,noma_dbs_fcsi\ncsi_mode = full", "schemes must not repeat"),
-            ("user_counts = 3,3", "user_counts must not repeat"),
-            ("master_seed = -1", "master_seed must be nonnegative"),
-            ("d_over_lambda = inf", "element spacing must lie in (0, 10] wavelengths"),
-            ("d_over_lambda = 10.000000000000002", "element spacing must lie in (0, 10] wavelengths"),
-            ("d_over_lambda = 1e308", "element spacing must lie in (0, 10] wavelengths"),
-            ("p_min = nan", "p_min must be nonnegative and finite"),
-            ("p_min = inf", "p_min must be nonnegative and finite"),
+            ("schemes", "schemes = dbs,dbs", "schemes must not repeat"),
+            ("schemes", "schemes = noma_dbs,noma_dbs_fcsi\ncsi_mode = full", "schemes must not repeat"),
+            ("user_counts", "user_counts = 3,3", "user_counts must not repeat"),
+            ("user_counts", "user_counts = 3,16", "user_counts must satisfy 1 <= K < M=16"),
+            ("master_seed", "master_seed = -1", "master_seed must be nonnegative"),
+            ("m_h", "m_h = 0", "m_h must be >= 1"),
+            ("m_v", "m_v = 0", "m_v must be >= 1"),
+            ("d_over_lambda", "d_over_lambda = inf", "d_over_lambda must lie in (0, 10] wavelengths"),
+            ("d_over_lambda", "d_over_lambda = 10.000000000000002", "d_over_lambda must lie in (0, 10] wavelengths"),
+            ("d_over_lambda", "d_over_lambda = 1e308", "d_over_lambda must lie in (0, 10] wavelengths"),
+            ("p_min", "p_min = nan", "p_min must be nonnegative and finite"),
+            ("p_min", "p_min = inf", "p_min must be nonnegative and finite"),
         ],
     )
-    def test_config_edge_rejected_with_one_error_line(self, tmp_path, capsys, line, message):
+    def test_config_edge_rejected_with_one_error_line(self, tmp_path, capsys, key, line, message):
         cfg = tmp_path / "edge.cfg"
         cfg.write_text(SMALL_CFG + line + "\n")
         out = tmp_path / "x.csv"
@@ -100,7 +133,7 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert message in err
+        assert key in err and message in err
         assert not out.exists()
 
     def test_negative_seed_override_rejected(self, config_path, tmp_path, capsys):
@@ -122,18 +155,8 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "num_time_clusters_range must lie within [1, 6]" in err
+        assert "num_time_clusters must satisfy 1 <= lo <= hi <= 6" in err
         assert not out.exists()
-
-    def test_zero_path_gain_exits_nonzero(self, tmp_path, capsys):
-        # a 7000 dB offset underflows every scattered path's amplitude to 0
-        cfg = tmp_path / "zero-gain.cfg"
-        cfg.write_text(SMALL_CFG + "paths_per_cluster = 2\nnlos_gain_offset_db = 7000,7000\n")
-        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "path gain must be nonzero" in err
 
     def test_missing_config_exits_nonzero(self, tmp_path):
         code = main(
@@ -176,3 +199,14 @@ class TestPatternCommand:
         )
         assert code == 2
         assert "theta,phi" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("beam", ["nan,0.0", "0.0,inf", "-inf,nan"])
+    def test_non_finite_beam_rejected(self, config_path, tmp_path, capsys, beam):
+        out = tmp_path / "p.csv"
+        # '=' keeps argparse from reading '-inf,nan' as an option
+        code = main(["pattern", "--config", config_path, f"--beam={beam}", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "direction angles must be finite" in err
+        assert not out.exists()

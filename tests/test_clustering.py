@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nomabeam.array_geometry import ArrayConfig, Direction, beta_matrix
+from nomabeam.array_geometry import ArrayConfig, beta_matrix
 from nomabeam.clustering import greedy_pairs
 
-from drops import angles
+from drops import Direction, angles
 from oracles import greedy_pairs_masked
 
 

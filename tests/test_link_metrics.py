@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from nomabeam.array_geometry import ArrayConfig, Direction, beta_matrix, steering_matrix
-from nomabeam.channel import ChannelParams, draw_paths
+from nomabeam.array_geometry import ArrayConfig, beta_matrix, steering_matrix
+from nomabeam.channel import draw_paths
 from nomabeam.link_metrics import link_states, rate, sinr_noma_strong, sinr_noma_weak
 from nomabeam.power_allocation import Branch, gamma_hat, opa
+from nomabeam.sim_harness import ScenarioConfig
 
-from drops import angles, channel_matrix, drop_paths, plan_toward, user_paths
+from drops import Direction, angles, channel_matrix, drop_paths, plan_toward, user_paths
 from oracles import sinr_dbs_monopath_closed, sinr_dbs_multipath_closed
 
 CFG = ArrayConfig(16, 2, 0.5)
@@ -228,10 +229,10 @@ class TestMultipathClosedForm:
         )
 
     def test_matches_pipeline_on_random_drops(self, rng):
-        params = ChannelParams()
+        config = ScenarioConfig()
         for _ in range(40):
             k = int(rng.integers(1, 7))
-            paths = draw_paths([rng], params, 100.0, k)
+            paths = draw_paths([rng], config, k)
             gains, dirs = user_paths(paths)
             plan = private_plan([d[0] for d in dirs])
             eta_dbs = plan.eta * plan.cluster_powers_pc[0]

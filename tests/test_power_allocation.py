@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nomabeam.array_geometry import ArrayConfig, Direction, beta_matrix, steering_matrix
+from nomabeam.array_geometry import ArrayConfig, beta_matrix, steering_matrix
 from nomabeam.link_metrics import link_states
 from nomabeam.power_allocation import (
     Branch,
@@ -16,7 +16,7 @@ from nomabeam.power_allocation import (
     partial_csi_zeta,
 )
 
-from drops import angles, channel_matrix, drop_paths, plan_toward
+from drops import Direction, angles, channel_matrix, drop_paths, plan_toward
 from oracles import pair_rate, pair_rate_grid_max, rc_derivative
 
 CFG = ArrayConfig(16, 2, 0.5)

@@ -2,7 +2,7 @@ import functools
 import itertools
 import math
 import statistics
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from nomabeam.array_geometry import Direction, beta_matrix, steering_matrix
+from nomabeam.array_geometry import beta_matrix, steering_matrix
 from nomabeam.baselines import SchemeId
 from nomabeam.clustering import greedy_pairs
 from nomabeam.link_metrics import link_states, sinr_noma_strong, sinr_noma_weak
@@ -32,7 +32,7 @@ from nomabeam.sim_harness import (
     write_csv,
 )
 
-from drops import angles, channel_matrix, drop_paths, plan_toward, user_paths
+from drops import Direction, angles, channel_matrix, drop_paths, plan_toward, user_paths
 from oracles import sinr_dbs_monopath_closed
 
 SMALL = ScenarioConfig(
@@ -140,6 +140,10 @@ class TestConfigParsing:
     def test_shipped_config_is_the_default(self):
         shipped = Path(__file__).resolve().parent.parent / "configs" / "rural_default.cfg"
         assert load_scenario(str(shipped)) == ScenarioConfig()
+        # the file shows every key: each field and csi_mode
+        lines = (line.split("#", 1)[0] for line in shipped.read_text(encoding="utf-8").splitlines())
+        keys = {line.partition("=")[0].strip() for line in lines if line.strip()}
+        assert keys == {field.name for field in fields(ScenarioConfig)} | {"csi_mode"}
 
 
 class TestConfigValidation:
@@ -170,9 +174,12 @@ class TestConfigValidation:
             ("shadowing_sigma_db", 30.5),
             ("num_time_clusters", (1, 100000000)),
             ("paths_per_cluster", (1, 31)),
+            ("num_time_clusters", (1, 7)),
             ("carrier_hz", 1e-300),
             ("noise_power_dbm", -4000.0),
             ("total_power_dbm", 4000.0),
+            ("nlos_gain_offset_db", (7000.0, 7000.0)),
+            ("nlos_gain_offset_db", (5.0, 200.00000000000003)),
         ],
     )
     def test_link_and_channel_values_validated_at_construction(self, field, value):
@@ -180,23 +187,28 @@ class TestConfigValidation:
             ScenarioConfig(**{field: value})
 
     @pytest.mark.parametrize(
-        "field, value",
+        "overrides",
         [
-            ("carrier_hz", 1e6),
-            ("carrier_hz", 1e12),
-            ("nlos_gain_offset_db", (-30.0, -30.0)),
-            ("cell_radius_m", 1e-3),
-            ("cell_radius_m", 1e5),
-            ("bandwidth_hz", 1e12),
-            ("total_power_dbm", -200.0),
-            ("total_power_dbm", 200.0),
-            ("noise_power_dbm", -200.0),
-            ("noise_power_dbm", 200.0),
-            ("d_over_lambda", 10.0),
+            {"carrier_hz": 1e6},
+            {"carrier_hz": 1e12},
+            {"nlos_gain_offset_db": (-30.0, -30.0)},
+            {"nlos_gain_offset_db": (200.0, 200.0)},
+            {"cell_radius_m": 1e-3},
+            {"cell_radius_m": 1e5},
+            {"bandwidth_hz": 1e12},
+            {"total_power_dbm": -200.0},
+            {"total_power_dbm": 200.0},
+            {"noise_power_dbm": -200.0},
+            {"noise_power_dbm": 200.0},
+            {"d_over_lambda": 10.0},
+            {"shadowing_sigma_db": 30.0},
+            {"angle_spread_deg": 0.0},
+            {"num_time_clusters": (6, 6), "paths_per_cluster": (30, 30)},
         ],
+        ids=lambda overrides: ",".join(f"{key}={value}" for key, value in overrides.items()),
     )
-    def test_bounds_give_finite_rates(self, field, value):
-        config = replace(SMALL, paths_per_cluster=(2, 2), **{field: value})
+    def test_bounds_give_finite_rates(self, overrides):
+        config = replace(SMALL, **{"paths_per_cluster": (2, 2), **overrides})
         for k in (1, 2, 5):
             for result in evaluate_trial(config, k, 0).values():
                 assert math.isfinite(result.sum_rate_bps) and result.sum_rate_bps >= 0
@@ -265,7 +277,7 @@ class TestRunTrial:
     @pytest.mark.parametrize("k", [0, 8, 9])
     def test_user_count_outside_the_array_rejected(self, k):
         config = replace(SMALL, m_h=4, m_v=2)
-        with pytest.raises(ConfigError, match=f"user counts must satisfy 1 <= K < M=8, got {k}"):
+        with pytest.raises(ConfigError, match=f"user_counts must satisfy 1 <= K < M=8, got {k}"):
             evaluate_trial(config, k, 0)
 
     def test_negative_trial_rejected(self):
