@@ -26,11 +26,6 @@ __all__ = [
     "pattern_cut",
 ]
 
-# The largest element spacing, in wavelengths.  Arrays space their elements
-# half a wavelength apart, and sparse arrays a few wavelengths; ten is past
-# both, and within it every steering phase and pattern value is finite.
-MAX_ELEMENT_SPACING = 10.0
-
 # Below this, |sin(pi * d/lambda * delta)| is treated as a removable
 # singularity of the closed-form pattern and the per-axis factor is its
 # limit, 1.
@@ -39,7 +34,7 @@ _SINGULAR_EPS = 1e-12
 
 @dataclass(frozen=True)
 class ArrayConfig:
-    """Uniform planar array layout.
+    """Uniform planar array layout, a plain value whose fields ScenarioConfig checks.
 
     m_h, m_v: horizontal / vertical element counts (>= 1 each).
     d_over_lambda: element spacing as a fraction of the carrier wavelength.
@@ -48,15 +43,6 @@ class ArrayConfig:
     m_h: int
     m_v: int
     d_over_lambda: float = 0.5
-
-    def __post_init__(self) -> None:
-        for name in ("m_h", "m_v"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0 < self.d_over_lambda <= MAX_ELEMENT_SPACING:
-            raise ValueError(
-                f"d_over_lambda must lie in (0, {MAX_ELEMENT_SPACING:g}] wavelengths, got {self.d_over_lambda}"
-            )
 
     @property
     def num_elements(self) -> int:
@@ -124,14 +110,12 @@ def pattern_cut(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Probe angles and pattern of a beam steered at (``beam_theta``, ``beam_phi``) along one axis.
 
-    ``axis="az"`` offsets the azimuth and ``axis="el"`` the elevation by each
-    of ``offsets``, the other angle held at the beam's.  Returns the probes'
-    theta and phi and the pattern there.
+    ``axis="az"`` offsets the azimuth and any other axis (``"el"``) the
+    elevation by each of ``offsets``, the other angle held at the beam's.
+    Returns the probes' theta and phi and the pattern there.
     """
     if axis == "az":
         theta, phi = beam_theta + offsets, np.full_like(offsets, beam_phi)
-    elif axis == "el":
-        theta, phi = np.full_like(offsets, beam_theta), beam_phi + offsets
     else:
-        raise ValueError(f"axis must be 'az' or 'el', got {axis!r}")
+        theta, phi = np.full_like(offsets, beam_theta), beam_phi + offsets
     return theta, phi, _pattern(cfg, theta, phi, beam_theta, beam_phi)

@@ -45,8 +45,6 @@ def conjugate_bf_sinr(h_matrix: np.ndarray, total_power_w: float, noise_w: float
     beam k, and :func:`link_states` scores it like any steered beam.
     """
     k_users = h_matrix.shape[-2]
-    if k_users == 0:
-        raise ValueError("at least one user is required")
     w_matrix = np.conj(np.swapaxes(h_matrix, -1, -2))
     w_matrix /= np.linalg.norm(h_matrix, axis=-1)[..., None, :]
     plan = BeamformingPlan(w_matrix, 1.0 / k_users, np.full(k_users, total_power_w))
@@ -62,9 +60,5 @@ BASE_STATION_POWER_W = 0.2
 
 def energy_efficiency(sum_rate_bps: float, emitted_power_w: float, num_antennas: int) -> float:
     """Sum rate per joule: rate / (rho * P_emitted + M * P_antenna + P_base)."""
-    if num_antennas < 1:
-        raise ValueError(f"antenna count must be >= 1, got {num_antennas}")
-    if emitted_power_w < 0:
-        raise ValueError(f"emitted power must be nonnegative, got {emitted_power_w}")
     consumed = PA_INEFFICIENCY_RHO * emitted_power_w + num_antennas * PER_ANTENNA_POWER_W + BASE_STATION_POWER_W
     return sum_rate_bps / consumed

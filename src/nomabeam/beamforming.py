@@ -54,10 +54,8 @@ def build_plan(
     sum; a T x M x C stack of such matrices makes T plans with one power
     split.  ``rule="proportional"`` (default) gives each beam an
     emitted-power share P_c = K_c * P_e / K, so p_c = K_c * C * P_e / K;
-    ``rule="uniform"`` splits emitted power evenly, P_c = P_e / C.
+    any other rule (``"uniform"``) splits emitted power evenly, P_c = P_e / C.
     """
-    if not total_power_w > 0:
-        raise ValueError(f"total power must be positive, got {total_power_w}")
     sizes = np.asarray(sizes)
     m_elements, c_total = np.shape(weights)[-2:]
     if c_total != len(sizes):
@@ -65,9 +63,7 @@ def build_plan(
     eta = 1.0 / (m_elements * c_total)
     if rule == "proportional":
         emitted = sizes * total_power_w / int(np.sum(sizes))
-    elif rule == "uniform":
-        emitted = np.full(c_total, total_power_w / c_total)
     else:
-        raise ValueError(f"unknown power split rule: {rule!r}")
+        emitted = np.full(c_total, total_power_w / c_total)
     # P_c = eta * ||w_c||^2 * p_c with ||w_c||^2 = M, hence p_c = C * P_c.
     return BeamformingPlan(weights=np.ascontiguousarray(weights), eta=eta, cluster_powers_pc=c_total * emitted)

@@ -79,7 +79,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     pat = sub.add_parser("pattern", help="emit array-pattern cuts for a steered beam")
     pat.add_argument("--config", required=True, help="scenario file (flat key = value text)")
-    pat.add_argument("--beam", required=True, help="beam direction 'theta,phi' in radians")
+    pat.add_argument(
+        "--beam",
+        required=True,
+        help="beam direction 'theta,phi' in radians; write --beam=THETA,PHI when THETA starts with '-'",
+    )
     pat.add_argument("--out", required=True, help="output CSV path")
     pat.set_defaults(func=_cmd_pattern)
     return parser

@@ -29,10 +29,6 @@ def greedy_pairs(beta: np.ndarray, beta0: float) -> list[np.ndarray]:
     each taken when both its users are still free in its drop.
     """
     k_users = beta.shape[-1]
-    if k_users < 1:
-        raise ValueError("at least one user is required")
-    if not 0.0 < beta0 < 1.0:
-        raise ValueError(f"beta0 must be in (0, 1), got {beta0}")
     t_idx, k_idx, u_idx = np.nonzero(np.triu(beta >= beta0, k=1))  # in (t, k, u) order
     order = np.lexsort((-beta[t_idx, k_idx, u_idx], t_idx))
     pairs: list[list[tuple[int, int]]] = [[] for _ in range(len(beta))]

@@ -36,8 +36,6 @@ def link_states(
     All of them come from one K x C matrix of weighted beam gains
     ``eta * p_c * |h_k w_c|^2``; T x K x M rows of a block plan give T x K arrays.
     """
-    if not noise_w > 0:
-        raise ValueError(f"noise power must be positive, got {noise_w}")
     weighted = plan.received_powers(h_rows)
     psi = weighted[..., np.arange(weighted.shape[-2]), own_beams]
     nu = np.sum(weighted, axis=-1) - psi + noise_w

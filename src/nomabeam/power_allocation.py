@@ -51,11 +51,6 @@ def _check_ratios(zeta1, zeta2) -> None:
         raise ValueError(f"link ratios must be positive, got ({zeta1}, {zeta2})")
 
 
-def _check_p_min(p_min: float) -> None:
-    if p_min < 0:
-        raise ValueError(f"p_min must be nonnegative, got {p_min}")
-
-
 def gamma_hat(zeta1, p_min: float):
     """Upper endpoint of the feasible interval: (1 - p_min/zeta1) / 2.
 
@@ -63,7 +58,6 @@ def gamma_hat(zeta1, p_min: float):
     """
     if not np.all(zeta1 > 0):
         raise ValueError(f"zeta1 must be positive, got {zeta1}")
-    _check_p_min(p_min)
     ratio = p_min / zeta1
     return np.where(ratio > 1.0, np.nan, np.maximum(0.0, 0.5 * (1.0 - ratio)))
 
@@ -99,9 +93,6 @@ def opa(zeta1, zeta2, p_min: float, epsilon: float) -> tuple[np.ndarray, np.ndar
     z1 = np.asarray(zeta1, dtype=float)
     z2 = np.asarray(zeta2, dtype=float)
     _check_ratios(z1, z2)
-    _check_p_min(p_min)
-    if not 0.0 <= epsilon < 1.0:
-        raise ValueError(f"epsilon must be in [0, 1), got {epsilon}")
     r1, r2 = rate(z1, 1.0), rate(z2, 1.0)
     # A strong rate that rounds to 0 is as far from fair as r2 is from it.
     gap = np.divide(np.abs(r1 - r2), r1, out=np.where(r1 == r2, 0.0, np.inf), where=r1 > 0)

@@ -50,6 +50,11 @@ MAX_CELL_RADIUS_M = 1e5
 MIN_POWER_DBM = -200.0
 MAX_POWER_DBM = 200.0
 
+# The largest element spacing, in wavelengths.  Arrays space their elements
+# half a wavelength apart, and sparse arrays a few wavelengths; ten is past
+# both, and within it every steering phase and pattern value is finite.
+MAX_ELEMENT_SPACING = 10.0
+
 # Bounds of the channel generator's knobs: the largest time-cluster and
 # per-cluster path counts of the NYUSIM channel model, a shadowing spread
 # well past measured ones, carriers from HF radio to the terahertz band, and
@@ -110,7 +115,14 @@ class ScenarioConfig:
     inter_cluster_rule: str = "proportional"
 
     def __post_init__(self) -> None:
-        array = self.array_config  # validates antenna counts / spacing
+        for name in ("m_h", "m_v"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0 < self.d_over_lambda <= MAX_ELEMENT_SPACING:
+            raise ConfigError(
+                f"d_over_lambda must lie in (0, {MAX_ELEMENT_SPACING:g}] wavelengths, got {self.d_over_lambda}"
+            )
+        array = self.array_config
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if not self.user_counts:
@@ -167,10 +179,7 @@ class ScenarioConfig:
 
     @cached_property
     def array_config(self) -> ArrayConfig:
-        try:
-            return ArrayConfig(self.m_h, self.m_v, self.d_over_lambda)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return ArrayConfig(self.m_h, self.m_v, self.d_over_lambda)
 
     @cached_property
     def total_power_w(self) -> float:

@@ -77,12 +77,6 @@ class TestSteeringVector:
         assert rows.shape == expected.shape
         assert np.max(np.abs(rows - expected)) <= 4 * np.finfo(float).eps * largest_phase
 
-    def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            ArrayConfig(0, 4, 0.5)
-        with pytest.raises(ValueError):
-            ArrayConfig(4, 4, 0.0)
-
 
 class TestBetaMetric:
     def test_identical_directions_give_one(self):
@@ -161,10 +155,6 @@ class TestArrayFactor:
         theta, phi, values = pattern_cut(cfg, *beam, axis, np.array([offset]))
         probe = Direction(float(theta[0]), float(phi[0]))
         assert values[0] == beta_matrix(*angles([probe, beam]), cfg)[0, 1]
-
-    def test_unknown_axis_rejected(self):
-        with pytest.raises(ValueError):
-            pattern_cut(ArrayConfig(4, 4, 0.5), *BROADSIDE, "x", np.zeros(1))
 
     def test_monotone_decrease_inside_main_lobe(self):
         cfg = ArrayConfig(32, 2, 0.5)

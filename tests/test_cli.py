@@ -123,6 +123,15 @@ class TestSimulateCommand:
             ("d_over_lambda", "d_over_lambda = 1e308", "d_over_lambda must lie in (0, 10] wavelengths"),
             ("p_min", "p_min = nan", "p_min must be nonnegative and finite"),
             ("p_min", "p_min = inf", "p_min must be nonnegative and finite"),
+            ("p_min", "p_min = -1", "p_min must be nonnegative and finite"),
+            ("beta0", "beta0 = 0", "beta0 must be in (0, 1)"),
+            ("beta0", "beta0 = 1", "beta0 must be in (0, 1)"),
+            ("epsilon", "epsilon = 1", "epsilon must be in [0, 1)"),
+            ("epsilon", "epsilon = -0.01", "epsilon must be in [0, 1)"),
+            ("d_over_lambda", "d_over_lambda = 0", "d_over_lambda must lie in (0, 10] wavelengths"),
+            ("inter_cluster_rule", "inter_cluster_rule = sideways", "unknown inter_cluster_rule: 'sideways'"),
+            ("user_counts", "user_counts = 0", "user_counts must satisfy 1 <= K < M=16"),
+            ("trials", "trials = 0", "trials must be >= 1"),
         ],
     )
     def test_config_edge_rejected_with_one_error_line(self, tmp_path, capsys, key, line, message):
@@ -192,6 +201,14 @@ class TestPatternCommand:
         values = [float(line.split(",")[4]) for line in lines[1:]]
         assert max(values) > 0.999  # the cut passes through the beam peak
         assert all(-1e-12 <= v <= 1.0 + 1e-12 for v in values)
+
+    def test_negative_azimuth_in_attached_form(self, config_path, tmp_path):
+        # argparse reads a separate value that starts with '-' as an option
+        out = tmp_path / "pattern.csv"
+        assert main(["pattern", "--config", config_path, "--beam=-0.5,0.1", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert {line.split(",")[0] for line in lines[1:]} == {"az", "el"}
+        assert max(float(line.split(",")[4]) for line in lines[1:]) > 0.999
 
     def test_bad_beam_argument(self, config_path, tmp_path, capsys):
         code = main(

@@ -1,7 +1,6 @@
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -111,12 +110,6 @@ class TestPairingFromAngles:
 
     def test_single_user(self):
         assert pair_users([deg(45, -5)], 0.5).shape == (0, 2)
-
-    def test_bad_inputs(self):
-        with pytest.raises(ValueError):
-            greedy_pairs(beta_matrix(np.empty((1, 0)), np.empty((1, 0)), CFG), 0.5)
-        with pytest.raises(ValueError):
-            pair_users([deg(45, 0)], 1.0)
 
 
 # The sweep's array, a sparse one whose grating lobes tie distinct

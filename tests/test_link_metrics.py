@@ -61,11 +61,6 @@ class TestComputeLinkState:
         assert psi == pytest.approx(2 * base_psi, rel=1e-12)
         assert nu - noise == pytest.approx(2 * (base_nu - noise), rel=1e-12)
 
-    def test_noise_must_be_positive(self):
-        plan = private_plan([Direction(1.0, 0.0)])
-        with pytest.raises(ValueError):
-            link_state(np.ones(32, dtype=complex), plan, 0, 0.0)
-
 
 class TestSinrFormulas:
     def test_dbs_is_the_ratio(self):

@@ -169,10 +169,6 @@ class TestOpa:
             opa(0.0, 1.0, 0.0, 0.05)
         with pytest.raises(ValueError):
             opa(np.array([1.0, 2.0]), np.array([1.0, -1.0]), 0.0, 0.05)
-        with pytest.raises(ValueError):
-            opa(1.0, 1.0, -1.0, 0.05)
-        with pytest.raises(ValueError):
-            opa(1.0, 1.0, 0.0, 1.0)
 
     @given(
         st.lists(

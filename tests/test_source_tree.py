@@ -5,9 +5,10 @@ Every module-level private name of ``src/nomabeam`` (dunders excepted) must
 be read somewhere in the package: in its own module, imported by name from
 it, or reached as an attribute.  A deletion that leaves a helper, a constant
 or a type alias behind with no reader fails here.  Every module-level import
-must be read by its own module; ``__init__.py`` only re-exports names, and is
-exempt.  Every name in a module's ``__all__`` must likewise be read by a
-module of the package other than ``__init__.py``: test oracles live in
+must be read by its own module, ``__init__.py`` included: the package
+re-exports nothing, and a re-export that creeps back fails here.  Every name
+in a module's ``__all__`` must likewise be read by a module of the package
+other than ``__init__.py``: test oracles live in
 ``tests/``, not in the library.  Every field of a package dataclass must be
 read as an attribute by some package module: state that only tests read is
 computed for nobody.
@@ -73,7 +74,6 @@ def test_every_import_is_read():
     unused = [
         f"{path.stem}.{name}"
         for path in sorted(SRC.glob("*.py"))
-        if path.name != "__init__.py"
         for tree in [ast.parse(path.read_text(encoding="utf-8"))]
         for name in sorted(_imports(tree) - _read(tree))
     ]
