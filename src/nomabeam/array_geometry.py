@@ -22,7 +22,7 @@ import numpy as np
 __all__ = [
     "ArrayConfig",
     "steering_matrix",
-    "beta_matrix",
+    "eligible_pairs",
     "pattern_cut",
 ]
 
@@ -30,6 +30,12 @@ __all__ = [
 # singularity of the closed-form pattern and the per-axis factor is its
 # limit, 1.
 _SINGULAR_EPS = 1e-12
+
+# A rounded per-axis factor can exceed its bound 1 by about
+# |x| * 2**-53 / _SINGULAR_EPS where |sin x| is just above _SINGULAR_EPS:
+# 7e-3 at the |x| = 20 pi of a ten-wavelength spacing.  The pairing
+# pre-filter's bound allows that much and more.
+_RATIO_SLACK = 0.05
 
 
 @dataclass(frozen=True)
@@ -82,27 +88,38 @@ def _sin_ratio(m: int, x: np.ndarray) -> np.ndarray:
     return np.where(singular, 1.0, np.sin(m * x) / (m * np.where(singular, 1.0, s)))
 
 
-def _pattern(cfg: ArrayConfig, theta_k, phi_k, theta_u, phi_u) -> np.ndarray:
-    """beta between directions (theta_k, phi_k) and (theta_u, phi_u), elementwise.
+def _pattern(cfg: ArrayConfig, x_az: np.ndarray, x_el: np.ndarray) -> np.ndarray:
+    """beta from the per-axis phase gaps x = pi * d/lambda * (u_k - u_u) of two directions.
 
-    The angle arguments broadcast against each other like numpy arrays.  Each
-    value is (1/M) |a_k^H a_u| evaluated through the closed-form product of
-    per-axis sin ratios, in [0, 1] and exactly symmetric in the two
+    Each value is (1/M) |a_k^H a_u| evaluated through the closed-form product
+    of per-axis sin ratios, in [0, 1] and exactly symmetric in the two
     directions; read as the pattern of a beam steered at u probed at k.
     """
-    uk_az, uk_el = _direction_cosines(theta_k, phi_k)
-    uu_az, uu_el = _direction_cosines(theta_u, phi_u)
-    c = math.pi * cfg.d_over_lambda
-    return np.abs(_sin_ratio(cfg.m_h, c * (uk_az - uu_az)) * _sin_ratio(cfg.m_v, c * (uk_el - uu_el)))
+    return np.abs(_sin_ratio(cfg.m_h, x_az) * _sin_ratio(cfg.m_v, x_el))
 
 
-def beta_matrix(theta: np.ndarray, phi: np.ndarray, cfg: ArrayConfig) -> np.ndarray:
-    """Pairwise beta values among each row's directions: (..., K) angle arrays give (..., K, K).
+def eligible_pairs(
+    cfg: ArrayConfig, theta: np.ndarray, phi: np.ndarray, beta0: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs of each drop's users whose beta reaches ``beta0``, from T x K angle arrays.
 
-    Each K x K matrix is symmetric, in [0, 1] with diagonal 1.  The pattern
-    is elementwise, so a row's matrix has the bits it has alone.
+    Returns the drop t, the users k < u and the beta of every pair with
+    beta >= beta0, in (t, k, u) order; ``beta0 = 0`` keeps every pair.  The
+    azimuth factor of a pair is at most 1 / (m_h |sin x|) for its azimuth gap
+    x and the elevation factor at most 1, so only the pairs with
+    m_h * beta0 * |sin x| <= 1 (up to rounding) have their pattern
+    evaluated.  The pattern is elementwise, so a drop's betas have the bits
+    they have alone.
     """
-    return _pattern(cfg, theta[..., :, None], phi[..., :, None], theta[..., None, :], phi[..., None, :])
+    u_az, u_el = _direction_cosines(theta, phi)
+    k_idx, u_idx = np.triu_indices(theta.shape[1], 1)
+    c = math.pi * cfg.d_over_lambda
+    x_az = c * (u_az[:, k_idx] - u_az[:, u_idx])
+    t, p = np.nonzero(cfg.m_h * beta0 * np.abs(np.sin(x_az)) <= 1.0 + _RATIO_SLACK)
+    k, u = k_idx[p], u_idx[p]
+    beta = _pattern(cfg, x_az[t, p], c * (u_el[t, k] - u_el[t, u]))
+    keep = beta >= beta0
+    return t[keep], k[keep], u[keep], beta[keep]
 
 
 def pattern_cut(
@@ -118,4 +135,7 @@ def pattern_cut(
         theta, phi = beam_theta + offsets, np.full_like(offsets, beam_phi)
     else:
         theta, phi = np.full_like(offsets, beam_theta), beam_phi + offsets
-    return theta, phi, _pattern(cfg, theta, phi, beam_theta, beam_phi)
+    u_az, u_el = _direction_cosines(theta, phi)
+    beam_az, beam_el = _direction_cosines(beam_theta, beam_phi)
+    c = math.pi * cfg.d_over_lambda
+    return theta, phi, _pattern(cfg, c * (u_az - beam_az), c * (u_el - beam_el))

@@ -19,7 +19,7 @@ from typing import Sequence, get_type_hints
 
 import numpy as np
 
-from .array_geometry import ArrayConfig, beta_matrix, steering_matrix
+from .array_geometry import ArrayConfig, eligible_pairs, steering_matrix
 from .baselines import SchemeId, conjugate_bf_sinr, energy_efficiency
 from .beamforming import build_plan
 from .channel import DropPaths, channel_rows, draw_paths
@@ -343,12 +343,13 @@ def _trial_outcomes(config: ScenarioConfig, k_users: int, trials: Sequence[int])
 
     The block's drops are drawn at once and paired in one pass from their
     T x K LOS (strongest path) angles, before any steering, so that the
-    T x K x K pairing temporaries meet no K x M matrix; the greedy scan still
-    pairs each drop on its own.  The drops are then evaluated as one block.
+    pairing temporaries (one per pair k < u of a drop) meet no K x M matrix;
+    the greedy scan still pairs each drop on its own.  The drops are then
+    evaluated as one block.
     """
     paths = _drop_users(config, k_users, trials)
     theta, phi = (angles[paths.starts].reshape(-1, k_users) for angles in (paths.theta, paths.phi))
-    pairings = greedy_pairs(beta_matrix(theta, phi, config.array_config), config.beta0)
+    pairings = greedy_pairs(eligible_pairs(config.array_config, theta, phi, config.beta0), len(theta))
     return _block_outcomes(config, paths, pairings)
 
 

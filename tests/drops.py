@@ -1,11 +1,14 @@
-"""Channel records built by hand for tests, their per-user view, and their
-channel rows and plans steered from angles."""
+"""Channel records built by hand for tests, their per-user view, their
+channel rows and plans steered from angles, the betas of directions, and
+blocks of LOS angles for properties."""
 
+import math
 from typing import NamedTuple
 
 import numpy as np
+from hypothesis import strategies as st
 
-from nomabeam.array_geometry import ArrayConfig, steering_matrix
+from nomabeam.array_geometry import ArrayConfig, eligible_pairs, steering_matrix
 from nomabeam.beamforming import build_plan
 from nomabeam.channel import DropPaths, channel_rows
 
@@ -45,6 +48,21 @@ def angles(dirs) -> tuple[np.ndarray, np.ndarray]:
     return np.array([d.theta for d in dirs]), np.array([d.phi for d in dirs])
 
 
+def beta_matrices(cfg: ArrayConfig, theta, phi) -> np.ndarray:
+    """Each drop's symmetric K x K betas from T x K angle arrays, diagonal 1: the
+    pair pass at threshold 0, which keeps every pair k < u, mirrored."""
+    t, k, u, beta = eligible_pairs(cfg, theta, phi, 0.0)
+    matrices = np.ones(theta.shape + theta.shape[-1:])
+    matrices[t, k, u] = matrices[t, u, k] = beta
+    return matrices
+
+
+def pair_beta(cfg: ArrayConfig, a: Direction, b: Direction) -> float:
+    """The beta between directions ``a`` and ``b``, as the pair pass gives it."""
+    theta, phi = angles([a, b])
+    return beta_matrices(cfg, theta[None], phi[None])[0, 0, 1]
+
+
 def channel_matrix(cfg: ArrayConfig, paths: DropPaths) -> np.ndarray:
     """The drop's K x M channel rows, with its LOS paths steered here."""
     los = paths.starts
@@ -54,3 +72,21 @@ def channel_matrix(cfg: ArrayConfig, paths: DropPaths) -> np.ndarray:
 def plan_toward(cfg: ArrayConfig, theta, phi, sizes, total_power_w: float, rule: str = "proportional"):
     """A plan whose beam c is steered toward (theta[c], phi[c])."""
     return build_plan(steering_matrix(cfg, theta, phi).T, sizes, total_power_w, rule)
+
+
+@st.composite
+def angle_blocks(draw):
+    """T x K LOS angles in which a user may copy an earlier user of its drop,
+    exactly (a tie at beta = 1) or nearly."""
+    n_drops, k_users = draw(st.integers(1, 8)), draw(st.integers(1, 30))
+    theta, phi = np.empty((n_drops, k_users)), np.empty((n_drops, k_users))
+    for t in range(n_drops):
+        for u in range(k_users):
+            source = draw(st.integers(-1, u - 1))
+            if source < 0:
+                theta[t, u] = draw(st.floats(0.0, math.pi))
+                phi[t, u] = draw(st.floats(-math.pi / 2, 0.0))
+            else:
+                theta[t, u] = theta[t, source] + draw(st.sampled_from([0.0, 1e-3, 0.02]))
+                phi[t, u] = phi[t, source]
+    return theta, phi

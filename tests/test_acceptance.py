@@ -18,7 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from nomabeam.array_geometry import ArrayConfig, beta_matrix
+from nomabeam.array_geometry import ArrayConfig, eligible_pairs
 from nomabeam.baselines import SchemeId
 from nomabeam.channel import draw_paths
 from nomabeam.clustering import greedy_pairs
@@ -26,7 +26,7 @@ from nomabeam.link_metrics import link_states
 from nomabeam.power_allocation import gamma_fair, gamma_hat, opa
 from nomabeam.sim_harness import ScenarioConfig, _drop_users, run_sweep, write_csv
 
-from drops import angles, channel_matrix, plan_toward, user_paths
+from drops import beta_matrices, channel_matrix, pair_beta, plan_toward, user_paths
 from oracles import (
     beta_phasor_sum,
     emitted_power_check,
@@ -49,7 +49,7 @@ def test_criterion_01_beta_closed_form_vs_brute_force():
     for _ in range(1000):
         cfg = ArrayConfig(int(rng.integers(1, 65)), int(rng.integers(1, 65)), 0.5)
         dir_k, dir_u = random_direction(rng), random_direction(rng)
-        diff = abs(beta_matrix(*angles([dir_k, dir_u]), cfg)[0, 1] - beta_phasor_sum(cfg, dir_k, dir_u))
+        diff = abs(pair_beta(cfg, dir_k, dir_u) - beta_phasor_sum(cfg, dir_k, dir_u))
         worst = max(worst, diff)
         assert diff < 1e-9
     elapsed = time.perf_counter() - start
@@ -166,7 +166,7 @@ def test_criterion_07_power_conservation_smoke_sweep():
     for trial in range(100):
         paths = _drop_users(config, 25, [trial])
         los_theta, los_phi = paths.theta[paths.starts], paths.phi[paths.starts]
-        (pairs,) = greedy_pairs(beta_matrix(los_theta[None], los_phi[None], config.array_config), config.beta0)
+        (pairs,) = greedy_pairs(eligible_pairs(config.array_config, los_theta[None], los_phi[None], config.beta0), 1)
         pairs = pairs.tolist()
         singles = sorted(set(range(25)) - {m for pair in pairs for m in pair})
         beams = [
@@ -189,8 +189,9 @@ def test_criterion_08_clustering_contract():
     for _ in range(500):
         k = int(rng.integers(2, 41))
         paths = draw_paths([rng], config, k)
-        beta = beta_matrix(paths.theta[paths.starts], paths.phi[paths.starts], cfg)
-        (pairs,) = greedy_pairs(beta[None], beta0)
+        theta, phi = paths.theta[paths.starts][None], paths.phi[paths.starts][None]
+        (pairs,) = greedy_pairs(eligible_pairs(cfg, theta, phi, beta0), 1)
+        (beta,) = beta_matrices(cfg, theta, phi)
         pairs = pairs.tolist()
         paired = [m for pair in pairs for m in pair]
         assert len(set(paired)) == len(paired) and set(paired) <= set(range(k))

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nomabeam.array_geometry import ArrayConfig, beta_matrix, pattern_cut, steering_matrix
+from nomabeam.array_geometry import _RATIO_SLACK, ArrayConfig, _sin_ratio, eligible_pairs, pattern_cut, steering_matrix
 
-from drops import Direction, angles
+from drops import Direction, angle_blocks, angles, pair_beta
 from oracles import beta_phasor_sum, random_direction, steering_phasors
 
 BROADSIDE = Direction(math.pi / 2, 0.0)  # both direction cosines vanish
@@ -82,41 +82,39 @@ class TestBetaMetric:
     def test_identical_directions_give_one(self):
         cfg = ArrayConfig(8, 4, 0.5)
         d = Direction(0.7, 0.1)
-        assert beta_matrix(*angles([d, d]), cfg)[0, 1] == pytest.approx(1.0, abs=1e-12)
+        assert pair_beta(cfg, d, d) == pytest.approx(1.0, abs=1e-12)
 
     @given(configs, directions, directions)
     def test_symmetry_is_exact(self, cfg, a, b):
-        assert beta_matrix(*angles([a, b]), cfg)[0, 1] == beta_matrix(*angles([b, a]), cfg)[0, 1]
+        assert pair_beta(cfg, a, b) == pair_beta(cfg, b, a)
 
     @given(configs, directions, directions)
     def test_range(self, cfg, a, b):
-        value = beta_matrix(*angles([a, b]), cfg)[0, 1]
+        value = pair_beta(cfg, a, b)
         assert 0.0 <= value <= 1.0 + 1e-12
 
     def test_two_element_null(self):
         # direction-cosine gap of 1 at half-wavelength spacing: |1 + e^{j pi}| / 2 = 0
         cfg = ArrayConfig(2, 1, 0.5)
-        assert beta_matrix(*angles([Direction(0.0, 0.0), BROADSIDE]), cfg)[0, 1] == pytest.approx(0.0, abs=1e-12)
+        assert pair_beta(cfg, Direction(0.0, 0.0), BROADSIDE) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_phasor_sum_on_random_pairs(self, rng):
         for _ in range(300):
             cfg = ArrayConfig(int(rng.integers(1, 65)), int(rng.integers(1, 65)), 0.5)
             a, b = random_direction(rng), random_direction(rng)
-            assert beta_matrix(*angles([a, b]), cfg)[0, 1] == pytest.approx(beta_phasor_sum(cfg, a, b), abs=1e-9)
+            assert pair_beta(cfg, a, b) == pytest.approx(beta_phasor_sum(cfg, a, b), abs=1e-9)
 
     def test_grating_direction_counts_as_full_interference(self):
         # cosine gap 2 at half-wavelength spacing aliases back onto the beam
         cfg = ArrayConfig(8, 1, 0.5)
-        assert beta_matrix(*angles([Direction(0.0, 0.0), Direction(math.pi, 0.0)]), cfg)[0, 1] == pytest.approx(
-            1.0, abs=1e-9
-        )
+        assert pair_beta(cfg, Direction(0.0, 0.0), Direction(math.pi, 0.0)) == pytest.approx(1.0, abs=1e-9)
 
     def test_monotone_approach_along_azimuth(self):
         cfg = ArrayConfig(32, 2, 0.5)
         target = BROADSIDE
         # approach from just inside the first null (cosine half-width 1/16)
         thetas = np.linspace(math.pi / 2 - 0.06, math.pi / 2, 250)
-        values = [beta_matrix(*angles([Direction(t, 0.0), target]), cfg)[0, 1] for t in thetas]
+        values = [pair_beta(cfg, Direction(t, 0.0), target) for t in thetas]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
         assert values[-1] == pytest.approx(1.0, abs=1e-12)
 
@@ -124,19 +122,62 @@ class TestBetaMetric:
         cfg = ArrayConfig(32, 2, 0.5)
         target = BROADSIDE
         phis = np.linspace(-0.5, 0.0, 250)
-        values = [beta_matrix(*angles([Direction(math.pi / 2, p), target]), cfg)[0, 1] for p in phis]
+        values = [pair_beta(cfg, Direction(math.pi / 2, p), target) for p in phis]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
-    def test_beta_matrix_agrees_with_each_pair_alone(self, rng):
+    def test_pair_pass_agrees_with_each_pair_alone(self, rng):
         cfg = ArrayConfig(16, 4, 0.5)
         dirs = [random_direction(rng) for _ in range(12)]
         theta, phi = angles(dirs)
-        matrix = beta_matrix(theta, phi, cfg)
-        assert matrix.shape == (12, 12)
-        for i in range(12):
-            for j in range(12):
-                alone = beta_matrix(theta[[i, j]], phi[[i, j]], cfg)[0, 1]
-                assert matrix[i, j] == pytest.approx(alone, abs=1e-12)
+        _, k, u, beta = eligible_pairs(cfg, theta[None], phi[None], 0.0)
+        assert len(beta) == 12 * 11 // 2
+        for i, j, value in zip(k.tolist(), u.tolist(), beta.tolist()):
+            assert value == pytest.approx(pair_beta(cfg, dirs[i], dirs[j]), abs=1e-12)
+
+
+# No azimuth filtering (one column), one or two array rows, grating lobes at
+# 1.5 wavelengths, and the massive array.
+PAIR_PASS_ARRAYS = [
+    ArrayConfig(1, 16, 0.5),
+    ArrayConfig(8, 1, 0.5),
+    ArrayConfig(16, 2, 0.5),
+    ArrayConfig(4, 2, 1.5),
+    ArrayConfig(64, 8, 0.5),
+]
+
+
+class TestPairPass:
+    """``eligible_pairs`` evaluates the pattern only where the azimuth factor can reach beta0."""
+
+    @given(angle_blocks(), st.sampled_from(PAIR_PASS_ARRAYS), st.data())
+    def test_filter_loses_no_pair_that_reaches_beta0(self, block, cfg, data):
+        theta, phi = block
+        n_drops, k_users = theta.shape
+        t, k, u, beta = eligible_pairs(cfg, theta, phi, 0.0)
+        # threshold 0 filters nothing: every pair k < u of every drop, in order
+        assert list(zip(t.tolist(), k.tolist(), u.tolist())) == [
+            (d, a, b) for d in range(n_drops) for a in range(k_users) for b in range(a + 1, k_users)
+        ]
+        thresholds = [0.05, 0.5, 0.9]
+        attained = sorted(set(beta[beta > 0.0].tolist()))
+        if attained:
+            thresholds.append(data.draw(st.sampled_from(attained)))  # the threshold is inclusive
+        for beta0 in thresholds:
+            keep = beta >= beta0
+            got_t, got_k, got_u, got_beta = eligible_pairs(cfg, theta, phi, beta0)
+            assert np.array_equal(got_t, t[keep]) and np.array_equal(got_k, k[keep])
+            assert np.array_equal(got_u, u[keep])
+            assert got_beta.tobytes() == beta[keep].tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 64, 4096])
+    def test_sin_ratio_exceeds_one_by_less_than_the_slack(self, m):
+        # The rounded ratio is largest just off the points n pi where sin(x)
+        # vanishes, near |sin(x)| = 1e-12; a ten-wavelength spacing reaches
+        # |x| = 20 pi.
+        gaps = np.logspace(-13, -1, 400)
+        centers = np.arange(-20, 21) * math.pi
+        x = (centers[:, None] + np.concatenate([-gaps, [0.0], gaps])).ravel()
+        assert np.max(np.abs(_sin_ratio(m, x))) <= 1.0 + _RATIO_SLACK
 
 
 class TestArrayFactor:
@@ -154,7 +195,7 @@ class TestArrayFactor:
     def test_equals_swapped_beta(self, cfg, beam, offset, axis):
         theta, phi, values = pattern_cut(cfg, *beam, axis, np.array([offset]))
         probe = Direction(float(theta[0]), float(phi[0]))
-        assert values[0] == beta_matrix(*angles([probe, beam]), cfg)[0, 1]
+        assert values[0] == pair_beta(cfg, probe, beam)
 
     def test_monotone_decrease_inside_main_lobe(self):
         cfg = ArrayConfig(32, 2, 0.5)

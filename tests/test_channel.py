@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from nomabeam import channel, sim_harness
-from nomabeam.array_geometry import ArrayConfig, beta_matrix, steering_matrix
+from nomabeam.array_geometry import ArrayConfig, steering_matrix
 from nomabeam.beamforming import BeamformingPlan
 from nomabeam.channel import DropPaths, draw_paths
 from nomabeam.sim_harness import ScenarioConfig
 
-from drops import Direction, angles, channel_matrix, drop_paths, user_paths
+from drops import Direction, channel_matrix, drop_paths, pair_beta, user_paths
 from oracles import draw_paths_scalar
 
 CFG = ArrayConfig(16, 2, 0.5)
@@ -157,7 +157,7 @@ class TestChannelVector:
         # u_az gap of 1/8 sits on the first null of the 16-element axis
         d1 = Direction(math.pi / 2, 0.0)
         d2 = Direction(math.acos(1.0 / 8.0), 0.0)
-        assert beta_matrix(*angles([d1, d2]), CFG)[0, 1] < 1e-12
+        assert pair_beta(CFG, d1, d2) < 1e-12
         alpha = 0.5 + 0.2j
         h = channel_matrix(CFG, drop_paths([[(alpha, d1), (alpha, d2)]]))[0]
         a1 = steering(d1)

@@ -4,10 +4,10 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nomabeam.array_geometry import ArrayConfig, beta_matrix
+from nomabeam.array_geometry import ArrayConfig, eligible_pairs
 from nomabeam.clustering import greedy_pairs
 
-from drops import Direction, angles
+from drops import Direction, angle_blocks, angles, beta_matrices
 from oracles import greedy_pairs_masked
 
 
@@ -19,15 +19,17 @@ def deg(theta, phi):
 
 
 def one_drop(beta, beta0):
-    """The pairs of one drop's K x K ``beta``, paired as a block of one."""
-    (pairs,) = greedy_pairs(beta[np.newaxis], beta0)
+    """The pairs of one drop's K x K ``beta``, its eligible pairs listed in (k, u) order."""
+    k, u = np.nonzero(np.triu(beta >= beta0, k=1))
+    (pairs,) = greedy_pairs((np.zeros_like(k), k, u, beta[k, u]), 1)
     return pairs
 
 
 def pair_users(dirs, beta0):
     """The pairs of one drop of users at ``dirs``, from its LOS angles."""
     theta, phi = angles(dirs)
-    return one_drop(beta_matrix(theta, phi, CFG), beta0)
+    (pairs,) = greedy_pairs(eligible_pairs(CFG, theta[None], phi[None], beta0), 1)
+    return pairs
 
 
 class TestGreedyPairs:
@@ -103,7 +105,8 @@ class TestPairingFromAngles:
             assert pairs.shape[1] == 2
             assert len(set(pairs.ravel().tolist())) == pairs.size  # no user twice
             assert all(k_ < u for k_, u in pairs.tolist())
-            beta = beta_matrix(*angles(dirs), CFG)
+            theta, phi = angles(dirs)
+            (beta,) = beta_matrices(CFG, theta[None], phi[None])
             selected = [beta[k_, u] for k_, u in pairs.tolist()]
             assert all(b >= 0.5 for b in selected)
             assert all(b1 >= b2 - 1e-12 for b1, b2 in zip(selected, selected[1:]))
@@ -117,33 +120,15 @@ class TestPairingFromAngles:
 BLOCK_ARRAYS = [ArrayConfig(32, 2, 0.5), ArrayConfig(4, 2, 1.5), ArrayConfig(1, 1, 0.5)]
 
 
-@st.composite
-def angle_blocks(draw):
-    """T x K LOS angles in which a user may copy an earlier user of its drop,
-    exactly (a tie at beta = 1) or nearly."""
-    n_drops, k_users = draw(st.integers(1, 8)), draw(st.integers(1, 30))
-    theta, phi = np.empty((n_drops, k_users)), np.empty((n_drops, k_users))
-    for t in range(n_drops):
-        for u in range(k_users):
-            source = draw(st.integers(-1, u - 1))
-            if source < 0:
-                theta[t, u] = draw(st.floats(0.0, math.pi))
-                phi[t, u] = draw(st.floats(-math.pi / 2, 0.0))
-            else:
-                theta[t, u] = theta[t, source] + draw(st.sampled_from([0.0, 1e-3, 0.02]))
-                phi[t, u] = phi[t, source]
-    return theta, phi
-
-
 class TestBlockPairing:
     @given(angle_blocks(), st.sampled_from(BLOCK_ARRAYS), st.sampled_from([0.05, 0.5, 0.9]))
     def test_each_drop_pairs_as_it_would_alone(self, block, cfg, beta0):
         theta, phi = block
-        beta = beta_matrix(theta, phi, cfg)
-        pairs = greedy_pairs(beta, beta0)
+        beta = beta_matrices(cfg, theta, phi)
+        pairs = greedy_pairs(eligible_pairs(cfg, theta, phi, beta0), len(theta))
         assert len(pairs) == len(theta)
         for t, drop_pairs in enumerate(pairs):
-            alone = beta_matrix(theta[t], phi[t], cfg)
+            (alone,) = beta_matrices(cfg, theta[t : t + 1], phi[t : t + 1])
             assert np.array_equal(beta[t], alone)
             expected = greedy_pairs_masked(alone, beta0)
             assert drop_pairs.dtype == expected.dtype

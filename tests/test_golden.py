@@ -14,17 +14,22 @@ magnitudes differ only in their last bits.  The scheme-subset sweep, read
 from scenario text, asks for three schemes out of order and for the
 ``noma_dbs`` alias under partial CSI (K=2, 5 and 15 over 40 trials: 360
 rows).  The massive-array sweep (a 64x8 array, K=128, 256 and 448 over 2
-trials: 30 rows) pins drops whose pairing and link states are largest.  A
-change that moves any reported number changes a digest.  A change
+trials: 30 rows) pins drops whose pairing and link states are largest.  The
+default-sweep case runs the shipped ``configs/rural_default.cfg`` at 100
+trials (3,000 rows), the sweep users run first.  A change that moves any
+reported number changes a digest.  A change
 meant to move the numbers updates the digest in the same commit and says
 why.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
-from nomabeam.sim_harness import ScenarioConfig, parse_config_text, run_sweep, write_csv
+from nomabeam.sim_harness import ScenarioConfig, load_scenario, parse_config_text, run_sweep, write_csv
+
+DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "rural_default.cfg"
 
 # name: (config, rows, sha256 of the CSV)
 GOLDEN_CASES = {
@@ -70,6 +75,11 @@ GOLDEN_CASES = {
         ScenarioConfig(m_h=64, m_v=8, user_counts=(128, 256, 448), trials=2),
         30,
         "1dff263ee4c838bd3e8fdf726b8981143acb7f5026ecf3486a2b5a786c3fa3fa",
+    ),
+    "default-sweep": (
+        load_scenario(str(DEFAULT_CONFIG), trials=100),
+        3000,
+        "9157ab12fcf055262a5adb43f702ca626c8c722aff9195dd370e2e0429c1fba7",
     ),
 }
 

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from nomabeam.array_geometry import ArrayConfig, beta_matrix, steering_matrix
+from nomabeam.array_geometry import ArrayConfig, steering_matrix
 from nomabeam.channel import draw_paths
 from nomabeam.link_metrics import link_states, rate, sinr_noma_strong, sinr_noma_weak
 from nomabeam.power_allocation import Branch, gamma_hat, opa
 from nomabeam.sim_harness import ScenarioConfig
 
-from drops import Direction, angles, channel_matrix, drop_paths, plan_toward, user_paths
+from drops import Direction, channel_matrix, drop_paths, pair_beta, plan_toward, user_paths
 from oracles import sinr_dbs_monopath_closed, sinr_dbs_multipath_closed
 
 CFG = ArrayConfig(16, 2, 0.5)
@@ -45,7 +45,7 @@ class TestComputeLinkState:
         # the other beam sits on the first pattern null of this user's LOS
         d_own = Direction(math.pi / 2, 0.0)
         d_other = Direction(math.acos(1.0 / 8.0), 0.0)
-        assert beta_matrix(*angles([d_own, d_other]), CFG)[0, 1] < 1e-12
+        assert pair_beta(CFG, d_own, d_other) < 1e-12
         plan = private_plan([d_own, d_other])
         h = mono_row(1.0, d_own)
         noise = 1e-12

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nomabeam.array_geometry import ArrayConfig, beta_matrix, steering_matrix
+from nomabeam.array_geometry import ArrayConfig, steering_matrix
 from nomabeam.link_metrics import link_states
 from nomabeam.power_allocation import (
     Branch,
@@ -16,7 +16,7 @@ from nomabeam.power_allocation import (
     partial_csi_zeta,
 )
 
-from drops import Direction, angles, channel_matrix, drop_paths, plan_toward
+from drops import Direction, channel_matrix, drop_paths, pair_beta, plan_toward
 from oracles import pair_rate, pair_rate_grid_max, rc_derivative
 
 CFG = ArrayConfig(16, 2, 0.5)
@@ -259,7 +259,7 @@ class TestPartialCsiZeta:
     def test_interferer_at_pattern_null_gives_huge_finite_ratio(self):
         own = Direction(math.pi / 2, 0.0)
         null = Direction(math.acos(1.0 / 8.0), 0.0)
-        assert beta_matrix(*angles([own, null]), CFG)[0, 1] < 1e-12
+        assert pair_beta(CFG, own, null) < 1e-12
         z = estimated_zeta(own, two_beam_plan(own, null))
         assert math.isfinite(z)
         assert z > 1e10

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from nomabeam.array_geometry import beta_matrix, steering_matrix
+from nomabeam.array_geometry import eligible_pairs, steering_matrix
 from nomabeam.baselines import SchemeId
 from nomabeam.clustering import greedy_pairs
 from nomabeam.link_metrics import link_states, sinr_noma_strong, sinr_noma_weak
@@ -334,7 +334,7 @@ class TestSharedBeams:
 
     def pairs(self):
         theta, phi = angles(self.DIRS)
-        (pairs,) = greedy_pairs(beta_matrix(theta[None], phi[None], self.CONFIG.array_config), self.CONFIG.beta0)
+        (pairs,) = greedy_pairs(eligible_pairs(self.CONFIG.array_config, theta[None], phi[None], self.CONFIG.beta0), 1)
         assert pairs.tolist() == [[0, 1]]
         return pairs
 
