@@ -39,9 +39,9 @@ def _parse_beam(raw: str) -> tuple[float, float]:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = load_scenario(args.config, trials=args.trials, master_seed=args.seed)
-    results, aggregates = run_sweep(config)
+    results = run_sweep(config)
     write_csv(results, args.out)
-    print(format_aggregates(aggregates))
+    print(format_aggregates(results))
     print(f"wrote {len(results)} rows to {args.out}")
     return 0
 

@@ -11,6 +11,7 @@ one drop, so scheme comparisons are paired.  Rows are emitted in
 
 from __future__ import annotations
 
+import itertools
 import math
 import statistics
 from dataclasses import dataclass, fields
@@ -31,7 +32,6 @@ __all__ = [
     "ConfigError",
     "ScenarioConfig",
     "ScenarioResult",
-    "AggregateRow",
     "CSV_HEADER",
     "parse_config_text",
     "load_scenario",
@@ -211,18 +211,6 @@ class ScenarioResult:
     energy_eff_bps_per_j: float
     noma_cluster_count: int
     deactivated_user_count: int
-
-
-@dataclass(frozen=True)
-class AggregateRow:
-    """Mean and standard error of the spectral efficiency per (scheme, K)."""
-
-    scheme: SchemeId
-    K: int
-    trials: int
-    mean_spectral_eff: float
-    stderr_spectral_eff: float
-    mean_energy_eff: float
 
 
 # ---------------------------------------------------------------------------
@@ -505,41 +493,24 @@ def _results(
     return results
 
 
-def run_sweep(config: ScenarioConfig) -> tuple[list[ScenarioResult], list[AggregateRow]]:
-    """Every (scheme, K, trial) combination, plus per-(scheme, K) aggregates.
+def run_sweep(config: ScenarioConfig) -> list[ScenarioResult]:
+    """Every (scheme, K, trial) combination's row, in (scheme tag, K, trial) order.
 
     Each (K, trial) drop is drawn once and evaluated for all configured
     schemes, the trials of one K in blocks of ``_BLOCK_BYTES`` of channel
-    rows; each row equals :func:`evaluate_trial`'s.  Rows are collected per
-    (scheme, K) and come back in (scheme tag, K, trial) order, so the output
-    does not depend on the order in which the independent trials run.
+    rows; each row equals :func:`evaluate_trial`'s.  The rows are sorted once
+    at the end, so the output does not depend on the order in which the
+    independent trials run.
     """
-    groups: dict[tuple[SchemeId, int], list[ScenarioResult]] = {}
+    results = []
     for k_users in config.user_counts:
         per_block = max(1, _BLOCK_BYTES // (16 * config.array_config.num_elements * k_users))
         for first in range(0, config.trials, per_block):
             trials = range(first, min(first + per_block, config.trials))
             outcomes = _trial_outcomes(config, k_users, trials)
             for s in config.schemes:
-                groups.setdefault((s, k_users), []).extend(_results(config, k_users, trials, s, outcomes[s]))
-    results, aggregates = [], []
-    for scheme in sorted(config.schemes, key=lambda s: s.value):
-        for k_users in sorted(config.user_counts):
-            group = groups[scheme, k_users]
-            results += group
-            ses, ees = zip(*((r.spectral_eff_bps_per_hz, r.energy_eff_bps_per_j) for r in group))
-            stderr = statistics.stdev(ses) / math.sqrt(len(ses)) if len(ses) > 1 else 0.0
-            aggregates.append(
-                AggregateRow(
-                    scheme=scheme,
-                    K=k_users,
-                    trials=len(ses),
-                    mean_spectral_eff=statistics.fmean(ses),
-                    stderr_spectral_eff=stderr,
-                    mean_energy_eff=statistics.fmean(ees),
-                )
-            )
-    return results, aggregates
+                results += _results(config, k_users, trials, s, outcomes[s])
+    return sorted(results, key=lambda r: (r.scheme.value, r.K, r.trial))
 
 
 def _fmt(value: float) -> str:
@@ -568,13 +539,15 @@ def write_csv(results: list[ScenarioResult], path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def format_aggregates(aggregates: list[AggregateRow]) -> str:
-    """Human-readable mean +/- standard-error table."""
+def format_aggregates(results: list[ScenarioResult]) -> str:
+    """Human-readable table of each (scheme, K)'s spectral-efficiency mean and
+    standard error and energy-efficiency mean, from rows in sweep order."""
     lines = [f"{'scheme':<16} {'K':>4} {'trials':>7} {'SE mean [bps/Hz]':>18} {'SE stderr':>12} {'EE mean [bps/J]':>16}"]
-    for row in aggregates:
+    for (scheme, k_users), group in itertools.groupby(results, key=lambda r: (r.scheme, r.K)):
+        ses, ees = zip(*((r.spectral_eff_bps_per_hz, r.energy_eff_bps_per_j) for r in group))
+        stderr = statistics.stdev(ses) / math.sqrt(len(ses)) if len(ses) > 1 else 0.0
         lines.append(
-            f"{row.scheme.value:<16} {row.K:>4} {row.trials:>7} "
-            f"{row.mean_spectral_eff:>18.4f} {row.stderr_spectral_eff:>12.4f} "
-            f"{row.mean_energy_eff:>16.4g}"
+            f"{scheme.value:<16} {k_users:>4} {len(ses):>7} "
+            f"{statistics.fmean(ses):>18.4f} {stderr:>12.4f} {statistics.fmean(ees):>16.4g}"
         )
     return "\n".join(lines)

@@ -77,16 +77,23 @@ def plan_toward(cfg: ArrayConfig, theta, phi, sizes, total_power_w: float, rule:
 @st.composite
 def angle_blocks(draw):
     """T x K LOS angles in which a user may copy an earlier user of its drop,
-    exactly (a tie at beta = 1) or nearly."""
+    exactly (a tie at beta = 1) or nearly.  Each per-user array is one draw."""
     n_drops, k_users = draw(st.integers(1, 8)), draw(st.integers(1, 30))
+
+    def values(elements, count: int) -> list:
+        return draw(st.lists(elements, min_size=count, max_size=count))
+
+    # user u copies user source[t, u] of its drop, an earlier one, or none at -1
+    source = np.reshape(values(st.integers(0, k_users - 1), n_drops * k_users), (n_drops, k_users))
+    source = source % np.arange(1, k_users + 1) - 1
+    fresh = source < 0
+    n_fresh = int(fresh.sum())
     theta, phi = np.empty((n_drops, k_users)), np.empty((n_drops, k_users))
-    for t in range(n_drops):
-        for u in range(k_users):
-            source = draw(st.integers(-1, u - 1))
-            if source < 0:
-                theta[t, u] = draw(st.floats(0.0, math.pi))
-                phi[t, u] = draw(st.floats(-math.pi / 2, 0.0))
-            else:
-                theta[t, u] = theta[t, source] + draw(st.sampled_from([0.0, 1e-3, 0.02]))
-                phi[t, u] = phi[t, source]
+    theta[fresh] = values(st.floats(0.0, math.pi), n_fresh)
+    phi[fresh] = values(st.floats(-math.pi / 2, 0.0), n_fresh)
+    offset = np.zeros((n_drops, k_users))
+    offset[~fresh] = values(st.sampled_from([0.0, 1e-3, 0.02]), source.size - n_fresh)
+    for t, u in zip(*np.nonzero(~fresh)):
+        theta[t, u] = theta[t, source[t, u]] + offset[t, u]
+        phi[t, u] = phi[t, source[t, u]]
     return theta, phi

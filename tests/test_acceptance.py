@@ -12,7 +12,9 @@ wide.  A bare "within 1e-3 of 0 at zeta = 1e3" would contradict the
 rate-equalising root that criterion 5 pins (0.0306 there).
 """
 
+import itertools
 import math
+import statistics
 import time
 from dataclasses import replace
 
@@ -209,8 +211,8 @@ def test_criterion_09_trend_reproduction():
     # schemes on the same drops, and its means run over the 500 trials of each K
     config = ScenarioConfig(user_counts=user_counts, schemes=schemes, trials=500, master_seed=1)
     means: dict[SchemeId, list[float]] = {scheme: [] for scheme in schemes}
-    for row in run_sweep(config)[1]:
-        means[row.scheme].append(row.mean_spectral_eff)
+    for (scheme, _), group in itertools.groupby(run_sweep(config), key=lambda r: (r.scheme, r.K)):
+        means[scheme].append(statistics.fmean(r.spectral_eff_bps_per_hz for r in group))
     gains = [f / d - 1.0 for f, d in zip(means[SchemeId.NOMA_DBS_FCSI], means[SchemeId.DBS])]
     pcsi_dev = [
         abs(p - f) / f
@@ -232,8 +234,8 @@ def test_criterion_09_trend_reproduction():
 def test_criterion_10_byte_identical_sweeps(tmp_path):
     config = ScenarioConfig(user_counts=(5, 15), trials=20, master_seed=SEED)
     out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
-    results_a, _ = run_sweep(config)
-    results_b, _ = run_sweep(replace(config))
+    results_a = run_sweep(config)
+    results_b = run_sweep(replace(config))
     write_csv(results_a, str(out_a))
     write_csv(results_b, str(out_b))
     assert out_a.read_bytes() == out_b.read_bytes()

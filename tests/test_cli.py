@@ -23,6 +23,21 @@ def config_path(tmp_path):
     return str(path)
 
 
+# Every scheme at user counts given out of order; its summary table printed by
+# `nomabeam simulate`, pinned by the sha256 of stdout without the final
+# 'wrote N rows to ...' line, per trial count (one trial gives stderr 0.0000)
+TABLE_CFG = """
+m_h = 8
+m_v = 2
+user_counts = 5,1,3
+master_seed = 11
+"""
+TABLE_SHA256 = {
+    1: "9974ff2469ca95aa6eb64ce465a9780f4503d78fd0bb34386513e5d7006053df",
+    3: "335f37c056344686242301d408ba25ba92b23d964f7efaf6c1912db6cb765760",
+}
+
+
 class TestSimulateCommand:
     def test_end_to_end(self, config_path, tmp_path, capsys):
         out = tmp_path / "results.csv"
@@ -32,6 +47,16 @@ class TestSimulateCommand:
         assert lines[0] == CSV_HEADER
         assert len(lines) == 1 + 2 * 2 * 2
         assert "wrote" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("trials", sorted(TABLE_SHA256))
+    def test_pinned_summary_table(self, tmp_path, capsys, trials):
+        cfg = tmp_path / "table.cfg"
+        cfg.write_text(TABLE_CFG)
+        out = tmp_path / "results.csv"
+        assert main(["simulate", "--config", str(cfg), "--trials", str(trials), "--out", str(out)]) == 0
+        *table, wrote = capsys.readouterr().out.splitlines(keepends=True)
+        assert wrote == f"wrote {5 * 3 * trials} rows to {out}\n"
+        assert hashlib.sha256("".join(table).encode()).hexdigest() == TABLE_SHA256[trials]
 
     def test_trial_and_seed_overrides(self, config_path, tmp_path):
         out = tmp_path / "results.csv"

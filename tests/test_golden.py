@@ -88,7 +88,7 @@ GOLDEN_CASES = {
 def test_golden_sweep_digest(tmp_path, case):
     config, rows, digest = GOLDEN_CASES[case]
     out = tmp_path / "golden.csv"
-    results, _ = run_sweep(config)
+    results = run_sweep(config)
     write_csv(results, str(out))
     content = out.read_bytes()
     assert content.count(b"\n") == 1 + rows

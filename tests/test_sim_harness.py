@@ -18,7 +18,6 @@ from nomabeam.link_metrics import link_states, sinr_noma_strong, sinr_noma_weak
 from nomabeam.power_allocation import opa, partial_csi_zeta
 from nomabeam.sim_harness import (
     CSV_HEADER,
-    AggregateRow,
     ConfigError,
     ScenarioConfig,
     _block_outcomes,
@@ -381,7 +380,7 @@ class TestSharedBeams:
 
 @functools.cache
 def full_sweep(name):
-    """Every scheme's rows and aggregates over the first two trials of an equivalence config."""
+    """Every scheme's rows over the first two trials of an equivalence config."""
     return run_sweep(replace(EQUIVALENCE_CONFIGS[name], trials=2))
 
 
@@ -390,40 +389,39 @@ class TestRunSweep:
     @given(st.sampled_from(sorted(EQUIVALENCE_CONFIGS)), st.permutations(list(SchemeId)), st.integers(1, len(SchemeId)))
     def test_rows_do_not_depend_on_the_other_schemes(self, name, order, size):
         # any nonempty ordered subset of the schemes gives the full sweep's
-        # rows and aggregates for those schemes
+        # rows for those schemes
         schemes = tuple(order[:size])
-        results, aggregates = run_sweep(replace(EQUIVALENCE_CONFIGS[name], trials=2, schemes=schemes))
-        all_results, all_aggregates = full_sweep(name)
-        assert results == [r for r in all_results if r.scheme in schemes]
-        assert aggregates == [a for a in all_aggregates if a.scheme in schemes]
+        results = run_sweep(replace(EQUIVALENCE_CONFIGS[name], trials=2, schemes=schemes))
+        assert results == [r for r in full_sweep(name) if r.scheme in schemes]
 
     def test_single_combination_gives_one_row(self):
         config = replace(SMALL, user_counts=(3,), schemes=(SchemeId.DBS,), trials=1)
-        results, aggregates = run_sweep(config)
+        results = run_sweep(config)
         assert len(results) == 1
-        assert len(aggregates) == 1
-        assert aggregates[0].trials == 1
+        (line,) = format_aggregates(results).splitlines()[1:]
+        scheme, k, trials, mean_se, stderr_se, mean_ee = line.split()
+        assert trials == "1"
+        assert stderr_se == "0.0000"
 
     def test_cardinality(self):
         config = replace(
             SMALL, user_counts=(3, 5), schemes=(SchemeId.DBS, SchemeId.CONJUGATE_BF), trials=4
         )
-        results, aggregates = run_sweep(config)
+        results = run_sweep(config)
         assert len(results) == 2 * 2 * 4
-        assert len(aggregates) == 4
 
     def test_rows_are_sorted(self):
         config = replace(
             SMALL, user_counts=(5, 3), schemes=(SchemeId.OMA_DBS, SchemeId.DBS), trials=2
         )
-        results, _ = run_sweep(config)
+        results = run_sweep(config)
         keys = [(r.scheme.value, r.K, r.trial) for r in results]
         assert keys == sorted(keys)
 
     def test_aggregates_recompute_from_the_rows(self):
         schemes = (SchemeId.OMA_DBS, SchemeId.CONJUGATE_BF, SchemeId.DBS)
         config = replace(SMALL, user_counts=(5, 1, 2), schemes=schemes, trials=3)
-        results, aggregates = run_sweep(config)
+        results = run_sweep(config)
         tags = sorted(s.value for s in schemes)
         assert [(r.scheme.value, r.K, r.trial) for r in results] == list(
             itertools.product(tags, (1, 2, 5), range(3))
@@ -433,20 +431,16 @@ class TestRunSweep:
             for k in (1, 2, 5):
                 group = [r for r in results if r.scheme is scheme and r.K == k]
                 ses = [r.spectral_eff_bps_per_hz for r in group]
+                mean_se = statistics.fmean(ses)
+                stderr_se = statistics.stdev(ses) / math.sqrt(len(ses))
+                mean_ee = statistics.fmean(r.energy_eff_bps_per_j for r in group)
                 expected.append(
-                    AggregateRow(
-                        scheme=scheme,
-                        K=k,
-                        trials=len(group),
-                        mean_spectral_eff=statistics.fmean(ses),
-                        stderr_spectral_eff=statistics.stdev(ses) / math.sqrt(len(ses)),
-                        mean_energy_eff=statistics.fmean(r.energy_eff_bps_per_j for r in group),
-                    )
+                    f"{scheme.value:<16} {k:>4} {len(group):>7} {mean_se:>18.4f} {stderr_se:>12.4f} {mean_ee:>16.4g}"
                 )
-        assert aggregates == expected
+        assert format_aggregates(results).splitlines()[1:] == expected
 
     def test_positive_spectral_efficiency(self):
-        results, _ = run_sweep(replace(SMALL, trials=2))
+        results = run_sweep(replace(SMALL, trials=2))
         assert all(r.spectral_eff_bps_per_hz > 0 for r in results)
 
     def test_pairing_reduces_difference_variance(self):
@@ -462,8 +456,8 @@ class TestRunSweep:
             """The scheme's 60 trials at K = 12, in trial order."""
             return [r.spectral_eff_bps_per_hz for r in results if r.scheme is scheme]
 
-        paired, _ = run_sweep(config)
-        unpaired, _ = run_sweep(replace(config, master_seed=77, schemes=(SchemeId.DBS,)))
+        paired = run_sweep(config)
+        unpaired = run_sweep(replace(config, master_seed=77, schemes=(SchemeId.DBS,)))
         noma = spectral_effs(paired, SchemeId.NOMA_DBS_FCSI)
         dbs = spectral_effs(paired, SchemeId.DBS)
         dbs_unpaired = spectral_effs(unpaired, SchemeId.DBS)
@@ -505,7 +499,7 @@ class TestTrialBlocks:
             num_time_clusters=(1, 1) if single_path else (1, 2),
             paths_per_cluster=(1, 1) if single_path else (1, 2),
         )
-        results, _ = run_sweep(config)
+        results = run_sweep(config)
         assert len(results) == len(config.schemes) * len(config.user_counts) * config.trials
         alone = {(k, t): evaluate_trial(config, k, t) for k in config.user_counts for t in range(config.trials)}
         for r in results:
@@ -529,8 +523,8 @@ class TestCsv:
         config = replace(SMALL, trials=2)
         out_a = tmp_path / "a.csv"
         out_b = tmp_path / "b.csv"
-        results_a, _ = run_sweep(config)
-        results_b, _ = run_sweep(config)
+        results_a = run_sweep(config)
+        results_b = run_sweep(config)
         write_csv(results_a, str(out_a))
         write_csv(results_b, str(out_b))
         content = out_a.read_bytes()
@@ -540,7 +534,7 @@ class TestCsv:
 
     def test_row_fields(self, tmp_path):
         config = replace(SMALL, user_counts=(2,), schemes=(SchemeId.DBS,), trials=1)
-        results, _ = run_sweep(config)
+        results = run_sweep(config)
         out = tmp_path / "one.csv"
         write_csv(results, str(out))
         lines = out.read_text().splitlines()
@@ -551,6 +545,5 @@ class TestCsv:
         assert float(fields[4]) == pytest.approx(results[0].spectral_eff_bps_per_hz, rel=1e-8)
 
     def test_aggregate_table_renders(self):
-        _, aggregates = run_sweep(replace(SMALL, trials=2))
-        table = format_aggregates(aggregates)
+        table = format_aggregates(run_sweep(replace(SMALL, trials=2)))
         assert "scheme" in table and "dbs" in table
