@@ -39,10 +39,10 @@ def _parse_beam(raw: str) -> tuple[float, float]:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = load_scenario(args.config, trials=args.trials, master_seed=args.seed)
-    results = run_sweep(config)
-    write_csv(results, args.out)
-    print(format_aggregates(results))
-    print(f"wrote {len(results)} rows to {args.out}")
+    columns = run_sweep(config)
+    write_csv(columns, args.out)
+    print(format_aggregates(columns))
+    print(f"wrote {sum(len(cols.sum_rate_bps) for cols in columns.values())} rows to {args.out}")
     return 0
 
 

@@ -5,18 +5,19 @@ line, unknown keys rejected).  A sweep runs every (scheme, user count, trial)
 combination.  The user drop and channels of a (K, trial) pair are drawn once,
 from a random stream derived only from (master_seed, K, trial) through
 numpy's SeedSequence spawn-key mixing, and every scheme is evaluated on that
-one drop, so scheme comparisons are paired.  Rows are emitted in
-(scheme, K, trial) order, so the CSV bytes do not depend on execution order.
+one drop, so scheme comparisons are paired.  The sweep returns, per
+(scheme, K), its CSV value columns as arrays indexed by trial, so the columns
+of one K line up trial by trial across schemes.  The CSV writes them in
+(scheme, K, trial) order, so its bytes do not depend on execution order.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import statistics
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Sequence, get_type_hints
+from typing import NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .power_allocation import opa, partial_csi_zeta
 __all__ = [
     "ConfigError",
     "ScenarioConfig",
-    "ScenarioResult",
+    "Columns",
     "CSV_HEADER",
     "parse_config_text",
     "load_scenario",
@@ -199,18 +200,14 @@ def _watts(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0) / 1000.0
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
-    """One (scheme, K, trial) outcome."""
+class Columns(NamedTuple):
+    """One (scheme, K)'s CSV value columns, one entry per trial in trial order."""
 
-    scheme: SchemeId
-    K: int
-    trial: int
-    sum_rate_bps: float
-    spectral_eff_bps_per_hz: float
-    energy_eff_bps_per_j: float
-    noma_cluster_count: int
-    deactivated_user_count: int
+    sum_rate_bps: np.ndarray
+    spectral_eff: np.ndarray
+    energy_eff: np.ndarray
+    noma_clusters: np.ndarray
+    deactivated_users: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -450,104 +447,89 @@ def _steered_links(
     return h_rows, dbs_zeta, shared, estimated
 
 
-def evaluate_trial(config: ScenarioConfig, k_users: int, trial_index: int) -> dict[SchemeId, ScenarioResult]:
-    """Every scheme's result on the drop of (master_seed, K, trial), all five of them.
+def evaluate_trial(config: ScenarioConfig, k_users: int, trial_index: int) -> dict[SchemeId, Columns]:
+    """Every scheme's columns on the drop of (master_seed, K, trial), all five of them, one entry each.
 
     The users and their channels are drawn once.  It is a block of one
-    trial, and gives the rows a sweep's larger blocks give.  A K outside the
-    loader's 1 <= K < M, or a negative trial index, raises ConfigError.
+    trial, and gives the entries a sweep's larger blocks give.  A K outside
+    the loader's 1 <= K < M, or a negative trial index, raises ConfigError.
     """
     _check_user_count(k_users, config.array_config)
     if trial_index < 0:
         raise ConfigError(f"trial index must be nonnegative, got {trial_index}")
     outcomes = _trial_outcomes(config, k_users, [trial_index])
-    return {s: _results(config, k_users, [trial_index], s, outcome)[0] for s, outcome in outcomes.items()}
+    return {s: _columns(config, outcome) for s, outcome in outcomes.items()}
 
 
-def _results(
-    config: ScenarioConfig, k_users: int, trials: Sequence[int], scheme: SchemeId, outcome: _Outcome
-) -> list[ScenarioResult]:
-    """One scheme's rows of a block, each trial's rates summed alone, left to right in beam order.
+def _columns(config: ScenarioConfig, outcome: _Outcome) -> Columns:
+    """One scheme's columns of a block, each trial's rates summed alone, left to right in beam order.
 
     A running sum gives the same bits on every Python version; the built-in
     ``sum`` of floats is compensated from Python 3.12 on.
     """
     sinr, band, shared, deactivated = outcome
     sums = np.cumsum(rate(sinr, band), axis=1)[:, -1]
-    results = []
-    for trial, sum_rate, n_shared, n_off in zip(trials, sums.tolist(), shared.tolist(), deactivated.tolist()):
-        results.append(
-            ScenarioResult(
-                scheme=scheme,
-                K=k_users,
-                trial=trial,
-                sum_rate_bps=sum_rate,
-                spectral_eff_bps_per_hz=sum_rate / config.bandwidth_hz,
-                energy_eff_bps_per_j=energy_efficiency(
-                    sum_rate, config.total_power_w, config.array_config.num_elements
-                ),
-                noma_cluster_count=n_shared,
-                deactivated_user_count=n_off,
-            )
-        )
-    return results
+    return Columns(
+        sum_rate_bps=sums,
+        spectral_eff=sums / config.bandwidth_hz,
+        energy_eff=energy_efficiency(sums, config.total_power_w, config.array_config.num_elements),
+        noma_clusters=shared,
+        deactivated_users=deactivated,
+    )
 
 
-def run_sweep(config: ScenarioConfig) -> list[ScenarioResult]:
-    """Every (scheme, K, trial) combination's row, in (scheme tag, K, trial) order.
+def run_sweep(config: ScenarioConfig) -> dict[tuple[SchemeId, int], Columns]:
+    """Every (scheme, K)'s columns over the configured trials, in (scheme tag, K) order.
 
     Each (K, trial) drop is drawn once and evaluated for all configured
     schemes, the trials of one K in blocks of ``_BLOCK_BYTES`` of channel
-    rows; each row equals :func:`evaluate_trial`'s.  The rows are sorted once
-    at the end, so the output does not depend on the order in which the
-    independent trials run.
+    rows; entry t of each column equals :func:`evaluate_trial`'s for trial
+    t.  The keys are sorted once at the end, so the output does not depend
+    on the order in which the independent user counts run.
     """
-    results = []
+    blocks: dict[tuple[SchemeId, int], list[Columns]] = {}
     for k_users in config.user_counts:
         per_block = max(1, _BLOCK_BYTES // (16 * config.array_config.num_elements * k_users))
         for first in range(0, config.trials, per_block):
             trials = range(first, min(first + per_block, config.trials))
             outcomes = _trial_outcomes(config, k_users, trials)
             for s in config.schemes:
-                results += _results(config, k_users, trials, s, outcomes[s])
-    return sorted(results, key=lambda r: (r.scheme.value, r.K, r.trial))
+                blocks.setdefault((s, k_users), []).append(_columns(config, outcomes[s]))
+    return {
+        key: Columns(*map(np.concatenate, zip(*blocks[key])))
+        for key in sorted(blocks, key=lambda key: (key[0].value, key[1]))
+    }
 
 
-def _fmt(value: float) -> str:
-    return format(value, ".9g")
-
-
-def write_csv(results: list[ScenarioResult], path: str) -> None:
-    """Emit one row per result with floats at 9 significant digits."""
+def write_csv(columns: dict[tuple[SchemeId, int], Columns], path: str) -> None:
+    """Emit one row per (scheme, K, trial), in the order of ``columns`` and then of trials,
+    with floats at 9 significant digits."""
     lines = [CSV_HEADER]
-    for r in results:
-        lines.append(
-            ",".join(
-                (
-                    r.scheme.value,
-                    str(r.K),
-                    str(r.trial),
-                    _fmt(r.sum_rate_bps),
-                    _fmt(r.spectral_eff_bps_per_hz),
-                    _fmt(r.energy_eff_bps_per_j),
-                    str(r.noma_cluster_count),
-                    str(r.deactivated_user_count),
-                )
-            )
+    for (scheme, k_users), cols in columns.items():
+        rows = zip(
+            cols.sum_rate_bps.tolist(),
+            cols.spectral_eff.tolist(),
+            cols.energy_eff.tolist(),
+            cols.noma_clusters.tolist(),
+            cols.deactivated_users.tolist(),
+        )
+        lines.extend(
+            f"{scheme.value},{k_users},{trial},{sum_rate:.9g},{se:.9g},{ee:.9g},{n_shared},{n_off}"
+            for trial, (sum_rate, se, ee, n_shared, n_off) in enumerate(rows)
         )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def format_aggregates(results: list[ScenarioResult]) -> str:
+def format_aggregates(columns: dict[tuple[SchemeId, int], Columns]) -> str:
     """Human-readable table of each (scheme, K)'s spectral-efficiency mean and
-    standard error and energy-efficiency mean, from rows in sweep order."""
+    standard error and energy-efficiency mean, in the order of ``columns``."""
     lines = [f"{'scheme':<16} {'K':>4} {'trials':>7} {'SE mean [bps/Hz]':>18} {'SE stderr':>12} {'EE mean [bps/J]':>16}"]
-    for (scheme, k_users), group in itertools.groupby(results, key=lambda r: (r.scheme, r.K)):
-        ses, ees = zip(*((r.spectral_eff_bps_per_hz, r.energy_eff_bps_per_j) for r in group))
+    for (scheme, k_users), cols in columns.items():
+        ses = cols.spectral_eff.tolist()
         stderr = statistics.stdev(ses) / math.sqrt(len(ses)) if len(ses) > 1 else 0.0
         lines.append(
             f"{scheme.value:<16} {k_users:>4} {len(ses):>7} "
-            f"{statistics.fmean(ses):>18.4f} {stderr:>12.4f} {statistics.fmean(ees):>16.4g}"
+            f"{statistics.fmean(ses):>18.4f} {stderr:>12.4f} {statistics.fmean(cols.energy_eff.tolist()):>16.4g}"
         )
     return "\n".join(lines)

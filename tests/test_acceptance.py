@@ -12,7 +12,6 @@ wide.  A bare "within 1e-3 of 0 at zeta = 1e3" would contradict the
 rate-equalising root that criterion 5 pins (0.0306 there).
 """
 
-import itertools
 import math
 import statistics
 import time
@@ -210,9 +209,10 @@ def test_criterion_09_trend_reproduction():
     # rural defaults, M = 64, beta0 = 0.5; the sweep evaluates the three
     # schemes on the same drops, and its means run over the 500 trials of each K
     config = ScenarioConfig(user_counts=user_counts, schemes=schemes, trials=500, master_seed=1)
-    means: dict[SchemeId, list[float]] = {scheme: [] for scheme in schemes}
-    for (scheme, _), group in itertools.groupby(run_sweep(config), key=lambda r: (r.scheme, r.K)):
-        means[scheme].append(statistics.fmean(r.spectral_eff_bps_per_hz for r in group))
+    columns = run_sweep(config)
+    means = {
+        scheme: [statistics.fmean(columns[scheme, k].spectral_eff.tolist()) for k in user_counts] for scheme in schemes
+    }
     gains = [f / d - 1.0 for f, d in zip(means[SchemeId.NOMA_DBS_FCSI], means[SchemeId.DBS])]
     pcsi_dev = [
         abs(p - f) / f

@@ -22,7 +22,7 @@ from nomabeam.sim_harness import (
     ScenarioConfig,
     _block_outcomes,
     _drop_users,
-    _results,
+    _columns,
     evaluate_trial,
     format_aggregates,
     load_scenario,
@@ -209,8 +209,8 @@ class TestConfigValidation:
     def test_bounds_give_finite_rates(self, overrides):
         config = replace(SMALL, **{"paths_per_cluster": (2, 2), **overrides})
         for k in (1, 2, 5):
-            for result in evaluate_trial(config, k, 0).values():
-                assert math.isfinite(result.sum_rate_bps) and result.sum_rate_bps >= 0
+            for columns in evaluate_trial(config, k, 0).values():
+                assert math.isfinite(columns.sum_rate_bps[0]) and columns.sum_rate_bps[0] >= 0
 
     def test_power_conversion(self):
         config = ScenarioConfig(total_power_dbm=33.0)
@@ -221,16 +221,14 @@ class TestRunTrial:
     def test_single_user_is_noise_limited(self):
         config = replace(SMALL, user_counts=(1,))
         result = evaluate_trial(config, 1, 0)[SchemeId.DBS]
-        assert result.noma_cluster_count == 0
-        assert result.sum_rate_bps > 0
-        assert result.spectral_eff_bps_per_hz == pytest.approx(
-            result.sum_rate_bps / config.bandwidth_hz, rel=1e-12
-        )
+        assert result.noma_clusters[0] == 0
+        assert result.sum_rate_bps[0] > 0
+        assert result.spectral_eff[0] == pytest.approx(result.sum_rate_bps[0] / config.bandwidth_hz, rel=1e-12)
 
     def test_deterministic_per_key(self):
         a = evaluate_trial(SMALL, 4, 2)[SchemeId.NOMA_DBS_FCSI]
         b = evaluate_trial(SMALL, 4, 2)[SchemeId.NOMA_DBS_FCSI]
-        assert a == b
+        assert [column[0] for column in a] == [column[0] for column in b]
 
     def test_schemes_share_the_same_drop(self):
         # K=1 leaves nothing to pair, so the shared-beam scheme reduces to
@@ -238,7 +236,7 @@ class TestRunTrial:
         config = replace(SMALL, user_counts=(1,))
         results = evaluate_trial(config, 1, 5)
         dbs, noma = results[SchemeId.DBS], results[SchemeId.NOMA_DBS_FCSI]
-        assert dbs.sum_rate_bps == pytest.approx(noma.sum_rate_bps, rel=1e-12)
+        assert dbs.sum_rate_bps[0] == pytest.approx(noma.sum_rate_bps[0], rel=1e-12)
 
     def test_monopath_dbs_matches_closed_form(self):
         config = replace(
@@ -263,15 +261,15 @@ class TestRunTrial:
             )
             for own in range(k)
         )
-        assert result.sum_rate_bps == pytest.approx(closed_sum, rel=1e-9)
+        assert result.sum_rate_bps[0] == pytest.approx(closed_sum, rel=1e-9)
 
     def test_partial_csi_scheme_runs(self):
         result = evaluate_trial(SMALL, 4, 0)[SchemeId.NOMA_DBS_PCSI]
-        assert result.sum_rate_bps > 0
+        assert result.sum_rate_bps[0] > 0
 
     def test_oma_scheme_runs(self):
         result = evaluate_trial(SMALL, 4, 0)[SchemeId.OMA_DBS]
-        assert result.sum_rate_bps > 0
+        assert result.sum_rate_bps[0] > 0
 
     @pytest.mark.parametrize("k", [0, 8, 9])
     def test_user_count_outside_the_array_rejected(self, k):
@@ -302,7 +300,7 @@ class TestEvaluateTrial:
         paired = [
             t
             for t in range(2)
-            if evaluate_trial(config, 2, t)[SchemeId.NOMA_DBS_PCSI].noma_cluster_count == 1
+            if evaluate_trial(config, 2, t)[SchemeId.NOMA_DBS_PCSI].noma_clusters[0] == 1
         ]
         assert paired
 
@@ -380,8 +378,13 @@ class TestSharedBeams:
 
 @functools.cache
 def full_sweep(name):
-    """Every scheme's rows over the first two trials of an equivalence config."""
+    """Every scheme's columns over the first two trials of an equivalence config."""
     return run_sweep(replace(EQUIVALENCE_CONFIGS[name], trials=2))
+
+
+def same_columns(a, b):
+    """Whether two Columns hold the same entries, bit for bit, column by column."""
+    return all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
 
 
 class TestRunSweep:
@@ -389,15 +392,18 @@ class TestRunSweep:
     @given(st.sampled_from(sorted(EQUIVALENCE_CONFIGS)), st.permutations(list(SchemeId)), st.integers(1, len(SchemeId)))
     def test_rows_do_not_depend_on_the_other_schemes(self, name, order, size):
         # any nonempty ordered subset of the schemes gives the full sweep's
-        # rows for those schemes
+        # columns for those schemes
         schemes = tuple(order[:size])
         results = run_sweep(replace(EQUIVALENCE_CONFIGS[name], trials=2, schemes=schemes))
-        assert results == [r for r in full_sweep(name) if r.scheme in schemes]
+        full = full_sweep(name)
+        assert list(results) == [key for key in full if key[0] in schemes]
+        assert all(same_columns(columns, full[key]) for key, columns in results.items())
 
     def test_single_combination_gives_one_row(self):
         config = replace(SMALL, user_counts=(3,), schemes=(SchemeId.DBS,), trials=1)
         results = run_sweep(config)
-        assert len(results) == 1
+        assert list(results) == [(SchemeId.DBS, 3)]
+        assert [len(column) for column in results[SchemeId.DBS, 3]] == [1] * 5
         (line,) = format_aggregates(results).splitlines()[1:]
         scheme, k, trials, mean_se, stderr_se, mean_ee = line.split()
         assert trials == "1"
@@ -408,14 +414,15 @@ class TestRunSweep:
             SMALL, user_counts=(3, 5), schemes=(SchemeId.DBS, SchemeId.CONJUGATE_BF), trials=4
         )
         results = run_sweep(config)
-        assert len(results) == 2 * 2 * 4
+        assert len(results) == 2 * 2
+        assert [len(column) for columns in results.values() for column in columns] == [4] * (2 * 2 * 5)
 
     def test_rows_are_sorted(self):
         config = replace(
             SMALL, user_counts=(5, 3), schemes=(SchemeId.OMA_DBS, SchemeId.DBS), trials=2
         )
         results = run_sweep(config)
-        keys = [(r.scheme.value, r.K, r.trial) for r in results]
+        keys = [(scheme.value, k) for scheme, k in results]
         assert keys == sorted(keys)
 
     def test_aggregates_recompute_from_the_rows(self):
@@ -423,25 +430,24 @@ class TestRunSweep:
         config = replace(SMALL, user_counts=(5, 1, 2), schemes=schemes, trials=3)
         results = run_sweep(config)
         tags = sorted(s.value for s in schemes)
-        assert [(r.scheme.value, r.K, r.trial) for r in results] == list(
-            itertools.product(tags, (1, 2, 5), range(3))
-        )
+        assert [(scheme.value, k) for scheme, k in results] == list(itertools.product(tags, (1, 2, 5)))
+        assert all(len(column) == 3 for columns in results.values() for column in columns)
         expected = []
         for scheme in sorted(schemes, key=lambda s: s.value):
             for k in (1, 2, 5):
-                group = [r for r in results if r.scheme is scheme and r.K == k]
-                ses = [r.spectral_eff_bps_per_hz for r in group]
+                group = results[scheme, k]
+                ses = group.spectral_eff.tolist()
                 mean_se = statistics.fmean(ses)
                 stderr_se = statistics.stdev(ses) / math.sqrt(len(ses))
-                mean_ee = statistics.fmean(r.energy_eff_bps_per_j for r in group)
+                mean_ee = statistics.fmean(group.energy_eff.tolist())
                 expected.append(
-                    f"{scheme.value:<16} {k:>4} {len(group):>7} {mean_se:>18.4f} {stderr_se:>12.4f} {mean_ee:>16.4g}"
+                    f"{scheme.value:<16} {k:>4} {len(ses):>7} {mean_se:>18.4f} {stderr_se:>12.4f} {mean_ee:>16.4g}"
                 )
         assert format_aggregates(results).splitlines()[1:] == expected
 
     def test_positive_spectral_efficiency(self):
         results = run_sweep(replace(SMALL, trials=2))
-        assert all(r.spectral_eff_bps_per_hz > 0 for r in results)
+        assert all(se > 0 for columns in results.values() for se in columns.spectral_eff.tolist())
 
     def test_pairing_reduces_difference_variance(self):
         config = replace(
@@ -454,7 +460,7 @@ class TestRunSweep:
 
         def spectral_effs(results, scheme):
             """The scheme's 60 trials at K = 12, in trial order."""
-            return [r.spectral_eff_bps_per_hz for r in results if r.scheme is scheme]
+            return results[scheme, 12].spectral_eff.tolist()
 
         paired = run_sweep(config)
         unpaired = run_sweep(replace(config, master_seed=77, schemes=(SchemeId.DBS,)))
@@ -500,12 +506,14 @@ class TestTrialBlocks:
             paths_per_cluster=(1, 1) if single_path else (1, 2),
         )
         results = run_sweep(config)
-        assert len(results) == len(config.schemes) * len(config.user_counts) * config.trials
+        assert len(results) == len(config.schemes) * len(config.user_counts)
+        assert all(len(column) == config.trials for columns in results.values() for column in columns)
         alone = {(k, t): evaluate_trial(config, k, t) for k in config.user_counts for t in range(config.trials)}
-        for r in results:
-            assert r == alone[r.K, r.trial][r.scheme]
-            assert math.isfinite(r.sum_rate_bps) and r.sum_rate_bps >= 0
-            assert math.isfinite(r.energy_eff_bps_per_j) and r.energy_eff_bps_per_j >= 0
+        for (scheme, k), columns in results.items():
+            for t in range(config.trials):
+                assert same_columns([column[t : t + 1] for column in columns], alone[k, t][scheme])
+            assert np.isfinite(columns.sum_rate_bps).all() and (columns.sum_rate_bps >= 0).all()
+            assert np.isfinite(columns.energy_eff).all() and (columns.energy_eff >= 0).all()
 
 
 class TestResults:
@@ -514,8 +522,8 @@ class TestResults:
         # to 1e16 at every step, where a compensated sum gives 1e16 + 4
         bands = np.array([[1.0, 1e16, 1.0, 1.0]])
         outcome = (np.ones((1, 4)), bands, np.zeros(1, dtype=int), np.zeros(1, dtype=int))
-        (result,) = _results(SMALL, 4, [0], SchemeId.DBS, outcome)
-        assert result.sum_rate_bps == 1e16
+        (sum_rate,) = _columns(SMALL, outcome).sum_rate_bps
+        assert sum_rate == 1e16
 
 
 class TestCsv:
@@ -542,7 +550,7 @@ class TestCsv:
         fields = lines[1].split(",")
         assert fields[0] == "dbs"
         assert fields[1] == "2" and fields[2] == "0"
-        assert float(fields[4]) == pytest.approx(results[0].spectral_eff_bps_per_hz, rel=1e-8)
+        assert float(fields[4]) == pytest.approx(results[SchemeId.DBS, 2].spectral_eff[0], rel=1e-8)
 
     def test_aggregate_table_renders(self):
         table = format_aggregates(run_sweep(replace(SMALL, trials=2)))

@@ -9,9 +9,9 @@ must be read by its own module, ``__init__.py`` included: the package
 re-exports nothing, and a re-export that creeps back fails here.  Every name
 in a module's ``__all__`` must likewise be read by a module of the package
 other than ``__init__.py``: test oracles live in
-``tests/``, not in the library.  Every field of a package dataclass must be
-read as an attribute by some package module: state that only tests read is
-computed for nobody.
+``tests/``, not in the library.  Every field of a package dataclass or
+``NamedTuple`` must be read as an attribute, by name, by some package module:
+state that only tests read is computed for nobody.
 """
 
 import ast
@@ -115,12 +115,13 @@ def test_every_exported_name_is_read():
     assert unread == []
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
+def _is_record(node: ast.ClassDef) -> bool:
+    """Whether a class is a dataclass or a ``NamedTuple``, whose fields are its annotated names."""
     return any(
         isinstance(target, ast.Name) and target.id == "dataclass"
         for decorator in node.decorator_list
         for target in [decorator.func if isinstance(decorator, ast.Call) else decorator]
-    )
+    ) or any(isinstance(base, ast.Name) and base.id == "NamedTuple" for base in node.bases)
 
 
 def test_every_dataclass_field_is_read():
@@ -135,7 +136,7 @@ def test_every_dataclass_field_is_read():
         f"{stem}.{node.name}.{field.target.id}"
         for stem, tree in trees.items()
         for node in tree.body
-        if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+        if isinstance(node, ast.ClassDef) and _is_record(node)
         for field in node.body
         if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
         and field.target.id not in read
