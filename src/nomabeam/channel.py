@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -67,16 +67,18 @@ class DropPaths:
     phi: np.ndarray
 
 
-def draw_paths(rngs: Sequence[np.random.Generator], config: ScenarioConfig, k_users: int) -> DropPaths:
+def draw_paths(rngs: Iterable[np.random.Generator], config: ScenarioConfig, k_users: int) -> DropPaths:
     """Draw a block of drops: ``k_users`` users in the cell per generator, and their multipath channels.
 
     The line-of-sight amplitude is free-space path loss at the carrier over
     the 3D distance, shadowed log-normally; scattered paths are drawn per
     ``config``'s knobs below it and within its angle spread of the LOS
     direction.  Each user's paths are sorted strongest first (a stable
-    sort).  Drop t takes its users from ``rngs[t]`` and comes t-th in the
-    block, and identical (rng state, config) yield identical paths, whatever
-    the block.
+    sort).  The t-th generator that ``rngs`` yields gives drop t, t-th in
+    the block, and identical (rng state, config) yield identical paths,
+    whatever the block.  ``rngs`` is iterated once and each generator is
+    released as the next one arrives, so a lazy iterable never has more than
+    two alive.
 
     Only the RNG calls run per drop.  They are a scalar generator's, user
     after user, with one call for a user's scattered-path uniforms: numpy's

@@ -307,8 +307,12 @@ def _trial_rng(config: ScenarioConfig, k_users: int, trial_index: int) -> np.ran
 
 
 def _drop_users(config: ScenarioConfig, k_users: int, trials: Sequence[int]) -> DropPaths:
-    """The paths of the drops of (master_seed, K, t), t in ``trials``, as one block."""
-    return draw_paths([_trial_rng(config, k_users, t) for t in trials], config, k_users)
+    """The paths of the drops of (master_seed, K, t), t in ``trials``, as one block.
+
+    The generators are made as ``draw_paths`` reaches each drop, so a block
+    holds at most two at once.
+    """
+    return draw_paths((_trial_rng(config, k_users, t) for t in trials), config, k_users)
 
 
 # Per scheme, a block's outcome: the T x K SINRs in beam order (each pair's
@@ -319,8 +323,12 @@ _Outcome = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 # Bytes of a block's channel rows (16 per entry): a sweep evaluates the trials
 # of one user count max(1, _BLOCK_BYTES // (16 * M * K)) at a time, so that
-# small drops share their numpy calls and a large drop runs alone.
-_BLOCK_BYTES = 2**17
+# small drops share their numpy calls and a large drop runs alone.  On the
+# 500-trial default sweep, 2**18 was slower for 0.7 MB less peak resident
+# size, and 2**20 and 2**21 were no faster while 2**21 held 5.5 MB more.  A
+# block's rows then take at most 512 KiB unless one drop's take more, well
+# under the 4 MiB from which numpy backs an array with huge pages.
+_BLOCK_BYTES = 2**19
 
 
 def _trial_outcomes(config: ScenarioConfig, k_users: int, trials: Sequence[int]) -> dict[SchemeId, _Outcome]:

@@ -2,7 +2,8 @@ import functools
 import itertools
 import math
 import statistics
-from dataclasses import fields, replace
+import weakref
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
+from nomabeam import sim_harness
 from nomabeam.array_geometry import eligible_pairs, steering_matrix
 from nomabeam.baselines import SchemeId
 from nomabeam.clustering import greedy_pairs
@@ -514,6 +516,46 @@ class TestTrialBlocks:
                 assert same_columns([column[t : t + 1] for column in columns], alone[k, t][scheme])
             assert np.isfinite(columns.sum_rate_bps).all() and (columns.sum_rate_bps >= 0).all()
             assert np.isfinite(columns.energy_eff).all() and (columns.energy_eff >= 0).all()
+
+    @pytest.mark.parametrize("beta0", [0.5, 0.05])
+    @pytest.mark.parametrize("block_bytes", [1, 2**30])
+    def test_block_size_does_not_change_the_csv(self, tmp_path, monkeypatch, beta0, block_bytes):
+        # one drop per block, and one block per user count, give the columns,
+        # bit for bit, and the CSV bytes of the default blocks, on drops that
+        # pair (K = 2 to 55, beta0 0.5 and 0.05)
+        config = ScenarioConfig(user_counts=(2, 15, 55), trials=12, beta0=beta0)
+        default, changed = tmp_path / "default.csv", tmp_path / "changed.csv"
+        expected = run_sweep(config)
+        write_csv(expected, str(default))
+        monkeypatch.setattr(sim_harness, "_BLOCK_BYTES", block_bytes)
+        results = run_sweep(config)
+        write_csv(results, str(changed))
+        assert changed.read_bytes() == default.read_bytes()
+        assert list(results) == list(expected)
+        assert all(same_columns(columns, expected[key]) for key, columns in results.items())
+
+    def test_a_block_holds_at_most_two_generators(self, monkeypatch):
+        # Generators take no weak references; a subclass on the same bit
+        # generator draws the same numbers and does.
+        class Tracked(np.random.Generator):
+            pass
+
+        refs, most = [], 0
+
+        def tracked_rng(config, k_users, trial_index):
+            nonlocal most
+            rng = Tracked(trial_rng(config, k_users, trial_index).bit_generator)
+            refs.append(weakref.ref(rng))
+            most = max(most, sum(ref() is not None for ref in refs))
+            return rng
+
+        trial_rng = sim_harness._trial_rng
+        config = ScenarioConfig()
+        expected = _drop_users(config, 1, range(200))
+        monkeypatch.setattr(sim_harness, "_trial_rng", tracked_rng)
+        paths = _drop_users(config, 1, range(200))
+        assert all(np.array_equal(a, b) for a, b in zip(astuple(paths), astuple(expected), strict=True))
+        assert len(refs) == 200 and most <= 2
 
 
 class TestResults:
