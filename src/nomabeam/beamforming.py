@@ -5,7 +5,8 @@ the caller steers (one per direction, shared between plans); the
 normalization ``eta = 1 / (M * C)`` makes the emitted power independent of
 the beamforming.  The per-beam signal powers are fixed before any
 intra-beam optimization: either proportional to the beam's user count (the
-default, which equalizes emitted power per user) or a uniform split.
+default, which equalizes emitted power per user) or a uniform split.  A plan
+is a plain record; ``link_metrics.link_states`` weighs channel rows by it.
 """
 
 from __future__ import annotations
@@ -30,15 +31,6 @@ class BeamformingPlan:
     weights: np.ndarray
     eta: float
     cluster_powers_pc: np.ndarray
-
-    def received_powers(self, rows: np.ndarray) -> np.ndarray:
-        """Weighted beam gains ``eta * p_c * |row @ w_c|^2`` of each channel row and beam.
-
-        A 1-D row gives one value per beam, a K x M matrix of rows a K x C
-        matrix, and T such matrices against a block plan's T x M x C weights a
-        T x K x C array.
-        """
-        return self.eta * self.cluster_powers_pc * np.abs(rows @ self.weights) ** 2
 
 
 def build_plan(

@@ -3,10 +3,13 @@
 For a user on beam c the received superimposed-signal power is
 ``psi = eta * p_c * |h w_c|^2`` and the other-beam interference plus noise
 is ``nu``; their ratio ``zeta`` is the single scalar that drives every rate
-formula here.  A private (single-user) beam achieves SINR = zeta directly;
-on a shared beam the power-split coefficient ``gamma1`` of the strong user
-scales the two users' SINRs in opposite directions.  The SINR and rate
-formulas take scalars or arrays alike.
+formula here.  :func:`link_states` alone weighs beam gains: for the steered
+schemes' channel rows, for conjugate beamforming, and for the LOS rows from
+which partial CSI estimates its ratios with no noise.  A private
+(single-user) beam achieves SINR = zeta directly; on a shared beam the
+power-split coefficient ``gamma1`` of the strong user scales the two users'
+SINRs in opposite directions.  The SINR and rate formulas take scalars or
+arrays alike.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ def link_states(
     All of them come from one K x C matrix of weighted beam gains
     ``eta * p_c * |h_k w_c|^2``; T x K x M rows of a block plan give T x K arrays.
     """
-    weighted = plan.received_powers(h_rows)
+    weighted = plan.eta * plan.cluster_powers_pc * np.abs(h_rows @ plan.weights) ** 2
     psi = weighted[..., np.arange(weighted.shape[-2]), own_beams]
     nu = np.sum(weighted, axis=-1) - psi + noise_w
     return psi, nu, psi / nu

@@ -9,12 +9,6 @@ strong user when it does not.  When the two users' standalone rates are
 within a relative ``epsilon`` the throughput is nearly flat and the split
 that equalizes their rates is chosen instead.  Every function here takes
 scalars or arrays with one entry per shared beam.
-
-The partial-feedback variant estimates both link ratios purely from the
-users' LOS steering vectors against the plan's beams, with no channel gains
-and, in the high-SNR form, no noise: the other beams' leakage alone is the
-denominator.  Only a beam with no interfering beam falls back on the noise
-power as the denominator.  The split is then solved as under full feedback.
 """
 
 from __future__ import annotations
@@ -23,7 +17,6 @@ from enum import IntEnum
 
 import numpy as np
 
-from .beamforming import BeamformingPlan
 from .link_metrics import rate
 
 __all__ = [
@@ -31,7 +24,6 @@ __all__ = [
     "gamma_hat",
     "gamma_fair",
     "opa",
-    "partial_csi_zeta",
 ]
 
 
@@ -104,22 +96,3 @@ def opa(zeta1, zeta2, p_min: float, epsilon: float) -> tuple[np.ndarray, np.ndar
     branch = np.where(fair, Branch.FAIR, np.where(upper, Branch.UPPER_ENDPOINT, Branch.DEACTIVATE))
     return np.where(infeasible, 0.0, gamma1), np.where(infeasible, Branch.INFEASIBLE, branch)
 
-
-def partial_csi_zeta(
-    los_rows: np.ndarray,
-    plan: BeamformingPlan,
-    own_beams: np.ndarray,
-    noise_w: float,
-) -> np.ndarray:
-    """Link ratios estimated from LOS directions alone, row k on beam ``own_beams[k]``.
-
-    Each of ``los_rows`` is the conjugated steering vector toward a user's
-    LOS direction, the channel row of a unit-gain single path.  Signal part
-    eta * p_c * |a_los^H w_c|^2 over the same quantity summed across the
-    other beams, with no path gains and no noise (high-SNR form).  Where no
-    beam interferes, the noise power ``noise_w`` is the denominator instead.
-    """
-    weighted = plan.received_powers(los_rows)
-    psi = weighted[np.arange(len(weighted)), own_beams]
-    nu = np.sum(weighted, axis=1) - psi
-    return psi / np.where(nu == 0.0, noise_w, nu)

@@ -27,7 +27,7 @@ from .beamforming import build_plan
 from .channel import DropPaths, channel_rows, draw_paths
 from .clustering import greedy_pairs
 from .link_metrics import link_states, rate, sinr_noma_strong, sinr_noma_weak
-from .power_allocation import opa, partial_csi_zeta
+from .power_allocation import opa
 
 __all__ = [
     "ConfigError",
@@ -445,12 +445,17 @@ def _steered_links(
         swap = psi[second] > psi[first]
         pairs = np.where(swap[:, None], pairs[:, ::-1], pairs)
         shared[t] = estimated[t] = zeta[np.concatenate((pairs.ravel(), singles))]
-        # Partial CSI splits on ratios estimated from the LOS rows alone.
+        # Partial CSI splits on ratios estimated from the LOS rows alone, each
+        # the channel row of a unit-gain single path: the same link ratio with
+        # no path gains and, in the high-SNR form, no noise, so the other
+        # beams' leakage alone is the denominator.  Only where nothing leaks
+        # in (a lone beam, or the other beams at exact pattern nulls) is the
+        # noise power the denominator.
         by_pair = pair_rows.reshape(n_pairs, 2, -1)
         by_pair[swap] = by_pair[swap, ::-1]
-        estimated[t, : 2 * n_pairs] = partial_csi_zeta(
-            pair_rows, plan, np.repeat(np.arange(n_pairs), 2), config.noise_w
-        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            psi, nu, zeta = link_states(pair_rows, plan, np.repeat(np.arange(n_pairs), 2), 0.0)
+        estimated[t, : 2 * n_pairs] = np.where(nu == 0.0, psi / config.noise_w, zeta)
         del plan, pair_rows, by_pair
     return h_rows, dbs_zeta, shared, estimated
 

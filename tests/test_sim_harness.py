@@ -17,7 +17,7 @@ from nomabeam.array_geometry import eligible_pairs, steering_matrix
 from nomabeam.baselines import SchemeId
 from nomabeam.clustering import greedy_pairs
 from nomabeam.link_metrics import link_states, sinr_noma_strong, sinr_noma_weak
-from nomabeam.power_allocation import opa, partial_csi_zeta
+from nomabeam.power_allocation import opa
 from nomabeam.sim_harness import (
     CSV_HEADER,
     ConfigError,
@@ -33,7 +33,7 @@ from nomabeam.sim_harness import (
     write_csv,
 )
 
-from drops import Direction, angles, channel_matrix, drop_paths, plan_toward, user_paths
+from drops import Direction, channel_matrix, drop_paths, pair_beta, plan_toward, user_paths
 from oracles import sinr_dbs_monopath_closed
 
 SMALL = ScenarioConfig(
@@ -313,12 +313,15 @@ class TestEvaluateTrial:
 
 
 class TestSharedBeams:
-    """One hand-built drop: users 0 and 1 nearly collinear, user 2 far away."""
+    """Hand-built drops: users 0 and 1 nearly collinear and, when there is a
+    third, user 2 far away.  Without it the pair's beam is the drop's only
+    beam."""
 
     CONFIG = ScenarioConfig(m_h=16, m_v=2, user_counts=(3,))
     DIRS = [Direction(1.2, -0.1), Direction(1.205, -0.1), Direction(0.4, -0.2)]
 
     def drop(self, amplitudes):
+        """One path per user, user k's of amplitude ``amplitudes[k]`` toward ``DIRS[k]``."""
         return drop_paths([[(a, d)] for a, d in zip(amplitudes, self.DIRS)])
 
     def outcome(self, scheme, paths):
@@ -327,55 +330,115 @@ class TestSharedBeams:
         The outcome is the drop's SINRs in beam order, each user's band, and
         its shared-beam and deactivated counts.
         """
-        sinr, band, shared, deactivated = _block_outcomes(self.CONFIG, paths, [self.pairs()])[scheme]
-        assert sinr.shape == band.shape == (1, 3) and shared.shape == deactivated.shape == (1,)
+        sinr, band, shared, deactivated = _block_outcomes(self.CONFIG, paths, [self.pairs(paths)])[scheme]
+        k_users = len(paths.starts)
+        assert sinr.shape == band.shape == (1, k_users) and shared.shape == deactivated.shape == (1,)
         return channel_matrix(self.CONFIG.array_config, paths), (sinr[0], band[0], shared[0], deactivated[0])
 
-    def pairs(self):
-        theta, phi = angles(self.DIRS)
+    def pairs(self, paths):
+        theta, phi = paths.theta[paths.starts], paths.phi[paths.starts]
         (pairs,) = greedy_pairs(eligible_pairs(self.CONFIG.array_config, theta[None], phi[None], self.CONFIG.beta0), 1)
         assert pairs.tolist() == [[0, 1]]
         return pairs
 
     def expected_zeta(self, h_rows):
-        """Link ratios against a shared beam at the pair's mean direction and a private one."""
-        d0, d1, d2 = self.DIRS
+        """Link ratios against a shared beam at the pair's mean direction and, with a third user, its private beam."""
+        d0, d1, *singles = self.DIRS[: len(h_rows)]
         plan = plan_toward(
             self.CONFIG.array_config,
-            [(d0.theta + d1.theta) / 2, d2.theta],
-            [(d0.phi + d1.phi) / 2, d2.phi],
-            [2, 1],
+            [(d0.theta + d1.theta) / 2] + [d.theta for d in singles],
+            [(d0.phi + d1.phi) / 2] + [d.phi for d in singles],
+            [2] + [1] * len(singles),
             self.CONFIG.total_power_w,
         )
-        return plan, link_states(h_rows, plan, [0, 0, 1], self.CONFIG.noise_w)[2].tolist()
+        return plan, link_states(h_rows, plan, [0, 0, 1][: len(h_rows)], self.CONFIG.noise_w)[2].tolist()
 
-    @pytest.mark.parametrize("amplitudes, strong, weak", [((1e-5, 3e-5, 2e-5), 1, 0), ((3e-5, 1e-5, 2e-5), 0, 1)])
+    @pytest.mark.parametrize(
+        "amplitudes, strong, weak",
+        [((1e-5, 3e-5, 2e-5), 1, 0), ((3e-5, 1e-5, 2e-5), 0, 1), ((1e-5, 3e-5), 1, 0)],
+    )
     def test_stronger_user_comes_first_and_oma_halves_the_band(self, amplitudes, strong, weak):
         h_rows, (sinr, bands, shared, deactivated) = self.outcome(SchemeId.OMA_DBS, self.drop(amplitudes))
         _, zeta = self.expected_zeta(h_rows)
         band = self.CONFIG.bandwidth_hz
         assert (shared, deactivated) == (1, 0)
-        assert sinr.tolist() == [zeta[strong], zeta[weak], zeta[2]]
-        assert bands.tolist() == [band / 2, band / 2, band]
+        assert sinr.tolist() == [zeta[strong], zeta[weak], *zeta[2:]]
+        assert bands.tolist() == [band / 2, band / 2] + [band] * (len(zeta) - 2)
 
+    @pytest.mark.parametrize("amplitudes", [(1e-5, 3e-5, 2e-5), (1e-5, 3e-5)])
     @pytest.mark.parametrize("scheme", [SchemeId.NOMA_DBS_FCSI, SchemeId.NOMA_DBS_PCSI])
-    def test_shared_beam_rates_follow_the_split(self, scheme):
-        paths = self.drop((1e-5, 3e-5, 2e-5))
+    def test_shared_beam_rates_follow_the_split(self, scheme, amplitudes):
+        paths = self.drop(amplitudes)
         h_rows, (sinr, bands, shared, deactivated) = self.outcome(scheme, paths)
         plan, zeta = self.expected_zeta(h_rows)
         z_strong, z_weak = zeta[1], zeta[0]
         if scheme is SchemeId.NOMA_DBS_PCSI:
+            # The LOS rows' link ratios with no noise, unless no other beam
+            # leaks into theirs: then the noise is the whole denominator.
+            noise = self.CONFIG.noise_w if len(plan.cluster_powers_pc) == 1 else 0.0
             los = np.conj(steering_matrix(self.CONFIG.array_config, paths.theta[[1, 0]], paths.phi[[1, 0]]))
-            split_on = partial_csi_zeta(los, plan, [0, 0], self.CONFIG.noise_w).tolist()
+            split_on = link_states(los, plan, [0, 0], noise)[2].tolist()
         else:
             split_on = [z_strong, z_weak]
         gamma1 = float(opa(*split_on, self.CONFIG.p_min, self.CONFIG.epsilon)[0])
         band = self.CONFIG.bandwidth_hz
         assert (shared, deactivated) == (1, int(gamma1 == 0.0))
-        assert bands.tolist() == [band] * 3
+        assert bands.tolist() == [band] * len(zeta)
         assert sinr.tolist() == pytest.approx(
-            [sinr_noma_strong(z_strong, gamma1), sinr_noma_weak(z_weak, gamma1), zeta[2]], rel=1e-12
+            [sinr_noma_strong(z_strong, gamma1), sinr_noma_weak(z_weak, gamma1), *zeta[2:]], rel=1e-12
         )
+
+    @pytest.mark.parametrize("others", [[], [Direction(math.acos(1.0 / 8.0), 0.0)]])
+    def test_beam_with_no_leakage_splits_fairly_on_the_noise_floor(self, others):
+        # Both users of the pair toward one direction, on a beam that no other
+        # beam leaks into: the drop's only beam, or one whose other beam
+        # points at its array pattern's null.  Partial CSI then estimates both
+        # ratios as the beam's LOS power over the noise,
+        # eta * p_c * M^2 / noise = 2 * P * M / (K * noise), which the equal
+        # estimates split fairly, at 1 / (1 + sqrt(1 + z)).
+        same = Direction(math.pi / 2, 0.0)
+        assert all(pair_beta(self.CONFIG.array_config, same, d) < 1e-12 for d in others)
+        amplitudes = (1e-5, 3e-5)
+        paths = drop_paths([[(a, same)] for a in amplitudes] + [[(1e-5, d)] for d in others])
+        _, (sinr, _, shared, deactivated) = self.outcome(SchemeId.NOMA_DBS_PCSI, paths)
+        k_users = 2 + len(others)
+        z = 2.0 * self.CONFIG.total_power_w * self.CONFIG.array_config.num_elements / (k_users * self.CONFIG.noise_w)
+        gamma1 = 1.0 / (1.0 + math.sqrt(1.0 + z))
+        assert 0.0 < gamma1 < 0.5
+        # Each user's full ratio is its path's power gain times the same.
+        z_weak, z_strong = (a * a * z for a in amplitudes)
+        assert (shared, deactivated) == (1, 0)
+        assert sinr[:2].tolist() == pytest.approx(
+            [z_strong * gamma1, z_weak * (1.0 - gamma1) / (1.0 + z_weak * gamma1)], rel=1e-9
+        )
+
+
+class TestUnitGainPaths:
+    """When every user has one path of gain 1, its LOS row is its channel row."""
+
+    @pytest.mark.parametrize("beta0", [0.05, 0.5])
+    @pytest.mark.parametrize("k_users", range(2, 8))
+    def test_partial_csi_gives_full_csi_sum_rate(self, rng, k_users, beta0):
+        # Partial CSI then estimates the full ratios but for the noise, which
+        # an interfering beam's leakage dwarfs, and a lone beam's estimate is
+        # the full ratio.  Each user but the first of a drop sits next to an
+        # earlier user with probability 1/2, so that most drops pair.
+        config = ScenarioConfig(m_h=16, m_v=2, beta0=beta0, user_counts=(k_users,))
+        n_drops = 8
+        theta = rng.uniform(0.4, 2.7, size=(n_drops, k_users))
+        phi = rng.uniform(-0.4, 0.0, size=(n_drops, k_users))
+        for t, u in itertools.product(range(n_drops), range(1, k_users)):
+            if rng.random() < 0.5:
+                source = rng.integers(u)
+                theta[t, u] = theta[t, source] + rng.choice([0.0, 1e-3, 0.02])
+                phi[t, u] = phi[t, source]
+        paths = drop_paths([[(1.0, Direction(*d))] for d in zip(theta.ravel().tolist(), phi.ravel().tolist())])
+        pairings = greedy_pairs(eligible_pairs(config.array_config, theta, phi, beta0), n_drops)
+        assert any(len(pairs) for pairs in pairings)
+        outcomes = _block_outcomes(config, paths, pairings)
+        full, partial = (_columns(config, outcomes[s]) for s in (SchemeId.NOMA_DBS_FCSI, SchemeId.NOMA_DBS_PCSI))
+        assert partial.sum_rate_bps.tolist() == pytest.approx(full.sum_rate_bps.tolist(), rel=1e-12)
+        assert partial.deactivated_users.tolist() == full.deactivated_users.tolist()
 
 
 @functools.cache
