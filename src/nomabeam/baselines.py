@@ -13,7 +13,6 @@ from enum import Enum
 
 import numpy as np
 
-from .beamforming import BeamformingPlan
 from .link_metrics import link_states
 
 __all__ = [
@@ -39,16 +38,17 @@ def conjugate_bf_sinr(h_matrix: np.ndarray, total_power_w: float, noise_w: float
     ``h_matrix`` holds one channel row per user (K x M), or is a T x K x M
     block of such drops, whose SINRs come back as T x K.  Each user's
     weight vector is its conjugated channel normalized to unit norm; the
-    transmit normalization is 1/K (the weight-trace rule for unit-norm
-    columns) with each beam carrying the full signal power, mirroring the
-    one-beam-per-user split of the steered schemes.  User k is served by
-    beam k, and :func:`link_states` scores it like any steered beam.
+    transmit normalization is eta = 1/K (the weight-trace rule for unit-norm
+    columns) with each beam carrying the full signal power p_c = P,
+    mirroring the one-beam-per-user split of the steered schemes.  User k is
+    served by beam k, and :func:`link_states` scores it like any steered beam.
     """
     k_users = h_matrix.shape[-2]
     w_matrix = np.conj(np.swapaxes(h_matrix, -1, -2))
     w_matrix /= np.linalg.norm(h_matrix, axis=-1)[..., None, :]
-    plan = BeamformingPlan(w_matrix, 1.0 / k_users, np.full(k_users, total_power_w))
-    return link_states(h_matrix, plan, np.arange(k_users), noise_w)[2]
+    # eta * p_c, in that order: P / K may differ in the last bit.
+    beam_powers = 1.0 / k_users * np.full(k_users, total_power_w)
+    return link_states(h_matrix, w_matrix, beam_powers, np.arange(k_users), noise_w)[2]
 
 
 # Consumption model of the energy-efficiency metric: power-amplifier

@@ -1,6 +1,7 @@
 """Per-user link quality: signal/interference decomposition, SINRs, rates.
 
-For a user on beam c the received superimposed-signal power is
+For a user on beam c, with weight vector w_c and power eta * p_c from
+``beamforming.build_plan``, the received superimposed-signal power is
 ``psi = eta * p_c * |h w_c|^2`` and the other-beam interference plus noise
 is ``nu``; their ratio ``zeta`` is the single scalar that drives every rate
 formula here.  :func:`link_states` alone weighs beam gains: for the steered
@@ -18,8 +19,6 @@ import math
 
 import numpy as np
 
-from .beamforming import BeamformingPlan
-
 __all__ = [
     "link_states",
     "sinr_noma_strong",
@@ -30,16 +29,19 @@ __all__ = [
 
 def link_states(
     h_rows: np.ndarray,
-    plan: BeamformingPlan,
+    weights: np.ndarray,
+    beam_powers: np.ndarray,
     own_beams: np.ndarray,
     noise_w: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Arrays psi, nu and zeta = psi / nu of every channel row, row k served by beam ``own_beams[k]``.
 
-    All of them come from one K x C matrix of weighted beam gains
-    ``eta * p_c * |h_k w_c|^2``; T x K x M rows of a block plan give T x K arrays.
+    ``weights`` holds beam c's weight vector w_c as column c of an M x C
+    matrix, and ``beam_powers[c]`` is its eta * p_c.  All of the arrays come
+    from one K x C matrix of weighted beam gains ``eta * p_c * |h_k w_c|^2``;
+    T x K x M rows with T x M x C weights give T x K arrays.
     """
-    weighted = plan.eta * plan.cluster_powers_pc * np.abs(h_rows @ plan.weights) ** 2
+    weighted = beam_powers * np.abs(h_rows @ weights) ** 2
     psi = weighted[..., np.arange(weighted.shape[-2]), own_beams]
     nu = np.sum(weighted, axis=-1) - psi + noise_w
     return psi, nu, psi / nu

@@ -50,7 +50,8 @@ def gamma_hat(zeta1, p_min: float):
     """
     if not np.all(zeta1 > 0):
         raise ValueError(f"zeta1 must be positive, got {zeta1}")
-    ratio = p_min / zeta1
+    with np.errstate(over="ignore"):  # a ratio past the float range is inf, hence infeasible
+        ratio = p_min / zeta1
     return np.where(ratio > 1.0, np.nan, np.maximum(0.0, 0.5 * (1.0 - ratio)))
 
 

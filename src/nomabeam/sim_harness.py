@@ -285,8 +285,12 @@ def parse_config_text(text: str) -> dict:
 
 def load_scenario(path: str, **overrides) -> ScenarioConfig:
     """Read a scenario file and apply keyword overrides (e.g. trials, master_seed)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        values = parse_config_text(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"scenario file {path!r} is not UTF-8 text: {exc}") from exc
+    values = parse_config_text(text)
     for key, value in overrides.items():
         if value is None:
             continue
@@ -408,9 +412,8 @@ def _steered_links(
         steering_matrix(cfg, theta, phi).reshape(n_drops, k_users, cfg.num_elements).transpose(0, 2, 1)
     )
     h_rows = channel_rows(cfg, paths, los)
-    plan = build_plan(los, np.ones(k_users, dtype=int), config.total_power_w, config.inter_cluster_rule)
-    dbs_zeta = link_states(h_rows, plan, np.arange(k_users), config.noise_w)[2]
-    del plan
+    powers = build_plan(np.ones(k_users, dtype=int), cfg.num_elements, config.total_power_w, config.inter_cluster_rule)
+    dbs_zeta = link_states(h_rows, los, powers, np.arange(k_users), config.noise_w)[2]
 
     # The unpaired users' LOS vectors are their private beams, and partial CSI
     # sees each paired user as its conjugated LOS vector.  Both leave the LOS
@@ -438,9 +441,8 @@ def _steered_links(
         ).T
         weights[:, n_pairs:] = private
         del private
-        plan = build_plan(weights, np.bincount(own_beams), config.total_power_w, config.inter_cluster_rule)
-        del weights
-        psi, _, zeta = link_states(h_rows[t], plan, own_beams, config.noise_w)
+        powers = build_plan(np.bincount(own_beams), cfg.num_elements, config.total_power_w, config.inter_cluster_rule)
+        psi, _, zeta = link_states(h_rows[t], weights, powers, own_beams, config.noise_w)
         # Strong user first: the larger received power through the shared beam.
         swap = psi[second] > psi[first]
         pairs = np.where(swap[:, None], pairs[:, ::-1], pairs)
@@ -454,9 +456,9 @@ def _steered_links(
         by_pair = pair_rows.reshape(n_pairs, 2, -1)
         by_pair[swap] = by_pair[swap, ::-1]
         with np.errstate(divide="ignore", invalid="ignore"):
-            psi, nu, zeta = link_states(pair_rows, plan, np.repeat(np.arange(n_pairs), 2), 0.0)
+            psi, nu, zeta = link_states(pair_rows, weights, powers, np.repeat(np.arange(n_pairs), 2), 0.0)
         estimated[t, : 2 * n_pairs] = np.where(nu == 0.0, psi / config.noise_w, zeta)
-        del plan, pair_rows, by_pair
+        del weights, pair_rows, by_pair
     return h_rows, dbs_zeta, shared, estimated
 
 

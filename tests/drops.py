@@ -1,5 +1,5 @@
 """Channel records built by hand for tests, their per-user view, their
-channel rows and plans steered from angles, the betas of directions, and
+channel rows and beams steered from angles, the betas of directions, and
 blocks of LOS angles for properties."""
 
 import math
@@ -70,8 +70,12 @@ def channel_matrix(cfg: ArrayConfig, paths: DropPaths) -> np.ndarray:
 
 
 def plan_toward(cfg: ArrayConfig, theta, phi, sizes, total_power_w: float, rule: str = "proportional"):
-    """A plan whose beam c is steered toward (theta[c], phi[c])."""
-    return build_plan(steering_matrix(cfg, theta, phi).T, sizes, total_power_w, rule)
+    """``(weights, beam_powers)`` of beams c steered toward (theta[c], phi[c]).
+
+    The M x C weights are C-contiguous, as the harness holds its beams, so a
+    matrix product with them rounds as the harness's does."""
+    weights = np.ascontiguousarray(steering_matrix(cfg, theta, phi).T)
+    return weights, build_plan(sizes, cfg.num_elements, total_power_w, rule)
 
 
 @st.composite

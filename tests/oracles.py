@@ -15,7 +15,6 @@ from typing import Sequence
 import numpy as np
 
 from nomabeam.array_geometry import ArrayConfig
-from nomabeam.beamforming import BeamformingPlan
 from nomabeam.channel import DropPaths
 from nomabeam.sim_harness import ScenarioConfig
 
@@ -77,14 +76,14 @@ def pair_rate_grid_max(zeta1: float, zeta2: float, gamma_max: float, step: float
     return float(np.max(strong + weak))
 
 
-def emitted_powers(plan: BeamformingPlan) -> list[float]:
-    """Each beam's emitted power P_c = eta*||w_c||^2*p_c, recomputed from its weight column."""
-    return [plan.eta * float(np.sum(np.abs(w) ** 2)) * p for w, p in zip(plan.weights.T, plan.cluster_powers_pc)]
+def emitted_powers(weights: np.ndarray, beam_powers: np.ndarray) -> list[float]:
+    """Each beam's emitted power P_c = eta*p_c*||w_c||^2, recomputed from its weight column."""
+    return [p * float(np.sum(np.abs(w) ** 2)) for w, p in zip(weights.T, beam_powers)]
 
 
-def emitted_power_check(plan: BeamformingPlan) -> float:
-    """Total emitted power recomputed from the weight columns: sum of eta*||w_c||^2*p_c."""
-    return float(sum(emitted_powers(plan)))
+def emitted_power_check(weights: np.ndarray, beam_powers: np.ndarray) -> float:
+    """Total emitted power recomputed from the weight columns: sum of eta*p_c*||w_c||^2."""
+    return float(sum(emitted_powers(weights, beam_powers)))
 
 
 def sinr_dbs_monopath_closed(

@@ -145,11 +145,11 @@ def test_criterion_06_pipeline_matches_closed_forms():
             paths = draw_paths([rng], config, k)
             gains, dirs = user_paths(paths)
             los = paths.starts
-            plan = plan_toward(cfg, paths.theta[los], paths.phi[los], np.ones(k, dtype=int), 1.0)
-            eta_dbs = plan.eta * plan.cluster_powers_pc[0]
+            weights, powers = plan_toward(cfg, paths.theta[los], paths.phi[los], np.ones(k, dtype=int), 1.0)
+            eta_dbs = powers[0]
             own = int(rng.integers(0, k))
             h = channel_matrix(cfg, paths)[own]
-            pipeline = float(link_states(h[np.newaxis], plan, [own], noise)[2][0])
+            pipeline = float(link_states(h[np.newaxis], weights, powers, [own], noise)[2][0])
             if closed_fn is sinr_dbs_monopath_closed:
                 closed = closed_fn([g[0] for g in gains], [d[0] for d in dirs], own, eta_dbs, noise, cfg)
             else:
@@ -175,9 +175,9 @@ def test_criterion_07_power_conservation_smoke_sweep():
         ] + [(los_theta[s], los_phi[s]) for s in singles]
         sizes = [2] * len(pairs) + [1] * len(singles)
         theta, phi = zip(*beams)
-        plan = plan_toward(config.array_config, theta, phi, sizes, total, config.inter_cluster_rule)
-        assert abs(emitted_power_check(plan) - total) <= 1e-9 * total
-        shares = [p / k_c for p, k_c in zip(emitted_powers(plan), sizes)]
+        weights, powers = plan_toward(config.array_config, theta, phi, sizes, total, config.inter_cluster_rule)
+        assert abs(emitted_power_check(weights, powers) - total) <= 1e-9 * total
+        shares = [p / k_c for p, k_c in zip(emitted_powers(weights, powers), sizes)]
         assert all(abs(s - total / 25) <= 1e-12 * total for s in shares)
     print("CRITERION 7: PASS - emitted power = total (1e-9 rel) and P_c/K_c constant on 100 trials")
 

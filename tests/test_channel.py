@@ -6,7 +6,6 @@ import pytest
 
 from nomabeam import channel, sim_harness
 from nomabeam.array_geometry import ArrayConfig, steering_matrix
-from nomabeam.beamforming import BeamformingPlan
 from nomabeam.channel import DropPaths, draw_paths
 from nomabeam.link_metrics import link_states
 from nomabeam.sim_harness import ScenarioConfig
@@ -184,17 +183,13 @@ class TestChannelVector:
         assert np.array_equal(channel_matrix(CFG, paths), whole)
 
 
-def unit_plan(w):
-    """A one-beam plan with unit normalization and power, so received power is |h w|^2."""
-    return BeamformingPlan(weights=w[:, np.newaxis], eta=1.0, cluster_powers_pc=np.ones(1))
-
-
-def received_power(plan, h):
-    """The weighted beam gain psi of channel row ``h`` through the plan's one beam.
+def received_power(w, h):
+    """The weighted beam gain psi of channel row ``h`` through the one beam ``w``
+    at unit power, which is |h w|^2.
 
     With no other beam the noise is the whole denominator of zeta; psi does
     not depend on it."""
-    return float(link_states(h[np.newaxis], plan, [0], 1.0)[0][0])
+    return float(link_states(h[np.newaxis], w[:, np.newaxis], np.ones(1), [0], 1.0)[0][0])
 
 
 class TestEffectiveGain:
@@ -204,14 +199,13 @@ class TestEffectiveGain:
         d = Direction(2.0, 0.3)
         a = steering(d)
         m = CFG.num_elements
-        assert received_power(unit_plan(a), np.conj(a)) == pytest.approx(m * m, rel=1e-12)
+        assert received_power(a, np.conj(a)) == pytest.approx(m * m, rel=1e-12)
 
     def test_homogeneity(self, rng):
         h = rng.normal(size=8) + 1j * rng.normal(size=8)
         w = rng.normal(size=8) + 1j * rng.normal(size=8)
-        plan = unit_plan(w)
-        base = received_power(plan, h)
-        assert received_power(plan, 2.5j * h) == pytest.approx(abs(2.5j) ** 2 * base, rel=1e-12)
+        base = received_power(w, h)
+        assert received_power(w, 2.5j * h) == pytest.approx(abs(2.5j) ** 2 * base, rel=1e-12)
 
     def test_matches_elementwise_accumulation(self, rng):
         for _ in range(25):
@@ -220,4 +214,4 @@ class TestEffectiveGain:
             acc = 0.0 + 0.0j
             for idx in range(12):
                 acc += h[idx] * w[idx]
-            assert received_power(unit_plan(w), h) == pytest.approx(abs(acc) ** 2, rel=1e-9)
+            assert received_power(w, h) == pytest.approx(abs(acc) ** 2, rel=1e-9)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import pytest
 
@@ -197,6 +198,36 @@ class TestSimulateCommand:
             ["simulate", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "x.csv")]
         )
         assert code == 2
+
+    def test_huge_p_min_runs_without_warnings(self, tmp_path, capsys):
+        # noise at 200 dBm leaves every link ratio tiny, and p_min over it
+        # does not fit a float: every shared beam is infeasible, quietly
+        cfg = tmp_path / "huge_p_min.cfg"
+        cfg.write_text("user_counts = 2,5\ntrials = 3\np_min = 1e300\nnoise_power_dbm = 200\n")
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert len(out.read_text().splitlines()) == 1 + 5 * 2 * 3
+
+
+# Each command's arguments between its --config and its --out.
+COMMAND_ARGS = {"simulate": [], "pattern": ["--beam", "1.5708,0.0"]}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+def test_non_utf8_config_rejected_with_one_error_line(tmp_path, capsys, command):
+    cfg = tmp_path / "latin.cfg"
+    cfg.write_bytes(b"m_h = 32\n\xff\xfe\n")
+    out = tmp_path / "x.csv"
+    code = main([command, "--config", str(cfg), *COMMAND_ARGS[command], "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(cfg) in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 # sha256 of `nomabeam pattern` on the default 32x2 half-wavelength array

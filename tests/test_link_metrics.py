@@ -28,8 +28,8 @@ def mono_row(gain, direction):
 
 
 def link_state(h, plan, own_beam, noise_w):
-    """psi, nu and zeta of one channel row ``h`` served by ``own_beam``."""
-    return [float(a[0]) for a in link_states(h[np.newaxis], plan, [own_beam], noise_w)]
+    """psi, nu and zeta of one channel row ``h`` served by ``own_beam`` of ``plan = (weights, beam_powers)``."""
+    return [float(a[0]) for a in link_states(h[np.newaxis], *plan, [own_beam], noise_w)]
 
 
 class TestComputeLinkState:
@@ -67,7 +67,7 @@ class TestSinrFormulas:
         dirs = [Direction(1.0, -0.1), Direction(1.5, 0.0)]
         plan = private_plan(dirs)
         h_rows = np.stack([mono_row(3e-4, d) for d in dirs])
-        psi, nu, zeta = link_states(h_rows, plan, [0, 1], 1e-11)
+        psi, nu, zeta = link_states(h_rows, *plan, [0, 1], 1e-11)
         assert zeta.tolist() == (psi / nu).tolist()
 
     def test_strong_user_endpoints_and_hand_value(self):
@@ -106,8 +106,9 @@ class TestSinrFormulas:
         h_weak = mono_row(1e-4 - 2e-5j, dirs[1])
         for h, formula in ((h_strong, sinr_noma_strong), (h_weak, sinr_noma_weak)):
             _, _, zeta = link_state(h, plan, 0, noise)
-            own = plan.eta * plan.cluster_powers_pc[0] * abs(h @ plan.weights[:, 0]) ** 2
-            other = plan.eta * plan.cluster_powers_pc[1] * abs(h @ plan.weights[:, 1]) ** 2
+            weights, powers = plan
+            own = powers[0] * abs(h @ weights[:, 0]) ** 2
+            other = powers[1] * abs(h @ weights[:, 1]) ** 2
             if formula is sinr_noma_strong:
                 direct = gamma1 * own / (other + noise)
             else:
@@ -192,7 +193,7 @@ class TestMonopathClosedForm:
             gains = rng.uniform(1e-5, 1e-3, size=k) * np.exp(1j * rng.uniform(0, 2 * math.pi, size=k))
             total_power, noise = 1.0, 8.1e-14
             plan = private_plan(dirs, total_power)
-            eta_dbs = plan.eta * plan.cluster_powers_pc[0]
+            eta_dbs = plan[1][0]
             for own in range(k):
                 h = mono_row(gains[own], dirs[own])
                 pipeline = link_state(h, plan, own, noise)[2]
@@ -230,7 +231,7 @@ class TestMultipathClosedForm:
             paths = draw_paths([rng], config, k)
             gains, dirs = user_paths(paths)
             plan = private_plan([d[0] for d in dirs])
-            eta_dbs = plan.eta * plan.cluster_powers_pc[0]
+            eta_dbs = plan[1][0]
             noise = 8.1e-14
             rows = channel_matrix(CFG, paths)
             for own in range(k):

@@ -29,12 +29,12 @@ def los_rows(*directions):
 def estimated_zeta(direction, plan, own_beam=0):
     """The direction-only link ratio of one user on beam ``own_beam``: its LOS
     row's link ratio with no noise, the other beams' leakage alone below."""
-    return float(link_states(los_rows(direction), plan, [own_beam], 0.0)[2][0])
+    return float(link_states(los_rows(direction), *plan, [own_beam], 0.0)[2][0])
 
 
 def partial_csi_split(d_strong, d_weak, plan):
     """The split of a pair on beam 0 decided from their LOS directions only."""
-    zeta = link_states(los_rows(d_strong, d_weak), plan, [0, 0], 0.0)[2]
+    zeta = link_states(los_rows(d_strong, d_weak), *plan, [0, 0], 0.0)[2]
     return opa(zeta[0], zeta[1], 1e-3, 0.05)
 
 
@@ -143,6 +143,14 @@ class TestOpa:
             assert gamma1 == pytest.approx(gamma_fair(1e-17, 1e-17), rel=1e-12)
             assert opa(1e-17, 1.0, 0.0, 0.05) == (0.0, Branch.DEACTIVATE)
 
+    def test_cap_ratio_beyond_float_range_is_infeasible(self):
+        # p_min / zeta1 = 1e310 does not fit a float: the interval is empty,
+        # so the strong-ahead beam is infeasible, with no overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert opa(1e-10, 1e-12, 1e300, 0.05) == (0.0, Branch.INFEASIBLE)
+            assert np.isnan(gamma_hat(1e-10, 1e300))
+
     def test_optimality_against_grid_search(self, rng):
         for _ in range(200):
             z1 = float(rng.uniform(0.01, 100.0))
@@ -226,7 +234,7 @@ class TestRcDerivative:
 
 
 def two_beam_plan(own_dir, other_dir, total_power=1.0):
-    """A shared beam at ``own_dir`` and a private one at ``other_dir``."""
+    """``(weights, beam_powers)`` of a shared beam at ``own_dir`` and a private one at ``other_dir``."""
     return plan_toward(CFG, [own_dir.theta, other_dir.theta], [own_dir.phi, other_dir.phi], [2, 1], total_power)
 
 
@@ -237,11 +245,10 @@ class TestPartialCsiZeta:
         plan = two_beam_plan(own, other)
         z = estimated_zeta(own, plan)
         a = channel_matrix(CFG, drop_paths([[(1.0, own)]]))[0]
-        interference = plan.eta * plan.cluster_powers_pc[1] * abs(a @ plan.weights[:, 1]) ** 2
+        weights, powers = plan
+        interference = powers[1] * abs(a @ weights[:, 1]) ** 2
         m = CFG.num_elements
-        assert z * interference == pytest.approx(
-            plan.eta * plan.cluster_powers_pc[0] * m * m, rel=1e-9
-        )
+        assert z * interference == pytest.approx(powers[0] * m * m, rel=1e-9)
 
     def test_power_scale_invariance(self):
         own = Direction(1.2, -0.1)
@@ -263,7 +270,7 @@ class TestOpaPartialCsi:
         dirs = [Direction(rng.uniform(0.4, 2.7), rng.uniform(-0.4, 0.0)) for _ in range(5)]
         plan = plan_toward(CFG, [d.theta for d in dirs], [d.phi for d in dirs], [2, 2, 1, 1, 1], 1.0)
         own = [0, 1, 1, 0, 2]
-        together = link_states(los_rows(*dirs), plan, own, 0.0)[2]
+        together = link_states(los_rows(*dirs), *plan, own, 0.0)[2]
         alone = [estimated_zeta(d, plan, c) for d, c in zip(dirs, own)]
         # a batched matrix product may round differently in the last bit
         assert together.tolist() == pytest.approx(alone, rel=1e-12)
@@ -287,7 +294,7 @@ class TestOpaPartialCsi:
                 CFG,
                 drop_paths([[(amp * np.exp(1j * phase1), d_strong)], [(amp * np.exp(1j * phase2), d_weak)]]),
             )
-            _, _, (z1, z2) = link_states(rows, plan, [0, 0], noise)
+            _, _, (z1, z2) = link_states(rows, *plan, [0, 0], noise)
             _, full = opa(z1, z2, 1e-3, 0.05)
             _, partial = partial_csi_split(d_strong, d_weak, plan)
             agreements += full == partial

@@ -342,16 +342,18 @@ class TestSharedBeams:
         return pairs
 
     def expected_zeta(self, h_rows):
-        """Link ratios against a shared beam at the pair's mean direction and, with a third user, its private beam."""
+        """``(weights, beam_powers)`` of a shared beam at the pair's mean direction and, with a third user, its
+        private beam, and the link ratios against them."""
         d0, d1, *singles = self.DIRS[: len(h_rows)]
-        plan = plan_toward(
+        weights, powers = plan_toward(
             self.CONFIG.array_config,
             [(d0.theta + d1.theta) / 2] + [d.theta for d in singles],
             [(d0.phi + d1.phi) / 2] + [d.phi for d in singles],
             [2] + [1] * len(singles),
             self.CONFIG.total_power_w,
         )
-        return plan, link_states(h_rows, plan, [0, 0, 1][: len(h_rows)], self.CONFIG.noise_w)[2].tolist()
+        zeta = link_states(h_rows, weights, powers, [0, 0, 1][: len(h_rows)], self.CONFIG.noise_w)[2]
+        return (weights, powers), zeta.tolist()
 
     @pytest.mark.parametrize(
         "amplitudes, strong, weak",
@@ -370,14 +372,14 @@ class TestSharedBeams:
     def test_shared_beam_rates_follow_the_split(self, scheme, amplitudes):
         paths = self.drop(amplitudes)
         h_rows, (sinr, bands, shared, deactivated) = self.outcome(scheme, paths)
-        plan, zeta = self.expected_zeta(h_rows)
+        (weights, powers), zeta = self.expected_zeta(h_rows)
         z_strong, z_weak = zeta[1], zeta[0]
         if scheme is SchemeId.NOMA_DBS_PCSI:
             # The LOS rows' link ratios with no noise, unless no other beam
             # leaks into theirs: then the noise is the whole denominator.
-            noise = self.CONFIG.noise_w if len(plan.cluster_powers_pc) == 1 else 0.0
+            noise = self.CONFIG.noise_w if len(powers) == 1 else 0.0
             los = np.conj(steering_matrix(self.CONFIG.array_config, paths.theta[[1, 0]], paths.phi[[1, 0]]))
-            split_on = link_states(los, plan, [0, 0], noise)[2].tolist()
+            split_on = link_states(los, weights, powers, [0, 0], noise)[2].tolist()
         else:
             split_on = [z_strong, z_weak]
         gamma1 = float(opa(*split_on, self.CONFIG.p_min, self.CONFIG.epsilon)[0])
