@@ -8,7 +8,8 @@ the strong user also has the better link ratio, or full deactivation of the
 strong user when it does not.  When the two users' standalone rates are
 within a relative ``epsilon`` the throughput is nearly flat and the split
 that equalizes their rates is chosen instead.  Every function here takes
-scalars or arrays with one entry per shared beam.
+scalars or arrays with one entry per shared beam; :func:`opa` alone checks
+that the link ratios are positive.
 """
 
 from __future__ import annotations
@@ -38,18 +39,11 @@ class Branch(IntEnum):
     INFEASIBLE = 3
 
 
-def _check_ratios(zeta1, zeta2) -> None:
-    if not np.all((zeta1 > 0) & (zeta2 > 0)):
-        raise ValueError(f"link ratios must be positive, got ({zeta1}, {zeta2})")
-
-
 def gamma_hat(zeta1, p_min: float):
     """Upper endpoint of the feasible interval: (1 - p_min/zeta1) / 2.
 
     NaN where p_min exceeds zeta1, i.e. the interval is empty.
     """
-    if not np.all(zeta1 > 0):
-        raise ValueError(f"zeta1 must be positive, got {zeta1}")
     with np.errstate(over="ignore"):  # a ratio past the float range is inf, hence infeasible
         ratio = p_min / zeta1
     return np.where(ratio > 1.0, np.nan, np.maximum(0.0, 0.5 * (1.0 - ratio)))
@@ -66,7 +60,6 @@ def gamma_fair(zeta1, zeta2):
     It tends to 1/2 as zeta -> 0 and to 0 as zeta -> infinity, decaying like
     1/sqrt(zeta): it lies in (1/sqrt(zeta) - 1/zeta, 1/sqrt(zeta)).
     """
-    _check_ratios(zeta1, zeta2)
     s = zeta1 + zeta2
     return 2.0 * zeta2 / (s + np.sqrt(s * s + 4.0 * zeta1 * zeta2 * zeta2))
 
@@ -85,7 +78,8 @@ def opa(zeta1, zeta2, p_min: float, epsilon: float) -> tuple[np.ndarray, np.ndar
     """
     z1 = np.asarray(zeta1, dtype=float)
     z2 = np.asarray(zeta2, dtype=float)
-    _check_ratios(z1, z2)
+    if not np.all((z1 > 0) & (z2 > 0)):
+        raise ValueError(f"link ratios must be positive, got ({z1}, {z2})")
     r1, r2 = rate(z1, 1.0), rate(z2, 1.0)
     # A strong rate that rounds to 0 is as far from fair as r2 is from it.
     gap = np.divide(np.abs(r1 - r2), r1, out=np.where(r1 == r2, 0.0, np.inf), where=r1 > 0)

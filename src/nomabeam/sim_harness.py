@@ -321,9 +321,9 @@ def _drop_users(config: ScenarioConfig, k_users: int, trials: Sequence[int]) -> 
 
 # Per scheme, a block's outcome: the T x K SINRs in beam order (each pair's
 # strong then weak user, pair after pair, then the unpaired users; a drop
-# with no pair keeps its dbs order), each user's band, and the T shared-beam
-# and T deactivated counts.
-_Outcome = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+# with no pair keeps its dbs order), the band (a scalar, or under oma_dbs
+# each user's, T x K), and the T shared-beam and T deactivated counts.
+_Outcome = tuple[np.ndarray, float | np.ndarray, np.ndarray, np.ndarray]
 
 # Bytes of a block's channel rows (16 per entry): a sweep evaluates the trials
 # of one user count max(1, _BLOCK_BYTES // (16 * M * K)) at a time, so that
@@ -335,42 +335,31 @@ _Outcome = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 _BLOCK_BYTES = 2**19
 
 
-def _trial_outcomes(config: ScenarioConfig, k_users: int, trials: Sequence[int]) -> dict[SchemeId, _Outcome]:
-    """Every scheme's outcome on the drops of (master_seed, K, t), t in ``trials``, as one block.
+def _block_outcomes(config: ScenarioConfig, paths: DropPaths, k_users: int) -> dict[SchemeId, _Outcome]:
+    """Every scheme's outcome on a block of drops of K users each, given their paths.
 
-    The block's drops are drawn at once and paired in one pass from their
-    T x K LOS (strongest path) angles, before any steering, so that the
-    pairing temporaries (one per pair k < u of a drop) meet no K x M matrix;
-    the greedy scan still pairs each drop on its own.  The drops are then
-    evaluated as one block.
+    The drops are paired in one pass from their T x K LOS (strongest path)
+    angles, before any steering, so that the pairing temporaries (one per
+    pair k < u of a drop) meet no K x M matrix; the greedy scan still pairs
+    each drop on its own.  ``dbs`` uses the one-beam-per-user plan;
+    ``noma_dbs_fcsi``, ``noma_dbs_pcsi`` and ``oma_dbs`` share each drop's
+    pairing, its plan and its strong/weak ordering, and a drop with no pair
+    gives them the ``dbs`` row.  A drop's numbers do not depend on the block:
+    every reduction and every matrix product runs per drop, at the drop's
+    shape and memory layout.
     """
-    paths = _drop_users(config, k_users, trials)
     theta, phi = (angles[paths.starts].reshape(-1, k_users) for angles in (paths.theta, paths.phi))
     pairings = greedy_pairs(eligible_pairs(config.array_config, theta, phi, config.beta0), len(theta))
-    return _block_outcomes(config, paths, pairings)
-
-
-def _block_outcomes(
-    config: ScenarioConfig, paths: DropPaths, pairings: list[np.ndarray]
-) -> dict[SchemeId, _Outcome]:
-    """Every scheme's outcome on a block of drops, given their paths and each drop's pairing.
-
-    ``dbs`` uses the one-beam-per-user plan; ``noma_dbs_fcsi``,
-    ``noma_dbs_pcsi`` and ``oma_dbs`` share each drop's pairing, its plan and
-    its strong/weak ordering, and a drop with no pair gives them the ``dbs``
-    row.  A drop's numbers do not depend on the block: every reduction and
-    every matrix product runs per drop, at the drop's shape and memory layout.
-    """
-    h_rows, dbs_zeta, zeta, estimated = _steered_links(config, paths, pairings)
+    h_rows, dbs_zeta, zeta, estimated = _steered_links(config, paths, theta, phi, pairings)
     # No plan or gain matrix is held while conjugate beamforming builds its
     # K x K temporaries.
     cb_sinr = conjugate_bf_sinr(h_rows, config.total_power_w, config.noise_w)
     del h_rows
     n_pairs = np.array([len(pairs) for pairs in pairings])
-    beam = np.arange(dbs_zeta.shape[1])
+    beam = np.arange(k_users)
     paired = beam < 2 * n_pairs[:, None]
     strong, weak = paired & (beam % 2 == 0), paired & (beam % 2 == 1)
-    band = np.full(dbs_zeta.shape, config.bandwidth_hz)
+    band = config.bandwidth_hz
     unshared = np.zeros_like(n_pairs)
 
     def noma(split_on: np.ndarray) -> _Outcome:
@@ -386,30 +375,29 @@ def _block_outcomes(
         SchemeId.NOMA_DBS_FCSI: noma(zeta),
         SchemeId.NOMA_DBS_PCSI: noma(estimated),
         # Orthogonal sharing: each paired user gets half the band.
-        SchemeId.OMA_DBS: (zeta, np.where(paired, config.bandwidth_hz / 2.0, band), n_pairs, unshared),
+        SchemeId.OMA_DBS: (zeta, np.where(paired, band / 2.0, band), n_pairs, unshared),
         SchemeId.CONJUGATE_BF: (cb_sinr, band, unshared, unshared),
     }
 
 
 def _steered_links(
-    config: ScenarioConfig, paths: DropPaths, pairings: list[np.ndarray]
+    config: ScenarioConfig, paths: DropPaths, theta: np.ndarray, phi: np.ndarray, pairings: list[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The block's T x K x M channel rows, its T x K dbs link ratios, and its T x K shared-plan ratios.
 
-    Each LOS direction is steered once, into a T x M x K block: each channel
-    row's LOS path, the dbs plans' weights and the shared plans' private
-    beams.  A paired drop's shared plan has P beams at its pairs' mean LOS
-    angles, in selection order, then its unpaired users' beams.  Its row of
+    Each of the T x K LOS directions (``theta``, ``phi``) is steered once,
+    into a T x M x K block: each channel row's LOS path, the dbs plans'
+    weights and the shared plans' private beams.  A paired drop's shared plan
+    has P beams at the mean LOS angles of its ``pairings`` entry, in
+    selection order, then its unpaired users' beams.  Its row of
     shared-plan ratios is in beam order, and so is its row of the ratios
     partial CSI splits on: the paired users' estimates, then the unpaired
     users' ratios.  A drop with no pair keeps its dbs row in both.
     """
     cfg = config.array_config
-    n_drops = len(pairings)
-    k_users = len(paths.starts) // n_drops
-    theta, phi = paths.theta[paths.starts], paths.phi[paths.starts]
+    n_drops, k_users = theta.shape
     los = np.ascontiguousarray(
-        steering_matrix(cfg, theta, phi).reshape(n_drops, k_users, cfg.num_elements).transpose(0, 2, 1)
+        steering_matrix(cfg, theta.ravel(), phi.ravel()).reshape(n_drops, k_users, cfg.num_elements).transpose(0, 2, 1)
     )
     h_rows = channel_rows(cfg, paths, los)
     powers = build_plan(np.ones(k_users, dtype=int), cfg.num_elements, config.total_power_w, config.inter_cluster_rule)
@@ -429,7 +417,6 @@ def _steered_links(
             np.conj(pair_rows, out=pair_rows)
             kept.append((t, pairs, own_beams, singles, los[t][:, singles], pair_rows))
     del los
-    theta, phi = theta.reshape(n_drops, k_users), phi.reshape(n_drops, k_users)
     shared, estimated = dbs_zeta.copy(), dbs_zeta.copy()
     while kept:
         t, pairs, own_beams, singles, private, pair_rows = kept.pop(0)
@@ -472,7 +459,7 @@ def evaluate_trial(config: ScenarioConfig, k_users: int, trial_index: int) -> di
     _check_user_count(k_users, config.array_config)
     if trial_index < 0:
         raise ConfigError(f"trial index must be nonnegative, got {trial_index}")
-    outcomes = _trial_outcomes(config, k_users, [trial_index])
+    outcomes = _block_outcomes(config, _drop_users(config, k_users, [trial_index]), k_users)
     return {s: _columns(config, outcome) for s, outcome in outcomes.items()}
 
 
@@ -507,7 +494,7 @@ def run_sweep(config: ScenarioConfig) -> dict[tuple[SchemeId, int], Columns]:
         per_block = max(1, _BLOCK_BYTES // (16 * config.array_config.num_elements * k_users))
         for first in range(0, config.trials, per_block):
             trials = range(first, min(first + per_block, config.trials))
-            outcomes = _trial_outcomes(config, k_users, trials)
+            outcomes = _block_outcomes(config, _drop_users(config, k_users, trials), k_users)
             for s in config.schemes:
                 blocks.setdefault((s, k_users), []).append(_columns(config, outcomes[s]))
     return {

@@ -35,13 +35,6 @@ class TestBuildPlan:
         plan = plan_for([2, 1, 1], ArrayConfig(8, 8, 0.5), 1.0, rule="uniform")
         assert emitted_powers(*plan) == pytest.approx((1.0 / 3,) * 3)
 
-    def test_weights_are_unit_modulus_steering_vectors(self):
-        weights, _ = plan_for([2, 1], ArrayConfig(4, 2, 0.5), 1.0)
-        assert weights.shape == (8, 2)
-        for w in weights.T:
-            assert np.max(np.abs(np.abs(w) - 1.0)) < 1e-12
-            assert np.sum(np.abs(w) ** 2) == pytest.approx(8.0)
-
 
 class TestPowerConservation:
     @given(

@@ -177,6 +177,16 @@ class TestOpa:
         with pytest.raises(ValueError):
             opa(np.array([1.0, 2.0]), np.array([1.0, -1.0]), 0.0, 0.05)
 
+    @pytest.mark.parametrize("in_array", [False, True])
+    @pytest.mark.parametrize("nan_at", [0, 1])
+    def test_nan_ratio_rejected(self, nan_at, in_array):
+        ratios = [2.0, 1.0]
+        ratios[nan_at] = math.nan
+        if in_array:
+            ratios = [np.array([3.0, r, 0.5]) for r in ratios]
+        with pytest.raises(ValueError, match="link ratios must be positive"):
+            opa(*ratios, 1e-3, 0.05)
+
     @given(
         st.lists(
             st.tuples(

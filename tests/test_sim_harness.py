@@ -13,9 +13,8 @@ from hypothesis import strategies as st
 import numpy as np
 
 from nomabeam import sim_harness
-from nomabeam.array_geometry import eligible_pairs, steering_matrix
+from nomabeam.array_geometry import steering_matrix
 from nomabeam.baselines import SchemeId
-from nomabeam.clustering import greedy_pairs
 from nomabeam.link_metrics import link_states, sinr_noma_strong, sinr_noma_weak
 from nomabeam.power_allocation import opa
 from nomabeam.sim_harness import (
@@ -325,21 +324,16 @@ class TestSharedBeams:
         return drop_paths([[(a, d)] for a, d in zip(amplitudes, self.DIRS)])
 
     def outcome(self, scheme, paths):
-        """The drop's channel rows and the scheme's outcome on the pairing, in a block of one drop.
+        """The drop's channel rows and the scheme's outcome, in a block of one drop.
 
         The outcome is the drop's SINRs in beam order, each user's band, and
         its shared-beam and deactivated counts.
         """
-        sinr, band, shared, deactivated = _block_outcomes(self.CONFIG, paths, [self.pairs(paths)])[scheme]
         k_users = len(paths.starts)
+        sinr, band, shared, deactivated = _block_outcomes(self.CONFIG, paths, k_users)[scheme]
+        band = np.broadcast_to(band, sinr.shape)
         assert sinr.shape == band.shape == (1, k_users) and shared.shape == deactivated.shape == (1,)
         return channel_matrix(self.CONFIG.array_config, paths), (sinr[0], band[0], shared[0], deactivated[0])
-
-    def pairs(self, paths):
-        theta, phi = paths.theta[paths.starts], paths.phi[paths.starts]
-        (pairs,) = greedy_pairs(eligible_pairs(self.CONFIG.array_config, theta[None], phi[None], self.CONFIG.beta0), 1)
-        assert pairs.tolist() == [[0, 1]]
-        return pairs
 
     def expected_zeta(self, h_rows):
         """``(weights, beam_powers)`` of a shared beam at the pair's mean direction and, with a third user, its
@@ -435,10 +429,9 @@ class TestUnitGainPaths:
                 theta[t, u] = theta[t, source] + rng.choice([0.0, 1e-3, 0.02])
                 phi[t, u] = phi[t, source]
         paths = drop_paths([[(1.0, Direction(*d))] for d in zip(theta.ravel().tolist(), phi.ravel().tolist())])
-        pairings = greedy_pairs(eligible_pairs(config.array_config, theta, phi, beta0), n_drops)
-        assert any(len(pairs) for pairs in pairings)
-        outcomes = _block_outcomes(config, paths, pairings)
+        outcomes = _block_outcomes(config, paths, k_users)
         full, partial = (_columns(config, outcomes[s]) for s in (SchemeId.NOMA_DBS_FCSI, SchemeId.NOMA_DBS_PCSI))
+        assert full.noma_clusters.any()
         assert partial.sum_rate_bps.tolist() == pytest.approx(full.sum_rate_bps.tolist(), rel=1e-12)
         assert partial.deactivated_users.tolist() == full.deactivated_users.tolist()
 
