@@ -28,22 +28,33 @@ __all__ = [
 
 
 def link_states(
-    h_rows: np.ndarray,
-    weights: np.ndarray,
+    gains: np.ndarray,
     beam_powers: np.ndarray,
     own_beams: np.ndarray,
     noise_w: float,
+    beam_counts: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Arrays psi, nu and zeta = psi / nu of every channel row, row k served by beam ``own_beams[k]``.
+    """Arrays psi, nu and zeta = psi / nu of every channel row, row k served by beam ``own_beams[..., k]``.
 
-    ``weights`` holds beam c's weight vector w_c as column c of an M x C
-    matrix, and ``beam_powers[c]`` is its eta * p_c.  All of the arrays come
-    from one K x C matrix of weighted beam gains ``eta * p_c * |h_k w_c|^2``;
-    T x K x M rows with T x M x C weights give T x K arrays.
+    ``gains[..., k, c]`` is the beam gain h_k w_c of row k through beam c, and
+    ``beam_powers`` broadcasts each beam's eta * p_c against it (a C-vector,
+    a scalar for equal beams, T x 1 x C for T drops).  All of the arrays come
+    from the weighted beam gains ``eta * p_c * |h_k w_c|^2``.  Drop t of a
+    block may pad its gains and powers past its ``beam_counts[t]`` beams: its
+    row sums run at that count, so that its entries have the bits it gives alone.
     """
-    weighted = beam_powers * np.abs(h_rows @ weights) ** 2
-    psi = weighted[..., np.arange(weighted.shape[-2]), own_beams]
-    nu = np.sum(weighted, axis=-1) - psi + noise_w
+    weighted = np.abs(gains)
+    del gains  # a product passed as a temporary goes before the weighing allocates
+    np.square(weighted, out=weighted)
+    weighted *= beam_powers
+    psi = np.take_along_axis(weighted, np.broadcast_to(own_beams, weighted.shape[:-1])[..., None], -1)[..., 0]
+    if beam_counts is None:
+        sums = np.sum(weighted, axis=-1)
+    else:
+        sums = np.empty_like(psi)
+        for drop, count, out in zip(weighted, beam_counts.tolist(), sums):
+            np.add.reduce(drop[:, :count], axis=-1, out=out)
+    nu = sums - psi + noise_w
     return psi, nu, psi / nu
 
 

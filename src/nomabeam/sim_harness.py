@@ -392,7 +392,10 @@ def _steered_links(
     selection order, then its unpaired users' beams.  Its row of
     shared-plan ratios is in beam order, and so is its row of the ratios
     partial CSI splits on: the paired users' estimates, then the unpaired
-    users' ratios.  A drop with no pair keeps its dbs row in both.
+    users' ratios.  A drop with no pair keeps its dbs row in both.  The pair
+    beams, powers, strong/weak order and lone-beam fallback are worked out
+    once for the block; per paired drop, only its weights, its two matrix
+    products and its row sums run, at its own shape.
     """
     cfg = config.array_config
     n_drops, k_users = theta.shape
@@ -400,53 +403,75 @@ def _steered_links(
         steering_matrix(cfg, theta.ravel(), phi.ravel()).reshape(n_drops, k_users, cfg.num_elements).transpose(0, 2, 1)
     )
     h_rows = channel_rows(cfg, paths, los)
-    powers = build_plan(np.ones(k_users, dtype=int), cfg.num_elements, config.total_power_w, config.inter_cluster_rule)
-    dbs_zeta = link_states(h_rows, los, powers, np.arange(k_users), config.noise_w)[2]
+    # One beam per user: every beam takes the same power.
+    power = build_plan(np.ones(k_users, int), cfg.num_elements, config.total_power_w, config.inter_cluster_rule)[0]
+    dbs_zeta = link_states(h_rows @ los, power, np.arange(k_users), config.noise_w)[2]
 
+    # The paired drops, their pairs in one array and each pair's drop ``of``
+    # them.  Pair j is beam j, and the unpaired users take the next beams.
+    n_pairs = np.array([len(pairs) for pairs in pairings])
+    drops = np.flatnonzero(n_pairs)
+    n_pairs, n_beams = n_pairs[drops], k_users - n_pairs[drops]
+    first_pair, first_single = np.cumsum(n_pairs) - n_pairs, np.cumsum(n_beams - n_pairs) - (n_beams - n_pairs)
+    pairs = np.concatenate(pairings)
+    of = np.repeat(np.arange(len(drops)), n_pairs)
+    own_beams = np.full((len(drops), k_users), -1)
+    own_beams[of[:, None], pairs] = (np.arange(len(pairs)) - first_pair[of])[:, None]
+    single = own_beams < 0
+    own_beams[single] = (np.cumsum(single, axis=1) + n_pairs[:, None] - 1)[single]
     # The unpaired users' LOS vectors are their private beams, and partial CSI
     # sees each paired user as its conjugated LOS vector.  Both leave the LOS
     # block before it goes, and before any shared weights are allocated.
-    kept = []
-    for t, pairs in enumerate(pairings):
-        if len(pairs):
-            own_beams = np.full(k_users, -1)
-            own_beams[pairs] = np.arange(len(pairs))[:, None]
-            singles = np.flatnonzero(own_beams < 0)
-            own_beams[singles] = np.arange(len(pairs), k_users - len(pairs))
-            pair_rows = los[t].T[pairs.ravel()]
-            np.conj(pair_rows, out=pair_rows)
-            kept.append((t, pairs, own_beams, singles, los[t][:, singles], pair_rows))
+    single_of, single_user = np.nonzero(single)
+    private = los[drops[single_of], :, single_user]
+    pair_rows = los[drops[of][:, None], :, pairs]
+    np.conj(pair_rows, out=pair_rows)
     del los
-    shared, estimated = dbs_zeta.copy(), dbs_zeta.copy()
-    while kept:
-        t, pairs, own_beams, singles, private, pair_rows = kept.pop(0)
-        n_pairs = len(pairs)
-        weights = np.empty((cfg.num_elements, k_users - n_pairs), dtype=complex)
-        first, second = pairs[:, 0], pairs[:, 1]
-        weights[:, :n_pairs] = steering_matrix(
-            cfg, (theta[t, first] + theta[t, second]) / 2, (phi[t, first] + phi[t, second]) / 2
-        ).T
-        weights[:, n_pairs:] = private
-        del private
-        powers = build_plan(np.bincount(own_beams), cfg.num_elements, config.total_power_w, config.inter_cluster_rule)
-        psi, _, zeta = link_states(h_rows[t], weights, powers, own_beams, config.noise_w)
-        # Strong user first: the larger received power through the shared beam.
-        swap = psi[second] > psi[first]
-        pairs = np.where(swap[:, None], pairs[:, ::-1], pairs)
-        shared[t] = estimated[t] = zeta[np.concatenate((pairs.ravel(), singles))]
-        # Partial CSI splits on ratios estimated from the LOS rows alone, each
-        # the channel row of a unit-gain single path: the same link ratio with
-        # no path gains and, in the high-SNR form, no noise, so the other
-        # beams' leakage alone is the denominator.  Only where nothing leaks
-        # in (a lone beam, or the other beams at exact pattern nulls) is the
-        # noise power the denominator.
-        by_pair = pair_rows.reshape(n_pairs, 2, -1)
-        by_pair[swap] = by_pair[swap, ::-1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            psi, nu, zeta = link_states(pair_rows, weights, powers, np.repeat(np.arange(n_pairs), 2), 0.0)
-        estimated[t, : 2 * n_pairs] = np.where(nu == 0.0, psi / config.noise_w, zeta)
-        del weights, pair_rows, by_pair
+    # Every pair's beam, at the pair's mean LOS angles, in one call.
+    beams = steering_matrix(cfg, *((a[drops[of], pairs[:, 0]] + a[drops[of], pairs[:, 1]]) / 2 for a in (theta, phi)))
+    weights = []
+    for f, s, p, c in zip(first_pair.tolist(), first_single.tolist(), n_pairs.tolist(), n_beams.tolist()):
+        weights.append(np.empty((cfg.num_elements, c), dtype=complex))
+        weights[-1][:, :p] = beams[f : f + p].T
+        weights[-1][:, p:] = private[s : s + c - p].T
+    del beams, private
+    beam = np.arange(n_beams.max(initial=0))
+    sizes = np.where(beam < n_pairs[:, None], 2, beam < n_beams[:, None])
+    powers = build_plan(sizes, cfg.num_elements, config.total_power_w, config.inter_cluster_rule)[:, None, :]
+    gains = _beam_gains([h_rows[t] for t in drops.tolist()], weights, (k_users, len(beam)))
+    psi, _, zeta = link_states(gains, powers, own_beams, config.noise_w, n_beams)
+    del gains
+    # Strong user first: the larger received power through the shared beam.
+    swap = psi[of, pairs[:, 1]] > psi[of, pairs[:, 0]]
+    pairs[swap], pair_rows[swap] = pairs[swap, ::-1], pair_rows[swap, ::-1]
+    place = np.where(single, own_beams + n_pairs[:, None], 2 * own_beams)
+    place[of, pairs[:, 1]] += 1
+    shared = dbs_zeta.copy()
+    shared[drops[:, None], place] = zeta
+    # Partial CSI splits on ratios estimated from the LOS rows alone, each
+    # the channel row of a unit-gain single path: the same link ratio with
+    # no path gains and, in the high-SNR form, no noise, so the other
+    # beams' leakage alone is the denominator.  Only where nothing leaks
+    # in (a lone beam, or the other beams at exact pattern nulls) is the
+    # noise power the denominator.
+    n_rows = 2 * n_pairs.max(initial=0)
+    pair_rows = [pair_rows[f : f + p].reshape(2 * p, -1) for f, p in zip(first_pair.tolist(), n_pairs.tolist())]
+    gains = _beam_gains(pair_rows, weights, (n_rows, len(beam)))
+    del weights, pair_rows
+    with np.errstate(divide="ignore", invalid="ignore"):
+        psi, nu, zeta = link_states(gains, powers, np.arange(n_rows) // 2, 0.0, n_beams)
+    estimated = shared.copy()
+    of, row = np.nonzero(np.arange(n_rows) < 2 * n_pairs[:, None])
+    estimated[drops[of], row] = np.where(nu == 0.0, psi / config.noise_w, zeta)[of, row]
     return h_rows, dbs_zeta, shared, estimated
+
+
+def _beam_gains(rows: list[np.ndarray], weights: list[np.ndarray], shape: tuple[int, int]) -> np.ndarray:
+    """Drop t's rows times its M x C weights, at their own shape, in the front of entry t of a zero T x R x C block."""
+    gains = np.zeros((len(weights), *shape), dtype=complex)
+    for drop_rows, drop_weights, out in zip(rows, weights, gains):
+        np.matmul(drop_rows, drop_weights, out=out[: len(drop_rows), : drop_weights.shape[1]])
+    return gains
 
 
 def evaluate_trial(config: ScenarioConfig, k_users: int, trial_index: int) -> dict[SchemeId, Columns]:

@@ -61,7 +61,7 @@ class TestConjugateBf:
         noise, power, bandwidth = 8.1e-14, 1.0, 20e6
         cb = rate(conjugate_bf_sinr(h_rows, power, noise), bandwidth).tolist()
         weights, powers = plan_toward(CFG, [d.theta for d in dirs], [d.phi for d in dirs], np.ones(k, dtype=int), power)
-        _, _, zeta = link_states(h_rows, weights, powers, np.arange(k), noise)
+        _, _, zeta = link_states(h_rows @ weights, powers, np.arange(k), noise)
         steered = [rate(z, bandwidth) for z in zeta.tolist()]
         assert cb == pytest.approx(steered, rel=1e-9)
 

@@ -36,6 +36,32 @@ class TestBuildPlan:
         assert emitted_powers(*plan) == pytest.approx((1.0 / 3,) * 3)
 
 
+class TestBlockOfDrops:
+    @given(
+        st.integers(1, 40),
+        st.data(),
+        st.integers(1, 4096),
+        st.floats(1e-20, 1e20),
+        st.sampled_from(["proportional", "uniform"]),
+    )
+    def test_each_drop_keeps_the_bits_it_gives_alone(self, k_users, data, m_elements, total_power, rule):
+        # A block's rows are its drops' beam sizes, the drops with fewer beams
+        # padded with zero-user beams; each drop's pairs are on its first beams.
+        n_pairs = data.draw(st.lists(st.integers(0, k_users // 2), min_size=1, max_size=8))
+        own_beams = [
+            np.array(data.draw(st.permutations(np.repeat(np.arange(k_users - p), [2] * p + [1] * (k_users - 2 * p)))))
+            for p in n_pairs
+        ]
+        sizes = np.zeros((len(n_pairs), k_users), dtype=int)
+        for row, own in zip(sizes, own_beams):
+            row[: own.max() + 1] = np.bincount(own)
+        block = build_plan(sizes, m_elements, total_power, rule)
+        for powers, own in zip(block, own_beams):
+            alone = build_plan(np.bincount(own), m_elements, total_power, rule)
+            assert np.array_equal(powers[: len(alone)], alone)
+            assert not powers[len(alone) :].any()
+
+
 class TestPowerConservation:
     @given(
         st.lists(st.sampled_from([1, 2]), min_size=1, max_size=12),

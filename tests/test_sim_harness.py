@@ -346,7 +346,7 @@ class TestSharedBeams:
             [2] + [1] * len(singles),
             self.CONFIG.total_power_w,
         )
-        zeta = link_states(h_rows, weights, powers, [0, 0, 1][: len(h_rows)], self.CONFIG.noise_w)[2]
+        zeta = link_states(h_rows @ weights, powers, [0, 0, 1][: len(h_rows)], self.CONFIG.noise_w)[2]
         return (weights, powers), zeta.tolist()
 
     @pytest.mark.parametrize(
@@ -373,7 +373,7 @@ class TestSharedBeams:
             # leaks into theirs: then the noise is the whole denominator.
             noise = self.CONFIG.noise_w if len(powers) == 1 else 0.0
             los = np.conj(steering_matrix(self.CONFIG.array_config, paths.theta[[1, 0]], paths.phi[[1, 0]]))
-            split_on = link_states(los, weights, powers, [0, 0], noise)[2].tolist()
+            split_on = link_states(los @ weights, powers, [0, 0], noise)[2].tolist()
         else:
             split_on = [z_strong, z_weak]
         gamma1 = float(opa(*split_on, self.CONFIG.p_min, self.CONFIG.epsilon)[0])
@@ -575,13 +575,14 @@ class TestTrialBlocks:
             assert np.isfinite(columns.sum_rate_bps).all() and (columns.sum_rate_bps >= 0).all()
             assert np.isfinite(columns.energy_eff).all() and (columns.energy_eff >= 0).all()
 
+    @pytest.mark.parametrize("rule", ["proportional", "uniform"])
     @pytest.mark.parametrize("beta0", [0.5, 0.05])
     @pytest.mark.parametrize("block_bytes", [1, 2**30])
-    def test_block_size_does_not_change_the_csv(self, tmp_path, monkeypatch, beta0, block_bytes):
+    def test_block_size_does_not_change_the_csv(self, tmp_path, monkeypatch, beta0, block_bytes, rule):
         # one drop per block, and one block per user count, give the columns,
         # bit for bit, and the CSV bytes of the default blocks, on drops that
-        # pair (K = 2 to 55, beta0 0.5 and 0.05)
-        config = ScenarioConfig(user_counts=(2, 15, 55), trials=12, beta0=beta0)
+        # pair (K = 2 to 55, beta0 0.5 and 0.05), under either inter-beam split
+        config = ScenarioConfig(user_counts=(2, 15, 55), trials=12, beta0=beta0, inter_cluster_rule=rule)
         default, changed = tmp_path / "default.csv", tmp_path / "changed.csv"
         expected = run_sweep(config)
         write_csv(expected, str(default))
@@ -591,6 +592,29 @@ class TestTrialBlocks:
         assert changed.read_bytes() == default.read_bytes()
         assert list(results) == list(expected)
         assert all(same_columns(columns, expected[key]) for key, columns in results.items())
+
+    def test_steering_and_link_state_calls_do_not_grow_with_the_paired_drops(self, monkeypatch):
+        # A block steers and weighs its paired drops together: a block of 30
+        # drops, each with a shared beam, makes the calls that 3 such drops make.
+        calls = {}
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            return call
+
+        for name in ("steering_matrix", "link_states"):
+            monkeypatch.setattr(sim_harness, name, counted(name, getattr(sim_harness, name)))
+        config = ScenarioConfig(user_counts=(15,), beta0=0.05)
+        per_block = []
+        for n_drops in (3, 30):
+            calls.clear()
+            outcomes = _block_outcomes(config, _drop_users(config, 15, range(n_drops)), 15)
+            assert (outcomes[SchemeId.NOMA_DBS_FCSI][2] > 0).all()
+            per_block.append(dict(calls))
+        assert per_block[0] == per_block[1]
 
     def test_a_block_holds_at_most_two_generators(self, monkeypatch):
         # Generators take no weak references; a subclass on the same bit
