@@ -9,7 +9,9 @@ the direction cosines
 and every pattern quantity in this module is a function of those cosines only.
 The normalized pattern of a steered beam evaluated at another direction is the
 interference metric ``beta``: the magnitude of the conjugate inner product of
-the two steering vectors divided by the element count.
+the two steering vectors divided by the element count.  One closed form,
+``pattern``, gives it to the pairing (``eligible_pairs``), to partial CSI's
+estimates and to the ``nomabeam pattern`` cuts.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ __all__ = [
     "ArrayConfig",
     "steering_matrix",
     "eligible_pairs",
-    "pattern_cut",
+    "pattern",
 ]
 
 # Below this, |sin(pi * d/lambda * delta)| is treated as a removable
@@ -88,14 +90,19 @@ def _sin_ratio(m: int, x: np.ndarray) -> np.ndarray:
     return np.where(singular, 1.0, np.sin(m * x) / (m * np.where(singular, 1.0, s)))
 
 
-def _pattern(cfg: ArrayConfig, x_az: np.ndarray, x_el: np.ndarray) -> np.ndarray:
-    """beta from the per-axis phase gaps x = pi * d/lambda * (u_k - u_u) of two directions.
+def pattern(cfg: ArrayConfig, beam_theta, beam_phi, theta, phi) -> np.ndarray:
+    """beta of a beam steered at (``beam_theta``, ``beam_phi``) probed at (``theta``, ``phi``).
 
-    Each value is (1/M) |a_k^H a_u| evaluated through the closed-form product
-    of per-axis sin ratios, in [0, 1] and exactly symmetric in the two
-    directions; read as the pattern of a beam steered at u probed at k.
+    Each value is (1/M) |a_k^H a_u| of the probe k and the beam u, evaluated
+    through the closed-form product of per-axis sin ratios of the phase gaps
+    x = pi * d/lambda * (u_k - u_u), in [0, 1].  Elementwise over angle
+    arrays that broadcast against each other; beam and probe may swap
+    places, and the value is the same.
     """
-    return np.abs(_sin_ratio(cfg.m_h, x_az) * _sin_ratio(cfg.m_v, x_el))
+    u_az, u_el = _direction_cosines(theta, phi)
+    beam_az, beam_el = _direction_cosines(beam_theta, beam_phi)
+    c = math.pi * cfg.d_over_lambda
+    return np.abs(_sin_ratio(cfg.m_h, c * (u_az - beam_az)) * _sin_ratio(cfg.m_v, c * (u_el - beam_el)))
 
 
 def eligible_pairs(
@@ -111,31 +118,11 @@ def eligible_pairs(
     evaluated.  The pattern is elementwise, so a drop's betas have the bits
     they have alone.
     """
-    u_az, u_el = _direction_cosines(theta, phi)
+    u_az, _ = _direction_cosines(theta, phi)
     k_idx, u_idx = np.triu_indices(theta.shape[1], 1)
-    c = math.pi * cfg.d_over_lambda
-    x_az = c * (u_az[:, k_idx] - u_az[:, u_idx])
+    x_az = math.pi * cfg.d_over_lambda * (u_az[:, k_idx] - u_az[:, u_idx])
     t, p = np.nonzero(cfg.m_h * beta0 * np.abs(np.sin(x_az)) <= 1.0 + _RATIO_SLACK)
     k, u = k_idx[p], u_idx[p]
-    beta = _pattern(cfg, x_az[t, p], c * (u_el[t, k] - u_el[t, u]))
+    beta = pattern(cfg, theta[t, u], phi[t, u], theta[t, k], phi[t, k])
     keep = beta >= beta0
     return t[keep], k[keep], u[keep], beta[keep]
-
-
-def pattern_cut(
-    cfg: ArrayConfig, beam_theta: float, beam_phi: float, axis: str, offsets: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Probe angles and pattern of a beam steered at (``beam_theta``, ``beam_phi``) along one axis.
-
-    ``axis="az"`` offsets the azimuth and any other axis (``"el"``) the
-    elevation by each of ``offsets``, the other angle held at the beam's.
-    Returns the probes' theta and phi and the pattern there.
-    """
-    if axis == "az":
-        theta, phi = beam_theta + offsets, np.full_like(offsets, beam_phi)
-    else:
-        theta, phi = np.full_like(offsets, beam_theta), beam_phi + offsets
-    u_az, u_el = _direction_cosines(theta, phi)
-    beam_az, beam_el = _direction_cosines(beam_theta, beam_phi)
-    c = math.pi * cfg.d_over_lambda
-    return theta, phi, _pattern(cfg, c * (u_az - beam_az), c * (u_el - beam_el))

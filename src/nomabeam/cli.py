@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .array_geometry import pattern_cut
+from .array_geometry import pattern
 from .sim_harness import ConfigError, format_aggregates, load_scenario, run_sweep, write_csv
 
 PATTERN_STEP_RAD = 1e-3
@@ -50,9 +50,11 @@ def _cmd_pattern(args: argparse.Namespace) -> int:
     config = load_scenario(args.config)
     beam_theta, beam_phi = _parse_beam(args.beam)
     offsets = np.arange(-math.pi / 2, math.pi / 2 + PATTERN_STEP_RAD, PATTERN_STEP_RAD)
+    held = np.full_like(offsets, beam_theta), np.full_like(offsets, beam_phi)
+    probes = {"az": (beam_theta + offsets, held[1]), "el": (held[0], beam_phi + offsets)}
     lines = ["axis,offset_rad,theta_rad,phi_rad,array_factor"]
-    for axis in ("az", "el"):
-        theta, phi, values = pattern_cut(config.array_config, beam_theta, beam_phi, axis, offsets)
+    for axis, (theta, phi) in probes.items():
+        values = pattern(config.array_config, beam_theta, beam_phi, theta, phi)
         # elevation probes stay physical
         keep = (-math.pi / 2 <= phi) & (phi <= math.pi / 2) if axis == "el" else slice(None)
         rows = zip(offsets[keep].tolist(), theta[keep].tolist(), phi[keep].tolist(), values[keep].tolist())

@@ -4,9 +4,10 @@ For a user on beam c, with weight vector w_c and power eta * p_c from
 ``beamforming.build_plan``, the received superimposed-signal power is
 ``psi = eta * p_c * |h w_c|^2`` and the other-beam interference plus noise
 is ``nu``; their ratio ``zeta`` is the single scalar that drives every rate
-formula here.  :func:`link_states` alone weighs beam gains: for the steered
-schemes' channel rows, for conjugate beamforming, and for the LOS rows from
-which partial CSI estimates its ratios with no noise.  A private
+formula here.  :func:`link_states` alone weighs beam gains: the channel rows
+through the steered schemes' beams and through conjugate beamforming's, and
+the pattern gains M * beta from which partial CSI estimates its ratios with
+no noise.  A private
 (single-user) beam achieves SINR = zeta directly; on a shared beam the
 power-split coefficient ``gamma1`` of the strong user scales the two users'
 SINRs in opposite directions.  The SINR and rate formulas take scalars or

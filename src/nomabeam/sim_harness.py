@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
-from .array_geometry import ArrayConfig, eligible_pairs, steering_matrix
+from .array_geometry import ArrayConfig, eligible_pairs, pattern, steering_matrix
 from .baselines import SchemeId, conjugate_bf_sinr, energy_efficiency
 from .beamforming import build_plan
 from .channel import DropPaths, channel_rows, draw_paths
@@ -392,10 +392,12 @@ def _steered_links(
     selection order, then its unpaired users' beams.  Its row of
     shared-plan ratios is in beam order, and so is its row of the ratios
     partial CSI splits on: the paired users' estimates, then the unpaired
-    users' ratios.  A drop with no pair keeps its dbs row in both.  The pair
-    beams, powers, strong/weak order and lone-beam fallback are worked out
-    once for the block; per paired drop, only its weights, its two matrix
-    products and its row sums run, at its own shape.
+    users' ratios.  A drop with no pair keeps its dbs row in both.  The
+    estimates come from the directions alone, through ``pattern``, the
+    closed form the pairing uses.  The beam directions, pair beams, powers,
+    strong/weak order, estimates and lone-beam fallback are worked out once
+    for the block; per paired drop, only its weights, its matrix product
+    and its row sums run, at its own shape.
     """
     cfg = config.array_config
     n_drops, k_users = theta.shape
@@ -419,49 +421,54 @@ def _steered_links(
     own_beams[of[:, None], pairs] = (np.arange(len(pairs)) - first_pair[of])[:, None]
     single = own_beams < 0
     own_beams[single] = (np.cumsum(single, axis=1) + n_pairs[:, None] - 1)[single]
-    # The unpaired users' LOS vectors are their private beams, and partial CSI
-    # sees each paired user as its conjugated LOS vector.  Both leave the LOS
-    # block before it goes, and before any shared weights are allocated.
+    # The unpaired users' LOS vectors are their private beams; they leave the
+    # LOS block before it goes, and before any shared weights are allocated.
     single_of, single_user = np.nonzero(single)
     private = los[drops[single_of], :, single_user]
-    pair_rows = los[drops[of][:, None], :, pairs]
-    np.conj(pair_rows, out=pair_rows)
     del los
-    # Every pair's beam, at the pair's mean LOS angles, in one call.
-    beams = steering_matrix(cfg, *((a[drops[of], pairs[:, 0]] + a[drops[of], pairs[:, 1]]) / 2 for a in (theta, phi)))
+    beam = np.arange(n_beams.max(initial=0))
+    sizes = np.where(beam < n_pairs[:, None], 2, beam < n_beams[:, None])
+    # Each paired drop's beam directions: its pairs' mean LOS angles, then its
+    # unpaired users' LOS angles.
+    directions = np.zeros((2, *sizes.shape))
+    for table, a in zip(directions, (theta, phi)):
+        table[sizes == 2] = (a[drops[of], pairs[:, 0]] + a[drops[of], pairs[:, 1]]) / 2
+        table[sizes == 1] = a[drops][single]
+    beams = steering_matrix(cfg, *(table[sizes == 2] for table in directions))
     weights = []
     for f, s, p, c in zip(first_pair.tolist(), first_single.tolist(), n_pairs.tolist(), n_beams.tolist()):
         weights.append(np.empty((cfg.num_elements, c), dtype=complex))
         weights[-1][:, :p] = beams[f : f + p].T
         weights[-1][:, p:] = private[s : s + c - p].T
     del beams, private
-    beam = np.arange(n_beams.max(initial=0))
-    sizes = np.where(beam < n_pairs[:, None], 2, beam < n_beams[:, None])
     powers = build_plan(sizes, cfg.num_elements, config.total_power_w, config.inter_cluster_rule)[:, None, :]
     gains = _beam_gains([h_rows[t] for t in drops.tolist()], weights, (k_users, len(beam)))
+    del weights
     psi, _, zeta = link_states(gains, powers, own_beams, config.noise_w, n_beams)
     del gains
     # Strong user first: the larger received power through the shared beam.
     swap = psi[of, pairs[:, 1]] > psi[of, pairs[:, 0]]
-    pairs[swap], pair_rows[swap] = pairs[swap, ::-1], pair_rows[swap, ::-1]
+    pairs[swap] = pairs[swap, ::-1]
     place = np.where(single, own_beams + n_pairs[:, None], 2 * own_beams)
     place[of, pairs[:, 1]] += 1
     shared = dbs_zeta.copy()
     shared[drops[:, None], place] = zeta
-    # Partial CSI splits on ratios estimated from the LOS rows alone, each
-    # the channel row of a unit-gain single path: the same link ratio with
-    # no path gains and, in the high-SNR form, no noise, so the other
-    # beams' leakage alone is the denominator.  Only where nothing leaks
-    # in (a lone beam, or the other beams at exact pattern nulls) is the
-    # noise power the denominator.
-    n_rows = 2 * n_pairs.max(initial=0)
-    pair_rows = [pair_rows[f : f + p].reshape(2 * p, -1) for f, p in zip(first_pair.tolist(), n_pairs.tolist())]
-    gains = _beam_gains(pair_rows, weights, (n_rows, len(beam)))
-    del weights, pair_rows
+    # Partial CSI splits on ratios estimated from the LOS directions alone:
+    # a paired user's gain through beam c is M times the pattern of beam c at
+    # the user, that of a unit-gain single path, weighed with no noise in the
+    # high-SNR form, so the other beams' leakage alone is the denominator.
+    # Only where nothing leaks in (a lone beam, or leakage lost in the
+    # rounding of the sum) is the noise power the denominator.  Row 2j + i
+    # of a drop is user pairs[j, i], strong then weak.
+    rows = np.arange(2 * n_pairs.max(initial=0)) < 2 * n_pairs[:, None]
+    users = np.zeros((2, *rows.shape))
+    for table, a in zip(users, (theta, phi)):
+        table[rows] = a[drops[of][:, None], pairs].ravel()
+    gains = cfg.num_elements * pattern(cfg, *directions[:, :, None, :], *users[..., None])
     with np.errstate(divide="ignore", invalid="ignore"):
-        psi, nu, zeta = link_states(gains, powers, np.arange(n_rows) // 2, 0.0, n_beams)
+        psi, nu, zeta = link_states(gains, powers, np.arange(rows.shape[1]) // 2, 0.0, n_beams)
     estimated = shared.copy()
-    of, row = np.nonzero(np.arange(n_rows) < 2 * n_pairs[:, None])
+    of, row = np.nonzero(rows)
     estimated[drops[of], row] = np.where(nu == 0.0, psi / config.noise_w, zeta)[of, row]
     return h_rows, dbs_zeta, shared, estimated
 

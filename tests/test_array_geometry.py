@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nomabeam.array_geometry import _RATIO_SLACK, ArrayConfig, _sin_ratio, eligible_pairs, pattern_cut, steering_matrix
+from nomabeam.array_geometry import _RATIO_SLACK, ArrayConfig, _sin_ratio, eligible_pairs, pattern, steering_matrix
 
 from drops import Direction, angle_blocks, angles, pair_beta
 from oracles import beta_phasor_sum, random_direction, steering_phasors
@@ -181,24 +181,44 @@ class TestPairPass:
 
 
 class TestArrayFactor:
-    """The pattern of a steered beam along one axis, as ``pattern_cut`` gives it."""
+    """The pattern of a steered beam at a probe direction, as ``pattern`` gives it."""
 
     def test_probe_at_beam_is_one(self):
         cfg = ArrayConfig(16, 2, 0.5)
         beam = Direction(1.0, -0.2)
-        for axis in ("az", "el"):
-            theta, phi, values = pattern_cut(cfg, *beam, axis, np.zeros(1))
+        offsets = np.zeros(1)
+        held = np.full_like(offsets, beam.theta), np.full_like(offsets, beam.phi)
+        # the azimuth and the elevation cut, each at offset 0
+        for theta, phi in ((beam.theta + offsets, held[1]), (held[0], beam.phi + offsets)):
             assert (theta[0], phi[0]) == (beam.theta, beam.phi)
-            assert values[0] == pytest.approx(1.0, abs=1e-12)
+            assert pattern(cfg, *beam, theta, phi)[0] == pytest.approx(1.0, abs=1e-12)
 
     @given(configs, directions, st.floats(-math.pi / 2, math.pi / 2), st.sampled_from(["az", "el"]))
     def test_equals_swapped_beta(self, cfg, beam, offset, axis):
-        theta, phi, values = pattern_cut(cfg, *beam, axis, np.array([offset]))
-        probe = Direction(float(theta[0]), float(phi[0]))
-        assert values[0] == pair_beta(cfg, probe, beam)
+        moved = Direction(beam.theta + offset, beam.phi) if axis == "az" else Direction(beam.theta, beam.phi + offset)
+        values = pattern(cfg, *beam, *angles([moved]))
+        assert values[0] == pair_beta(cfg, moved, beam)
 
     def test_monotone_decrease_inside_main_lobe(self):
         cfg = ArrayConfig(32, 2, 0.5)
-        _, _, values = pattern_cut(cfg, *BROADSIDE, "az", np.linspace(0.0, 0.06, 300))
+        offsets = np.linspace(0.0, 0.06, 300)
+        values = pattern(cfg, *BROADSIDE, BROADSIDE.theta + offsets, np.full_like(offsets, BROADSIDE.phi))
         assert np.all(np.diff(values) <= 1e-12)
         assert values[-1] < 0.5 < values[0]
+
+    @given(configs, st.integers(1, 3), st.integers(1, 4), st.integers(1, 4), st.data())
+    def test_broadcast_entries_have_their_bits_alone_and_swap(self, cfg, n_drops, n_rows, n_beams, data):
+        # T x 1 x C beams probed at T x R x 1 directions, as partial CSI probes
+        # each drop's beams at its paired users
+        def block(shape):
+            picked = data.draw(st.lists(directions, min_size=math.prod(shape), max_size=math.prod(shape)))
+            return (np.reshape(a, shape) for a in angles(picked))
+
+        beam_theta, beam_phi = block((n_drops, 1, n_beams))
+        theta, phi = block((n_drops, n_rows, 1))
+        values = pattern(cfg, beam_theta, beam_phi, theta, phi)
+        assert values.shape == (n_drops, n_rows, n_beams)
+        for t, r, c in np.ndindex(values.shape):
+            alone = pattern(cfg, beam_theta[t, :, c], beam_phi[t, :, c], theta[t, r], phi[t, r])
+            assert alone.tobytes() == values[t, r, c : c + 1].tobytes()
+        assert pattern(cfg, theta, phi, beam_theta, beam_phi).tobytes() == values.tobytes()

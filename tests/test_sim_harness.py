@@ -33,7 +33,7 @@ from nomabeam.sim_harness import (
 )
 
 from drops import Direction, channel_matrix, drop_paths, pair_beta, plan_toward, user_paths
-from oracles import sinr_dbs_monopath_closed
+from oracles import beta_phasor_sum, sinr_dbs_monopath_closed
 
 SMALL = ScenarioConfig(
     user_counts=(4,),
@@ -436,6 +436,53 @@ class TestUnitGainPaths:
         assert partial.deactivated_users.tolist() == full.deactivated_users.tolist()
 
 
+class TestDirectionEstimate:
+    """Partial CSI's estimates, against the phasor-sum betas of each paired
+    user and each beam of its drop, on hand-built drops paired by the test."""
+
+    ARRAYS = {"16x2": (16, 2, 0.5), "8x1": (8, 1, 0.5), "4x2 at 1.5 wavelengths": (4, 2, 1.5)}
+
+    @pytest.mark.parametrize("rule", ["proportional", "uniform"])
+    @pytest.mark.parametrize("array", sorted(ARRAYS))
+    @pytest.mark.parametrize("k_users", range(2, 8))
+    def test_each_paired_user_splits_on_its_beams_betas(self, rng, k_users, array, rule):
+        # p_own beta_own^2 / sum over the other beams of p_c beta_c^2, with p_c
+        # 2:1 for a pair beam to a private one under the proportional rule and
+        # equal under the uniform one; a lone beam's is p M^2 beta^2 / noise.
+        m_h, m_v, spacing = self.ARRAYS[array]
+        config = ScenarioConfig(m_h=m_h, m_v=m_v, d_over_lambda=spacing, user_counts=(k_users,), inter_cluster_rule=rule)
+        cfg = config.array_config
+        # A drop with no pair, then one with each pair count from 1 to K // 2;
+        # a pair's second user sits next to its first.
+        pairings = [np.empty((0, 2), int)]
+        pairings += [rng.permutation(k_users)[: 2 * n].reshape(n, 2) for n in range(1, k_users // 2 + 1)]
+        theta = rng.uniform(0.3, 2.8, size=(len(pairings), k_users))
+        phi = rng.uniform(-0.5, 0.0, size=(len(pairings), k_users))
+        for t, pairs in enumerate(pairings):
+            theta[t, pairs[:, 1]] = theta[t, pairs[:, 0]] + rng.uniform(0.01, 0.05, size=len(pairs))
+        dirs = [[Direction(*d) for d in zip(*drop)] for drop in zip(theta.tolist(), phi.tolist())]
+        amplitudes = rng.uniform(1e-6, 1e-5, size=theta.shape)
+        paths = drop_paths([[(a, d)] for a, d in zip(amplitudes.ravel().tolist(), itertools.chain(*dirs))])
+        estimated = sim_harness._steered_links(config, paths, theta, phi, pairings)[3]
+        for t, pairs in enumerate(pairings[1:], start=1):
+            singles = [u for u in range(k_users) if u not in pairs]
+            beams = [Direction(*np.mean([dirs[t][k], dirs[t][u]], axis=0)) for k, u in pairs]
+            beams += [dirs[t][u] for u in singles]
+            powers = [2.0 if rule == "proportional" else 1.0] * len(pairs) + [1.0] * len(singles)
+            for j, pair in enumerate(pairs.tolist()):
+                betas = {u: [beta_phasor_sum(cfg, dirs[t][u], b) for b in beams] for u in pair}
+                # the strong user has the larger received power through the pair's beam
+                strong, weak = sorted(pair, key=lambda u: -((amplitudes[t, u] * betas[u][j]) ** 2))
+                for row, u in ((2 * j, strong), (2 * j + 1, weak)):
+                    if len(beams) == 1:
+                        p = config.total_power_w / cfg.num_elements
+                        expected = p * cfg.num_elements**2 * betas[u][j] ** 2 / config.noise_w
+                    else:
+                        leak = sum(p * b * b for c, (p, b) in enumerate(zip(powers, betas[u])) if c != j)
+                        expected = powers[j] * betas[u][j] ** 2 / leak
+                    assert estimated[t, row] == pytest.approx(expected, rel=1e-9)
+
+
 @functools.cache
 def full_sweep(name):
     """Every scheme's columns over the first two trials of an equivalence config."""
@@ -594,8 +641,9 @@ class TestTrialBlocks:
         assert all(same_columns(columns, expected[key]) for key, columns in results.items())
 
     def test_steering_and_link_state_calls_do_not_grow_with_the_paired_drops(self, monkeypatch):
-        # A block steers and weighs its paired drops together: a block of 30
-        # drops, each with a shared beam, makes the calls that 3 such drops make.
+        # A block steers, probes and weighs its paired drops together: a block
+        # of 30 drops, each with a shared beam, makes the calls that 3 such
+        # drops make.
         calls = {}
 
         def counted(name, fn):
@@ -605,7 +653,7 @@ class TestTrialBlocks:
 
             return call
 
-        for name in ("steering_matrix", "link_states"):
+        for name in ("steering_matrix", "pattern", "link_states"):
             monkeypatch.setattr(sim_harness, name, counted(name, getattr(sim_harness, name)))
         config = ScenarioConfig(user_counts=(15,), beta0=0.05)
         per_block = []
