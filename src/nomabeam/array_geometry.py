@@ -90,6 +90,12 @@ def _sin_ratio(m: int, x: np.ndarray) -> np.ndarray:
     return np.where(singular, 1.0, np.sin(m * x) / (m * np.where(singular, 1.0, s)))
 
 
+def _cosine_pattern(cfg: ArrayConfig, beam_az, beam_el, u_az, u_el) -> np.ndarray:
+    """``pattern`` from the direction cosines of the beam and of the probe."""
+    c = math.pi * cfg.d_over_lambda
+    return np.abs(_sin_ratio(cfg.m_h, c * (u_az - beam_az)) * _sin_ratio(cfg.m_v, c * (u_el - beam_el)))
+
+
 def pattern(cfg: ArrayConfig, beam_theta, beam_phi, theta, phi) -> np.ndarray:
     """beta of a beam steered at (``beam_theta``, ``beam_phi``) probed at (``theta``, ``phi``).
 
@@ -99,10 +105,7 @@ def pattern(cfg: ArrayConfig, beam_theta, beam_phi, theta, phi) -> np.ndarray:
     arrays that broadcast against each other; beam and probe may swap
     places, and the value is the same.
     """
-    u_az, u_el = _direction_cosines(theta, phi)
-    beam_az, beam_el = _direction_cosines(beam_theta, beam_phi)
-    c = math.pi * cfg.d_over_lambda
-    return np.abs(_sin_ratio(cfg.m_h, c * (u_az - beam_az)) * _sin_ratio(cfg.m_v, c * (u_el - beam_el)))
+    return _cosine_pattern(cfg, *_direction_cosines(beam_theta, beam_phi), *_direction_cosines(theta, phi))
 
 
 def eligible_pairs(
@@ -115,14 +118,14 @@ def eligible_pairs(
     azimuth factor of a pair is at most 1 / (m_h |sin x|) for its azimuth gap
     x and the elevation factor at most 1, so only the pairs with
     m_h * beta0 * |sin x| <= 1 (up to rounding) have their pattern
-    evaluated.  The pattern is elementwise, so a drop's betas have the bits
-    they have alone.
+    evaluated, from the direction cosines the filter took.  The pattern is
+    elementwise, so a drop's betas have the bits they have alone.
     """
-    u_az, _ = _direction_cosines(theta, phi)
+    u_az, u_el = _direction_cosines(theta, phi)
     k_idx, u_idx = np.triu_indices(theta.shape[1], 1)
     x_az = math.pi * cfg.d_over_lambda * (u_az[:, k_idx] - u_az[:, u_idx])
     t, p = np.nonzero(cfg.m_h * beta0 * np.abs(np.sin(x_az)) <= 1.0 + _RATIO_SLACK)
     k, u = k_idx[p], u_idx[p]
-    beta = pattern(cfg, theta[t, u], phi[t, u], theta[t, k], phi[t, k])
+    beta = _cosine_pattern(cfg, u_az[t, u], u_el[t, u], u_az[t, k], u_el[t, k])
     keep = beta >= beta0
     return t[keep], k[keep], u[keep], beta[keep]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -51,14 +52,19 @@ def _cmd_pattern(args: argparse.Namespace) -> int:
     beam_theta, beam_phi = _parse_beam(args.beam)
     offsets = np.arange(-math.pi / 2, math.pi / 2 + PATTERN_STEP_RAD, PATTERN_STEP_RAD)
     held = np.full_like(offsets, beam_theta), np.full_like(offsets, beam_phi)
-    probes = {"az": (beam_theta + offsets, held[1]), "el": (held[0], beam_phi + offsets)}
+    az_theta, el_phi = beam_theta + offsets, beam_phi + offsets
+    az = pattern(config.array_config, beam_theta, beam_phi, az_theta, held[1])
+    el = pattern(config.array_config, beam_theta, beam_phi, held[0], el_phi)
+    keep = (-math.pi / 2 <= el_phi) & (el_phi <= math.pi / 2)  # elevation probes stay physical
+    # Each distinct value is formatted once: the offsets serve both cuts, and
+    # each cut's held angle sits in its row template.
+    offset_text = list(map(format, offsets.tolist(), repeat(".9g")))
+    az_row = f"az,%s,%.9g,{beam_phi:.9g},%.9g"
+    el_row = f"el,%s,{beam_theta:.9g},%.9g,%.9g"
     lines = ["axis,offset_rad,theta_rad,phi_rad,array_factor"]
-    for axis, (theta, phi) in probes.items():
-        values = pattern(config.array_config, beam_theta, beam_phi, theta, phi)
-        # elevation probes stay physical
-        keep = (-math.pi / 2 <= phi) & (phi <= math.pi / 2) if axis == "el" else slice(None)
-        rows = zip(offsets[keep].tolist(), theta[keep].tolist(), phi[keep].tolist(), values[keep].tolist())
-        lines.extend(f"{axis},{o:.9g},{t:.9g},{p:.9g},{v:.9g}" for o, t, p, v in rows)
+    lines.extend(map(az_row.__mod__, zip(offset_text, az_theta.tolist(), az.tolist())))
+    el_offsets = compress(offset_text, keep.tolist())
+    lines.extend(map(el_row.__mod__, zip(el_offsets, el_phi[keep].tolist(), el[keep].tolist())))
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"wrote pattern cuts to {args.out}")

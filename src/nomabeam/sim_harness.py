@@ -540,17 +540,9 @@ def write_csv(columns: dict[tuple[SchemeId, int], Columns], path: str) -> None:
     with floats at 9 significant digits."""
     lines = [CSV_HEADER]
     for (scheme, k_users), cols in columns.items():
-        rows = zip(
-            cols.sum_rate_bps.tolist(),
-            cols.spectral_eff.tolist(),
-            cols.energy_eff.tolist(),
-            cols.noma_clusters.tolist(),
-            cols.deactivated_users.tolist(),
-        )
-        lines.extend(
-            f"{scheme.value},{k_users},{trial},{sum_rate:.9g},{se:.9g},{ee:.9g},{n_shared},{n_off}"
-            for trial, (sum_rate, se, ee, n_shared, n_off) in enumerate(rows)
-        )
+        row = f"{scheme.value},{k_users},%d,%.9g,%.9g,%.9g,%d,%d"
+        values = (cols.sum_rate_bps, cols.spectral_eff, cols.energy_eff, cols.noma_clusters, cols.deactivated_users)
+        lines.extend(map(row.__mod__, zip(range(len(cols.sum_rate_bps)), *(v.tolist() for v in values))))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

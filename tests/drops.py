@@ -79,10 +79,11 @@ def plan_toward(cfg: ArrayConfig, theta, phi, sizes, total_power_w: float, rule:
 
 
 @st.composite
-def angle_blocks(draw):
-    """T x K LOS angles in which a user may copy an earlier user of its drop,
-    exactly (a tie at beta = 1) or nearly.  Each per-user array is one draw."""
-    n_drops, k_users = draw(st.integers(1, 8)), draw(st.integers(1, 30))
+def angle_blocks(draw, drops=(1, 8), users=(1, 30)):
+    """T x K LOS angles, T and K in the given inclusive ranges, in which a user
+    may copy an earlier user of its drop, exactly (a tie at beta = 1) or
+    nearly.  Each per-user array is one draw."""
+    n_drops, k_users = draw(st.integers(*drops)), draw(st.integers(*users))
 
     def values(elements, count: int) -> list:
         return draw(st.lists(elements, min_size=count, max_size=count))

@@ -169,6 +169,17 @@ class TestPairPass:
             assert np.array_equal(got_u, u[keep])
             assert got_beta.tobytes() == beta[keep].tobytes()
 
+    @given(
+        angle_blocks(drops=(1, 4), users=(2, 12)),
+        st.sampled_from(PAIR_PASS_ARRAYS[1:4]),  # 8x1, 16x2 and 4x2 at 1.5 wavelengths
+        st.sampled_from([0.0, 0.5]),
+    )
+    def test_betas_are_the_pattern_on_the_gathered_angles(self, block, cfg, beta0):
+        # the pass reuses its pre-filter's direction cosines; pattern starts from the angles
+        theta, phi = block
+        t, k, u, beta = eligible_pairs(cfg, theta, phi, beta0)
+        assert np.array_equal(beta, pattern(cfg, theta[t, u], phi[t, u], theta[t, k], phi[t, k]))
+
     @pytest.mark.parametrize("m", [1, 2, 3, 8, 64, 4096])
     def test_sin_ratio_exceeds_one_by_less_than_the_slack(self, m):
         # The rounded ratio is largest just off the points n pi where sin(x)

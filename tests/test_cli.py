@@ -3,9 +3,14 @@ import math
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nomabeam.cli import main
+from nomabeam.array_geometry import ArrayConfig
+from nomabeam.cli import PATTERN_STEP_RAD, main
 from nomabeam.sim_harness import CSV_HEADER
+
+from csv_reference import pattern_csv
 
 SMALL_CFG = """
 m_h = 8
@@ -237,6 +242,16 @@ PATTERN_SHA256 = {
 }
 
 
+# The default array, one row, grating lobes at 1.5 wavelengths, and the
+# massive array at 2.5 wavelengths
+PATTERN_ARRAYS = [ArrayConfig(32, 2, 0.5), ArrayConfig(8, 1, 0.5), ArrayConfig(4, 2, 1.5), ArrayConfig(64, 8, 2.5)]
+beam_angles = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -1e-300, 1e300, -1e300, math.pi / 2, -math.pi / 2]),
+    st.floats(-4.0, 4.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
 class TestPatternCommand:
     @pytest.mark.parametrize("beam", sorted(PATTERN_SHA256))
     def test_pinned_bytes(self, tmp_path, beam):
@@ -245,6 +260,16 @@ class TestPatternCommand:
         out = tmp_path / "pattern.csv"
         assert main(["pattern", "--config", str(cfg), "--beam", beam, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == PATTERN_SHA256[beam]
+
+    @settings(max_examples=40)
+    @given(st.sampled_from(PATTERN_ARRAYS), beam_angles, beam_angles)
+    def test_bytes_match_per_value_formatting(self, tmp_path_factory, cfg, theta, phi):
+        work = tmp_path_factory.mktemp("cuts")
+        config = work / "array.cfg"
+        config.write_text(f"m_h = {cfg.m_h}\nm_v = {cfg.m_v}\nd_over_lambda = {cfg.d_over_lambda}\nuser_counts = 2\n")
+        out = work / "pattern.csv"
+        assert main(["pattern", "--config", str(config), f"--beam={theta!r},{phi!r}", "--out", str(out)]) == 0
+        assert out.read_bytes() == pattern_csv(cfg, theta, phi, PATTERN_STEP_RAD).encode()
 
     def test_writes_both_axis_cuts(self, config_path, tmp_path):
         out = tmp_path / "pattern.csv"

@@ -19,6 +19,7 @@ from nomabeam.link_metrics import link_states, sinr_noma_strong, sinr_noma_weak
 from nomabeam.power_allocation import opa
 from nomabeam.sim_harness import (
     CSV_HEADER,
+    Columns,
     ConfigError,
     ScenarioConfig,
     _block_outcomes,
@@ -32,6 +33,7 @@ from nomabeam.sim_harness import (
     write_csv,
 )
 
+from csv_reference import sweep_csv
 from drops import Direction, channel_matrix, drop_paths, pair_beta, plan_toward, user_paths
 from oracles import beta_phasor_sum, sinr_dbs_monopath_closed
 
@@ -723,6 +725,31 @@ class TestCsv:
         assert fields[0] == "dbs"
         assert fields[1] == "2" and fields[2] == "0"
         assert float(fields[4]) == pytest.approx(results[SchemeId.DBS, 2].spectral_eff[0], rel=1e-8)
+
+    @given(st.data())
+    def test_bytes_match_per_value_formatting(self, tmp_path_factory, data):
+        # hand-built columns: any float, signed zeros, subnormals and the
+        # largest finite values, any 64-bit count
+        floats = st.floats() | st.sampled_from([0.0, -0.0, 5e-324, -1e-300, 1e300, -1.7976931348623157e308])
+        counts = st.integers(-(2**63), 2**63 - 1)
+        keys = st.tuples(st.sampled_from(list(SchemeId)), st.integers(1, 999))
+        columns = {}
+        for key in data.draw(st.lists(keys, max_size=4, unique=True)):
+            n_trials = data.draw(st.integers(0, 5))
+
+            def column(elements, dtype):
+                return np.array(data.draw(st.lists(elements, min_size=n_trials, max_size=n_trials)), dtype=dtype)
+
+            columns[key] = Columns(
+                sum_rate_bps=column(floats, float),
+                spectral_eff=column(floats, float),
+                energy_eff=column(floats, float),
+                noma_clusters=column(counts, np.int64),
+                deactivated_users=column(counts, np.int64),
+            )
+        out = tmp_path_factory.mktemp("sweep") / "columns.csv"
+        write_csv(columns, str(out))
+        assert out.read_bytes() == sweep_csv(columns).encode()
 
     def test_aggregate_table_renders(self):
         table = format_aggregates(run_sweep(replace(SMALL, trials=2)))
