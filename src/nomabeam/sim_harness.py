@@ -386,18 +386,16 @@ def _steered_links(
     """The block's T x K x M channel rows, its T x K dbs link ratios, and its T x K shared-plan ratios.
 
     Each of the T x K LOS directions (``theta``, ``phi``) is steered once,
-    into a T x M x K block: each channel row's LOS path, the dbs plans'
-    weights and the shared plans' private beams.  A paired drop's shared plan
-    has P beams at the mean LOS angles of its ``pairings`` entry, in
-    selection order, then its unpaired users' beams.  Its row of
-    shared-plan ratios is in beam order, and so is its row of the ratios
-    partial CSI splits on: the paired users' estimates, then the unpaired
-    users' ratios.  A drop with no pair keeps its dbs row in both.  The
-    estimates come from the directions alone, through ``pattern``, the
-    closed form the pairing uses.  The beam directions, pair beams, powers,
-    strong/weak order, estimates and lone-beam fallback are worked out once
-    for the block; per paired drop, only its weights, its matrix product
-    and its row sums run, at its own shape.
+    into a T x M x K block: each channel row's LOS path and the dbs plans'
+    weights.  A paired drop's users take one beam order: pair j of its
+    ``pairings`` entry at places 2j and 2j + 1, strong user first, then its
+    unpaired users in user order.  Each beam is steered at the mean LOS
+    angles of the places it serves: P pair beams, then a private beam per
+    unpaired user.  The drop's rows of shared-plan ratios and of the ratios
+    partial CSI splits on (the paired users' estimates, from the directions
+    alone through ``pattern``, the closed form the pairing uses) are in beam
+    order; a drop with no pair keeps its dbs row in both.  All but each
+    paired drop's matrix product and row sums is worked out once per block.
     """
     cfg = config.array_config
     n_drops, k_users = theta.shape
@@ -408,76 +406,71 @@ def _steered_links(
     # One beam per user: every beam takes the same power.
     power = build_plan(np.ones(k_users, int), cfg.num_elements, config.total_power_w, config.inter_cluster_rule)[0]
     dbs_zeta = link_states(h_rows @ los, power, np.arange(k_users), config.noise_w)[2]
+    del los
 
-    # The paired drops, their pairs in one array and each pair's drop ``of``
-    # them.  Pair j is beam j, and the unpaired users take the next beams.
+    # order[t] lists paired drop t's users in beam order, sorted by ranks that
+    # put the pairs first, in selection order.  Place p < 2P is on beam p // 2
+    # and a later place on beam p - P; own_beams scatters that to the users.
+    # The ranks are distinct; the stable sort is channel_rows' kernel, where
+    # the default one's code would add 0.1 to 0.3 MB of resident size.
     n_pairs = np.array([len(pairs) for pairs in pairings])
     drops = np.flatnonzero(n_pairs)
     n_pairs, n_beams = n_pairs[drops], k_users - n_pairs[drops]
-    first_pair, first_single = np.cumsum(n_pairs) - n_pairs, np.cumsum(n_beams - n_pairs) - (n_beams - n_pairs)
     pairs = np.concatenate(pairings)
-    of = np.repeat(np.arange(len(drops)), n_pairs)
-    own_beams = np.full((len(drops), k_users), -1)
-    own_beams[of[:, None], pairs] = (np.arange(len(pairs)) - first_pair[of])[:, None]
-    single = own_beams < 0
-    own_beams[single] = (np.cumsum(single, axis=1) + n_pairs[:, None] - 1)[single]
-    # The unpaired users' LOS vectors are their private beams; they leave the
-    # LOS block before it goes, and before any shared weights are allocated.
-    single_of, single_user = np.nonzero(single)
-    private = los[drops[single_of], :, single_user]
-    del los
+    rank = np.tile(np.arange(k_users) + 2 * len(pairs), (len(drops), 1))
+    rank[np.repeat(np.arange(len(drops)), n_pairs)[:, None], pairs] = np.arange(2 * len(pairs)).reshape(-1, 2)
+    order = np.argsort(rank, axis=1, kind="stable")
+    place = np.arange(k_users)
+    own_beams = np.empty_like(order)
+    by_place = np.where(place < 2 * n_pairs[:, None], place // 2, place - n_pairs[:, None])
+    np.put_along_axis(own_beams, order, by_place, axis=1)
+    # Beam c serves places first to last; (a + a) / 2 == a steers a private
+    # beam at its user.  Beams that pad a drop take its last place and no user.
     beam = np.arange(n_beams.max(initial=0))
-    sizes = np.where(beam < n_pairs[:, None], 2, beam < n_beams[:, None])
-    # Each paired drop's beam directions: its pairs' mean LOS angles, then its
-    # unpaired users' LOS angles.
-    directions = np.zeros((2, *sizes.shape))
-    for table, a in zip(directions, (theta, phi)):
-        table[sizes == 2] = (a[drops[of], pairs[:, 0]] + a[drops[of], pairs[:, 1]]) / 2
-        table[sizes == 1] = a[drops][single]
-    beams = steering_matrix(cfg, *(table[sizes == 2] for table in directions))
-    weights = []
-    for f, s, p, c in zip(first_pair.tolist(), first_single.tolist(), n_pairs.tolist(), n_beams.tolist()):
-        weights.append(np.empty((cfg.num_elements, c), dtype=complex))
-        weights[-1][:, :p] = beams[f : f + p].T
-        weights[-1][:, p:] = private[s : s + c - p].T
-    del beams, private
+    first = np.minimum(beam + np.minimum(beam, n_pairs[:, None]), k_users - 1)
+    last = first + (beam < n_pairs[:, None])
+    sizes = np.where(beam < n_beams[:, None], last - first + 1, 0)
+    ends = [np.take_along_axis(order, places, axis=1) for places in (first, last)]
+    at = drops[:, None]
+    directions = np.array([(a[at, ends[0]] + a[at, ends[1]]) / 2 for a in (theta, phi)])
+    beams = steering_matrix(cfg, *(table[sizes > 0] for table in directions))
     powers = build_plan(sizes, cfg.num_elements, config.total_power_w, config.inter_cluster_rule)[:, None, :]
-    gains = _beam_gains([h_rows[t] for t in drops.tolist()], weights, (k_users, len(beam)))
-    del weights
+    gains = _beam_gains(h_rows, drops, beams, n_beams, len(beam))
+    del beams
     psi, _, zeta = link_states(gains, powers, own_beams, config.noise_w, n_beams)
     del gains
     # Strong user first: the larger received power through the shared beam.
-    swap = psi[of, pairs[:, 1]] > psi[of, pairs[:, 0]]
-    pairs[swap] = pairs[swap, ::-1]
-    place = np.where(single, own_beams + n_pairs[:, None], 2 * own_beams)
-    place[of, pairs[:, 1]] += 1
+    pair = np.arange(n_pairs.max(initial=0))
+    psi = np.take_along_axis(psi, order[:, : 2 * len(pair)], axis=1)
+    t, j = np.nonzero((psi[:, 1::2] > psi[:, ::2]) & (pair < n_pairs[:, None]))
+    order[t, 2 * j], order[t, 2 * j + 1] = order[t, 2 * j + 1], order[t, 2 * j]
     shared = dbs_zeta.copy()
-    shared[drops[:, None], place] = zeta
+    shared[drops] = np.take_along_axis(zeta, order, axis=1)
     # Partial CSI splits on ratios estimated from the LOS directions alone:
     # a paired user's gain through beam c is M times the pattern of beam c at
     # the user, that of a unit-gain single path, weighed with no noise in the
     # high-SNR form, so the other beams' leakage alone is the denominator.
     # Only where nothing leaks in (a lone beam, or leakage lost in the
-    # rounding of the sum) is the noise power the denominator.  Row 2j + i
-    # of a drop is user pairs[j, i], strong then weak.
-    rows = np.arange(2 * n_pairs.max(initial=0)) < 2 * n_pairs[:, None]
-    users = np.zeros((2, *rows.shape))
-    for table, a in zip(users, (theta, phi)):
-        table[rows] = a[drops[of][:, None], pairs].ravel()
-    gains = cfg.num_elements * pattern(cfg, *directions[:, :, None, :], *users[..., None])
+    # rounding of the sum) is the noise power the denominator.
+    user_angles = [a[at, order[:, : 2 * len(pair)], None] for a in (theta, phi)]
+    gains = cfg.num_elements * pattern(cfg, *directions[:, :, None, :], *user_angles)
     with np.errstate(divide="ignore", invalid="ignore"):
-        psi, nu, zeta = link_states(gains, powers, np.arange(rows.shape[1]) // 2, 0.0, n_beams)
+        psi, nu, zeta = link_states(gains, powers, np.repeat(pair, 2), 0.0, n_beams)
     estimated = shared.copy()
-    of, row = np.nonzero(rows)
-    estimated[drops[of], row] = np.where(nu == 0.0, psi / config.noise_w, zeta)[of, row]
+    t, p = np.nonzero(np.repeat(pair, 2) < n_pairs[:, None])
+    estimated[drops[t], p] = np.where(nu == 0.0, psi / config.noise_w, zeta)[t, p]
     return h_rows, dbs_zeta, shared, estimated
 
 
-def _beam_gains(rows: list[np.ndarray], weights: list[np.ndarray], shape: tuple[int, int]) -> np.ndarray:
-    """Drop t's rows times its M x C weights, at their own shape, in the front of entry t of a zero T x R x C block."""
-    gains = np.zeros((len(weights), *shape), dtype=complex)
-    for drop_rows, drop_weights, out in zip(rows, weights, gains):
-        np.matmul(drop_rows, drop_weights, out=out[: len(drop_rows), : drop_weights.shape[1]])
+def _beam_gains(
+    h_rows: np.ndarray, drops: np.ndarray, beams: np.ndarray, n_beams: np.ndarray, width: int
+) -> np.ndarray:
+    """Drop ``drops[t]``'s rows times its ``n_beams[t]`` rows of ``beams`` (those after the earlier drops'),
+    transposed, at their own shape, in the front of entry t of a zero T x K x ``width`` block."""
+    gains = np.zeros((len(drops), h_rows.shape[1], width), dtype=complex)
+    starts = np.cumsum(n_beams) - n_beams
+    for t, f, c, out in zip(drops.tolist(), starts.tolist(), n_beams.tolist(), gains):
+        np.matmul(h_rows[t], beams[f : f + c].T, out=out[:, :c])
     return gains
 
 

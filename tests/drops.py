@@ -72,9 +72,10 @@ def channel_matrix(cfg: ArrayConfig, paths: DropPaths) -> np.ndarray:
 def plan_toward(cfg: ArrayConfig, theta, phi, sizes, total_power_w: float, rule: str = "proportional"):
     """``(weights, beam_powers)`` of beams c steered toward (theta[c], phi[c]).
 
-    The M x C weights are C-contiguous, as the harness holds its beams, so a
-    matrix product with them rounds as the harness's does."""
-    weights = np.ascontiguousarray(steering_matrix(cfg, theta, phi).T)
+    The M x C weights are the transposed view of the C x M steered rows, as
+    the harness holds its shared plans' beams, so a matrix product with them
+    rounds as the harness's does."""
+    weights = steering_matrix(cfg, theta, phi).T
     return weights, build_plan(sizes, cfg.num_elements, total_power_w, rule)
 
 

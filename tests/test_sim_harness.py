@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import statistics
+import tracemalloc
 import weakref
 from dataclasses import astuple, fields, replace
 from pathlib import Path
@@ -312,6 +313,21 @@ class TestEvaluateTrial:
         assert paths.starts.tolist() == [0, 4, 8, 12, 16]
         assert len(paths.gains) == 20
 
+    def test_massive_array_trial_peak_memory(self):
+        # The largest drop: a 64x8 array at K = 448, whose traced peak after a
+        # warm-up call is 11.66 MiB.  Drafts that held a complex product past
+        # its abs, or two blocks of beam gains at once, took it to 11.95 MiB
+        # and more.
+        config = ScenarioConfig(m_h=64, m_v=8, user_counts=(448,))
+        evaluate_trial(config, 448, 0)
+        tracemalloc.start()
+        try:
+            evaluate_trial(config, 448, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 11.75 * 2**20
+
 
 class TestSharedBeams:
     """Hand-built drops: users 0 and 1 nearly collinear and, when there is a
@@ -439,8 +455,9 @@ class TestUnitGainPaths:
 
 
 class TestDirectionEstimate:
-    """Partial CSI's estimates, against the phasor-sum betas of each paired
-    user and each beam of its drop, on hand-built drops paired by the test."""
+    """The shared plan's ratios and partial CSI's estimates, against the
+    phasor-sum betas of each user and each beam of its drop, on hand-built
+    drops paired by the test."""
 
     ARRAYS = {"16x2": (16, 2, 0.5), "8x1": (8, 1, 0.5), "4x2 at 1.5 wavelengths": (4, 2, 1.5)}
 
@@ -448,12 +465,17 @@ class TestDirectionEstimate:
     @pytest.mark.parametrize("array", sorted(ARRAYS))
     @pytest.mark.parametrize("k_users", range(2, 8))
     def test_each_paired_user_splits_on_its_beams_betas(self, rng, k_users, array, rule):
-        # p_own beta_own^2 / sum over the other beams of p_c beta_c^2, with p_c
-        # 2:1 for a pair beam to a private one under the proportional rule and
-        # equal under the uniform one; a lone beam's is p M^2 beta^2 / noise.
+        # Beam c weighs its gains by eta p_c = P_c / M, for its emitted power
+        # P_c: K_c P / K under the proportional rule, P / C under the uniform
+        # one.  A user of path gain g gets eta p_c |g|^2 M^2 beta_c^2 through
+        # beam c.  Its full-CSI ratio is its own beam's over the other beams'
+        # plus the noise; a paired user's estimate is p_own beta_own^2 over the
+        # other beams' p_c beta_c^2, and a lone beam's is eta p M^2 beta^2 over
+        # the noise.
         m_h, m_v, spacing = self.ARRAYS[array]
         config = ScenarioConfig(m_h=m_h, m_v=m_v, d_over_lambda=spacing, user_counts=(k_users,), inter_cluster_rule=rule)
         cfg = config.array_config
+        m = cfg.num_elements
         # A drop with no pair, then one with each pair count from 1 to K // 2;
         # a pair's second user sits next to its first.
         pairings = [np.empty((0, 2), int)]
@@ -465,24 +487,38 @@ class TestDirectionEstimate:
         dirs = [[Direction(*d) for d in zip(*drop)] for drop in zip(theta.tolist(), phi.tolist())]
         amplitudes = rng.uniform(1e-6, 1e-5, size=theta.shape)
         paths = drop_paths([[(a, d)] for a, d in zip(amplitudes.ravel().tolist(), itertools.chain(*dirs))])
-        estimated = sim_harness._steered_links(config, paths, theta, phi, pairings)[3]
+        _, dbs, shared, estimated = sim_harness._steered_links(config, paths, theta, phi, pairings)
+        assert np.array_equal(shared[0], dbs[0]) and np.array_equal(estimated[0], dbs[0])
         for t, pairs in enumerate(pairings[1:], start=1):
             singles = [u for u in range(k_users) if u not in pairs]
             beams = [Direction(*np.mean([dirs[t][k], dirs[t][u]], axis=0)) for k, u in pairs]
             beams += [dirs[t][u] for u in singles]
-            powers = [2.0 if rule == "proportional" else 1.0] * len(pairs) + [1.0] * len(singles)
+            sizes = [2] * len(pairs) + [1] * len(singles)
+            if rule == "proportional":
+                powers = [n * config.total_power_w / (k_users * m) for n in sizes]
+            else:
+                powers = [config.total_power_w / (len(beams) * m)] * len(beams)
+            betas = {u: [beta_phasor_sum(cfg, dirs[t][u], b) for b in beams] for u in range(k_users)}
+            # Beam order: each pair's strong user, the one with the larger
+            # received power through the pair's beam, then its weak one; then
+            # the unpaired users in user order, each on its own beam.
+            placed = []
             for j, pair in enumerate(pairs.tolist()):
-                betas = {u: [beta_phasor_sum(cfg, dirs[t][u], b) for b in beams] for u in pair}
-                # the strong user has the larger received power through the pair's beam
                 strong, weak = sorted(pair, key=lambda u: -((amplitudes[t, u] * betas[u][j]) ** 2))
-                for row, u in ((2 * j, strong), (2 * j + 1, weak)):
-                    if len(beams) == 1:
-                        p = config.total_power_w / cfg.num_elements
-                        expected = p * cfg.num_elements**2 * betas[u][j] ** 2 / config.noise_w
-                    else:
-                        leak = sum(p * b * b for c, (p, b) in enumerate(zip(powers, betas[u])) if c != j)
-                        expected = powers[j] * betas[u][j] ** 2 / leak
+                placed += [(strong, j), (weak, j)]
+            placed += [(u, len(pairs) + i) for i, u in enumerate(singles)]
+            for row, (u, own) in enumerate(placed):
+                received = [p * (amplitudes[t, u] * m * b) ** 2 for p, b in zip(powers, betas[u])]
+                leak = sum(r for c, r in enumerate(received) if c != own)
+                assert shared[t, row] == pytest.approx(received[own] / (leak + config.noise_w), rel=1e-9)
+                if row >= 2 * len(pairs):
+                    assert estimated[t, row] == shared[t, row]
+                elif len(beams) == 1:
+                    expected = powers[own] * (m * betas[u][own]) ** 2 / config.noise_w
                     assert estimated[t, row] == pytest.approx(expected, rel=1e-9)
+                else:
+                    leak = sum(p * b * b for c, (p, b) in enumerate(zip(powers, betas[u])) if c != own)
+                    assert estimated[t, row] == pytest.approx(powers[own] * betas[u][own] ** 2 / leak, rel=1e-9)
 
 
 @functools.cache
