@@ -11,18 +11,22 @@ The normalized pattern of a steered beam evaluated at another direction is the
 interference metric ``beta``: the magnitude of the conjugate inner product of
 the two steering vectors divided by the element count.  One closed form,
 ``pattern``, gives it to the pairing (``eligible_pairs``), to partial CSI's
-estimates and to the ``nomabeam pattern`` cuts.
+estimates and to the ``nomabeam pattern`` cuts.  Each function reads the
+layout (``m_h``, ``m_v``, ``d_over_lambda``) from the scenario's
+``ScenarioConfig``, which checks it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+if TYPE_CHECKING:
+    from .sim_harness import ScenarioConfig
+
 __all__ = [
-    "ArrayConfig",
     "steering_matrix",
     "eligible_pairs",
     "pattern",
@@ -40,29 +44,12 @@ _SINGULAR_EPS = 1e-12
 _RATIO_SLACK = 0.05
 
 
-@dataclass(frozen=True)
-class ArrayConfig:
-    """Uniform planar array layout, a plain value whose fields ScenarioConfig checks.
-
-    m_h, m_v: horizontal / vertical element counts (>= 1 each).
-    d_over_lambda: element spacing as a fraction of the carrier wavelength.
-    """
-
-    m_h: int
-    m_v: int
-    d_over_lambda: float = 0.5
-
-    @property
-    def num_elements(self) -> int:
-        return self.m_h * self.m_v
-
-
 def _direction_cosines(theta, phi) -> tuple[np.ndarray, np.ndarray]:
     """(u_az, u_el) = (cos(theta)cos(phi), sin(phi)), elementwise over angle arrays."""
     return np.cos(theta) * np.cos(phi), np.sin(phi)
 
 
-def steering_matrix(cfg: ArrayConfig, theta, phi) -> np.ndarray:
+def steering_matrix(cfg: ScenarioConfig, theta, phi) -> np.ndarray:
     """Steering vectors toward the directions (theta[n], phi[n]), one per row (N x M).
 
     Entry for horizontal index i and vertical index j (flattened as
@@ -90,13 +77,13 @@ def _sin_ratio(m: int, x: np.ndarray) -> np.ndarray:
     return np.where(singular, 1.0, np.sin(m * x) / (m * np.where(singular, 1.0, s)))
 
 
-def _cosine_pattern(cfg: ArrayConfig, beam_az, beam_el, u_az, u_el) -> np.ndarray:
+def _cosine_pattern(cfg: ScenarioConfig, beam_az, beam_el, u_az, u_el) -> np.ndarray:
     """``pattern`` from the direction cosines of the beam and of the probe."""
     c = math.pi * cfg.d_over_lambda
     return np.abs(_sin_ratio(cfg.m_h, c * (u_az - beam_az)) * _sin_ratio(cfg.m_v, c * (u_el - beam_el)))
 
 
-def pattern(cfg: ArrayConfig, beam_theta, beam_phi, theta, phi) -> np.ndarray:
+def pattern(cfg: ScenarioConfig, beam_theta, beam_phi, theta, phi) -> np.ndarray:
     """beta of a beam steered at (``beam_theta``, ``beam_phi``) probed at (``theta``, ``phi``).
 
     Each value is (1/M) |a_k^H a_u| of the probe k and the beam u, evaluated
@@ -109,7 +96,7 @@ def pattern(cfg: ArrayConfig, beam_theta, beam_phi, theta, phi) -> np.ndarray:
 
 
 def eligible_pairs(
-    cfg: ArrayConfig, theta: np.ndarray, phi: np.ndarray, beta0: float
+    cfg: ScenarioConfig, theta: np.ndarray, phi: np.ndarray, beta0: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The pairs of each drop's users whose beta reaches ``beta0``, from T x K angle arrays.
 

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .array_geometry import ArrayConfig, steering_matrix
+from .array_geometry import steering_matrix
 
 if TYPE_CHECKING:
     from .sim_harness import ScenarioConfig
@@ -141,7 +141,7 @@ def _pow10(exponents: np.ndarray) -> np.ndarray:
     return np.array([10.0 ** x for x in exponents.tolist()])
 
 
-def channel_rows(cfg: ArrayConfig, paths: DropPaths, los: np.ndarray) -> np.ndarray:
+def channel_rows(cfg: ScenarioConfig, paths: DropPaths, los: np.ndarray) -> np.ndarray:
     """K x M channel matrix: row k sums user k's gain-weighted conjugate steering vectors.
 
     ``los`` holds each user's steering vector toward its first (line-of-sight)

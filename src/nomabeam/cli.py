@@ -53,8 +53,8 @@ def _cmd_pattern(args: argparse.Namespace) -> int:
     offsets = np.arange(-math.pi / 2, math.pi / 2 + PATTERN_STEP_RAD, PATTERN_STEP_RAD)
     held = np.full_like(offsets, beam_theta), np.full_like(offsets, beam_phi)
     az_theta, el_phi = beam_theta + offsets, beam_phi + offsets
-    az = pattern(config.array_config, beam_theta, beam_phi, az_theta, held[1])
-    el = pattern(config.array_config, beam_theta, beam_phi, held[0], el_phi)
+    az = pattern(config, beam_theta, beam_phi, az_theta, held[1])
+    el = pattern(config, beam_theta, beam_phi, held[0], el_phi)
     keep = (-math.pi / 2 <= el_phi) & (el_phi <= math.pi / 2)  # elevation probes stay physical
     # Each distinct value is formatted once: the offsets serve both cuts, and
     # each cut's held angle sits in its row template.

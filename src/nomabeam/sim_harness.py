@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
-from .array_geometry import ArrayConfig, eligible_pairs, pattern, steering_matrix
+from .array_geometry import eligible_pairs, pattern, steering_matrix
 from .baselines import SchemeId, conjugate_bf_sinr, energy_efficiency
 from .beamforming import build_plan
 from .channel import DropPaths, channel_rows, draw_paths
@@ -83,8 +83,9 @@ class ConfigError(ValueError):
 class ScenarioConfig:
     """Full description of one simulation campaign (defaults: rural 28 GHz cell).
 
-    Construction checks each value once, against its range, and builds the
-    array layout; each derived value is built once.
+    Construction checks each value once, against its range.  Every layer
+    reads the array (``m_h``, ``m_v``, ``d_over_lambda``, ``num_elements``)
+    from this record; the powers in watts are built once.
     """
 
     m_h: int = 32
@@ -123,13 +124,12 @@ class ScenarioConfig:
             raise ConfigError(
                 f"d_over_lambda must lie in (0, {MAX_ELEMENT_SPACING:g}] wavelengths, got {self.d_over_lambda}"
             )
-        array = self.array_config
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if not self.user_counts:
             raise ConfigError("user_counts must not be empty")
         for k in self.user_counts:
-            _check_user_count(k, array)
+            _check_user_count(k, self)
         if len(set(self.user_counts)) < len(self.user_counts):
             raise ConfigError(f"user_counts must not repeat, got {', '.join(map(str, self.user_counts))}")
         if self.master_seed < 0:
@@ -178,9 +178,9 @@ class ScenarioConfig:
                 f"shadowing_sigma_db must lie in [0, {MAX_SHADOWING_SIGMA_DB:g}] dB, got {self.shadowing_sigma_db}"
             )
 
-    @cached_property
-    def array_config(self) -> ArrayConfig:
-        return ArrayConfig(self.m_h, self.m_v, self.d_over_lambda)
+    @property
+    def num_elements(self) -> int:
+        return self.m_h * self.m_v
 
     @cached_property
     def total_power_w(self) -> float:
@@ -191,9 +191,9 @@ class ScenarioConfig:
         return _watts(self.noise_power_dbm)
 
 
-def _check_user_count(k_users: int, array: ArrayConfig) -> None:
-    if not 1 <= k_users < array.num_elements:
-        raise ConfigError(f"user_counts must satisfy 1 <= K < M={array.num_elements}, got {k_users}")
+def _check_user_count(k_users: int, config: ScenarioConfig) -> None:
+    if not 1 <= k_users < config.num_elements:
+        raise ConfigError(f"user_counts must satisfy 1 <= K < M={config.num_elements}, got {k_users}")
 
 
 def _watts(dbm: float) -> float:
@@ -283,20 +283,17 @@ def parse_config_text(text: str) -> dict:
     return values
 
 
-def load_scenario(path: str, **overrides) -> ScenarioConfig:
-    """Read a scenario file and apply keyword overrides (e.g. trials, master_seed)."""
+def load_scenario(path: str, trials: int | None = None, master_seed: int | None = None) -> ScenarioConfig:
+    """Read a scenario file; ``trials`` and ``master_seed``, unless None, replace the file's values."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"scenario file {path!r} is not UTF-8 text: {exc}") from exc
     values = parse_config_text(text)
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        if key not in {f.name for f in fields(ScenarioConfig)}:
-            raise ConfigError(f"unknown override {key!r}")
-        values[key] = value
+    for key, value in (("trials", trials), ("master_seed", master_seed)):
+        if value is not None:
+            values[key] = value
     return ScenarioConfig(**values)
 
 
@@ -349,7 +346,7 @@ def _block_outcomes(config: ScenarioConfig, paths: DropPaths, k_users: int) -> d
     shape and memory layout.
     """
     theta, phi = (angles[paths.starts].reshape(-1, k_users) for angles in (paths.theta, paths.phi))
-    pairings = greedy_pairs(eligible_pairs(config.array_config, theta, phi, config.beta0), len(theta))
+    pairings = greedy_pairs(eligible_pairs(config, theta, phi, config.beta0), len(theta))
     h_rows, dbs_zeta, zeta, estimated = _steered_links(config, paths, theta, phi, pairings)
     # No plan or gain matrix is held while conjugate beamforming builds its
     # K x K temporaries.
@@ -397,14 +394,13 @@ def _steered_links(
     order; a drop with no pair keeps its dbs row in both.  All but each
     paired drop's matrix product and row sums is worked out once per block.
     """
-    cfg = config.array_config
     n_drops, k_users = theta.shape
     los = np.ascontiguousarray(
-        steering_matrix(cfg, theta.ravel(), phi.ravel()).reshape(n_drops, k_users, cfg.num_elements).transpose(0, 2, 1)
+        steering_matrix(config, theta.ravel(), phi.ravel()).reshape(n_drops, k_users, -1).transpose(0, 2, 1)
     )
-    h_rows = channel_rows(cfg, paths, los)
+    h_rows = channel_rows(config, paths, los)
     # One beam per user: every beam takes the same power.
-    power = build_plan(np.ones(k_users, int), cfg.num_elements, config.total_power_w, config.inter_cluster_rule)[0]
+    power = build_plan(np.ones(k_users, int), config.num_elements, config.total_power_w, config.inter_cluster_rule)[0]
     dbs_zeta = link_states(h_rows @ los, power, np.arange(k_users), config.noise_w)[2]
     del los
 
@@ -433,8 +429,8 @@ def _steered_links(
     ends = [np.take_along_axis(order, places, axis=1) for places in (first, last)]
     at = drops[:, None]
     directions = np.array([(a[at, ends[0]] + a[at, ends[1]]) / 2 for a in (theta, phi)])
-    beams = steering_matrix(cfg, *(table[sizes > 0] for table in directions))
-    powers = build_plan(sizes, cfg.num_elements, config.total_power_w, config.inter_cluster_rule)[:, None, :]
+    beams = steering_matrix(config, *(table[sizes > 0] for table in directions))
+    powers = build_plan(sizes, config.num_elements, config.total_power_w, config.inter_cluster_rule)[:, None, :]
     gains = _beam_gains(h_rows, drops, beams, n_beams, len(beam))
     del beams
     psi, _, zeta = link_states(gains, powers, own_beams, config.noise_w, n_beams)
@@ -453,7 +449,7 @@ def _steered_links(
     # Only where nothing leaks in (a lone beam, or leakage lost in the
     # rounding of the sum) is the noise power the denominator.
     user_angles = [a[at, order[:, : 2 * len(pair)], None] for a in (theta, phi)]
-    gains = cfg.num_elements * pattern(cfg, *directions[:, :, None, :], *user_angles)
+    gains = config.num_elements * pattern(config, *directions[:, :, None, :], *user_angles)
     with np.errstate(divide="ignore", invalid="ignore"):
         psi, nu, zeta = link_states(gains, powers, np.repeat(pair, 2), 0.0, n_beams)
     estimated = shared.copy()
@@ -481,7 +477,7 @@ def evaluate_trial(config: ScenarioConfig, k_users: int, trial_index: int) -> di
     trial, and gives the entries a sweep's larger blocks give.  A K outside
     the loader's 1 <= K < M, or a negative trial index, raises ConfigError.
     """
-    _check_user_count(k_users, config.array_config)
+    _check_user_count(k_users, config)
     if trial_index < 0:
         raise ConfigError(f"trial index must be nonnegative, got {trial_index}")
     outcomes = _block_outcomes(config, _drop_users(config, k_users, [trial_index]), k_users)
@@ -499,7 +495,7 @@ def _columns(config: ScenarioConfig, outcome: _Outcome) -> Columns:
     return Columns(
         sum_rate_bps=sums,
         spectral_eff=sums / config.bandwidth_hz,
-        energy_eff=energy_efficiency(sums, config.total_power_w, config.array_config.num_elements),
+        energy_eff=energy_efficiency(sums, config.total_power_w, config.num_elements),
         noma_clusters=shared,
         deactivated_users=deactivated,
     )
@@ -516,7 +512,7 @@ def run_sweep(config: ScenarioConfig) -> dict[tuple[SchemeId, int], Columns]:
     """
     blocks: dict[tuple[SchemeId, int], list[Columns]] = {}
     for k_users in config.user_counts:
-        per_block = max(1, _BLOCK_BYTES // (16 * config.array_config.num_elements * k_users))
+        per_block = max(1, _BLOCK_BYTES // (16 * config.num_elements * k_users))
         for first in range(0, config.trials, per_block):
             trials = range(first, min(first + per_block, config.trials))
             outcomes = _block_outcomes(config, _drop_users(config, k_users, trials), k_users)

@@ -10,11 +10,11 @@ import math
 
 import numpy as np
 
-from nomabeam.array_geometry import ArrayConfig, pattern
-from nomabeam.sim_harness import CSV_HEADER
+from nomabeam.array_geometry import pattern
+from nomabeam.sim_harness import CSV_HEADER, ScenarioConfig
 
 
-def pattern_csv(cfg: ArrayConfig, beam_theta: float, beam_phi: float, step: float) -> str:
+def pattern_csv(cfg: ScenarioConfig, beam_theta: float, beam_phi: float, step: float) -> str:
     """The text ``nomabeam pattern`` writes for a beam at (``beam_theta``, ``beam_phi``)."""
     offsets = np.arange(-math.pi / 2, math.pi / 2 + step, step)
     held = np.full_like(offsets, beam_theta), np.full_like(offsets, beam_phi)

@@ -1,6 +1,6 @@
-"""Channel records built by hand for tests, their per-user view, their
-channel rows and beams steered from angles, the betas of directions, and
-blocks of LOS angles for properties."""
+"""Arrays and channel records built by hand for tests, their per-user view,
+their channel rows and beams steered from angles, the betas of directions,
+and blocks of LOS angles for properties."""
 
 import math
 from typing import NamedTuple
@@ -8,9 +8,10 @@ from typing import NamedTuple
 import numpy as np
 from hypothesis import strategies as st
 
-from nomabeam.array_geometry import ArrayConfig, eligible_pairs, steering_matrix
+from nomabeam.array_geometry import eligible_pairs, steering_matrix
 from nomabeam.beamforming import build_plan
 from nomabeam.channel import DropPaths, channel_rows
+from nomabeam.sim_harness import ScenarioConfig
 
 
 class Direction(NamedTuple):
@@ -18,6 +19,12 @@ class Direction(NamedTuple):
 
     theta: float
     phi: float
+
+
+def array(m_h: int, m_v: int, d_over_lambda: float = 0.5) -> ScenarioConfig:
+    """A scenario with an ``m_h x m_v`` array at spacing ``d_over_lambda``: one
+    user (K = 1) loads on any array of at least two elements."""
+    return ScenarioConfig(m_h=m_h, m_v=m_v, d_over_lambda=d_over_lambda, user_counts=(1,))
 
 
 def drop_paths(users) -> DropPaths:
@@ -48,7 +55,7 @@ def angles(dirs) -> tuple[np.ndarray, np.ndarray]:
     return np.array([d.theta for d in dirs]), np.array([d.phi for d in dirs])
 
 
-def beta_matrices(cfg: ArrayConfig, theta, phi) -> np.ndarray:
+def beta_matrices(cfg: ScenarioConfig, theta, phi) -> np.ndarray:
     """Each drop's symmetric K x K betas from T x K angle arrays, diagonal 1: the
     pair pass at threshold 0, which keeps every pair k < u, mirrored."""
     t, k, u, beta = eligible_pairs(cfg, theta, phi, 0.0)
@@ -57,19 +64,19 @@ def beta_matrices(cfg: ArrayConfig, theta, phi) -> np.ndarray:
     return matrices
 
 
-def pair_beta(cfg: ArrayConfig, a: Direction, b: Direction) -> float:
+def pair_beta(cfg: ScenarioConfig, a: Direction, b: Direction) -> float:
     """The beta between directions ``a`` and ``b``, as the pair pass gives it."""
     theta, phi = angles([a, b])
     return beta_matrices(cfg, theta[None], phi[None])[0, 0, 1]
 
 
-def channel_matrix(cfg: ArrayConfig, paths: DropPaths) -> np.ndarray:
+def channel_matrix(cfg: ScenarioConfig, paths: DropPaths) -> np.ndarray:
     """The drop's K x M channel rows, with its LOS paths steered here."""
     los = paths.starts
     return channel_rows(cfg, paths, steering_matrix(cfg, paths.theta[los], paths.phi[los]).T)
 
 
-def plan_toward(cfg: ArrayConfig, theta, phi, sizes, total_power_w: float, rule: str = "proportional"):
+def plan_toward(cfg: ScenarioConfig, theta, phi, sizes, total_power_w: float, rule: str = "proportional"):
     """``(weights, beam_powers)`` of beams c steered toward (theta[c], phi[c]).
 
     The M x C weights are the transposed view of the C x M steered rows, as

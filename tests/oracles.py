@@ -14,7 +14,6 @@ from typing import Sequence
 
 import numpy as np
 
-from nomabeam.array_geometry import ArrayConfig
 from nomabeam.channel import DropPaths
 from nomabeam.sim_harness import ScenarioConfig
 
@@ -25,7 +24,7 @@ BS_HEIGHT_M = 10.0
 SPEED_OF_LIGHT = 299_792_458.0
 
 
-def steering_phasors(cfg: ArrayConfig, direction: Direction) -> np.ndarray:
+def steering_phasors(cfg: ScenarioConfig, direction: Direction) -> np.ndarray:
     """The M element phasors toward ``direction``, flattened as ``i * m_v + j``."""
     c = 2.0 * math.pi * cfg.d_over_lambda
     u_az = math.cos(direction.theta) * math.cos(direction.phi)
@@ -35,7 +34,7 @@ def steering_phasors(cfg: ArrayConfig, direction: Direction) -> np.ndarray:
     return np.exp(1j * c * (i * u_az + j * u_el)).ravel()
 
 
-def beta_phasor_sum(cfg: ArrayConfig, dir_k: Direction, dir_u: Direction) -> float:
+def beta_phasor_sum(cfg: ScenarioConfig, dir_k: Direction, dir_u: Direction) -> float:
     """(1/M) |a_k^H a_u| by summing the M element phasors directly."""
     a_k, a_u = steering_phasors(cfg, dir_k), steering_phasors(cfg, dir_u)
     return float(abs(np.vdot(a_k, a_u))) / cfg.num_elements
@@ -92,7 +91,7 @@ def sinr_dbs_monopath_closed(
     own: int,
     eta_dbs: float,
     noise_w: float,
-    cfg: ArrayConfig,
+    cfg: ScenarioConfig,
 ) -> float:
     """Closed-form private-beam SINR when every user has a single path.
 
@@ -117,7 +116,7 @@ def sinr_dbs_multipath_closed(
     own: int,
     eta_dbs: float,
     noise_w: float,
-    cfg: ArrayConfig,
+    cfg: ScenarioConfig,
 ) -> float:
     """Closed-form private-beam SINR with multipath channels and LOS-steered beams.
 

@@ -19,7 +19,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from nomabeam.array_geometry import ArrayConfig, eligible_pairs
+from nomabeam.array_geometry import eligible_pairs
 from nomabeam.baselines import SchemeId
 from nomabeam.channel import draw_paths
 from nomabeam.clustering import greedy_pairs
@@ -27,7 +27,7 @@ from nomabeam.link_metrics import link_states
 from nomabeam.power_allocation import gamma_fair, gamma_hat, opa
 from nomabeam.sim_harness import ScenarioConfig, _drop_users, run_sweep, write_csv
 
-from drops import beta_matrices, channel_matrix, pair_beta, plan_toward, user_paths
+from drops import array, beta_matrices, channel_matrix, pair_beta, plan_toward, user_paths
 from oracles import (
     beta_phasor_sum,
     emitted_power_check,
@@ -48,7 +48,7 @@ def test_criterion_01_beta_closed_form_vs_brute_force():
     start = time.perf_counter()
     worst = 0.0
     for _ in range(1000):
-        cfg = ArrayConfig(int(rng.integers(1, 65)), int(rng.integers(1, 65)), 0.5)
+        cfg = array(int(rng.integers(1, 65)), int(rng.integers(1, 65)), 0.5)
         dir_k, dir_u = random_direction(rng), random_direction(rng)
         diff = abs(pair_beta(cfg, dir_k, dir_u) - beta_phasor_sum(cfg, dir_k, dir_u))
         worst = max(worst, diff)
@@ -134,7 +134,7 @@ def test_criterion_05_fairness_point():
 
 def test_criterion_06_pipeline_matches_closed_forms():
     rng = np.random.default_rng(SEED)
-    cfg = ArrayConfig(16, 2, 0.5)
+    cfg = array(16, 2, 0.5)
     noise = 8.1e-14
     mono = ScenarioConfig(num_time_clusters=(1, 1), paths_per_cluster=(1, 1))
     multi = ScenarioConfig(num_time_clusters=(2, 2), paths_per_cluster=(2, 2))
@@ -167,7 +167,7 @@ def test_criterion_07_power_conservation_smoke_sweep():
     for trial in range(100):
         paths = _drop_users(config, 25, [trial])
         los_theta, los_phi = paths.theta[paths.starts], paths.phi[paths.starts]
-        (pairs,) = greedy_pairs(eligible_pairs(config.array_config, los_theta[None], los_phi[None], config.beta0), 1)
+        (pairs,) = greedy_pairs(eligible_pairs(config, los_theta[None], los_phi[None], config.beta0), 1)
         pairs = pairs.tolist()
         singles = sorted(set(range(25)) - {m for pair in pairs for m in pair})
         beams = [
@@ -175,7 +175,7 @@ def test_criterion_07_power_conservation_smoke_sweep():
         ] + [(los_theta[s], los_phi[s]) for s in singles]
         sizes = [2] * len(pairs) + [1] * len(singles)
         theta, phi = zip(*beams)
-        weights, powers = plan_toward(config.array_config, theta, phi, sizes, total, config.inter_cluster_rule)
+        weights, powers = plan_toward(config, theta, phi, sizes, total, config.inter_cluster_rule)
         assert abs(emitted_power_check(weights, powers) - total) <= 1e-9 * total
         shares = [p / k_c for p, k_c in zip(emitted_powers(weights, powers), sizes)]
         assert all(abs(s - total / 25) <= 1e-12 * total for s in shares)
@@ -184,7 +184,7 @@ def test_criterion_07_power_conservation_smoke_sweep():
 
 def test_criterion_08_clustering_contract():
     rng = np.random.default_rng(SEED)
-    cfg = ArrayConfig(32, 2, 0.5)
+    cfg = array(32, 2, 0.5)
     config = ScenarioConfig()
     beta0 = 0.5
     for _ in range(500):

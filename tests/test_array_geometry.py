@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nomabeam.array_geometry import _RATIO_SLACK, ArrayConfig, _sin_ratio, eligible_pairs, pattern, steering_matrix
+from nomabeam.array_geometry import _RATIO_SLACK, _sin_ratio, eligible_pairs, pattern, steering_matrix
 
-from drops import Direction, angle_blocks, angles, pair_beta
+from drops import Direction, angle_blocks, angles, array, pair_beta
 from oracles import beta_phasor_sum, random_direction, steering_phasors
 
 BROADSIDE = Direction(math.pi / 2, 0.0)  # both direction cosines vanish
@@ -17,10 +17,10 @@ directions = st.builds(
     st.floats(0.0, 2.0 * math.pi - 1e-9),
     st.floats(-math.pi / 2, math.pi / 2),
 )
+# Every array a scenario holds (M >= 2, since 1 <= K < M) up to 16 x 16.
 configs = st.builds(
-    ArrayConfig,
-    st.integers(1, 16),
-    st.integers(1, 16),
+    lambda shape, d_over_lambda: array(*shape, d_over_lambda),
+    st.tuples(st.integers(1, 16), st.integers(1, 16)).filter(lambda shape: shape != (1, 1)),
     st.sampled_from([0.25, 0.5, 1.0]),
 )
 
@@ -30,18 +30,19 @@ def steering_row(cfg, direction):
 
 
 class TestSteeringVector:
-    def test_single_element_is_one(self):
-        entries = steering_row(ArrayConfig(1, 1, 0.5), Direction(1.2, -0.4))
-        assert entries.shape == (1,)
-        assert entries[0] == pytest.approx(1.0)
+    @given(configs, st.lists(directions, min_size=1, max_size=8))
+    def test_reference_element_is_one(self, cfg, dirs):
+        # element i = j = 0 sits at the phase origin
+        rows = steering_matrix(cfg, *angles(dirs))
+        assert np.all(rows[:, 0] == 1.0)
 
     def test_broadside_is_all_ones(self):
-        entries = steering_row(ArrayConfig(4, 3, 0.5), BROADSIDE)
+        entries = steering_row(array(4, 3, 0.5), BROADSIDE)
         assert np.allclose(entries, 1.0, atol=1e-12)
 
     def test_two_element_endfire(self):
         # u_az = 1 with half-wavelength spacing: phases 0 and pi
-        entries = steering_row(ArrayConfig(2, 1, 0.5), Direction(0.0, 0.0))
+        entries = steering_row(array(2, 1, 0.5), Direction(0.0, 0.0))
         assert np.allclose(entries, [1.0, -1.0], atol=1e-12)
 
     @given(configs, directions)
@@ -57,7 +58,7 @@ class TestSteeringVector:
 
     @pytest.mark.parametrize(
         "cfg",
-        [ArrayConfig(32, 2, 0.5), ArrayConfig(64, 8, 0.5), ArrayConfig(16, 4, 10.0)],
+        [array(32, 2, 0.5), array(64, 8, 0.5), array(16, 4, 10.0)],
         ids=["32x2", "64x8", "16x4-wide"],
     )
     def test_matches_oracle_phasors(self, cfg, rng):
@@ -80,7 +81,7 @@ class TestSteeringVector:
 
 class TestBetaMetric:
     def test_identical_directions_give_one(self):
-        cfg = ArrayConfig(8, 4, 0.5)
+        cfg = array(8, 4, 0.5)
         d = Direction(0.7, 0.1)
         assert pair_beta(cfg, d, d) == pytest.approx(1.0, abs=1e-12)
 
@@ -95,22 +96,22 @@ class TestBetaMetric:
 
     def test_two_element_null(self):
         # direction-cosine gap of 1 at half-wavelength spacing: |1 + e^{j pi}| / 2 = 0
-        cfg = ArrayConfig(2, 1, 0.5)
+        cfg = array(2, 1, 0.5)
         assert pair_beta(cfg, Direction(0.0, 0.0), BROADSIDE) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_phasor_sum_on_random_pairs(self, rng):
         for _ in range(300):
-            cfg = ArrayConfig(int(rng.integers(1, 65)), int(rng.integers(1, 65)), 0.5)
+            cfg = array(int(rng.integers(1, 65)), int(rng.integers(1, 65)), 0.5)
             a, b = random_direction(rng), random_direction(rng)
             assert pair_beta(cfg, a, b) == pytest.approx(beta_phasor_sum(cfg, a, b), abs=1e-9)
 
     def test_grating_direction_counts_as_full_interference(self):
         # cosine gap 2 at half-wavelength spacing aliases back onto the beam
-        cfg = ArrayConfig(8, 1, 0.5)
+        cfg = array(8, 1, 0.5)
         assert pair_beta(cfg, Direction(0.0, 0.0), Direction(math.pi, 0.0)) == pytest.approx(1.0, abs=1e-9)
 
     def test_monotone_approach_along_azimuth(self):
-        cfg = ArrayConfig(32, 2, 0.5)
+        cfg = array(32, 2, 0.5)
         target = BROADSIDE
         # approach from just inside the first null (cosine half-width 1/16)
         thetas = np.linspace(math.pi / 2 - 0.06, math.pi / 2, 250)
@@ -119,14 +120,14 @@ class TestBetaMetric:
         assert values[-1] == pytest.approx(1.0, abs=1e-12)
 
     def test_monotone_approach_along_elevation(self):
-        cfg = ArrayConfig(32, 2, 0.5)
+        cfg = array(32, 2, 0.5)
         target = BROADSIDE
         phis = np.linspace(-0.5, 0.0, 250)
         values = [pair_beta(cfg, Direction(math.pi / 2, p), target) for p in phis]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_pair_pass_agrees_with_each_pair_alone(self, rng):
-        cfg = ArrayConfig(16, 4, 0.5)
+        cfg = array(16, 4, 0.5)
         dirs = [random_direction(rng) for _ in range(12)]
         theta, phi = angles(dirs)
         _, k, u, beta = eligible_pairs(cfg, theta[None], phi[None], 0.0)
@@ -138,11 +139,11 @@ class TestBetaMetric:
 # No azimuth filtering (one column), one or two array rows, grating lobes at
 # 1.5 wavelengths, and the massive array.
 PAIR_PASS_ARRAYS = [
-    ArrayConfig(1, 16, 0.5),
-    ArrayConfig(8, 1, 0.5),
-    ArrayConfig(16, 2, 0.5),
-    ArrayConfig(4, 2, 1.5),
-    ArrayConfig(64, 8, 0.5),
+    array(1, 16, 0.5),
+    array(8, 1, 0.5),
+    array(16, 2, 0.5),
+    array(4, 2, 1.5),
+    array(64, 8, 0.5),
 ]
 
 
@@ -195,7 +196,7 @@ class TestArrayFactor:
     """The pattern of a steered beam at a probe direction, as ``pattern`` gives it."""
 
     def test_probe_at_beam_is_one(self):
-        cfg = ArrayConfig(16, 2, 0.5)
+        cfg = array(16, 2, 0.5)
         beam = Direction(1.0, -0.2)
         offsets = np.zeros(1)
         held = np.full_like(offsets, beam.theta), np.full_like(offsets, beam.phi)
@@ -211,7 +212,7 @@ class TestArrayFactor:
         assert values[0] == pair_beta(cfg, moved, beam)
 
     def test_monotone_decrease_inside_main_lobe(self):
-        cfg = ArrayConfig(32, 2, 0.5)
+        cfg = array(32, 2, 0.5)
         offsets = np.linspace(0.0, 0.06, 300)
         values = pattern(cfg, *BROADSIDE, BROADSIDE.theta + offsets, np.full_like(offsets, BROADSIDE.phi))
         assert np.all(np.diff(values) <= 1e-12)

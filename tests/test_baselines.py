@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from nomabeam.array_geometry import ArrayConfig
 from nomabeam.baselines import SchemeId, conjugate_bf_sinr, energy_efficiency
 from nomabeam.link_metrics import link_states, rate
 from nomabeam.power_allocation import opa
 
-from drops import Direction, channel_matrix, drop_paths, plan_toward
+from drops import Direction, array, channel_matrix, drop_paths, plan_toward
 from oracles import pair_rate
 
-CFG = ArrayConfig(16, 2, 0.5)
+CFG = array(16, 2, 0.5)
 
 
 class TestOrthogonalSharing:

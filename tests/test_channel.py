@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 
 from nomabeam import channel, sim_harness
-from nomabeam.array_geometry import ArrayConfig, steering_matrix
+from nomabeam.array_geometry import steering_matrix
 from nomabeam.channel import DropPaths, draw_paths
 from nomabeam.link_metrics import link_states
 from nomabeam.sim_harness import ScenarioConfig
 
-from drops import Direction, channel_matrix, drop_paths, pair_beta, user_paths
+from drops import Direction, array, channel_matrix, drop_paths, pair_beta, user_paths
 from oracles import draw_paths_scalar
 
-CFG = ArrayConfig(16, 2, 0.5)
+CFG = array(16, 2, 0.5)
 MONO = ScenarioConfig(num_time_clusters=(1, 1), paths_per_cluster=(1, 1))
 
 

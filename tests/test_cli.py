@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nomabeam.array_geometry import ArrayConfig
 from nomabeam.cli import PATTERN_STEP_RAD, main
 from nomabeam.sim_harness import CSV_HEADER
 
 from csv_reference import pattern_csv
+from drops import array
 
 SMALL_CFG = """
 m_h = 8
@@ -244,7 +244,7 @@ PATTERN_SHA256 = {
 
 # The default array, one row, grating lobes at 1.5 wavelengths, and the
 # massive array at 2.5 wavelengths
-PATTERN_ARRAYS = [ArrayConfig(32, 2, 0.5), ArrayConfig(8, 1, 0.5), ArrayConfig(4, 2, 1.5), ArrayConfig(64, 8, 2.5)]
+PATTERN_ARRAYS = [array(32, 2, 0.5), array(8, 1, 0.5), array(4, 2, 1.5), array(64, 8, 2.5)]
 beam_angles = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -1e-300, 1e300, -1e300, math.pi / 2, -math.pi / 2]),
     st.floats(-4.0, 4.0),

@@ -4,14 +4,14 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nomabeam.array_geometry import ArrayConfig, eligible_pairs
+from nomabeam.array_geometry import eligible_pairs
 from nomabeam.clustering import greedy_pairs
 
-from drops import Direction, angle_blocks, angles, beta_matrices
+from drops import Direction, angle_blocks, angles, array, beta_matrices
 from oracles import greedy_pairs_masked
 
 
-CFG = ArrayConfig(32, 2, 0.5)
+CFG = array(32, 2, 0.5)
 
 
 def deg(theta, phi):
@@ -116,8 +116,9 @@ class TestPairingFromAngles:
 
 
 # The sweep's array, a sparse one whose grating lobes tie distinct
-# directions at beta = 1, and a single element, under which every pair ties.
-BLOCK_ARRAYS = [ArrayConfig(32, 2, 0.5), ArrayConfig(4, 2, 1.5), ArrayConfig(1, 1, 0.5)]
+# directions at beta = 1, and a single column, whose azimuth factor is 1: a
+# user that copies another's elevation ties with it at beta = 1.
+BLOCK_ARRAYS = [array(32, 2, 0.5), array(4, 2, 1.5), array(1, 2, 0.5)]
 
 
 class TestBlockPairing:

@@ -3,16 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from nomabeam.array_geometry import ArrayConfig, steering_matrix
+from nomabeam.array_geometry import steering_matrix
 from nomabeam.channel import draw_paths
 from nomabeam.link_metrics import link_states, rate, sinr_noma_strong, sinr_noma_weak
 from nomabeam.power_allocation import Branch, gamma_hat, opa
 from nomabeam.sim_harness import ScenarioConfig
 
-from drops import Direction, channel_matrix, drop_paths, pair_beta, plan_toward, user_paths
+from drops import Direction, array, channel_matrix, drop_paths, pair_beta, plan_toward, user_paths
 from oracles import sinr_dbs_monopath_closed, sinr_dbs_multipath_closed
 
-CFG = ArrayConfig(16, 2, 0.5)
+CFG = array(16, 2, 0.5)
 
 
 def private_plan(dirs, total_power=1.0):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nomabeam.array_geometry import ArrayConfig, steering_matrix
+from nomabeam.array_geometry import steering_matrix
 from nomabeam.link_metrics import link_states
 from nomabeam.power_allocation import (
     Branch,
@@ -15,10 +15,10 @@ from nomabeam.power_allocation import (
     opa,
 )
 
-from drops import Direction, channel_matrix, drop_paths, plan_toward
+from drops import Direction, array, channel_matrix, drop_paths, plan_toward
 from oracles import pair_rate, pair_rate_grid_max, rc_derivative
 
-CFG = ArrayConfig(16, 2, 0.5)
+CFG = array(16, 2, 0.5)
 
 
 def los_rows(*directions):

@@ -11,7 +11,10 @@ in a module's ``__all__`` must likewise be read by a module of the package
 other than ``__init__.py``: test oracles live in
 ``tests/``, not in the library.  Every field of a package dataclass or
 ``NamedTuple`` must be read as an attribute, by name, by some package module:
-state that only tests read is computed for nobody.
+state that only tests read is computed for nobody.  Each config value has one
+record: no package dataclass or ``NamedTuple`` other than ``ScenarioConfig``
+declares a field that ``ScenarioConfig`` declares, so a second record that
+copies the scenario's values (and skips its checks) fails here.
 """
 
 import ast
@@ -124,6 +127,30 @@ def _is_record(node: ast.ClassDef) -> bool:
     ) or any(isinstance(base, ast.Name) and base.id == "NamedTuple" for base in node.bases)
 
 
+def _record_fields(tree: ast.Module) -> dict[str, list[str]]:
+    """The field names of each dataclass and ``NamedTuple`` that a module defines, by class name."""
+    return {
+        node.name: [
+            field.target.id
+            for field in node.body
+            if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+        ]
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and _is_record(node)
+    }
+
+
+def test_every_config_value_has_one_record():
+    records = {
+        f"{path.stem}.{name}": names
+        for path in sorted(SRC.glob("*.py"))
+        for name, names in _record_fields(ast.parse(path.read_text(encoding="utf-8"))).items()
+    }
+    scenario = set(records.pop("sim_harness.ScenarioConfig"))
+    copies = [f"{record}.{name}" for record, names in records.items() for name in names if name in scenario]
+    assert copies == []
+
+
 def test_every_dataclass_field_is_read():
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
     read = {
@@ -133,12 +160,10 @@ def test_every_dataclass_field_is_read():
         if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
     }
     unread = [
-        f"{stem}.{node.name}.{field.target.id}"
+        f"{stem}.{record}.{name}"
         for stem, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, ast.ClassDef) and _is_record(node)
-        for field in node.body
-        if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
-        and field.target.id not in read
+        for record, names in _record_fields(tree).items()
+        for name in names
+        if name not in read
     ]
     assert unread == []
