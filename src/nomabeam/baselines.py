@@ -47,7 +47,9 @@ def conjugate_bf_sinr(h_matrix: np.ndarray, total_power_w: float, noise_w: float
     w_matrix = np.conj(np.swapaxes(h_matrix, -1, -2))
     w_matrix /= np.linalg.norm(h_matrix, axis=-1)[..., None, :]
     # eta * p_c, in that order: P / K may differ in the last bit.
-    return link_states(h_matrix @ w_matrix, 1.0 / k_users * total_power_w, np.arange(k_users), noise_w)[2]
+    gains = h_matrix @ w_matrix
+    del w_matrix
+    return link_states(gains, 1.0 / k_users * total_power_w, np.arange(k_users), noise_w)[2]
 
 
 # Consumption model of the energy-efficiency metric: power-amplifier

@@ -27,18 +27,16 @@ if TYPE_CHECKING:
     from .sim_harness import ScenarioConfig
 
 __all__ = [
-    "BS_HEIGHT_M",
-    "SPEED_OF_LIGHT",
     "DropPaths",
     "draw_paths",
     "channel_rows",
 ]
 
-SPEED_OF_LIGHT = 299_792_458.0
+_SPEED_OF_LIGHT = 299_792_458.0
 
 # Antenna height above the user plane; fixes the elevation geometry of a drop
 # and keeps the free-space loss bounded for users close to the mast.
-BS_HEIGHT_M = 10.0
+_BS_HEIGHT_M = 10.0
 
 # Bytes of scattered-path steering vectors computed at once.  Steering them
 # next to the LOS matrix and the channel rows then takes less memory than the
@@ -106,9 +104,9 @@ def draw_paths(rngs: Iterable[np.random.Generator], config: ScenarioConfig, k_us
     radius_u, theta_u, shadow_db, los_phase_u = np.array(los_draws).reshape(n_users, 4).T
     ground_r = config.cell_radius_m * np.sqrt(radius_u)
     theta = math.pi * theta_u
-    slant = np.array([math.hypot(r, BS_HEIGHT_M) for r in ground_r.tolist()])
-    phi = np.array([-math.asin(s) for s in (BS_HEIGHT_M / slant).tolist()])
-    wavelength_m = SPEED_OF_LIGHT / config.carrier_hz
+    slant = np.array([math.hypot(r, _BS_HEIGHT_M) for r in ground_r.tolist()])
+    phi = np.array([-math.asin(s) for s in (_BS_HEIGHT_M / slant).tolist()])
+    wavelength_m = _SPEED_OF_LIGHT / config.carrier_hz
     los_amp = wavelength_m / (4.0 * math.pi * slant) * _pow10(shadow_db / 20.0)
 
     # Scattered paths: one row each, users in order.

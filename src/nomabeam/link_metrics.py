@@ -45,7 +45,6 @@ def link_states(
     row sums run at that count, so that its entries have the bits it gives alone.
     """
     weighted = np.abs(gains)
-    del gains  # a product passed as a temporary goes before the weighing allocates
     np.square(weighted, out=weighted)
     weighted *= beam_powers
     psi = np.take_along_axis(weighted, np.broadcast_to(own_beams, weighted.shape[:-1])[..., None], -1)[..., 0]

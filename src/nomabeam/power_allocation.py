@@ -22,8 +22,6 @@ from .link_metrics import rate
 
 __all__ = [
     "Branch",
-    "gamma_hat",
-    "gamma_fair",
     "opa",
 ]
 
@@ -39,7 +37,7 @@ class Branch(IntEnum):
     INFEASIBLE = 3
 
 
-def gamma_hat(zeta1, p_min: float):
+def _gamma_hat(zeta1, p_min: float):
     """Upper endpoint of the feasible interval: (1 - p_min/zeta1) / 2.
 
     NaN where p_min exceeds zeta1, i.e. the interval is empty.
@@ -49,7 +47,7 @@ def gamma_hat(zeta1, p_min: float):
     return np.where(ratio > 1.0, np.nan, np.maximum(0.0, 0.5 * (1.0 - ratio)))
 
 
-def gamma_fair(zeta1, zeta2):
+def _gamma_fair(zeta1, zeta2):
     """Split at which the two users' rates coincide.
 
     The positive root of zeta1*zeta2*g^2 + (zeta1+zeta2)*g - zeta2 = 0,
@@ -85,9 +83,9 @@ def opa(zeta1, zeta2, p_min: float, epsilon: float) -> tuple[np.ndarray, np.ndar
     gap = np.divide(np.abs(r1 - r2), r1, out=np.where(r1 == r2, 0.0, np.inf), where=r1 > 0)
     fair = gap < epsilon
     upper = ~fair & (z2 < z1)
-    cap = gamma_hat(z1, p_min)
+    cap = _gamma_hat(z1, p_min)
     infeasible = (fair | upper) & np.isnan(cap)
-    gamma1 = np.where(fair, np.minimum(gamma_fair(z1, z2), cap), np.where(upper, cap, 0.0))
+    gamma1 = np.where(fair, np.minimum(_gamma_fair(z1, z2), cap), np.where(upper, cap, 0.0))
     branch = np.where(fair, Branch.FAIR, np.where(upper, Branch.UPPER_ENDPOINT, Branch.DEACTIVATE))
     return np.where(infeasible, 0.0, gamma1), np.where(infeasible, Branch.INFEASIBLE, branch)
 

@@ -33,16 +33,12 @@ __all__ = [
     "ConfigError",
     "ScenarioConfig",
     "Columns",
-    "CSV_HEADER",
-    "parse_config_text",
     "load_scenario",
     "evaluate_trial",
     "run_sweep",
     "write_csv",
     "format_aggregates",
 ]
-
-CSV_HEADER = "scheme,K,trial,sum_rate_bps,spectral_eff,energy_eff,noma_clusters,deactivated_users"
 
 # Bounds of the link's scale: within them every rate is finite and no
 # line-of-sight path loss or received power underflows to zero.
@@ -240,7 +236,7 @@ _PARSERS = {
 _NOMA_DBS_BY_CSI_MODE = {"full": SchemeId.NOMA_DBS_FCSI, "partial": SchemeId.NOMA_DBS_PCSI}
 
 
-def parse_config_text(text: str) -> dict:
+def _parse_config_text(text: str) -> dict:
     """Parse flat ``key = value`` scenario text into constructor keywords.
 
     Lines are independent; ``#`` starts a comment; blank lines are ignored.
@@ -290,7 +286,7 @@ def load_scenario(path: str, trials: int | None = None, master_seed: int | None 
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"scenario file {path!r} is not UTF-8 text: {exc}") from exc
-    values = parse_config_text(text)
+    values = _parse_config_text(text)
     for key, value in (("trials", trials), ("master_seed", master_seed)):
         if value is not None:
             values[key] = value
@@ -401,8 +397,10 @@ def _steered_links(
     h_rows = channel_rows(config, paths, los)
     # One beam per user: every beam takes the same power.
     power = build_plan(np.ones(k_users, int), config.num_elements, config.total_power_w, config.inter_cluster_rule)[0]
-    dbs_zeta = link_states(h_rows @ los, power, np.arange(k_users), config.noise_w)[2]
+    gains = h_rows @ los
     del los
+    dbs_zeta = link_states(gains, power, np.arange(k_users), config.noise_w)[2]
+    del gains
 
     # order[t] lists paired drop t's users in beam order, sorted by ranks that
     # put the pairs first, in selection order.  Place p < 2P is on beam p // 2
@@ -527,7 +525,7 @@ def run_sweep(config: ScenarioConfig) -> dict[tuple[SchemeId, int], Columns]:
 def write_csv(columns: dict[tuple[SchemeId, int], Columns], path: str) -> None:
     """Emit one row per (scheme, K, trial), in the order of ``columns`` and then of trials,
     with floats at 9 significant digits."""
-    lines = [CSV_HEADER]
+    lines = ["scheme,K,trial,sum_rate_bps,spectral_eff,energy_eff,noma_clusters,deactivated_users"]
     for (scheme, k_users), cols in columns.items():
         row = f"{scheme.value},{k_users},%d,%.9g,%.9g,%.9g,%d,%d"
         values = (cols.sum_rate_bps, cols.spectral_eff, cols.energy_eff, cols.noma_clusters, cols.deactivated_users)

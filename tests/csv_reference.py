@@ -11,7 +11,10 @@ import math
 import numpy as np
 
 from nomabeam.array_geometry import pattern
-from nomabeam.sim_harness import CSV_HEADER, ScenarioConfig
+from nomabeam.sim_harness import ScenarioConfig
+
+# The header that ``write_csv`` must write, pinned here as text.
+SWEEP_HEADER = "scheme,K,trial,sum_rate_bps,spectral_eff,energy_eff,noma_clusters,deactivated_users"
 
 
 def pattern_csv(cfg: ScenarioConfig, beam_theta: float, beam_phi: float, step: float) -> str:
@@ -30,7 +33,7 @@ def pattern_csv(cfg: ScenarioConfig, beam_theta: float, beam_phi: float, step: f
 
 def sweep_csv(columns: dict) -> str:
     """The text ``write_csv`` writes for ``columns``."""
-    lines = [CSV_HEADER]
+    lines = [SWEEP_HEADER]
     for (scheme, k_users), cols in columns.items():
         rows = zip(*(column.tolist() for column in cols))
         lines.extend(

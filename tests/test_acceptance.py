@@ -24,7 +24,7 @@ from nomabeam.baselines import SchemeId
 from nomabeam.channel import draw_paths
 from nomabeam.clustering import greedy_pairs
 from nomabeam.link_metrics import link_states
-from nomabeam.power_allocation import gamma_fair, gamma_hat, opa
+from nomabeam.power_allocation import _gamma_fair, _gamma_hat, opa
 from nomabeam.sim_harness import ScenarioConfig, _drop_users, run_sweep, write_csv
 
 from drops import array, beta_matrices, channel_matrix, pair_beta, plan_toward, user_paths
@@ -70,7 +70,7 @@ def test_criterion_02_opa_optimality_against_grid_search():
         z2 = float(rng.uniform(0.01, 100.0))
         gamma1, _ = opa(z1, z2, p_min, 0.0)
         achieved = pair_rate(z1, z2, float(gamma1))
-        grid_max = pair_rate_grid_max(z1, z2, gamma_hat(z1, p_min), step=1e-4)
+        grid_max = pair_rate_grid_max(z1, z2, _gamma_hat(z1, p_min), step=1e-4)
         assert achieved >= grid_max - 1e-6 * abs(grid_max)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
@@ -95,7 +95,7 @@ def test_criterion_03_throughput_slope_sign_and_finite_difference():
 
 def test_criterion_04_fair_split_range_monotonicity_and_limits():
     grid = np.logspace(-3, 3, 301)
-    values = [gamma_fair(z, z) for z in grid]
+    values = [_gamma_fair(z, z) for z in grid]
     assert all(0.0 < v < 0.5 for v in values)
     assert all(b < a for a, b in zip(values, values[1:]))
     low_end = values[0]
@@ -119,17 +119,17 @@ def test_criterion_04_fair_split_range_monotonicity_and_limits():
 
 
 def test_criterion_05_fairness_point():
-    value = gamma_fair(3.0, 3.0)
+    value = _gamma_fair(3.0, 3.0)
     assert abs(value - 1.0 / 3.0) < 1e-12
     rng = np.random.default_rng(SEED)
     for _ in range(1000):
         z1 = float(10.0 ** rng.uniform(-3, 3))
         z2 = float(10.0 ** rng.uniform(-3, 3))
-        g = gamma_fair(z1, z2)
+        g = _gamma_fair(z1, z2)
         r1 = math.log2(1.0 + z1 * g)
         r2 = math.log2(1.0 + z2 * (1.0 - g) / (1.0 + z2 * g))
         assert abs(r1 - r2) < 1e-9 * r1
-    print("CRITERION 5: PASS - rates equal at the fair split (1e-9 rel); gamma_fair(3,3) = 1/3 exact")
+    print("CRITERION 5: PASS - rates equal at the fair split (1e-9 rel); _gamma_fair(3,3) = 1/3 exact")
 
 
 def test_criterion_06_pipeline_matches_closed_forms():

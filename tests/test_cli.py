@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nomabeam.cli import PATTERN_STEP_RAD, main
-from nomabeam.sim_harness import CSV_HEADER
 
-from csv_reference import pattern_csv
+from csv_reference import SWEEP_HEADER, pattern_csv
 from drops import array
 
 SMALL_CFG = """
@@ -50,7 +49,7 @@ class TestSimulateCommand:
         code = main(["simulate", "--config", config_path, "--out", str(out)])
         assert code == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == CSV_HEADER
+        assert lines[0] == SWEEP_HEADER
         assert len(lines) == 1 + 2 * 2 * 2
         assert "wrote" in capsys.readouterr().out
 

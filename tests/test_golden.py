@@ -27,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from nomabeam.sim_harness import ScenarioConfig, load_scenario, parse_config_text, run_sweep, write_csv
+from nomabeam.sim_harness import ScenarioConfig, _parse_config_text, load_scenario, run_sweep, write_csv
 
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "rural_default.cfg"
 
@@ -64,7 +64,7 @@ GOLDEN_CASES = {
     ),
     "scheme-subset": (
         ScenarioConfig(
-            **parse_config_text(
+            **_parse_config_text(
                 "user_counts = 2,5,15\ntrials = 40\nschemes = cb,noma_dbs,dbs\ncsi_mode = partial\nmaster_seed = 2\n"
             )
         ),

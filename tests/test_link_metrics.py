@@ -6,7 +6,7 @@ import pytest
 from nomabeam.array_geometry import steering_matrix
 from nomabeam.channel import draw_paths
 from nomabeam.link_metrics import link_states, rate, sinr_noma_strong, sinr_noma_weak
-from nomabeam.power_allocation import Branch, gamma_hat, opa
+from nomabeam.power_allocation import Branch, _gamma_hat, opa
 from nomabeam.sim_harness import ScenarioConfig
 
 from drops import Direction, array, channel_matrix, drop_paths, pair_beta, plan_toward, user_paths
@@ -129,17 +129,17 @@ class TestSicFeasible:
     """The cancellation constraint (1 - 2*gamma1) >= p_min / zeta1 holds for gamma1 <= gamma_hat."""
 
     def test_zero_gamma_needs_zeta_above_p_min(self):
-        assert gamma_hat(2.0, 1.0) >= 0.0
-        assert np.isnan(gamma_hat(0.5, 1.0))
+        assert _gamma_hat(2.0, 1.0) >= 0.0
+        assert np.isnan(_gamma_hat(0.5, 1.0))
         _, branch = opa(0.5, 0.5, 1.0, 0.05)
         assert branch == Branch.INFEASIBLE
 
     def test_boundary_is_inclusive(self):
         # 1 - 2*0.375 == 0.25/1.0 exactly in binary floating point
-        assert gamma_hat(1.0, 0.25) == 0.375
+        assert _gamma_hat(1.0, 0.25) == 0.375
 
     def test_hand_infeasible_case(self):
-        assert gamma_hat(2.0, 1.0) < 0.3  # 1 - 2*0.3 = 0.4 < 0.5 = p_min / zeta1
+        assert _gamma_hat(2.0, 1.0) < 0.3  # 1 - 2*0.3 = 0.4 < 0.5 = p_min / zeta1
 
 
 class TestRate:

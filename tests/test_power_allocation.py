@@ -10,8 +10,8 @@ from nomabeam.array_geometry import steering_matrix
 from nomabeam.link_metrics import link_states
 from nomabeam.power_allocation import (
     Branch,
-    gamma_fair,
-    gamma_hat,
+    _gamma_fair,
+    _gamma_hat,
     opa,
 )
 
@@ -40,84 +40,84 @@ def partial_csi_split(d_strong, d_weak, plan):
 
 class TestGammaHat:
     def test_unconstrained_limit(self):
-        assert gamma_hat(5.0, 0.0) == pytest.approx(0.5)
+        assert _gamma_hat(5.0, 0.0) == pytest.approx(0.5)
 
     def test_hand_value(self):
-        assert gamma_hat(2.0, 1.0) == pytest.approx(0.25)
+        assert _gamma_hat(2.0, 1.0) == pytest.approx(0.25)
 
     def test_large_zeta_limit(self):
-        assert gamma_hat(1e12, 1e-3) == pytest.approx(0.5, abs=1e-12)
+        assert _gamma_hat(1e12, 1e-3) == pytest.approx(0.5, abs=1e-12)
 
     def test_empty_interval_is_infeasible(self):
-        assert np.isnan(gamma_hat(0.5, 1.0))
+        assert np.isnan(_gamma_hat(0.5, 1.0))
         for zeta2 in (0.5, 0.05):  # the fair and the upper-endpoint branch
             gamma1, branch = opa(0.5, zeta2, 1.0, 0.01)
             assert branch == Branch.INFEASIBLE
             assert gamma1 == 0.0
 
     def test_boundary_interval_is_degenerate_not_infeasible(self):
-        assert gamma_hat(1.0, 1.0) == 0.0
+        assert _gamma_hat(1.0, 1.0) == 0.0
 
 
 class TestGammaFair:
     def test_hand_value_one_third(self):
-        value = gamma_fair(3.0, 3.0)
+        value = _gamma_fair(3.0, 3.0)
         assert abs(value - 1.0 / 3.0) < 1e-12
         assert math.log2(1.0 + 3.0 * value) == pytest.approx(1.0, rel=1e-12)
         weak = 3.0 * (1 - value) / (1 + 3.0 * value)
         assert math.log2(1.0 + weak) == pytest.approx(1.0, rel=1e-12)
 
     def test_small_zeta_limit_is_half(self):
-        assert gamma_fair(1e-12, 1e-12) == pytest.approx(0.5, abs=1e-9)
+        assert _gamma_fair(1e-12, 1e-12) == pytest.approx(0.5, abs=1e-9)
 
     def test_large_zeta_limit_is_zero(self):
-        assert gamma_fair(1e12, 1e12) == pytest.approx(0.0, abs=1e-5)
+        assert _gamma_fair(1e12, 1e12) == pytest.approx(0.0, abs=1e-5)
 
     def test_equalizes_rates_on_random_pairs(self, rng):
         for _ in range(1000):
             z1 = float(10.0 ** rng.uniform(-3, 3))
             z2 = float(10.0 ** rng.uniform(-3, 3))
-            g = gamma_fair(z1, z2)
+            g = _gamma_fair(z1, z2)
             r1 = math.log2(1.0 + z1 * g)
             r2 = math.log2(1.0 + z2 * (1.0 - g) / (1.0 + z2 * g))
             assert abs(r1 - r2) < 1e-9 * r1
 
     def test_strictly_decreasing_in_zeta(self):
         grid = np.logspace(-3, 3, 200)
-        values = [gamma_fair(z, z) for z in grid]
+        values = [_gamma_fair(z, z) for z in grid]
         assert all(0.0 < v < 0.5 for v in values)
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_true_convergence_toward_zero(self):
         # decay is ~ 1/sqrt(zeta): reaching 1e-3 needs zeta ~ 1e6
-        assert gamma_fair(1e7, 1e7) < 1e-3
+        assert _gamma_fair(1e7, 1e7) < 1e-3
 
 
 class TestOpa:
     def test_equal_ratios_take_fair_branch(self):
         gamma1, branch = opa(4.0, 4.0, 1e-3, 0.01)
         assert branch == Branch.FAIR
-        assert gamma1 == pytest.approx(gamma_fair(4.0, 4.0), rel=1e-12)
+        assert gamma1 == pytest.approx(_gamma_fair(4.0, 4.0), rel=1e-12)
 
     def test_strong_ahead_takes_upper_endpoint(self):
         gamma1, branch = opa(10.0, 1.0, 1e-3, 0.01)
         assert branch == Branch.UPPER_ENDPOINT
-        assert gamma1 == pytest.approx(gamma_hat(10.0, 1e-3), rel=1e-12)
-        grid_max = pair_rate_grid_max(10.0, 1.0, gamma_hat(10.0, 1e-3))
+        assert gamma1 == pytest.approx(_gamma_hat(10.0, 1e-3), rel=1e-12)
+        grid_max = pair_rate_grid_max(10.0, 1.0, _gamma_hat(10.0, 1e-3))
         assert pair_rate(10.0, 1.0, gamma1) >= grid_max - 1e-6 * grid_max
 
     def test_strong_behind_deactivates(self):
         gamma1, branch = opa(1.0, 10.0, 1e-3, 0.01)
         assert branch == Branch.DEACTIVATE
         assert gamma1 == 0.0
-        grid_max = pair_rate_grid_max(1.0, 10.0, gamma_hat(1.0, 1e-3))
+        grid_max = pair_rate_grid_max(1.0, 10.0, _gamma_hat(1.0, 1e-3))
         assert pair_rate(1.0, 10.0, 0.0) >= grid_max - 1e-6 * grid_max
 
     def test_fair_branch_respects_the_feasible_interval(self):
         # the rate-equalizing split would exceed the cancellation endpoint
         gamma1, branch = opa(0.01, 0.01, 1e-3, 0.01)
-        cap = gamma_hat(0.01, 1e-3)
-        assert gamma_fair(0.01, 0.01) > cap
+        cap = _gamma_hat(0.01, 1e-3)
+        assert _gamma_fair(0.01, 0.01) > cap
         assert branch == Branch.FAIR
         assert gamma1 == pytest.approx(cap, rel=1e-12)
 
@@ -140,7 +140,7 @@ class TestOpa:
             warnings.simplefilter("error")
             gamma1, branch = opa(1e-17, 1e-17, 0.0, 0.05)
             assert branch == Branch.FAIR
-            assert gamma1 == pytest.approx(gamma_fair(1e-17, 1e-17), rel=1e-12)
+            assert gamma1 == pytest.approx(_gamma_fair(1e-17, 1e-17), rel=1e-12)
             assert opa(1e-17, 1.0, 0.0, 0.05) == (0.0, Branch.DEACTIVATE)
 
     def test_cap_ratio_beyond_float_range_is_infeasible(self):
@@ -149,14 +149,14 @@ class TestOpa:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert opa(1e-10, 1e-12, 1e300, 0.05) == (0.0, Branch.INFEASIBLE)
-            assert np.isnan(gamma_hat(1e-10, 1e300))
+            assert np.isnan(_gamma_hat(1e-10, 1e300))
 
     def test_optimality_against_grid_search(self, rng):
         for _ in range(200):
             z1 = float(rng.uniform(0.01, 100.0))
             z2 = float(rng.uniform(0.01, 100.0))
             gamma1, _ = opa(z1, z2, 1e-3, 0.0)
-            grid_max = pair_rate_grid_max(z1, z2, gamma_hat(z1, 1e-3))
+            grid_max = pair_rate_grid_max(z1, z2, _gamma_hat(z1, 1e-3))
             assert pair_rate(z1, z2, float(gamma1)) >= grid_max * (1.0 - 1e-6)
 
     def test_constraints_hold_on_random_inputs(self, rng):
