@@ -56,18 +56,22 @@ def steering_matrix(cfg: ScenarioConfig, theta, phi) -> np.ndarray:
     ``i * m_v + j``) is ``exp(j * 2*pi * d/lambda * (i*u_az + j*u_el))``:
     the Kronecker product of the azimuth progression
     ``exp(j * 2*pi * d/lambda * i*u_az)`` and the elevation progression
-    ``exp(j * 2*pi * d/lambda * j*u_el)``, so each direction takes m_h + m_v
-    complex exps and one outer product.
+    ``exp(j * 2*pi * d/lambda * j*u_el)``, each the running product of its
+    unit step (two complex exps a direction).  Element 0 of a progression is
+    exactly 1; element i carries the rounding of i products and i steps.
     """
     u_az, u_el = _direction_cosines(theta, phi)
     step = 2.0 * math.pi * cfg.d_over_lambda
     n, m_h = len(u_az), cfg.m_h
-    # Both progressions side by side, their phases straight into the imaginary parts.
-    phasors = np.zeros((n, m_h + cfg.m_v), dtype=complex)
-    np.multiply((step * u_az)[:, None], np.arange(m_h), out=phasors.imag[:, :m_h])
-    np.multiply((step * u_el)[:, None], np.arange(cfg.m_v), out=phasors.imag[:, m_h:])
-    np.exp(phasors, out=phasors)
-    return (phasors[:, :m_h, None] * phasors[:, None, m_h:]).reshape(n, cfg.num_elements)
+    # One direction per column: 1, then its unit step, raised to powers down the rows in place.
+    phasors = np.ones((m_h + cfg.m_v, n), dtype=complex)
+    phasors[1:m_h] = np.exp(1j * step * u_az)
+    phasors[m_h + 1 :] = np.exp(1j * step * u_el)
+    np.multiply.accumulate(phasors[:m_h], out=phasors[:m_h])
+    np.multiply.accumulate(phasors[m_h:], out=phasors[m_h:])
+    # C order, the layout the callers' products take (order "K" grew their resident memory).
+    az, el = phasors[:m_h].T, phasors[m_h:].T
+    return np.multiply(az[:, :, None], el[:, None, :], order="C").reshape(n, cfg.num_elements)
 
 
 def _sin_ratio(m: int, x: np.ndarray) -> np.ndarray:

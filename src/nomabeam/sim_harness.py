@@ -534,13 +534,29 @@ def write_csv(columns: dict[tuple[SchemeId, int], Columns], path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _stdev(values: list[float]) -> float:
+    """Sample standard deviation, correctly rounded: over their common denominator 2**e the values
+    are integers A, the variance (n sum(A**2) - sum(A)**2) / (n (n - 1) 4**e) is exact, and its root
+    is taken to 55 bits or more (a radicand of at least 2**108), rounded to odd, then once to a float."""
+    ratios = [x.as_integer_ratio() for x in values]
+    e = max(d for _, d in ratios).bit_length() - 1
+    ints = [a << e - d.bit_length() + 1 for a, d in ratios]
+    n = len(ints)
+    num, den = n * sum(a * a for a in ints) - sum(ints) ** 2, n * (n - 1) << 2 * e
+    q = (num.bit_length() - den.bit_length() - 109) // 2
+    num, den = (num << -2 * q, den) if q < 0 else (num, den << 2 * q)
+    root = math.isqrt(num // den)
+    root |= root * root * den != num
+    return root / (1 << -q) if q < 0 else float(root << q)
+
+
 def format_aggregates(columns: dict[tuple[SchemeId, int], Columns]) -> str:
     """Human-readable table of each (scheme, K)'s spectral-efficiency mean and
     standard error and energy-efficiency mean, in the order of ``columns``."""
     lines = [f"{'scheme':<16} {'K':>4} {'trials':>7} {'SE mean [bps/Hz]':>18} {'SE stderr':>12} {'EE mean [bps/J]':>16}"]
     for (scheme, k_users), cols in columns.items():
         ses = cols.spectral_eff.tolist()
-        stderr = statistics.stdev(ses) / math.sqrt(len(ses)) if len(ses) > 1 else 0.0
+        stderr = _stdev(ses) / math.sqrt(len(ses)) if len(ses) > 1 else 0.0
         lines.append(
             f"{scheme.value:<16} {k_users:>4} {len(ses):>7} "
             f"{statistics.fmean(ses):>18.4f} {stderr:>12.4f} {statistics.fmean(cols.energy_eff.tolist()):>16.4g}"

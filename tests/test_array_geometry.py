@@ -24,6 +24,10 @@ configs = st.builds(
     st.sampled_from([0.25, 0.5, 1.0]),
 )
 
+# The default array, the largest that Tier-1 builds, and a wide spacing.
+ORACLE_ARRAYS = [array(32, 2, 0.5), array(64, 8, 0.5), array(16, 4, 10.0)]
+ORACLE_IDS = ["32x2", "64x8", "16x4-wide"]
+
 
 def steering_row(cfg, direction):
     return steering_matrix(cfg, [direction.theta], [direction.phi])[0]
@@ -56,11 +60,7 @@ class TestSteeringVector:
         entries = steering_row(cfg, direction)
         assert np.vdot(entries, entries).real == pytest.approx(cfg.num_elements, rel=1e-12)
 
-    @pytest.mark.parametrize(
-        "cfg",
-        [array(32, 2, 0.5), array(64, 8, 0.5), array(16, 4, 10.0)],
-        ids=["32x2", "64x8", "16x4-wide"],
-    )
+    @pytest.mark.parametrize("cfg", ORACLE_ARRAYS, ids=ORACLE_IDS)
     def test_matches_oracle_phasors(self, cfg, rng):
         # canonical directions, the same ones wrapped by whole turns and
         # negated, and the two poles
@@ -72,11 +72,28 @@ class TestSteeringVector:
         phi = np.concatenate([phi, phi, phi, poles])
         rows = steering_matrix(cfg, theta, phi)
         expected = np.array([steering_phasors(cfg, Direction(t, p)) for t, p in zip(theta, phi)])
-        # An entry's error is the rounding of its phase, which reaches about
-        # 2*pi*d*(m_h + m_v) radians: a few ulps of that.
+        # An entry's error grows with its index (i + j) up to m_h + m_v - 2
+        # (test_recurrence_error_is_linear_in_the_index): across the row, a
+        # few ulps of the largest phase, 2*pi*d*(m_h + m_v) radians.
         largest_phase = 2.0 * math.pi * cfg.d_over_lambda * (cfg.m_h + cfg.m_v)
         assert rows.shape == expected.shape
         assert np.max(np.abs(rows - expected)) <= 4 * np.finfo(float).eps * largest_phase
+
+    @pytest.mark.parametrize("cfg", ORACLE_ARRAYS, ids=ORACLE_IDS)
+    @given(st.lists(directions, min_size=1, max_size=16))
+    def test_recurrence_error_is_linear_in_the_index(self, cfg, dirs):
+        # Entry (i, j) is the i-th power of the azimuth step times the j-th
+        # power of the elevation step: it carries the rounding of the two
+        # steps' exps and of about i + j complex products, a few ulps each,
+        # and i (or j) times the rounding of a step's phase 2*pi*d*u (half an
+        # ulp of up to 2*pi*d).  The oracle rounds its phase
+        # 2*pi*d*(i*u_az + j*u_el) once.  So
+        # |a_rec - a_exp| <= (2 + 4*pi*d) * (i + j) * 2**-52, exactly 0 at i = j = 0.
+        rows = steering_matrix(cfg, *angles(dirs))
+        expected = np.array([steering_phasors(cfg, direction) for direction in dirs])
+        index = np.add.outer(np.arange(cfg.m_h), np.arange(cfg.m_v)).ravel()
+        bound = (2.0 + 4.0 * math.pi * cfg.d_over_lambda) * index * 2.0**-52
+        assert np.all(np.abs(rows - expected) <= bound)
 
 
 class TestBetaMetric:

@@ -26,6 +26,7 @@ from nomabeam.sim_harness import (
     _drop_users,
     _columns,
     _parse_config_text,
+    _stdev,
     evaluate_trial,
     format_aggregates,
     load_scenario,
@@ -733,6 +734,30 @@ class TestResults:
         outcome = (np.ones((1, 4)), bands, np.zeros(1, dtype=int), np.zeros(1, dtype=int))
         (sum_rate,) = _columns(SMALL, outcome).sum_rate_bps
         assert sum_rate == 1e16
+
+
+# Finite floats whose sample standard deviation is finite: any binade from
+# the subnormals up to 1e300, signed zeros included.
+stdev_floats = st.floats(-1e300, 1e300) | st.floats(-1e-300, 1e-300) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324])
+stdev_samples = st.one_of(
+    st.lists(stdev_floats, min_size=2, max_size=600),
+    # repeats: a few distinct values, each drawn many times
+    st.lists(stdev_floats, min_size=1, max_size=6).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=2, max_size=600)
+    ),
+    st.builds(lambda x, n: [x] * n, stdev_floats, st.integers(2, 600)),
+    # one table cell: positive spectral efficiencies in one binade or two
+    st.lists(st.floats(1.0, 64.0), min_size=2, max_size=600),
+)
+
+
+class TestStdev:
+    @settings(max_examples=300, deadline=None)
+    @given(stdev_samples)
+    def test_bits_equal_statistics_stdev(self, values):
+        # statistics.stdev is correctly rounded (Python 3.11 on), so any
+        # correctly rounded sample deviation has its bits
+        assert _stdev(values).hex() == statistics.stdev(values).hex()
 
 
 class TestCsv:
