@@ -95,7 +95,9 @@ def draw_paths(rngs: Iterable[np.random.Generator], config: ScenarioConfig, k_us
         for _ in range(k_users):
             los_draws += (rng.random(), rng.random(), sigma * rng.standard_normal(), rng.random())
             time_clusters = int(rng.integers(lo_tc, hi_tc + 1))
-            total_paths = sum(int(rng.integers(lo_p, hi_p + 1)) for _ in range(time_clusters))
+            total_paths = 0
+            for _ in range(time_clusters):
+                total_paths += int(rng.integers(lo_p, hi_p + 1))
             path_counts.append(total_paths)
             if total_paths > 1:
                 scattered_draws.append(rng.random((total_paths - 1, 4)))

@@ -3,8 +3,11 @@
 A scenario file is flat ``key = value`` text (``#`` comments, one key per
 line, unknown keys rejected).  A sweep runs every (scheme, user count, trial)
 combination.  The user drop and channels of a (K, trial) pair are drawn once,
-from a random stream derived only from (master_seed, K, trial) through
-numpy's SeedSequence spawn-key mixing, and every scheme is evaluated on that
+from a random stream derived only from (master_seed, K, trial): a PCG64
+seeded with the state of numpy's ``SeedSequence(master_seed, spawn_key=(K,
+trial))``.  Those states are computed for a block's trials together, in one
+pass of numpy's hash over arrays, and a property in the tests checks them
+and the generators against numpy's own.  Every scheme is evaluated on that
 one drop, so scheme comparisons are paired.  The sweep returns, per
 (scheme, K), its CSV value columns as arrays indexed by trial, so the columns
 of one K line up trial by trial across schemes.  The CSV writes them in
@@ -13,10 +16,10 @@ of one K line up trial by trial across schemes.  The CSV writes them in
 
 from __future__ import annotations
 
+import itertools
 import math
-import statistics
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple, Sequence, get_type_hints
 
 import numpy as np
@@ -70,6 +73,10 @@ MAX_CARRIER_HZ = 1e12
 MIN_NLOS_GAIN_OFFSET_DB = -30.0
 MAX_NLOS_GAIN_OFFSET_DB = 200.0
 
+# The most trials a sweep runs: a trial's index enters its seed as one 32-bit
+# word, so the indices stay below 2**32.
+MAX_TRIALS = 2**32
+
 
 class ConfigError(ValueError):
     """A scenario file or its values are invalid."""
@@ -120,8 +127,8 @@ class ScenarioConfig:
             raise ConfigError(
                 f"d_over_lambda must lie in (0, {MAX_ELEMENT_SPACING:g}] wavelengths, got {self.d_over_lambda}"
             )
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ConfigError(f"trials must be >= 1 and at most 2**32, got {self.trials}")
         if not self.user_counts:
             raise ConfigError("user_counts must not be empty")
         for k in self.user_counts:
@@ -297,19 +304,103 @@ def load_scenario(path: str, trials: int | None = None, master_seed: int | None 
 # Trial pipeline
 
 
-def _trial_rng(config: ScenarioConfig, k_users: int, trial_index: int) -> np.random.Generator:
-    """Per-trial stream: master seed mixed with (K, trial) via SeedSequence spawn keys."""
-    seq = np.random.SeedSequence(entropy=config.master_seed, spawn_key=(k_users, trial_index))
-    return np.random.default_rng(seq)
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) works on 32-bit
+# words.  Its hash steps take their constants in two runs, one from _INIT_A
+# (mixing the entropy into the pool) and one from _INIT_B (reading the state
+# out of it), each constant the last times _MULT_A or _MULT_B; _mix folds a
+# hashed word into a pool word.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_WORDS = 4
+
+
+def _hash_constants(init: int, mult: int):
+    """``init``, then each constant times ``mult``, in 32 bits."""
+    while True:
+        yield init
+        init = init * mult & _MASK32
+
+
+# generate_state(4, np.uint64) reads the pool twice over into 8 words.
+_STATE_CONSTANTS = np.array(list(itertools.islice(_hash_constants(_INIT_B, _MULT_B), 2 * _POOL_WORDS)), np.uint64)
+
+
+def _hash(value, constant, mult: int):
+    """One hash step of a word (an int, or a uint64 array of 32-bit words) at ``constant``."""
+    value = (value ^ constant) * (constant * mult & _MASK32) & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ result >> 16
+
+
+def _words(n: int) -> list[int]:
+    """A nonnegative int as SeedSequence reads it: its 32-bit words, least significant first."""
+    return [n >> shift & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _trial_states(master_seed: int, k_users: int, trials: Sequence[int]) -> np.ndarray:
+    """The T x 4 uint64 states ``SeedSequence(master_seed, spawn_key=(K, t)).generate_state(4, np.uint64)``
+    gives, t in ``trials``, each below 2**32.
+
+    The entropy is the seed's words, zero-padded to the pool's 4 as under any
+    spawn key, then K's words, then t.  Everything before t is mixed once, in
+    ints; t, the last word, and the state read out of the pool are hashed for
+    every trial at once, in uint64 arrays.
+    """
+    seed = _words(master_seed)
+    entropy = seed + [0] * (_POOL_WORDS - len(seed)) + _words(k_users)
+    constants = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hash(word, next(constants), _MULT_A) for word in entropy[:_POOL_WORDS]]
+    for src, dst in itertools.permutations(range(_POOL_WORDS), 2):
+        pool[dst] = _mix(pool[dst], _hash(pool[src], next(constants), _MULT_A))
+    for word in entropy[_POOL_WORDS:]:
+        pool = [_mix(p, _hash(word, next(constants), _MULT_A)) for p in pool]
+    trial_constants = np.array(list(itertools.islice(constants, _POOL_WORDS)), np.uint64)
+    trial_words = np.array(trials, dtype=np.uint64)[:, None]
+    pool = _mix(np.array(pool, np.uint64), _hash(trial_words, trial_constants, _MULT_A))
+    words = _hash(np.concatenate((pool, pool), axis=1), _STATE_CONSTANTS, _MULT_B)
+    # numpy pairs the 32-bit words into uint64s low word first
+    return words[:, ::2] | words[:, 1::2] << 32
+
+
+@cache
+def _trial_seed_type() -> type:
+    """numpy's seed-sequence interface, holding a trial's row of ``_trial_states`` for the one
+    ``generate_state(4, np.uint64)`` call that PCG64 makes.  The type is made on the first draw,
+    so that importing the package does not load numpy.random (about 9 ms)."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class TrialSeed(ISeedSequence):
+        def __init__(self, state: np.ndarray) -> None:
+            self.state = state
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"a trial seed holds 4 uint64 words, not {n_words} {np.dtype(dtype)}")
+            return self.state
+
+    return TrialSeed
+
+
+def _trial_generator(state: np.ndarray) -> np.random.Generator:
+    """The generator of the trial whose ``_trial_states`` row is ``state``."""
+    return np.random.Generator(np.random.PCG64(_trial_seed_type()(state)))
 
 
 def _drop_users(config: ScenarioConfig, k_users: int, trials: Sequence[int]) -> DropPaths:
     """The paths of the drops of (master_seed, K, t), t in ``trials``, as one block.
 
-    The generators are made as ``draw_paths`` reaches each drop, so a block
-    holds at most two at once.
+    The block's seed states are computed at once.  The generators are made
+    from them as ``draw_paths`` reaches each drop, so a block holds at most
+    two at once.
     """
-    return draw_paths((_trial_rng(config, k_users, t) for t in trials), config, k_users)
+    states = _trial_states(config.master_seed, k_users, trials)
+    return draw_paths(map(_trial_generator, states), config, k_users)
 
 
 # Per scheme, a block's outcome: the T x K SINRs in beam order (each pair's
@@ -473,11 +564,14 @@ def evaluate_trial(config: ScenarioConfig, k_users: int, trial_index: int) -> di
 
     The users and their channels are drawn once.  It is a block of one
     trial, and gives the entries a sweep's larger blocks give.  A K outside
-    the loader's 1 <= K < M, or a negative trial index, raises ConfigError.
+    the loader's 1 <= K < M, or a trial index outside [0, 2**32), raises
+    ConfigError.
     """
     _check_user_count(k_users, config)
     if trial_index < 0:
         raise ConfigError(f"trial index must be nonnegative, got {trial_index}")
+    if trial_index >= MAX_TRIALS:
+        raise ConfigError(f"trial index must be below 2**32, got {trial_index}")
     outcomes = _block_outcomes(config, _drop_users(config, k_users, [trial_index]), k_users)
     return {s: _columns(config, outcome) for s, outcome in outcomes.items()}
 
@@ -555,10 +649,10 @@ def format_aggregates(columns: dict[tuple[SchemeId, int], Columns]) -> str:
     standard error and energy-efficiency mean, in the order of ``columns``."""
     lines = [f"{'scheme':<16} {'K':>4} {'trials':>7} {'SE mean [bps/Hz]':>18} {'SE stderr':>12} {'EE mean [bps/J]':>16}"]
     for (scheme, k_users), cols in columns.items():
-        ses = cols.spectral_eff.tolist()
+        ses, ees = cols.spectral_eff.tolist(), cols.energy_eff.tolist()
         stderr = _stdev(ses) / math.sqrt(len(ses)) if len(ses) > 1 else 0.0
         lines.append(
             f"{scheme.value:<16} {k_users:>4} {len(ses):>7} "
-            f"{statistics.fmean(ses):>18.4f} {stderr:>12.4f} {statistics.fmean(cols.energy_eff.tolist()):>16.4g}"
+            f"{math.fsum(ses) / len(ses):>18.4f} {stderr:>12.4f} {math.fsum(ees) / len(ees):>16.4g}"
         )
     return "\n".join(lines)

@@ -8,7 +8,7 @@ from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import numpy as np
@@ -27,6 +27,8 @@ from nomabeam.sim_harness import (
     _columns,
     _parse_config_text,
     _stdev,
+    _trial_generator,
+    _trial_states,
     evaluate_trial,
     format_aggregates,
     load_scenario,
@@ -158,6 +160,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ScenarioConfig(trials=0)
 
+    def test_trials_stay_within_32_bit_trial_indices(self):
+        # the trial index is one 32-bit word of the seed: 2**32 trials reach
+        # index 2**32 - 1, one more would need a second word
+        assert ScenarioConfig(trials=2**32).trials == 2**32
+        with pytest.raises(ConfigError, match=rf"trials must be >= 1 and at most 2\*\*32, got {2**32 + 1}"):
+            ScenarioConfig(trials=2**32 + 1)
+
     def test_rule_and_csi_mode_validated(self):
         with pytest.raises(ConfigError):
             ScenarioConfig(inter_cluster_rule="sideways")
@@ -284,6 +293,11 @@ class TestRunTrial:
     def test_negative_trial_rejected(self):
         with pytest.raises(ConfigError, match="trial index must be nonnegative, got -1"):
             evaluate_trial(SMALL, 4, -1)
+
+    def test_trial_index_past_32_bits_rejected(self):
+        assert evaluate_trial(SMALL, 4, 2**32 - 1)[SchemeId.DBS].sum_rate_bps[0] > 0
+        with pytest.raises(ConfigError, match=rf"trial index must be below 2\*\*32, got {2**32}"):
+            evaluate_trial(SMALL, 4, 2**32)
 
 
 EQUIVALENCE_BASE = ScenarioConfig(user_counts=(1, 2, 5), master_seed=11)
@@ -710,20 +724,49 @@ class TestTrialBlocks:
 
         refs, most = [], 0
 
-        def tracked_rng(config, k_users, trial_index):
+        def tracked_generator(state):
             nonlocal most
-            rng = Tracked(trial_rng(config, k_users, trial_index).bit_generator)
+            rng = Tracked(trial_generator(state).bit_generator)
             refs.append(weakref.ref(rng))
             most = max(most, sum(ref() is not None for ref in refs))
             return rng
 
-        trial_rng = sim_harness._trial_rng
+        trial_generator = sim_harness._trial_generator
         config = ScenarioConfig()
         expected = _drop_users(config, 1, range(200))
-        monkeypatch.setattr(sim_harness, "_trial_rng", tracked_rng)
+        monkeypatch.setattr(sim_harness, "_trial_generator", tracked_generator)
         paths = _drop_users(config, 1, range(200))
         assert all(np.array_equal(a, b) for a, b in zip(astuple(paths), astuple(expected), strict=True))
         assert len(refs) == 200 and most <= 2
+
+
+def magnitudes(low, top_bits):
+    """Integers from ``low`` to 2**``top_bits``, spread over their bit lengths."""
+    return st.sampled_from(range(top_bits + 1)).flatmap(lambda bits: st.integers(max(low, 2**bits >> 1), 2**bits))
+
+
+# A block's trials: consecutive indices as a sweep runs them, or any indices
+# below 2**32, 1 to 600 of them.
+trial_indices = magnitudes(0, 32).map(lambda t: min(t, 2**32 - 1))
+trial_blocks = st.one_of(
+    st.builds(lambda first, n: range(first, min(first + n, 2**32)), trial_indices, st.integers(1, 600)),
+    st.lists(trial_indices, min_size=1, max_size=600),
+)
+
+
+class TestTrialStates:
+    @settings(max_examples=100, deadline=None)
+    @given(magnitudes(0, 200), magnitudes(1, 40), trial_blocks)
+    # a seed of 5 words, a K of 2, the first and last trial index
+    @example(2**128, 2**32, [0, 2**32 - 1])
+    def test_states_and_generators_are_numpys(self, seed, k_users, trials):
+        states = _trial_states(seed, k_users, trials)
+        assert states.dtype == np.uint64 and states.shape == (len(trials), 4)
+        for t, state in zip(trials, states):
+            sequence = np.random.SeedSequence(entropy=seed, spawn_key=(k_users, t))
+            assert state.tolist() == sequence.generate_state(4, np.uint64).tolist()
+            expected = np.random.default_rng(sequence).bit_generator.state
+            assert _trial_generator(state).bit_generator.state == expected
 
 
 class TestResults:
