@@ -328,7 +328,7 @@ _STATE_CONSTANTS = np.array(list(itertools.islice(_hash_constants(_INIT_B, _MULT
 
 
 def _hash(value, constant, mult: int):
-    """One hash step of a word (an int, or a uint64 array of 32-bit words) at ``constant``."""
+    """One hash step of a uint64 array of 32-bit words at ``constant``."""
     value = (value ^ constant) * (constant * mult & _MASK32) & _MASK32
     return value ^ value >> 16
 
@@ -338,31 +338,26 @@ def _mix(x, y):
     return result ^ result >> 16
 
 
-def _words(n: int) -> list[int]:
-    """A nonnegative int as SeedSequence reads it: its 32-bit words, least significant first."""
-    return [n >> shift & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
-
-
 def _trial_states(master_seed: int, k_users: int, trials: Sequence[int]) -> np.ndarray:
     """The T x 4 uint64 states ``SeedSequence(master_seed, spawn_key=(K, t)).generate_state(4, np.uint64)``
     gives, t in ``trials``, each below 2**32.
 
     The entropy is the seed's words, zero-padded to the pool's 4 as under any
-    spawn key, then K's words, then t.  Everything before t is mixed once, in
-    ints; t, the last word, and the state read out of the pool are hashed for
-    every trial at once, in uint64 arrays.
+    spawn key, then K's words, then t.  numpy mixes all but t once, into the
+    pool of ``SeedSequence(master_seed, spawn_key=(K,))``.  Its n words take
+    the first 4 n hash constants (4 hash the first four, 12 cross-mix them
+    and 4 mix in each later word), so t is hashed at the next 4; t and the
+    state read out of the pool are hashed for every trial at once, in uint64
+    arrays.  numpy.random is imported here: at import it would add about 9 ms
+    to the package's start-up.
     """
-    seed = _words(master_seed)
-    entropy = seed + [0] * (_POOL_WORDS - len(seed)) + _words(k_users)
-    constants = _hash_constants(_INIT_A, _MULT_A)
-    pool = [_hash(word, next(constants), _MULT_A) for word in entropy[:_POOL_WORDS]]
-    for src, dst in itertools.permutations(range(_POOL_WORDS), 2):
-        pool[dst] = _mix(pool[dst], _hash(pool[src], next(constants), _MULT_A))
-    for word in entropy[_POOL_WORDS:]:
-        pool = [_mix(p, _hash(word, next(constants), _MULT_A)) for p in pool]
-    trial_constants = np.array(list(itertools.islice(constants, _POOL_WORDS)), np.uint64)
+    from numpy.random import SeedSequence
+
+    pool = SeedSequence(master_seed, spawn_key=(k_users,)).pool.astype(np.uint64)
+    n_words = max(-(-master_seed.bit_length() // 32), _POOL_WORDS) + -(-k_users.bit_length() // 32)
+    constants = itertools.islice(_hash_constants(_INIT_A, _MULT_A), 4 * n_words, 4 * n_words + 4)
     trial_words = np.array(trials, dtype=np.uint64)[:, None]
-    pool = _mix(np.array(pool, np.uint64), _hash(trial_words, trial_constants, _MULT_A))
+    pool = _mix(pool, _hash(trial_words, np.array(list(constants), np.uint64), _MULT_A))
     words = _hash(np.concatenate((pool, pool), axis=1), _STATE_CONSTANTS, _MULT_B)
     # numpy pairs the 32-bit words into uint64s low word first
     return words[:, ::2] | words[:, 1::2] << 32
@@ -433,13 +428,13 @@ def _block_outcomes(config: ScenarioConfig, paths: DropPaths, k_users: int) -> d
     shape and memory layout.
     """
     theta, phi = (angles[paths.starts].reshape(-1, k_users) for angles in (paths.theta, paths.phi))
-    pairings = greedy_pairs(eligible_pairs(config, theta, phi, config.beta0), len(theta))
-    h_rows, dbs_zeta, zeta, estimated = _steered_links(config, paths, theta, phi, pairings)
+    pairing = greedy_pairs(eligible_pairs(config, theta, phi, config.beta0))
+    n_pairs = np.bincount(pairing[0], minlength=len(theta))
+    h_rows, dbs_zeta, zeta, estimated = _steered_links(config, paths, theta, phi, pairing, n_pairs)
     # No plan or gain matrix is held while conjugate beamforming builds its
     # K x K temporaries.
     cb_sinr = conjugate_bf_sinr(h_rows, config.total_power_w, config.noise_w)
     del h_rows
-    n_pairs = np.array([len(pairs) for pairs in pairings])
     beam = np.arange(k_users)
     paired = beam < 2 * n_pairs[:, None]
     strong, weak = paired & (beam % 2 == 0), paired & (beam % 2 == 1)
@@ -465,15 +460,16 @@ def _block_outcomes(config: ScenarioConfig, paths: DropPaths, k_users: int) -> d
 
 
 def _steered_links(
-    config: ScenarioConfig, paths: DropPaths, theta: np.ndarray, phi: np.ndarray, pairings: list[np.ndarray]
+    config: ScenarioConfig, paths: DropPaths, theta: np.ndarray, phi: np.ndarray, pairing: tuple, n_pairs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The block's T x K x M channel rows, its T x K dbs link ratios, and its T x K shared-plan ratios.
 
     Each of the T x K LOS directions (``theta``, ``phi``) is steered once,
     into a T x M x K block: each channel row's LOS path and the dbs plans'
-    weights.  A paired drop's users take one beam order: pair j of its
-    ``pairings`` entry at places 2j and 2j + 1, strong user first, then its
-    unpaired users in user order.  Each beam is steered at the mean LOS
+    weights.  ``pairing`` is the block's pairs as ``greedy_pairs`` gives
+    them, and ``n_pairs`` counts each drop's.  A paired drop's users take one
+    beam order: its pair j at places 2j and 2j + 1, strong user first, then
+    its unpaired users in user order.  Each beam is steered at the mean LOS
     angles of the places it serves: P pair beams, then a private beam per
     unpaired user.  The drop's rows of shared-plan ratios and of the ratios
     partial CSI splits on (the paired users' estimates, from the directions
@@ -498,13 +494,12 @@ def _steered_links(
     # and a later place on beam p - P; own_beams scatters that to the users.
     # The ranks are distinct; the stable sort is channel_rows' kernel, where
     # the default one's code would add 0.1 to 0.3 MB of resident size.
-    n_pairs = np.array([len(pairs) for pairs in pairings])
+    pair_drops, pairs = pairing
+    rank = np.tile(np.arange(k_users) + 2 * len(pairs), (n_drops, 1))
+    rank[pair_drops[:, None], pairs] = np.arange(2 * len(pairs)).reshape(-1, 2)
     drops = np.flatnonzero(n_pairs)
     n_pairs, n_beams = n_pairs[drops], k_users - n_pairs[drops]
-    pairs = np.concatenate(pairings)
-    rank = np.tile(np.arange(k_users) + 2 * len(pairs), (len(drops), 1))
-    rank[np.repeat(np.arange(len(drops)), n_pairs)[:, None], pairs] = np.arange(2 * len(pairs)).reshape(-1, 2)
-    order = np.argsort(rank, axis=1, kind="stable")
+    order = np.argsort(rank[drops], axis=1, kind="stable")
     place = np.arange(k_users)
     own_beams = np.empty_like(order)
     by_place = np.where(place < 2 * n_pairs[:, None], place // 2, place - n_pairs[:, None])
@@ -535,15 +530,16 @@ def _steered_links(
     # a paired user's gain through beam c is M times the pattern of beam c at
     # the user, that of a unit-gain single path, weighed with no noise in the
     # high-SNR form, so the other beams' leakage alone is the denominator.
-    # Only where nothing leaks in (a lone beam, or leakage lost in the
-    # rounding of the sum) is the noise power the denominator.
+    # Where nothing leaks in (a lone beam, or leakage lost in the rounding of
+    # the sum) directions give no ratio, and the user keeps its fed-back
+    # shared-plan one, as the strong/weak order does.
     user_angles = [a[at, order[:, : 2 * len(pair)], None] for a in (theta, phi)]
     gains = config.num_elements * pattern(config, *directions[:, :, None, :], *user_angles)
     with np.errstate(divide="ignore", invalid="ignore"):
-        psi, nu, zeta = link_states(gains, powers, np.repeat(pair, 2), 0.0, n_beams)
+        _, nu, zeta = link_states(gains, powers, np.repeat(pair, 2), 0.0, n_beams)
     estimated = shared.copy()
-    t, p = np.nonzero(np.repeat(pair, 2) < n_pairs[:, None])
-    estimated[drops[t], p] = np.where(nu == 0.0, psi / config.noise_w, zeta)[t, p]
+    t, p = np.nonzero((np.repeat(pair, 2) < n_pairs[:, None]) & (nu != 0.0))
+    estimated[drops[t], p] = zeta[t, p]
     return h_rows, dbs_zeta, shared, estimated
 
 

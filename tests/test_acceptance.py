@@ -167,7 +167,7 @@ def test_criterion_07_power_conservation_smoke_sweep():
     for trial in range(100):
         paths = _drop_users(config, 25, [trial])
         los_theta, los_phi = paths.theta[paths.starts], paths.phi[paths.starts]
-        (pairs,) = greedy_pairs(eligible_pairs(config, los_theta[None], los_phi[None], config.beta0), 1)
+        _, pairs = greedy_pairs(eligible_pairs(config, los_theta[None], los_phi[None], config.beta0))
         pairs = pairs.tolist()
         singles = sorted(set(range(25)) - {m for pair in pairs for m in pair})
         beams = [
@@ -191,7 +191,7 @@ def test_criterion_08_clustering_contract():
         k = int(rng.integers(2, 41))
         paths = draw_paths([rng], config, k)
         theta, phi = paths.theta[paths.starts][None], paths.phi[paths.starts][None]
-        (pairs,) = greedy_pairs(eligible_pairs(cfg, theta, phi, beta0), 1)
+        _, pairs = greedy_pairs(eligible_pairs(cfg, theta, phi, beta0))
         (beta,) = beta_matrices(cfg, theta, phi)
         pairs = pairs.tolist()
         paired = [m for pair in pairs for m in pair]

@@ -21,14 +21,16 @@ def deg(theta, phi):
 def one_drop(beta, beta0):
     """The pairs of one drop's K x K ``beta``, its eligible pairs listed in (k, u) order."""
     k, u = np.nonzero(np.triu(beta >= beta0, k=1))
-    (pairs,) = greedy_pairs((np.zeros_like(k), k, u, beta[k, u]), 1)
+    drops, pairs = greedy_pairs((np.zeros_like(k), k, u, beta[k, u]))
+    assert not drops.any()
     return pairs
 
 
 def pair_users(dirs, beta0):
     """The pairs of one drop of users at ``dirs``, from its LOS angles."""
     theta, phi = angles(dirs)
-    (pairs,) = greedy_pairs(eligible_pairs(CFG, theta[None], phi[None], beta0), 1)
+    drops, pairs = greedy_pairs(eligible_pairs(CFG, theta[None], phi[None], beta0))
+    assert not drops.any()
     return pairs
 
 
@@ -126,11 +128,13 @@ class TestBlockPairing:
     def test_each_drop_pairs_as_it_would_alone(self, block, cfg, beta0):
         theta, phi = block
         beta = beta_matrices(cfg, theta, phi)
-        pairs = greedy_pairs(eligible_pairs(cfg, theta, phi, beta0), len(theta))
-        assert len(pairs) == len(theta)
-        for t, drop_pairs in enumerate(pairs):
+        drops, pairs = greedy_pairs(eligible_pairs(cfg, theta, phi, beta0))
+        assert drops.dtype == pairs.dtype and drops.shape == pairs.shape[:1] and pairs.shape[1:] == (2,)
+        # the pairs come drop after drop, each drop's in selection order
+        assert (np.diff(drops) >= 0).all()
+        for t in range(len(theta)):
             (alone,) = beta_matrices(cfg, theta[t : t + 1], phi[t : t + 1])
             assert np.array_equal(beta[t], alone)
             expected = greedy_pairs_masked(alone, beta0)
-            assert drop_pairs.dtype == expected.dtype
-            assert drop_pairs.tolist() == expected.tolist()
+            assert pairs.dtype == expected.dtype
+            assert pairs[drops == t].tolist() == expected.tolist()

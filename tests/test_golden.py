@@ -4,7 +4,7 @@ The default-cell sweep covers all five schemes, K=1 (nothing to pair), K=2
 (a lone pair on one shared beam) and K=55, over 20 trials: 400 rows.  The
 low-threshold sweep (beta0 = 0.05, K=2 and 3, 100 trials: 1,000 rows) pairs
 users often enough that a partial-CSI shared beam with no interfering beam,
-whose link ratio takes the noise floor, occurs in dozens of trials.  The
+whose users split on their fed-back ratios, occurs in dozens of trials.  The
 uniform-split sweep (one array row, ``inter_cluster_rule = uniform``, K=2, 5
 and 15 over 100 trials: 1,500 rows) covers the equal per-beam power split.
 The multipath-ties sweep (3 paths per time cluster, every scattered path
@@ -36,17 +36,17 @@ GOLDEN_CASES = {
     "default-cell": (
         ScenarioConfig(user_counts=(1, 2, 5, 55), trials=20, master_seed=1),
         400,
-        "68bfb80a349a7391f16358a04200fe74dbf752f97cb1d598f4aff1f02efd081c",
+        "75f5f11231c16be3c514d37141c34158011bbda4e03de2b56049625799e76d08",
     ),
     "lone-shared-beam": (
         ScenarioConfig(user_counts=(2, 3), trials=100, beta0=0.05, master_seed=1),
         1000,
-        "34fd56757203a962688ce63118ff2245a307a57765d6ee1cf27873dac99a5203",
+        "f9355e7fe3f5ed4f9f1d1e8a421cb297382879e26d321c766319bc3ebf9f9def",
     ),
     "uniform-split": (
         ScenarioConfig(m_v=1, inter_cluster_rule="uniform", user_counts=(2, 5, 15), trials=100, master_seed=1),
         1500,
-        "e5eae4bbf449bbff0fb95e077d55022071b89a2985dae14f680ab1704b83c27a",
+        "cb3c5bd224f1b6c388850261b01431dc97fad301523333e8543203de22261e8a",
     ),
     "multipath-ties": (
         ScenarioConfig(
@@ -69,7 +69,7 @@ GOLDEN_CASES = {
             )
         ),
         360,
-        "2b4de7e839a19ac0ec740af5d82292169e94c419a359670d47dc759207b69f9e",
+        "8f544ac6860a7c56532dd936673aac443a43fede9b0e930737ce0f7966080cac",
     ),
     "massive-array": (
         ScenarioConfig(m_h=64, m_v=8, user_counts=(128, 256, 448), trials=2),

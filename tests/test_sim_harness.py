@@ -16,6 +16,7 @@ import numpy as np
 from nomabeam import sim_harness
 from nomabeam.array_geometry import steering_matrix
 from nomabeam.baselines import SchemeId
+from nomabeam.channel import draw_paths
 from nomabeam.link_metrics import link_states, sinr_noma_strong, sinr_noma_weak
 from nomabeam.power_allocation import opa
 from nomabeam.sim_harness import (
@@ -401,12 +402,11 @@ class TestSharedBeams:
         h_rows, (sinr, bands, shared, deactivated) = self.outcome(scheme, paths)
         (weights, powers), zeta = self.expected_zeta(h_rows)
         z_strong, z_weak = zeta[1], zeta[0]
-        if scheme is SchemeId.NOMA_DBS_PCSI:
-            # The LOS rows' link ratios with no noise, unless no other beam
-            # leaks into theirs: then the noise is the whole denominator.
-            noise = self.CONFIG.noise_w if len(powers) == 1 else 0.0
+        if scheme is SchemeId.NOMA_DBS_PCSI and len(powers) > 1:
+            # The LOS rows' link ratios with no noise.  On the drop's only
+            # beam nothing leaks in, and partial CSI splits as full CSI does.
             los = np.conj(steering_matrix(self.CONFIG, paths.theta[[1, 0]], paths.phi[[1, 0]]))
-            split_on = link_states(los @ weights, powers, [0, 0], noise)[2].tolist()
+            split_on = link_states(los @ weights, powers, [0, 0], 0.0)[2].tolist()
         else:
             split_on = [z_strong, z_weak]
         gamma1 = float(opa(*split_on, self.CONFIG.p_min, self.CONFIG.epsilon)[0])
@@ -418,25 +418,26 @@ class TestSharedBeams:
         )
 
     @pytest.mark.parametrize("others", [[], [Direction(math.acos(1.0 / 8.0), 0.0)]])
-    def test_beam_with_no_leakage_splits_fairly_on_the_noise_floor(self, others):
+    def test_beam_with_no_leakage_splits_on_the_fed_back_ratios(self, others):
         # Both users of the pair toward one direction, on a beam that no other
         # beam leaks into: the drop's only beam, or one whose other beam
-        # points at its array pattern's null.  Partial CSI then estimates both
-        # ratios as the beam's LOS power over the noise,
-        # eta * p_c * M^2 / noise = 2 * P * M / (K * noise), which the equal
-        # estimates split fairly, at 1 / (1 + sqrt(1 + z)).
+        # points at its array pattern's null.  Directions then give no ratio,
+        # and partial CSI splits on each user's fed-back ratio, its path's
+        # power gain times the beam's LOS power over the noise,
+        # eta * p_c * M^2 / noise = 2 * P * M / (K * noise), as full CSI does.
         same = Direction(math.pi / 2, 0.0)
         assert all(pair_beta(self.CONFIG, same, d) < 1e-12 for d in others)
         amplitudes = (1e-5, 3e-5)
         paths = drop_paths([[(a, same)] for a in amplitudes] + [[(1e-5, d)] for d in others])
         _, (sinr, _, shared, deactivated) = self.outcome(SchemeId.NOMA_DBS_PCSI, paths)
+        _, (full_csi, *_) = self.outcome(SchemeId.NOMA_DBS_FCSI, paths)
         k_users = 2 + len(others)
         z = 2.0 * self.CONFIG.total_power_w * self.CONFIG.num_elements / (k_users * self.CONFIG.noise_w)
-        gamma1 = 1.0 / (1.0 + math.sqrt(1.0 + z))
-        assert 0.0 < gamma1 < 0.5
-        # Each user's full ratio is its path's power gain times the same.
         z_weak, z_strong = (a * a * z for a in amplitudes)
+        gamma1 = float(opa(z_strong, z_weak, self.CONFIG.p_min, self.CONFIG.epsilon)[0])
+        assert 0.0 < gamma1 < 0.5
         assert (shared, deactivated) == (1, 0)
+        assert sinr.tolist() == full_csi.tolist()
         assert sinr[:2].tolist() == pytest.approx(
             [z_strong * gamma1, z_weak * (1.0 - gamma1) / (1.0 + z_weak * gamma1)], rel=1e-9
         )
@@ -485,8 +486,8 @@ class TestDirectionEstimate:
         # one.  A user of path gain g gets eta p_c |g|^2 M^2 beta_c^2 through
         # beam c.  Its full-CSI ratio is its own beam's over the other beams'
         # plus the noise; a paired user's estimate is p_own beta_own^2 over the
-        # other beams' p_c beta_c^2, and a lone beam's is eta p M^2 beta^2 over
-        # the noise.
+        # other beams' p_c beta_c^2, and on a lone beam, which nothing leaks
+        # into, it is the full-CSI ratio.
         m_h, m_v, spacing = self.ARRAYS[array]
         config = ScenarioConfig(m_h=m_h, m_v=m_v, d_over_lambda=spacing, user_counts=(k_users,), inter_cluster_rule=rule)
         m = config.num_elements
@@ -501,7 +502,9 @@ class TestDirectionEstimate:
         dirs = [[Direction(*d) for d in zip(*drop)] for drop in zip(theta.tolist(), phi.tolist())]
         amplitudes = rng.uniform(1e-6, 1e-5, size=theta.shape)
         paths = drop_paths([[(a, d)] for a, d in zip(amplitudes.ravel().tolist(), itertools.chain(*dirs))])
-        _, dbs, shared, estimated = sim_harness._steered_links(config, paths, theta, phi, pairings)
+        n_pairs = np.array([len(pairs) for pairs in pairings])
+        pairing = (np.repeat(np.arange(len(pairings)), n_pairs), np.concatenate(pairings))
+        _, dbs, shared, estimated = sim_harness._steered_links(config, paths, theta, phi, pairing, n_pairs)
         assert np.array_equal(shared[0], dbs[0]) and np.array_equal(estimated[0], dbs[0])
         for t, pairs in enumerate(pairings[1:], start=1):
             singles = [u for u in range(k_users) if u not in pairs]
@@ -525,14 +528,31 @@ class TestDirectionEstimate:
                 received = [p * (amplitudes[t, u] * m * b) ** 2 for p, b in zip(powers, betas[u])]
                 leak = sum(r for c, r in enumerate(received) if c != own)
                 assert shared[t, row] == pytest.approx(received[own] / (leak + config.noise_w), rel=1e-9)
-                if row >= 2 * len(pairs):
+                if row >= 2 * len(pairs) or len(beams) == 1:
                     assert estimated[t, row] == shared[t, row]
-                elif len(beams) == 1:
-                    expected = powers[own] * (m * betas[u][own]) ** 2 / config.noise_w
-                    assert estimated[t, row] == pytest.approx(expected, rel=1e-9)
                 else:
                     leak = sum(p * b * b for c, (p, b) in enumerate(zip(powers, betas[u])) if c != own)
                     assert estimated[t, row] == pytest.approx(powers[own] * betas[u][own] ** 2 / leak, rel=1e-9)
+
+
+class TestInvariances:
+    def test_carrier_times_four_with_the_noise_as_much_lower_keeps_every_rate(self):
+        # Every path amplitude is the wavelength over 4 pi times the range, so
+        # a carrier 4 times higher takes every received power down by 16, and
+        # the noise 20 log10(4) dB lower takes the noise down by as much: every
+        # SINR keeps its value.  beta0 = 0.05 pairs both users of many K = 2
+        # drops onto the drop's only beam.
+        config = ScenarioConfig(user_counts=(2, 5), trials=100, beta0=0.05)
+        scaled = replace(
+            config, carrier_hz=4.0 * config.carrier_hz, noise_power_dbm=config.noise_power_dbm - 20.0 * math.log10(4.0)
+        )
+        expected, results = run_sweep(config), run_sweep(scaled)
+        assert list(results) == list(expected)
+        assert expected[SchemeId.NOMA_DBS_PCSI, 2].noma_clusters.any()
+        for key, columns in results.items():
+            assert columns.sum_rate_bps.tolist() == pytest.approx(expected[key].sum_rate_bps.tolist(), rel=1e-9), key
+            assert np.array_equal(columns.noma_clusters, expected[key].noma_clusters)
+            assert np.array_equal(columns.deactivated_users, expected[key].deactivated_users)
 
 
 @functools.cache
@@ -631,11 +651,16 @@ class TestRunSweep:
         assert paired_var < unpaired_var
 
 
+def magnitudes(low, top_bits):
+    """Integers from ``low`` to 2**``top_bits``, spread over their bit lengths."""
+    return st.sampled_from(range(top_bits + 1)).flatmap(lambda bits: st.integers(max(low, 2**bits >> 1), 2**bits))
+
+
 # The edges of a scenario: K in {1, 2, M-1}, one array row, spacing above half
 # a wavelength, beta0 near 0 and 1, no spread or shadowing, single-path
-# channels, cell radii from 1e-3 to 1e5 m.  A 64-element array at K = 63
-# evaluates two trials a block, and up to six trials mix paired and unpaired
-# drops in one block.
+# channels, cell radii from 1e-3 to 1e5 m, seeds of up to 200 bits.  A
+# 64-element array at K = 63 evaluates two trials a block, and up to six
+# trials mix paired and unpaired drops in one block.
 edge_configs = st.builds(
     dict,
     m_h=st.sampled_from([2, 4, 8, 32]),
@@ -646,7 +671,7 @@ edge_configs = st.builds(
     single_path=st.booleans(),
     cell_radius_m=st.sampled_from([1e-3, 1.0, 100.0, 1e5]),
     trials=st.integers(1, 6),
-    master_seed=st.integers(0, 2**32),
+    master_seed=magnitudes(0, 200),
 )
 
 
@@ -668,6 +693,12 @@ class TestTrialBlocks:
         assert len(results) == len(config.schemes) * len(config.user_counts)
         assert all(len(column) == config.trials for columns in results.values() for column in columns)
         alone = {(k, t): evaluate_trial(config, k, t) for k in config.user_counts for t in range(config.trials)}
+        for k in config.user_counts:
+            # each drop is the one drawn from numpy's own seed sequence of (master_seed, K, t)
+            own = [np.random.SeedSequence(config.master_seed, spawn_key=(k, t)) for t in range(config.trials)]
+            expected = draw_paths(map(np.random.default_rng, own), config, k)
+            drawn = _drop_users(config, k, range(config.trials))
+            assert all(np.array_equal(a, b) for a, b in zip(astuple(drawn), astuple(expected), strict=True))
         for (scheme, k), columns in results.items():
             for t in range(config.trials):
                 assert same_columns([column[t : t + 1] for column in columns], alone[k, t][scheme])
@@ -738,11 +769,6 @@ class TestTrialBlocks:
         paths = _drop_users(config, 1, range(200))
         assert all(np.array_equal(a, b) for a, b in zip(astuple(paths), astuple(expected), strict=True))
         assert len(refs) == 200 and most <= 2
-
-
-def magnitudes(low, top_bits):
-    """Integers from ``low`` to 2**``top_bits``, spread over their bit lengths."""
-    return st.sampled_from(range(top_bits + 1)).flatmap(lambda bits: st.integers(max(low, 2**bits >> 1), 2**bits))
 
 
 # A block's trials: consecutive indices as a sweep runs them, or any indices
