@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
@@ -78,41 +78,51 @@ def draw_paths(rngs: Iterable[np.random.Generator], config: ScenarioConfig, k_us
     released as the next one arrives, so a lazy iterable never has more than
     two alive.
 
-    Only the RNG calls run per drop.  They are a scalar generator's, user
-    after user, with one call for a user's scattered-path uniforms: numpy's
-    ``uniform(lo, hi)`` is ``lo + (hi - lo) * random()`` and ``normal(0, s)``
-    is ``s * standard_normal()``.  The arithmetic runs once per block, except
-    ``math.hypot``, ``math.asin``, ``**`` and complex ``abs``, whose numpy
-    versions differ from them in the last bit on some inputs.
+    Only the RNG reads run per drop, user after user.  The generators must
+    be PCG64 (numpy's default; MT19937's 32-bit words would not match): the
+    uniforms and bounded integers come from its 64-bit words as numpy's
+    ``random()`` and ``integers(lo, hi + 1)`` take them, and only the
+    shadowing normal is a ``standard_normal()`` call.  The arithmetic runs
+    once per block, except ``math.hypot``, ``math.asin``, ``**`` and complex
+    ``abs``, whose numpy versions differ from them in the last bit on some
+    inputs.  For ``**`` and ``arcsin`` that happens in the AVX-512 kernels
+    that numpy dispatches to where the CPU has them, and ``np.log`` does the
+    same, so a Box-Muller normal would take ``math.log`` per entry.
     """
     lo_tc, hi_tc = config.num_time_clusters
     lo_p, hi_p = config.paths_per_cluster
     sigma = config.shadowing_sigma_db
-    los_draws: list[float] = []
+    los_words: list[int] = []
+    shadow_db: list[float] = []
     path_counts: list[int] = []
-    scattered_draws = [np.empty((0, 4))]  # defined even when no user scatters
+    scattered_words = [np.empty(0, dtype=np.uint64)]  # defined even when no user scatters
     for rng in rngs:
+        raw = rng.bit_generator.random_raw
+        held = None  # no half word is held when a drop starts
         for _ in range(k_users):
-            los_draws += (rng.random(), rng.random(), sigma * rng.standard_normal(), rng.random())
-            time_clusters = int(rng.integers(lo_tc, hi_tc + 1))
+            los_words += (raw(), raw())
+            shadow_db.append(sigma * rng.standard_normal())
+            los_words.append(raw())
+            time_clusters, held = _bounded(raw, lo_tc, hi_tc - lo_tc, held)
             total_paths = 0
             for _ in range(time_clusters):
-                total_paths += int(rng.integers(lo_p, hi_p + 1))
+                paths, held = _bounded(raw, lo_p, hi_p - lo_p, held)
+                total_paths += paths
             path_counts.append(total_paths)
             if total_paths > 1:
-                scattered_draws.append(rng.random((total_paths - 1, 4)))
+                scattered_words.append(raw(4 * (total_paths - 1)))
 
     n_users = len(path_counts)
-    radius_u, theta_u, shadow_db, los_phase_u = np.array(los_draws).reshape(n_users, 4).T
+    radius_u, theta_u, los_phase_u = _doubles(np.array(los_words, dtype=np.uint64)).reshape(n_users, 3).T
     ground_r = config.cell_radius_m * np.sqrt(radius_u)
     theta = math.pi * theta_u
     slant = np.array([math.hypot(r, _BS_HEIGHT_M) for r in ground_r.tolist()])
     phi = np.array([-math.asin(s) for s in (_BS_HEIGHT_M / slant).tolist()])
     wavelength_m = _SPEED_OF_LIGHT / config.carrier_hz
-    los_amp = wavelength_m / (4.0 * math.pi * slant) * _pow10(shadow_db / 20.0)
+    los_amp = wavelength_m / (4.0 * math.pi * slant) * _pow10(np.array(shadow_db) / 20.0)
 
     # Scattered paths: one row each, users in order.
-    offset_u, phase_u, d_theta_u, d_phi_u = np.concatenate(scattered_draws).T
+    offset_u, phase_u, d_theta_u, d_phi_u = _doubles(np.concatenate(scattered_words)).reshape(-1, 4).T
     counts = np.array(path_counts)
     owner = np.repeat(np.arange(n_users), counts - 1)
     lo_db, hi_db = config.nlos_gain_offset_db
@@ -134,6 +144,32 @@ def draw_paths(rngs: Iterable[np.random.Generator], config: ScenarioConfig, k_us
     order = np.lexsort((neg_mag, np.concatenate((np.arange(n_users), owner))))
     starts = np.cumsum(counts) - counts
     return DropPaths(starts, gains[order], thetas[order], phis[order])
+
+
+def _doubles(words):
+    """numpy's PCG64 ``random()`` of each 64-bit word: its top 53 bits over 2**53."""
+    return (words >> 11) * 2.0**-53
+
+
+def _bounded(raw: Callable[[], int], lo: int, span: int, held: int | None) -> tuple[int, int | None]:
+    """numpy's PCG64 ``integers(lo, lo + span + 1)`` for a span below 2**32, and the half word then held.
+
+    That is Lemire's method (ACM TOMACS 2019) on 32-bit halves: the
+    ``held`` high half of the last word, else the low half of a new one.
+    """
+    if span == 0:
+        return lo, held
+    excl = span + 1
+    while True:
+        if held is None:
+            word = raw()
+            half, held = word & 0xFFFFFFFF, word >> 32
+        else:
+            half, held = held, None
+        m = half * excl
+        # numpy's threshold (2**32 - 1 - span) % excl is the same number
+        if m & 0xFFFFFFFF >= 2**32 % excl:
+            return lo + (m >> 32), held
 
 
 def _pow10(exponents: np.ndarray) -> np.ndarray:

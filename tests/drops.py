@@ -1,6 +1,6 @@
 """Arrays and channel records built by hand for tests, their per-user view,
 their channel rows and beams steered from angles, the betas of directions,
-and blocks of LOS angles for properties."""
+and, for properties, blocks of LOS angles and integers spread by bit length."""
 
 import math
 from typing import NamedTuple
@@ -110,3 +110,8 @@ def angle_blocks(draw, drops=(1, 8), users=(1, 30)):
         theta[t, u] = theta[t, source[t, u]] + offset[t, u]
         phi[t, u] = phi[t, source[t, u]]
     return theta, phi
+
+
+def magnitudes(low, top_bits):
+    """Integers from ``low`` to 2**``top_bits``, spread over their bit lengths."""
+    return st.sampled_from(range(top_bits + 1)).flatmap(lambda bits: st.integers(max(low, 2**bits >> 1), 2**bits))

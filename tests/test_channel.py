@@ -3,6 +3,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nomabeam import channel, sim_harness
 from nomabeam.array_geometry import steering_matrix
@@ -10,7 +12,7 @@ from nomabeam.channel import DropPaths, draw_paths
 from nomabeam.link_metrics import link_states
 from nomabeam.sim_harness import ScenarioConfig
 
-from drops import Direction, array, channel_matrix, drop_paths, pair_beta, user_paths
+from drops import Direction, array, channel_matrix, drop_paths, magnitudes, pair_beta, user_paths
 from oracles import draw_paths_scalar
 
 CFG = array(16, 2, 0.5)
@@ -97,7 +99,42 @@ class TestScalarOracle:
             for field in fields(DropPaths):
                 got, want = getattr(drop, field.name), getattr(expected, field.name)
                 assert got.dtype == want.dtype and np.array_equal(got, want), field.name
-            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+            # the draw holds a drop's spare half word itself, so only the
+            # generator's own state is compared; the property below pins the half
+            assert rng.bit_generator.state["state"] == oracle_rng.bit_generator.state["state"]
+
+
+# One generator call: "random", "normal", or an integer (lo, span) drawn as
+# integers(lo, lo + span + 1).  The loader's spans are at most 29 and almost
+# never reject a draw; about half of the draws at span 2**31 are rejected.
+generator_calls = st.one_of(
+    st.sampled_from(["random", "normal"]),
+    st.tuples(st.integers(-5, 5), st.sampled_from([0, 1, 2, 5, 29, 2**31, 2**32 - 2])),
+)
+
+
+class TestRawWords:
+    """The draw's reads of PCG64 words against numpy's own calls on a twin generator."""
+
+    @settings(max_examples=100)
+    @given(magnitudes(0, 200), st.lists(generator_calls, max_size=40))
+    @example(1, [(0, 2**31)] * 8 + ["random", (0, 1), "normal", (0, 2**31)])
+    def test_values_state_and_held_half_are_numpys(self, seed, calls):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        raw = twin.bit_generator.random_raw
+        held = None
+        for call in calls:
+            if call == "random":
+                got, want = channel._doubles(raw()), rng.random()
+            elif call == "normal":
+                got, want = twin.standard_normal(), rng.standard_normal()
+            else:
+                lo, span = call
+                (got, held), want = channel._bounded(raw, lo, span, held), rng.integers(lo, lo + span + 1)
+            assert got == want, call
+            state = rng.bit_generator.state
+            assert twin.bit_generator.state["state"] == state["state"]
+            assert held == (state["uinteger"] if state["has_uint32"] else None)
 
 
 # The oracle's configs and the largest multipath draw the loader accepts.

@@ -187,6 +187,35 @@ class TestOpa:
         with pytest.raises(ValueError, match="link ratios must be positive"):
             opa(*ratios, 1e-3, 0.05)
 
+    @pytest.mark.parametrize("in_array", [False, True])
+    @pytest.mark.parametrize("zero_at", [0, 1])
+    def test_zero_ratio_rejected(self, zero_at, in_array):
+        # exactly 0, as the strong and as the weak ratio, is not positive either
+        ratios = [2.0, 1.0]
+        ratios[zero_at] = 0.0
+        if in_array:
+            ratios = [np.array([3.0, r, 0.5]) for r in ratios]
+        with pytest.raises(ValueError, match="link ratios must be positive"):
+            opa(*ratios, 1e-3, 0.05)
+
+    def test_branch_codes_are_distinct(self):
+        # an equal value would make one branch an alias of another
+        codes = (Branch.DEACTIVATE, Branch.FAIR, Branch.UPPER_ENDPOINT, Branch.INFEASIBLE)
+        assert len({int(code) for code in codes}) == 4
+
+    @pytest.mark.parametrize("zeta2, feasible_branch", [(1.0, Branch.UPPER_ENDPOINT), (2.0, Branch.FAIR)])
+    def test_codes_on_both_sides_of_p_min_at_zeta1(self, zeta2, feasible_branch):
+        # zeta1 = 2 makes p_min / zeta1 exact: feasible up to 1, infeasible past it
+        for ratio, branch in [
+            (math.nextafter(1.0, 0.0), feasible_branch),
+            (1.0, feasible_branch),
+            (math.nextafter(1.0, 2.0), Branch.INFEASIBLE),
+            (1.25, Branch.INFEASIBLE),
+        ]:
+            gamma1, got = opa(2.0, zeta2, 2.0 * ratio, 0.05)
+            assert got == branch, ratio
+            assert gamma1 == (0.0 if ratio >= 1.0 else 0.5 * (1.0 - ratio))
+
     @given(
         st.lists(
             st.tuples(

@@ -38,7 +38,7 @@ from nomabeam.sim_harness import (
 )
 
 from csv_reference import SWEEP_HEADER, sweep_csv
-from drops import Direction, channel_matrix, drop_paths, pair_beta, plan_toward, user_paths
+from drops import Direction, channel_matrix, drop_paths, magnitudes, pair_beta, plan_toward, user_paths
 from oracles import beta_phasor_sum, sinr_dbs_monopath_closed
 
 SMALL = ScenarioConfig(
@@ -649,11 +649,6 @@ class TestRunSweep:
         paired_var = statistics.variance([n - d for n, d in zip(noma, dbs)])
         unpaired_var = statistics.variance([n - d for n, d in zip(noma, dbs_unpaired)])
         assert paired_var < unpaired_var
-
-
-def magnitudes(low, top_bits):
-    """Integers from ``low`` to 2**``top_bits``, spread over their bit lengths."""
-    return st.sampled_from(range(top_bits + 1)).flatmap(lambda bits: st.integers(max(low, 2**bits >> 1), 2**bits))
 
 
 # The edges of a scenario: K in {1, 2, M-1}, one array row, spacing above half
