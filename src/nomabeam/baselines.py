@@ -42,14 +42,25 @@ def conjugate_bf_sinr(h_matrix: np.ndarray, total_power_w: float, noise_w: float
     columns) with each beam carrying the full signal power p_c = P,
     mirroring the one-beam-per-user split of the steered schemes.  User k is
     served by beam k, and :func:`link_states` scores it like any steered beam.
+
+    Row k's power gain through beam j is |G_kj|^2 / ||h_j||^2, from the Gram
+    matrix G = H H^H of the drop: with X = [Re H, Im H], Re G = X X^T (a
+    symmetric product, which numpy hands to BLAS syrk) and Im G = B - B^T for
+    B = Im H (Re H)^T, and ||h_j||^2 is Re G_jj.  That is half the real
+    multiplications of the complex product H W.  Each product runs per drop,
+    at the drop's shape.
     """
-    k_users = h_matrix.shape[-2]
-    w_matrix = np.conj(np.swapaxes(h_matrix, -1, -2))
-    w_matrix /= np.linalg.norm(h_matrix, axis=-1)[..., None, :]
-    # eta * p_c, in that order: P / K may differ in the last bit.
-    gains = h_matrix @ w_matrix
-    del w_matrix
-    return link_states(gains, 1.0 / k_users * total_power_w, np.arange(k_users), noise_w)[2]
+    k_users, m = h_matrix.shape[-2:]
+    x = np.concatenate((h_matrix.real, h_matrix.imag), axis=-1)
+    re = x @ x.swapaxes(-1, -2)
+    im = x[..., m:] @ x[..., :m].swapaxes(-1, -2)
+    del x
+    im -= im.swapaxes(-1, -2)
+    # eta * p_c, in that order (P / K may differ in the last bit), over ||h_j||^2.
+    beam_powers = 1.0 / k_users * total_power_w / re.diagonal(0, -2, -1)[..., None, :]
+    power_gains = np.square(re, out=re)
+    power_gains += np.square(im, out=im)
+    return link_states(power_gains, beam_powers, np.arange(k_users), noise_w)[2]
 
 
 # Consumption model of the energy-efficiency metric: power-amplifier

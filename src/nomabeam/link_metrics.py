@@ -4,10 +4,11 @@ For a user on beam c, with weight vector w_c and power eta * p_c from
 ``beamforming.build_plan``, the received superimposed-signal power is
 ``psi = eta * p_c * |h w_c|^2`` and the other-beam interference plus noise
 is ``nu``; their ratio ``zeta`` is the single scalar that drives every rate
-formula here.  :func:`link_states` alone weighs beam gains: the channel rows
-through the steered schemes' beams and through conjugate beamforming's, and
-the pattern gains M * beta from which partial CSI estimates its ratios with
-no noise.  A private
+formula here.  :func:`link_states` alone weighs power gains |h w_c|^2, which
+its callers square: the channel rows through the steered schemes' beams,
+conjugate beamforming's gains from the drop's Gram matrix, and the pattern
+gains M * beta from which partial CSI estimates its ratios with no noise.
+A private
 (single-user) beam achieves SINR = zeta directly; on a shared beam the
 power-split coefficient ``gamma1`` of the strong user scales the two users'
 SINRs in opposite directions.  The SINR and rate formulas take scalars or
@@ -29,7 +30,7 @@ __all__ = [
 
 
 def link_states(
-    gains: np.ndarray,
+    power_gains: np.ndarray,
     beam_powers: np.ndarray,
     own_beams: np.ndarray,
     noise_w: float,
@@ -37,16 +38,15 @@ def link_states(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Arrays psi, nu and zeta = psi / nu of every channel row, row k served by beam ``own_beams[..., k]``.
 
-    ``gains[..., k, c]`` is the beam gain h_k w_c of row k through beam c, and
-    ``beam_powers`` broadcasts each beam's eta * p_c against it (a C-vector,
-    a scalar for equal beams, T x 1 x C for T drops).  All of the arrays come
-    from the weighted beam gains ``eta * p_c * |h_k w_c|^2``.  Drop t of a
-    block may pad its gains and powers past its ``beam_counts[t]`` beams: its
-    row sums run at that count, so that its entries have the bits it gives alone.
+    ``power_gains[..., k, c]`` is the power gain |h_k w_c|^2 of row k through
+    beam c, and ``beam_powers`` broadcasts each beam's eta * p_c against it (a
+    C-vector, a scalar for equal beams, T x 1 x C for T drops).  All of the
+    arrays come from the weighted power gains ``eta * p_c * |h_k w_c|^2``.
+    Drop t of a block may pad its gains and powers past its ``beam_counts[t]``
+    beams: its row sums run at that count, so that its entries have the bits
+    it gives alone.
     """
-    weighted = np.abs(gains)
-    np.square(weighted, out=weighted)
-    weighted *= beam_powers
+    weighted = power_gains * beam_powers
     psi = np.take_along_axis(weighted, np.broadcast_to(own_beams, weighted.shape[:-1])[..., None], -1)[..., 0]
     if beam_counts is None:
         sums = np.sum(weighted, axis=-1)

@@ -486,6 +486,7 @@ def _steered_links(
     power = build_plan(np.ones(k_users, int), config.num_elements, config.total_power_w, config.inter_cluster_rule)[0]
     gains = h_rows @ los
     del los
+    gains = _power_gains(gains)
     dbs_zeta = link_states(gains, power, np.arange(k_users), config.noise_w)[2]
     del gains
 
@@ -517,6 +518,7 @@ def _steered_links(
     powers = build_plan(sizes, config.num_elements, config.total_power_w, config.inter_cluster_rule)[:, None, :]
     gains = _beam_gains(h_rows, drops, beams, n_beams, len(beam))
     del beams
+    gains = _power_gains(gains)
     psi, _, zeta = link_states(gains, powers, own_beams, config.noise_w, n_beams)
     del gains
     # Strong user first: the larger received power through the shared beam.
@@ -534,13 +536,20 @@ def _steered_links(
     # the sum) directions give no ratio, and the user keeps its fed-back
     # shared-plan one, as the strong/weak order does.
     user_angles = [a[at, order[:, : 2 * len(pair)], None] for a in (theta, phi)]
-    gains = config.num_elements * pattern(config, *directions[:, :, None, :], *user_angles)
+    gains = _power_gains(config.num_elements * pattern(config, *directions[:, :, None, :], *user_angles))
     with np.errstate(divide="ignore", invalid="ignore"):
         _, nu, zeta = link_states(gains, powers, np.repeat(pair, 2), 0.0, n_beams)
     estimated = shared.copy()
     t, p = np.nonzero((np.repeat(pair, 2) < n_pairs[:, None]) & (nu != 0.0))
     estimated[drops[t], p] = zeta[t, p]
     return h_rows, dbs_zeta, shared, estimated
+
+
+def _power_gains(gains: np.ndarray) -> np.ndarray:
+    """|gains|^2 entry by entry, the power gains that ``link_states`` weighs.  A caller drops complex
+    gains by binding this in their place, so that they are not held through the weighing."""
+    power = np.abs(gains)
+    return np.square(power, out=power)
 
 
 def _beam_gains(

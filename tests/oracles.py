@@ -6,7 +6,9 @@ under test.  The paper's slope formula for the shared-beam throughput lives
 here too: no library code needs it, and the tests check it against a finite
 difference of ``pair_rate``.  The scalar path generator and the masked-argmax pairing are the
 loop versions that the library's array code replaced; the tests require equal
-results from both.
+results from both.  Conjugate beamforming's user-by-user loop takes no Gram
+matrix and no library function, and the tests hold the library to it within
+a tolerance set by rounding.
 """
 
 import math
@@ -83,6 +85,26 @@ def emitted_powers(weights: np.ndarray, beam_powers: np.ndarray) -> list[float]:
 def emitted_power_check(weights: np.ndarray, beam_powers: np.ndarray) -> float:
     """Total emitted power recomputed from the weight columns: sum of eta*p_c*||w_c||^2."""
     return float(sum(emitted_powers(weights, beam_powers)))
+
+
+def conjugate_bf_sinr_loop(h_rows: Sequence[Sequence[complex]], total_power_w: float, noise_w: float) -> list[float]:
+    """Conjugate beamforming's SINRs of one drop, user by user, in plain complex arithmetic.
+
+    Beam j is user j's conjugated channel over its norm, w_j = conj(h_j) / ||h_j||, at power
+    P / K, so row k receives (P / K) |sum_m h_km conj(h_jm)|^2 / ||h_j||^2 through it.  User k's
+    SINR is what beam k brings it over what every other beam brings plus the noise.
+    """
+    k_users = len(h_rows)
+    norms = [sum(z.real * z.real + z.imag * z.imag for z in h) for h in h_rows]
+    sinrs = []
+    for k, h_k in enumerate(h_rows):
+        received = []
+        for h_j, norm_j in zip(h_rows, norms):
+            inner = sum(a * b.conjugate() for a, b in zip(h_k, h_j))
+            received.append(total_power_w / k_users * (inner.real * inner.real + inner.imag * inner.imag) / norm_j)
+        interference = sum(p for j, p in enumerate(received) if j != k)
+        sinrs.append(received[k] / (interference + noise_w))
+    return sinrs
 
 
 def sinr_dbs_monopath_closed(

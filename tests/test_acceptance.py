@@ -149,7 +149,7 @@ def test_criterion_06_pipeline_matches_closed_forms():
             eta_dbs = powers[0]
             own = int(rng.integers(0, k))
             h = channel_matrix(cfg, paths)[own]
-            pipeline = float(link_states(h[np.newaxis] @ weights, powers, [own], noise)[2][0])
+            pipeline = float(link_states(np.abs(h[np.newaxis] @ weights) ** 2, powers, [own], noise)[2][0])
             if closed_fn is sinr_dbs_monopath_closed:
                 closed = closed_fn([g[0] for g in gains], [d[0] for d in dirs], own, eta_dbs, noise, cfg)
             else:

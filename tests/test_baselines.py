@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nomabeam.baselines import SchemeId, conjugate_bf_sinr, energy_efficiency
 from nomabeam.link_metrics import link_states, rate
 from nomabeam.power_allocation import opa
+from nomabeam.sim_harness import ScenarioConfig
 
 from drops import Direction, array, channel_matrix, drop_paths, plan_toward
-from oracles import pair_rate
+from oracles import conjugate_bf_sinr_loop, pair_rate
 
 CFG = array(16, 2, 0.5)
 
@@ -60,9 +63,38 @@ class TestConjugateBf:
         noise, power, bandwidth = 8.1e-14, 1.0, 20e6
         cb = rate(conjugate_bf_sinr(h_rows, power, noise), bandwidth).tolist()
         weights, powers = plan_toward(CFG, [d.theta for d in dirs], [d.phi for d in dirs], np.ones(k, dtype=int), power)
-        _, _, zeta = link_states(h_rows @ weights, powers, np.arange(k), noise)
+        _, _, zeta = link_states(np.abs(h_rows @ weights) ** 2, powers, np.arange(k), noise)
         steered = [rate(z, bandwidth) for z in zeta.tolist()]
         assert cb == pytest.approx(steered, rel=1e-9)
+
+
+class TestConjugateBfLoop:
+    # The default cell's power and noise; channel entries scaled by 2**-30 to
+    # 2**10 (about 1e-9 to 1e3), so the noise ranges from the whole
+    # denominator to a negligible part of it.
+    CONFIG = ScenarioConfig()
+
+    @given(
+        st.integers(1, 3),
+        st.integers(1, 7),
+        st.integers(1, 16),
+        st.builds(math.ldexp, st.floats(1.0, 2.0), st.integers(-30, 9)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_user_loop_and_each_drop_alone(self, n_drops, k_users, m, scale, seed):
+        rng = np.random.default_rng(seed)
+        block = scale * (rng.standard_normal((n_drops, k_users, m)) + 1j * rng.standard_normal((n_drops, k_users, m)))
+        power, noise = self.CONFIG.total_power_w, self.CONFIG.noise_w
+        sinr = conjugate_bf_sinr(block, power, noise)
+        assert sinr.shape == (n_drops, k_users)
+        for drop, row in zip(block, sinr.tolist()):
+            assert conjugate_bf_sinr(drop, power, noise).tolist() == row
+            assert conjugate_bf_sinr(drop[np.newaxis], power, noise).tolist() == [row]
+            # nu is every beam's power less the own beam's, plus the noise, so
+            # a dominant own beam costs nu about zeta ulps of its own (none at
+            # K = 1, where the difference is exactly 0)
+            for got, want in zip(row, conjugate_bf_sinr_loop(drop.tolist(), power, noise)):
+                assert got == pytest.approx(want, rel=1e-12 * (1.0 + want if k_users > 1 else 1.0))
 
 
 class TestEnergyEfficiency:

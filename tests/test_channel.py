@@ -226,7 +226,7 @@ def received_power(w, h):
 
     With no other beam the noise is the whole denominator of zeta; psi does
     not depend on it."""
-    return float(link_states(h[np.newaxis] @ w[:, np.newaxis], np.ones(1), [0], 1.0)[0][0])
+    return float(link_states(np.abs(h[np.newaxis] @ w[:, np.newaxis]) ** 2, np.ones(1), [0], 1.0)[0][0])
 
 
 class TestEffectiveGain:

@@ -29,7 +29,7 @@ def mono_row(gain, direction):
 
 def link_state(h, plan, own_beam, noise_w):
     """psi, nu and zeta of one channel row ``h`` served by ``own_beam`` of ``plan = (weights, beam_powers)``."""
-    return [float(a[0]) for a in link_states(h[np.newaxis] @ plan[0], plan[1], [own_beam], noise_w)]
+    return [float(a[0]) for a in link_states(np.abs(h[np.newaxis] @ plan[0]) ** 2, plan[1], [own_beam], noise_w)]
 
 
 class TestComputeLinkState:
@@ -67,7 +67,7 @@ class TestSinrFormulas:
         dirs = [Direction(1.0, -0.1), Direction(1.5, 0.0)]
         plan = private_plan(dirs)
         h_rows = np.stack([mono_row(3e-4, d) for d in dirs])
-        psi, nu, zeta = link_states(h_rows @ plan[0], plan[1], [0, 1], 1e-11)
+        psi, nu, zeta = link_states(np.abs(h_rows @ plan[0]) ** 2, plan[1], [0, 1], 1e-11)
         assert zeta.tolist() == (psi / nu).tolist()
 
     def test_strong_user_endpoints_and_hand_value(self):
@@ -163,8 +163,9 @@ class TestRate:
         ]
 
     def test_any_negative_entry_rejected(self):
-        with pytest.raises(ValueError, match="sinr must be nonnegative"):
-            rate(np.array([[1.0, 2.0], [0.5, -1e-300]]), 1.0)
+        # the message names the negative entry, not the zero or the entry below 1 before it
+        with pytest.raises(ValueError, match=r"^sinr must be nonnegative, got -1e-300$"):
+            rate(np.array([[1.0, 0.0], [0.5, -1e-300]]), 1.0)
 
 
 class TestMonopathClosedForm:

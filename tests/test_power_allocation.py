@@ -29,12 +29,12 @@ def los_rows(*directions):
 def estimated_zeta(direction, plan, own_beam=0):
     """The direction-only link ratio of one user on beam ``own_beam``: its LOS
     row's link ratio with no noise, the other beams' leakage alone below."""
-    return float(link_states(los_rows(direction) @ plan[0], plan[1], [own_beam], 0.0)[2][0])
+    return float(link_states(np.abs(los_rows(direction) @ plan[0]) ** 2, plan[1], [own_beam], 0.0)[2][0])
 
 
 def partial_csi_split(d_strong, d_weak, plan):
     """The split of a pair on beam 0 decided from their LOS directions only."""
-    zeta = link_states(los_rows(d_strong, d_weak) @ plan[0], plan[1], [0, 0], 0.0)[2]
+    zeta = link_states(np.abs(los_rows(d_strong, d_weak) @ plan[0]) ** 2, plan[1], [0, 0], 0.0)[2]
     return opa(zeta[0], zeta[1], 1e-3, 0.05)
 
 
@@ -309,7 +309,7 @@ class TestOpaPartialCsi:
         dirs = [Direction(rng.uniform(0.4, 2.7), rng.uniform(-0.4, 0.0)) for _ in range(5)]
         plan = plan_toward(CFG, [d.theta for d in dirs], [d.phi for d in dirs], [2, 2, 1, 1, 1], 1.0)
         own = [0, 1, 1, 0, 2]
-        together = link_states(los_rows(*dirs) @ plan[0], plan[1], own, 0.0)[2]
+        together = link_states(np.abs(los_rows(*dirs) @ plan[0]) ** 2, plan[1], own, 0.0)[2]
         alone = [estimated_zeta(d, plan, c) for d, c in zip(dirs, own)]
         # a batched matrix product may round differently in the last bit
         assert together.tolist() == pytest.approx(alone, rel=1e-12)
@@ -333,7 +333,7 @@ class TestOpaPartialCsi:
                 CFG,
                 drop_paths([[(amp * np.exp(1j * phase1), d_strong)], [(amp * np.exp(1j * phase2), d_weak)]]),
             )
-            _, _, (z1, z2) = link_states(rows @ plan[0], plan[1], [0, 0], noise)
+            _, _, (z1, z2) = link_states(np.abs(rows @ plan[0]) ** 2, plan[1], [0, 0], noise)
             _, full = opa(z1, z2, 1e-3, 0.05)
             _, partial = partial_csi_split(d_strong, d_weak, plan)
             agreements += full == partial

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import statistics
+import tempfile
 import tracemalloc
 import weakref
 from dataclasses import astuple, fields, replace
@@ -231,6 +232,176 @@ class TestConfigValidation:
         assert config.total_power_w == pytest.approx(1.9953, rel=1e-4)
 
 
+# The loader's stated range of each field, as (low, high, whether low is
+# excluded, whether high is excluded).  A pair (lo, hi) must hold lo <= hi
+# within the range, and each user count 1 <= K < M.
+LOADER_RANGES = {
+    "m_h": (1, math.inf, False, True),
+    "m_v": (1, math.inf, False, True),
+    "d_over_lambda": (0.0, sim_harness.MAX_ELEMENT_SPACING, True, False),
+    "carrier_hz": (sim_harness.MIN_CARRIER_HZ, sim_harness.MAX_CARRIER_HZ, False, False),
+    "bandwidth_hz": (0.0, sim_harness.MAX_BANDWIDTH_HZ, True, False),
+    "cell_radius_m": (0.0, sim_harness.MAX_CELL_RADIUS_M, True, False),
+    "total_power_dbm": (sim_harness.MIN_POWER_DBM, sim_harness.MAX_POWER_DBM, False, False),
+    "noise_power_dbm": (sim_harness.MIN_POWER_DBM, sim_harness.MAX_POWER_DBM, False, False),
+    "p_min": (0.0, math.inf, False, True),
+    "beta0": (0.0, 1.0, True, True),
+    "epsilon": (0.0, 1.0, False, True),
+    "num_time_clusters": (1, sim_harness.MAX_TIME_CLUSTERS, False, False),
+    "paths_per_cluster": (1, sim_harness.MAX_PATHS_PER_CLUSTER, False, False),
+    "nlos_gain_offset_db": (sim_harness.MIN_NLOS_GAIN_OFFSET_DB, sim_harness.MAX_NLOS_GAIN_OFFSET_DB, False, False),
+    "angle_spread_deg": (0.0, math.inf, False, True),
+    "shadowing_sigma_db": (0.0, sim_harness.MAX_SHADOWING_SIGMA_DB, False, False),
+    "trials": (1, sim_harness.MAX_TRIALS, False, False),
+    "master_seed": (0, math.inf, False, True),
+}
+FLOAT_FIELDS = [f.name for f in fields(ScenarioConfig) if f.type == "float"]
+
+
+def in_range(value, low, high, low_open, high_open):
+    return (low < value if low_open else low <= value) and (value < high if high_open else value <= high)
+
+
+def loader_accepts(values):
+    """Whether every field of ``values`` lies in its stated range."""
+    for name, (low, high, low_open, high_open) in LOADER_RANGES.items():
+        lo, hi = values[name] if isinstance(values[name], tuple) else (values[name], values[name])
+        if not (in_range(lo, low, high, low_open, high_open) and lo <= hi and in_range(hi, low, high, low_open, high_open)):
+            return False
+    m = values["m_h"] * values["m_v"]
+    return (
+        len(set(values["user_counts"])) == len(values["user_counts"]) > 0
+        and all(1 <= k < m for k in values["user_counts"])
+        and len(set(values["schemes"])) == len(values["schemes"]) > 0
+        and values["inter_cluster_rule"] in ("proportional", "uniform")
+    )
+
+
+def by_binade(signs, lowest, highest):
+    """Floats of the given signs with binary exponents from ``lowest`` to ``highest``."""
+    return st.builds(
+        lambda sign, mantissa, exponent: sign * math.ldexp(mantissa, exponent),
+        st.sampled_from(signs),
+        st.floats(1.0, 2.0, exclude_max=True),
+        st.integers(lowest, highest),
+    )
+
+
+def floats_inside(low, high, low_open, high_open):
+    """Floats of the range: its ends or the floats just inside them, any binade that meets it, and
+    floats between the ends."""
+    ends = [low if not low_open else math.nextafter(low, math.inf), high if not high_open else math.nextafter(high, -math.inf)]
+    binades = by_binade(
+        [1.0, -1.0] if low < 0 else [1.0],
+        -1074 if low <= 0 else math.frexp(low)[1] - 1,
+        math.frexp(max(-low, high))[1] - 1 if math.isfinite(high) else 1023,
+    )
+    return (
+        st.sampled_from([x for x in ends if math.isfinite(x)])
+        | binades.filter(lambda x: in_range(x, low, high, low_open, high_open))
+        | st.floats(low, high, exclude_min=low_open, exclude_max=high_open, allow_infinity=False)
+    )
+
+
+def floats_about(low, high, low_open, high_open):
+    """Floats just inside and just outside each finite end of the range, the non-finite floats, and
+    any float by binade, of either sign."""
+    ends = [x for end in (low, high) if math.isfinite(end) for x in (math.nextafter(end, -math.inf), end, math.nextafter(end, math.inf))]
+    return st.sampled_from(ends + [math.inf, -math.inf, math.nan]) | by_binade([1.0, -1.0], -1074, 1023)
+
+
+# For each field, values inside its range, and values about its bounds on
+# either side.  Arrays, user counts and path counts stay small, so that an
+# accepted config runs fast; trial counts and seeds go by bit length.
+INSIDE = {
+    **{name: floats_inside(*LOADER_RANGES[name]) for name in FLOAT_FIELDS},
+    "num_time_clusters": st.lists(st.integers(1, sim_harness.MAX_TIME_CLUSTERS), min_size=2, max_size=2).map(sorted).map(tuple),
+    "paths_per_cluster": st.lists(st.integers(1, sim_harness.MAX_PATHS_PER_CLUSTER), min_size=2, max_size=2).map(sorted).map(tuple),
+    "nlos_gain_offset_db": st.lists(floats_inside(*LOADER_RANGES["nlos_gain_offset_db"]), min_size=2, max_size=2).map(sorted).map(tuple),
+    "m_h": st.integers(1, 8),
+    "m_v": st.integers(1, 4),
+    "trials": st.sampled_from([1, sim_harness.MAX_TRIALS]) | magnitudes(1, 32),
+    "master_seed": magnitudes(0, 200),
+    "schemes": st.permutations(list(SchemeId)).flatmap(lambda order: st.integers(1, len(order)).map(lambda n: tuple(order[:n]))),
+    "inter_cluster_rule": st.sampled_from(["proportional", "uniform"]),
+}
+ABOUT = {
+    **{name: floats_about(*LOADER_RANGES[name]) for name in FLOAT_FIELDS},
+    **{
+        name: st.tuples(ints, ints)
+        for name, ints in (
+            ("num_time_clusters", st.integers(-1, sim_harness.MAX_TIME_CLUSTERS + 1)),
+            ("paths_per_cluster", st.integers(-1, sim_harness.MAX_PATHS_PER_CLUSTER + 1)),
+        )
+    },
+    "nlos_gain_offset_db": st.tuples(*2 * [floats_about(*LOADER_RANGES["nlos_gain_offset_db"])]),
+    "m_h": st.integers(-1, 2),
+    "m_v": st.integers(-1, 2),
+    "trials": st.sampled_from([-1, 0, 1, sim_harness.MAX_TRIALS, sim_harness.MAX_TRIALS + 1]),
+    "master_seed": magnitudes(0, 200).map(lambda seed: -seed) | st.just(0),
+    "user_counts": st.lists(st.integers(-1, 10), max_size=3).map(tuple),
+    "schemes": st.lists(st.sampled_from(list(SchemeId)), max_size=6).map(tuple),
+    "inter_cluster_rule": st.sampled_from(["proportional", "uniform", "Uniform", ""]),
+}
+
+
+@st.composite
+def loader_values(draw):
+    """Fields drawn inside their ranges, user counts inside that array's, and one field drawn about its bounds."""
+    values = draw(st.fixed_dictionaries({}, optional=INSIDE))
+    m = values.get("m_h", 4) * values.get("m_v", 2)
+    if m > 1:
+        values["user_counts"] = tuple(draw(st.lists(st.integers(1, min(m - 1, 9)), min_size=1, max_size=3, unique=True)))
+    name = draw(st.sampled_from(sorted(ABOUT)))
+    values[name] = draw(ABOUT[name])
+    return values
+
+
+class TestLoaderProperty:
+    BASE = {f.name: getattr(ScenarioConfig(m_h=4, m_v=2, user_counts=(1, 2), trials=2), f.name) for f in fields(ScenarioConfig)}
+
+    def test_each_bound_parts_its_neighbours(self):
+        # each finite end of each range, and the values one step either side
+        # of it, alone: accepted exactly where they lie in the range
+        probes = [("user_counts", counts) for counts in [(), (0,), (1, 1), (7,), (8,)]]
+        probes += [("schemes", schemes) for schemes in [(), (SchemeId.DBS, SchemeId.DBS)]]
+        probes += [("inter_cluster_rule", rule) for rule in ["proportional", "uniform", "Uniform"]]
+        for name, (low, high, _, _) in LOADER_RANGES.items():
+            step = (lambda x, to: x + (1 if to > x else -1)) if isinstance(low, int) else math.nextafter
+            near = [step(end, -math.inf) for end in (low, high) if math.isfinite(end)]
+            near += [end for end in (low, high) if math.isfinite(end)] + [step(end, math.inf) for end in (low, high) if math.isfinite(end)]
+            pairs = isinstance(self.BASE[name], tuple)
+            probes += [(name, (x, x) if pairs else x) for x in near]
+            if pairs:
+                probes += [(name, (low, step(low, -math.inf))), (name, (high, step(high, -math.inf)))]
+        for name, value in probes:
+            values = {**self.BASE, name: value}
+            try:
+                ScenarioConfig(**values)
+            except ConfigError:
+                assert not loader_accepts(values), (name, value)
+            else:
+                assert loader_accepts(values), (name, value)
+
+    @settings(max_examples=100)
+    @given(loader_values())
+    def test_every_value_is_rejected_or_gives_a_finite_csv(self, overrides):
+        values = {**self.BASE, **overrides}
+        try:
+            config = ScenarioConfig(**values)
+        except ConfigError:
+            assert not loader_accepts(values)
+            return
+        assert loader_accepts(values)
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "sweep.csv"
+            write_csv(run_sweep(replace(config, trials=2)), str(path))
+            rows = path.read_text(encoding="utf-8").splitlines()[1:]
+        assert len(rows) == 2 * len(config.schemes) * len(config.user_counts)
+        for row in rows:
+            assert all(math.isfinite(float(x)) and float(x) >= 0 for x in row.split(",")[3:]), row
+
+
 class TestRunTrial:
     def test_single_user_is_noise_limited(self):
         config = replace(SMALL, user_counts=(1,))
@@ -330,10 +501,12 @@ class TestEvaluateTrial:
 
     def test_massive_array_trial_peak_memory(self):
         # The largest drop: a 64x8 array at K = 448, whose traced peak after a
-        # warm-up call is 10.57 MiB.  Drafts that held a complex product past
-        # its weighing, or two blocks of beam gains at once, took it to
-        # 11.95 MiB and more; holding the LOS block or conjugate beamforming's
-        # weights through their weighing takes it to 11.66 MiB.
+        # warm-up call is 10.13 MiB, reached in the dbs product h_rows @ los
+        # and, as high, in conjugate beamforming's two real products.  Drafts
+        # that held a complex product past its weighing, or two blocks of beam
+        # gains at once, took it to 11.95 MiB and more; holding the LOS block
+        # through its weighing takes it to 11.66 MiB, and conjugate
+        # beamforming's [Re H, Im H] copy through the imaginary part to 11.72.
         config = ScenarioConfig(m_h=64, m_v=8, user_counts=(448,))
         evaluate_trial(config, 448, 0)
         tracemalloc.start()
@@ -342,7 +515,7 @@ class TestEvaluateTrial:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 10.75 * 2**20
+        assert peak <= 10.35 * 2**20
 
 
 class TestSharedBeams:
@@ -380,7 +553,7 @@ class TestSharedBeams:
             [2] + [1] * len(singles),
             self.CONFIG.total_power_w,
         )
-        zeta = link_states(h_rows @ weights, powers, [0, 0, 1][: len(h_rows)], self.CONFIG.noise_w)[2]
+        zeta = link_states(np.abs(h_rows @ weights) ** 2, powers, [0, 0, 1][: len(h_rows)], self.CONFIG.noise_w)[2]
         return (weights, powers), zeta.tolist()
 
     @pytest.mark.parametrize(
@@ -406,7 +579,7 @@ class TestSharedBeams:
             # The LOS rows' link ratios with no noise.  On the drop's only
             # beam nothing leaks in, and partial CSI splits as full CSI does.
             los = np.conj(steering_matrix(self.CONFIG, paths.theta[[1, 0]], paths.phi[[1, 0]]))
-            split_on = link_states(los @ weights, powers, [0, 0], 0.0)[2].tolist()
+            split_on = link_states(np.abs(los @ weights) ** 2, powers, [0, 0], 0.0)[2].tolist()
         else:
             split_on = [z_strong, z_weak]
         gamma1 = float(opa(*split_on, self.CONFIG.p_min, self.CONFIG.epsilon)[0])
