@@ -393,8 +393,8 @@ class TestLoaderProperty:
             assert not loader_accepts(values)
             return
         assert loader_accepts(values)
-        with tempfile.TemporaryDirectory() as scratch:
-            path = Path(scratch) / "sweep.csv"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "sweep.csv"
             write_csv(run_sweep(replace(config, trials=2)), str(path))
             rows = path.read_text(encoding="utf-8").splitlines()[1:]
         assert len(rows) == 2 * len(config.schemes) * len(config.user_counts)

@@ -55,8 +55,8 @@ def check(extra: dict[str, str]) -> tuple[str, list[str]]:
     tests = run(["-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_golden.py", "tests/test_cli.py"], env)
     if tests.returncode != 0:
         failures.append("tests: " + (tests.stdout.strip().splitlines() or ["no output"])[-1])
-    with tempfile.TemporaryDirectory() as scratch:
-        out = Path(scratch) / "sweep.csv"
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "sweep.csv"
         sweep = run(["-m", "nomabeam", "simulate", "--config", "configs/rural_default.cfg", "--out", str(out)], env)
         if sweep.returncode != 0:
             failures.append(f"sweep exited with status {sweep.returncode}")
