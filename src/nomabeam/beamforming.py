@@ -17,12 +17,12 @@ import numpy as np
 __all__ = ["build_plan"]
 
 
-def build_plan(sizes: np.ndarray, m_elements: int, total_power_w: float, rule: str = "proportional") -> np.ndarray:
+def build_plan(sizes: np.ndarray, m_elements: int, total_power_w: float, rule: str) -> np.ndarray:
     """The C-vector eta * p_c of the fixed inter-beam power split, or each drop's of a block.
 
     ``sizes[..., c]`` is the number of users beam c serves, K their sum, and
     ``m_elements`` the length M of each beam's steering vector.
-    ``rule="proportional"`` (default) gives each beam an emitted-power share
+    ``rule="proportional"`` gives each beam an emitted-power share
     P_c = K_c * P_e / K, so p_c = K_c * C * P_e / K; any other rule
     (``"uniform"``) splits emitted power evenly, P_c = P_e / C.  A beam of no
     users gets no power and is not counted in C, so zero sizes pad the rows

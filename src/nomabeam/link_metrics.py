@@ -5,14 +5,14 @@ For a user on beam c, with weight vector w_c and power eta * p_c from
 ``psi = eta * p_c * |h w_c|^2`` and the other-beam interference plus noise
 is ``nu``; their ratio ``zeta`` is the single scalar that drives every rate
 formula here.  :func:`link_states` alone weighs power gains |h w_c|^2, which
-its callers square: the channel rows through the steered schemes' beams,
-conjugate beamforming's gains from the drop's Gram matrix, and the pattern
-gains M * beta from which partial CSI estimates its ratios with no noise.
-A private
-(single-user) beam achieves SINR = zeta directly; on a shared beam the
-power-split coefficient ``gamma1`` of the strong user scales the two users'
-SINRs in opposite directions.  The SINR and rate formulas take scalars or
-arrays alike.
+its callers square, each row against the beam that serves it: the channel
+rows through the steered schemes' beams (a shared plan's rows in beam
+order), conjugate beamforming's gains from the drop's Gram matrix, and the
+pattern gains M * beta from which partial CSI estimates its ratios with no
+noise.  A private (single-user) beam achieves SINR = zeta directly; on a
+shared beam :func:`sinr_noma` gives both users' SINRs, which the strong
+user's power-split coefficient ``gamma1`` scales in opposite directions.
+The SINR and rate formulas take scalars or arrays alike.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ import numpy as np
 
 __all__ = [
     "link_states",
-    "sinr_noma_strong",
-    "sinr_noma_weak",
+    "sinr_noma",
     "rate",
 ]
 
@@ -32,11 +31,11 @@ __all__ = [
 def link_states(
     power_gains: np.ndarray,
     beam_powers: np.ndarray,
-    own_beams: np.ndarray,
+    row_beams: np.ndarray,
     noise_w: float,
     beam_counts: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Arrays psi, nu and zeta = psi / nu of every channel row, row k served by beam ``own_beams[..., k]``.
+    """Arrays psi, nu and zeta = psi / nu of every channel row, row k served by beam ``row_beams[..., k]``.
 
     ``power_gains[..., k, c]`` is the power gain |h_k w_c|^2 of row k through
     beam c, and ``beam_powers`` broadcasts each beam's eta * p_c against it (a
@@ -47,7 +46,7 @@ def link_states(
     it gives alone.
     """
     weighted = power_gains * beam_powers
-    psi = np.take_along_axis(weighted, np.broadcast_to(own_beams, weighted.shape[:-1])[..., None], -1)[..., 0]
+    psi = np.take_along_axis(weighted, np.broadcast_to(row_beams, weighted.shape[:-1])[..., None], -1)[..., 0]
     if beam_counts is None:
         sums = np.sum(weighted, axis=-1)
     else:
@@ -58,29 +57,17 @@ def link_states(
     return psi, nu, psi / nu
 
 
-def sinr_noma_strong(zeta, gamma1):
-    """SINR of the strong user on a shared beam after it cancels its partner.
+def sinr_noma(zeta_strong, zeta_weak, gamma1):
+    """SINRs ``(strong, weak)`` of a shared beam's two users at the strong user's split ``gamma1``.
 
-    The strong user removes the weak user's signal, so only the
-    ``gamma1`` fraction of the beam power is useful and no intra-beam
-    interference remains: SINR = zeta * gamma1.
+    The strong user cancels its partner's signal, so only the ``gamma1``
+    fraction of the beam power is useful and no intra-beam interference
+    remains: zeta_strong * gamma1.  The weak user decodes under the strong
+    user's signal: zeta_weak * (1 - gamma1) / (1 + zeta_weak * gamma1).
     """
-    _check_gamma(gamma1)
-    return zeta * gamma1
-
-
-def sinr_noma_weak(zeta, gamma1):
-    """SINR of the weak user, which decodes under the strong user's signal.
-
-    SINR = zeta * (1 - gamma1) / (1 + zeta * gamma1).
-    """
-    _check_gamma(gamma1)
-    return zeta * (1.0 - gamma1) / (1.0 + zeta * gamma1)
-
-
-def _check_gamma(gamma1) -> None:
     if not np.all((0.0 <= gamma1) & (gamma1 <= 1.0)):
         raise ValueError(f"gamma1 must be in [0, 1], got {gamma1}")
+    return zeta_strong * gamma1, zeta_weak * (1.0 - gamma1) / (1.0 + zeta_weak * gamma1)
 
 
 def rate(sinr, bandwidth_hz):

@@ -29,7 +29,7 @@ from .baselines import SchemeId, conjugate_bf_sinr, energy_efficiency
 from .beamforming import build_plan
 from .channel import DropPaths, channel_rows, draw_paths
 from .clustering import greedy_pairs
-from .link_metrics import link_states, rate, sinr_noma_strong, sinr_noma_weak
+from .link_metrics import link_states, rate, sinr_noma
 from .power_allocation import opa
 
 __all__ = [
@@ -444,8 +444,7 @@ def _block_outcomes(config: ScenarioConfig, paths: DropPaths, k_users: int) -> d
     def noma(split_on: np.ndarray) -> _Outcome:
         gamma1, _ = opa(split_on[strong], split_on[weak], config.p_min, config.epsilon)
         sinr = zeta.copy()
-        sinr[strong] = sinr_noma_strong(zeta[strong], gamma1)
-        sinr[weak] = sinr_noma_weak(zeta[weak], gamma1)
+        sinr[strong], sinr[weak] = sinr_noma(zeta[strong], zeta[weak], gamma1)
         deactivated = np.bincount(np.nonzero(strong)[0][gamma1 == 0.0], minlength=len(n_pairs))
         return sinr, band, n_pairs, deactivated
 
@@ -471,11 +470,12 @@ def _steered_links(
     beam order: its pair j at places 2j and 2j + 1, strong user first, then
     its unpaired users in user order.  Each beam is steered at the mean LOS
     angles of the places it serves: P pair beams, then a private beam per
-    unpaired user.  The drop's rows of shared-plan ratios and of the ratios
-    partial CSI splits on (the paired users' estimates, from the directions
-    alone through ``pattern``, the closed form the pairing uses) are in beam
-    order; a drop with no pair keeps its dbs row in both.  All but each
-    paired drop's matrix product and row sums is worked out once per block.
+    unpaired user.  The drop's power gains are taken in beam order after its
+    matrix product, so its shared-plan ratios and the ratios partial CSI
+    splits on (the paired users' estimates, from the directions alone through
+    ``pattern``, the closed form the pairing uses) are in beam order; a drop
+    with no pair keeps its dbs row in both.  All but each paired drop's
+    matrix product and row sums is worked out once per block.
     """
     n_drops, k_users = theta.shape
     los = np.ascontiguousarray(
@@ -492,9 +492,9 @@ def _steered_links(
 
     # order[t] lists paired drop t's users in beam order, sorted by ranks that
     # put the pairs first, in selection order.  Place p < 2P is on beam p // 2
-    # and a later place on beam p - P; own_beams scatters that to the users.
-    # The ranks are distinct; the stable sort is channel_rows' kernel, where
-    # the default one's code would add 0.1 to 0.3 MB of resident size.
+    # and a later place on beam p - P.  The ranks are distinct; the stable
+    # sort is channel_rows' kernel, where the default one's code would add 0.1
+    # to 0.3 MB of resident size.
     pair_drops, pairs = pairing
     rank = np.tile(np.arange(k_users) + 2 * len(pairs), (n_drops, 1))
     rank[pair_drops[:, None], pairs] = np.arange(2 * len(pairs)).reshape(-1, 2)
@@ -502,9 +502,7 @@ def _steered_links(
     n_pairs, n_beams = n_pairs[drops], k_users - n_pairs[drops]
     order = np.argsort(rank[drops], axis=1, kind="stable")
     place = np.arange(k_users)
-    own_beams = np.empty_like(order)
     by_place = np.where(place < 2 * n_pairs[:, None], place // 2, place - n_pairs[:, None])
-    np.put_along_axis(own_beams, order, by_place, axis=1)
     # Beam c serves places first to last; (a + a) / 2 == a steers a private
     # beam at its user.  Beams that pad a drop take its last place and no user.
     beam = np.arange(n_beams.max(initial=0))
@@ -516,18 +514,20 @@ def _steered_links(
     directions = np.array([(a[at, ends[0]] + a[at, ends[1]]) / 2 for a in (theta, phi)])
     beams = steering_matrix(config, *(table[sizes > 0] for table in directions))
     powers = build_plan(sizes, config.num_elements, config.total_power_w, config.inter_cluster_rule)[:, None, :]
-    gains = _beam_gains(h_rows, drops, beams, n_beams, len(beam))
+    gains = _beam_gains(h_rows, drops, beams, n_beams)
     del beams
     gains = _power_gains(gains)
-    psi, _, zeta = link_states(gains, powers, own_beams, config.noise_w, n_beams)
+    gains = gains[np.arange(len(drops))[:, None], order]
+    psi, _, zeta = link_states(gains, powers, by_place, config.noise_w, n_beams)
     del gains
     # Strong user first: the larger received power through the shared beam.
     pair = np.arange(n_pairs.max(initial=0))
-    psi = np.take_along_axis(psi, order[:, : 2 * len(pair)], axis=1)
+    psi = psi[:, : 2 * len(pair)]
     t, j = np.nonzero((psi[:, 1::2] > psi[:, ::2]) & (pair < n_pairs[:, None]))
-    order[t, 2 * j], order[t, 2 * j + 1] = order[t, 2 * j + 1], order[t, 2 * j]
+    for table in (order, zeta):
+        table[t, 2 * j], table[t, 2 * j + 1] = table[t, 2 * j + 1], table[t, 2 * j]
     shared = dbs_zeta.copy()
-    shared[drops] = np.take_along_axis(zeta, order, axis=1)
+    shared[drops] = zeta
     # Partial CSI splits on ratios estimated from the LOS directions alone:
     # a paired user's gain through beam c is M times the pattern of beam c at
     # the user, that of a unit-gain single path, weighed with no noise in the
@@ -536,11 +536,12 @@ def _steered_links(
     # the sum) directions give no ratio, and the user keeps its fed-back
     # shared-plan one, as the strong/weak order does.
     user_angles = [a[at, order[:, : 2 * len(pair)], None] for a in (theta, phi)]
-    gains = _power_gains(config.num_elements * pattern(config, *directions[:, :, None, :], *user_angles))
+    pair_places = np.repeat(pair, 2)
+    gains = np.square(config.num_elements * pattern(config, *directions[:, :, None, :], *user_angles))
     with np.errstate(divide="ignore", invalid="ignore"):
-        _, nu, zeta = link_states(gains, powers, np.repeat(pair, 2), 0.0, n_beams)
+        _, nu, zeta = link_states(gains, powers, pair_places, 0.0, n_beams)
     estimated = shared.copy()
-    t, p = np.nonzero((np.repeat(pair, 2) < n_pairs[:, None]) & (nu != 0.0))
+    t, p = np.nonzero((pair_places < n_pairs[:, None]) & (nu != 0.0))
     estimated[drops[t], p] = zeta[t, p]
     return h_rows, dbs_zeta, shared, estimated
 
@@ -552,12 +553,10 @@ def _power_gains(gains: np.ndarray) -> np.ndarray:
     return np.square(power, out=power)
 
 
-def _beam_gains(
-    h_rows: np.ndarray, drops: np.ndarray, beams: np.ndarray, n_beams: np.ndarray, width: int
-) -> np.ndarray:
+def _beam_gains(h_rows: np.ndarray, drops: np.ndarray, beams: np.ndarray, n_beams: np.ndarray) -> np.ndarray:
     """Drop ``drops[t]``'s rows times its ``n_beams[t]`` rows of ``beams`` (those after the earlier drops'),
-    transposed, at their own shape, in the front of entry t of a zero T x K x ``width`` block."""
-    gains = np.zeros((len(drops), h_rows.shape[1], width), dtype=complex)
+    transposed, at their own shape, in the front of entry t of a zero T x K x max(``n_beams``) block."""
+    gains = np.zeros((len(drops), h_rows.shape[1], n_beams.max(initial=0)), dtype=complex)
     starts = np.cumsum(n_beams) - n_beams
     for t, f, c, out in zip(drops.tolist(), starts.tolist(), n_beams.tolist(), gains):
         np.matmul(h_rows[t], beams[f : f + c].T, out=out[:, :c])

@@ -1,6 +1,7 @@
-"""Arrays and channel records built by hand for tests, their per-user view,
-their channel rows and beams steered from angles, the betas of directions,
-and, for properties, blocks of LOS angles and integers spread by bit length."""
+"""Arrays and channel records built by hand for tests, their per-user view and
+mirror image, their channel rows and beams steered from angles, the betas of
+directions, and, for properties, blocks of LOS angles and integers spread by
+bit length."""
 
 import math
 from typing import NamedTuple
@@ -36,6 +37,12 @@ def drop_paths(users) -> DropPaths:
         theta=np.array([d.theta for _, d in flat]),
         phi=np.array([d.phi for _, d in flat]),
     )
+
+
+def mirrored(paths: DropPaths) -> DropPaths:
+    """The drops seen in the array's mirror: theta to pi - theta, phi to -phi and every
+    path gain conjugated, which conjugates every steering vector and channel row."""
+    return DropPaths(paths.starts, np.conj(paths.gains), math.pi - paths.theta, -paths.phi)
 
 
 def user_paths(paths: DropPaths) -> tuple[list[list[complex]], list[list[Direction]]]:

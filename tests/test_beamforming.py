@@ -18,16 +18,16 @@ def plan_for(sizes, cfg, total_power, rule="proportional"):
 class TestBuildPlan:
     # eta * p_c with eta = 1 / (M C): an 8x8 array has M = 64
     def test_proportional_split_hand_values(self):
-        assert build_plan([2, 1, 1], 64, 1.0) == pytest.approx(np.array([1.5, 0.75, 0.75]) / 192)
+        assert build_plan([2, 1, 1], 64, 1.0, "proportional") == pytest.approx(np.array([1.5, 0.75, 0.75]) / 192)
         assert emitted_powers(*plan_for([2, 1, 1], array(8, 8, 0.5), 1.0)) == pytest.approx((0.5, 0.25, 0.25))
 
     def test_all_singletons_reduce_to_uniform(self):
-        assert build_plan([1, 1, 1], 64, 2.0) == pytest.approx(np.full(3, 2.0 / 192))
+        assert build_plan([1, 1, 1], 64, 2.0, "proportional") == pytest.approx(np.full(3, 2.0 / 192))
         assert emitted_powers(*plan_for([1, 1, 1], array(8, 8, 0.5), 2.0)) == pytest.approx((2.0 / 3,) * 3)
 
     def test_eta_value(self):
         # four singletons at 1 W have p_c = 1, so each beam's power is eta
-        assert build_plan([1, 1, 1, 1], 64, 1.0) == pytest.approx(np.full(4, 1.0 / 256))
+        assert build_plan([1, 1, 1, 1], 64, 1.0, "proportional") == pytest.approx(np.full(4, 1.0 / 256))
 
     def test_uniform_rule(self):
         assert build_plan([2, 1, 1], 64, 1.0, rule="uniform") == pytest.approx(np.full(3, 1.0 / 192))

@@ -5,7 +5,7 @@ import pytest
 
 from nomabeam.array_geometry import steering_matrix
 from nomabeam.channel import draw_paths
-from nomabeam.link_metrics import link_states, rate, sinr_noma_strong, sinr_noma_weak
+from nomabeam.link_metrics import link_states, rate, sinr_noma
 from nomabeam.power_allocation import Branch, _gamma_hat, opa
 from nomabeam.sim_harness import ScenarioConfig
 
@@ -71,27 +71,25 @@ class TestSinrFormulas:
         assert zeta.tolist() == (psi / nu).tolist()
 
     def test_strong_user_endpoints_and_hand_value(self):
-        assert sinr_noma_strong(4.0, 0.0) == 0.0
-        assert sinr_noma_strong(4.0, 1.0) == pytest.approx(4.0)
-        assert sinr_noma_strong(4.0, 0.25) == pytest.approx(1.0)
+        assert sinr_noma(4.0, 1.0, 0.0)[0] == 0.0
+        assert sinr_noma(4.0, 1.0, 1.0)[0] == pytest.approx(4.0)
+        assert sinr_noma(4.0, 1.0, 0.25)[0] == pytest.approx(1.0)
 
     def test_weak_user_endpoints_and_hand_value(self):
-        assert sinr_noma_weak(3.0, 0.0) == pytest.approx(3.0)
-        assert sinr_noma_weak(3.0, 1.0) == pytest.approx(0.0)
-        assert sinr_noma_weak(3.0, 1.0 / 3.0) == pytest.approx(1.0)
+        assert sinr_noma(1.0, 3.0, 0.0)[1] == pytest.approx(3.0)
+        assert sinr_noma(1.0, 3.0, 1.0)[1] == pytest.approx(0.0)
+        assert sinr_noma(1.0, 3.0, 1.0 / 3.0)[1] == pytest.approx(1.0)
 
     def test_arrays_match_each_entry_alone(self, rng):
-        zeta = 10.0 ** rng.uniform(-3, 3, size=50)
+        zeta_strong, zeta_weak = 10.0 ** rng.uniform(-3, 3, size=(2, 50))
         gamma1 = rng.uniform(0.0, 1.0, size=50)
-        for formula in (sinr_noma_strong, sinr_noma_weak):
-            together = formula(zeta, gamma1)
-            alone = [formula(float(z), float(g)) for z, g in zip(zeta, gamma1)]
-            assert together.tolist() == alone
+        together = sinr_noma(zeta_strong, zeta_weak, gamma1)
+        alone = [sinr_noma(float(s), float(w), float(g)) for s, w, g in zip(zeta_strong, zeta_weak, gamma1)]
+        assert [sinrs.tolist() for sinrs in together] == [list(sinrs) for sinrs in zip(*alone)]
 
     def test_strong_increases_weak_decreases(self):
         grid = np.linspace(0.0, 1.0, 400)
-        strong = [sinr_noma_strong(5.0, g) for g in grid]
-        weak = [sinr_noma_weak(5.0, g) for g in grid]
+        strong, weak = zip(*(sinr_noma(5.0, 5.0, g) for g in grid))
         assert all(b > a for a, b in zip(strong, strong[1:]))
         assert all(b < a for a, b in zip(weak, weak[1:]))
 
@@ -104,25 +102,20 @@ class TestSinrFormulas:
         gamma1 = 0.3
         h_strong = mono_row(2e-4 + 1e-4j, dirs[0])
         h_weak = mono_row(1e-4 - 2e-5j, dirs[1])
-        for h, formula in ((h_strong, sinr_noma_strong), (h_weak, sinr_noma_weak)):
-            _, _, zeta = link_state(h, plan, 0, noise)
-            weights, powers = plan
-            own = powers[0] * abs(h @ weights[:, 0]) ** 2
-            other = powers[1] * abs(h @ weights[:, 1]) ** 2
-            if formula is sinr_noma_strong:
-                direct = gamma1 * own / (other + noise)
-            else:
-                direct = (1 - gamma1) * own / (gamma1 * own + other + noise)
-            assert formula(zeta, gamma1) == pytest.approx(direct, rel=1e-9)
+        weights, powers = plan
+        own, other = ([p * abs(h @ weights[:, c]) ** 2 for h in (h_strong, h_weak)] for c, p in enumerate(powers))
+        direct = [gamma1 * own[0] / (other[0] + noise), (1 - gamma1) * own[1] / (gamma1 * own[1] + other[1] + noise)]
+        zeta = [link_state(h, plan, 0, noise)[2] for h in (h_strong, h_weak)]
+        assert list(sinr_noma(*zeta, gamma1)) == pytest.approx(direct, rel=1e-9)
 
     def test_gamma_one_degenerates_to_dbs(self):
-        assert sinr_noma_strong(5.0, 1.0) == pytest.approx(5.0, rel=1e-12)
+        assert sinr_noma(5.0, 1.0, 1.0)[0] == pytest.approx(5.0, rel=1e-12)
 
     def test_gamma_out_of_range(self):
         with pytest.raises(ValueError):
-            sinr_noma_strong(1.0, 1.5)
+            sinr_noma(1.0, 1.0, 1.5)
         with pytest.raises(ValueError):
-            sinr_noma_weak(np.ones(3), np.array([0.2, -0.1, 0.3]))
+            sinr_noma(np.ones(3), np.ones(3), np.array([0.2, -0.1, 0.3]))
 
 
 class TestSicFeasible:

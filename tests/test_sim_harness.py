@@ -18,7 +18,7 @@ from nomabeam import sim_harness
 from nomabeam.array_geometry import steering_matrix
 from nomabeam.baselines import SchemeId
 from nomabeam.channel import draw_paths
-from nomabeam.link_metrics import link_states, sinr_noma_strong, sinr_noma_weak
+from nomabeam.link_metrics import link_states, sinr_noma
 from nomabeam.power_allocation import opa
 from nomabeam.sim_harness import (
     Columns,
@@ -39,7 +39,7 @@ from nomabeam.sim_harness import (
 )
 
 from csv_reference import SWEEP_HEADER, sweep_csv
-from drops import Direction, channel_matrix, drop_paths, magnitudes, pair_beta, plan_toward, user_paths
+from drops import Direction, channel_matrix, drop_paths, magnitudes, mirrored, pair_beta, plan_toward, user_paths
 from oracles import beta_phasor_sum, sinr_dbs_monopath_closed
 
 SMALL = ScenarioConfig(
@@ -587,7 +587,7 @@ class TestSharedBeams:
         assert (shared, deactivated) == (1, int(gamma1 == 0.0))
         assert bands.tolist() == [band] * len(zeta)
         assert sinr.tolist() == pytest.approx(
-            [sinr_noma_strong(z_strong, gamma1), sinr_noma_weak(z_weak, gamma1), *zeta[2:]], rel=1e-12
+            [*sinr_noma(z_strong, z_weak, gamma1), *zeta[2:]], rel=1e-12
         )
 
     @pytest.mark.parametrize("others", [[], [Direction(math.acos(1.0 / 8.0), 0.0)]])
@@ -726,6 +726,64 @@ class TestInvariances:
             assert columns.sum_rate_bps.tolist() == pytest.approx(expected[key].sum_rate_bps.tolist(), rel=1e-9), key
             assert np.array_equal(columns.noma_clusters, expected[key].noma_clusters)
             assert np.array_equal(columns.deactivated_users, expected[key].deactivated_users)
+
+    # Relative tolerance of the rates under each relation.  Raising both powers
+    # by the same x dB rounds each watt value on its own, and nu = sums - psi +
+    # noise loses about zeta ulps of that where the own beam dominates: over
+    # 750 examples of this property's space the gap reached 3.5e-13.
+    TOLERANCE = {"carrier": 1e-9, "power": 1e-12, "bandwidth": 1e-9, "mirror": 1e-9}
+
+    @pytest.mark.parametrize("epsilon", [0.05, 0.0])
+    @pytest.mark.parametrize("relation", sorted(TOLERANCE))
+    @settings(max_examples=10, deadline=None)
+    @given(
+        st.sampled_from([(32, 2), (8, 1), (4, 2)]),
+        st.integers(1, 7),
+        st.integers(1, 5),
+        st.integers(0, 2**32),
+        st.sampled_from([0.05, 0.5]),
+        st.sampled_from(["proportional", "uniform"]),
+        st.floats(0.1, 10.0),
+    )
+    def test_physical_relations_keep_every_scheme(self, relation, epsilon, array, k_users, trials, seed, beta0, rule, c):
+        # Two sweeps of the same drops, every scheme, one related to the other:
+        # - carrier times c: every path amplitude is the wavelength over 4 pi
+        #   times the range, so the noise 20 log10(c) dB lower keeps every SINR;
+        # - total and noise power both x = 20 log10(c) dB higher: every SINR
+        #   is a ratio of powers;
+        # - bandwidth times c: every rate scales by c, the spectral efficiency
+        #   does not;
+        # - the mirror, theta to pi - theta, phi to -phi and every gain
+        #   conjugated: every steering vector and channel row is conjugated,
+        #   and every power gain and pair with it.
+        # epsilon = 0 takes opa's fair branch away, and with it the edge where
+        # a rate gap sits within rounding of epsilon.
+        m_h, m_v = array
+        config = ScenarioConfig(m_h=m_h, m_v=m_v, user_counts=(k_users,), trials=trials, master_seed=seed)
+        config = replace(config, beta0=beta0, epsilon=epsilon, inter_cluster_rule=rule)
+        db = 20.0 * math.log10(c)
+        related = {
+            "carrier": replace(config, carrier_hz=c * config.carrier_hz, noise_power_dbm=config.noise_power_dbm - db),
+            "power": replace(
+                config, total_power_dbm=config.total_power_dbm + db, noise_power_dbm=config.noise_power_dbm + db
+            ),
+            "bandwidth": replace(config, bandwidth_hz=c * config.bandwidth_hz),
+            "mirror": config,
+        }[relation]
+
+        def sweep(config, mirror=False):
+            paths = _drop_users(config, k_users, range(trials))
+            paths = mirrored(paths) if mirror else paths
+            return {s: _columns(config, outcome) for s, outcome in _block_outcomes(config, paths, k_users).items()}
+
+        expected, results = sweep(config), sweep(related, mirror=relation == "mirror")
+        scale, rel = (c if relation == "bandwidth" else 1.0), self.TOLERANCE[relation]
+        for scheme, columns in results.items():
+            want = expected[scheme]
+            assert columns.sum_rate_bps.tolist() == pytest.approx((scale * want.sum_rate_bps).tolist(), rel=rel), scheme
+            assert columns.spectral_eff.tolist() == pytest.approx(want.spectral_eff.tolist(), rel=rel), scheme
+            assert np.array_equal(columns.noma_clusters, want.noma_clusters), scheme
+            assert np.array_equal(columns.deactivated_users, want.deactivated_users), scheme
 
 
 @functools.cache
