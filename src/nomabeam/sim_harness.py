@@ -37,7 +37,6 @@ __all__ = [
     "ScenarioConfig",
     "Columns",
     "load_scenario",
-    "evaluate_trial",
     "run_sweep",
     "write_csv",
     "format_aggregates",
@@ -132,7 +131,8 @@ class ScenarioConfig:
         if not self.user_counts:
             raise ConfigError("user_counts must not be empty")
         for k in self.user_counts:
-            _check_user_count(k, self)
+            if not 1 <= k < self.num_elements:
+                raise ConfigError(f"user_counts must satisfy 1 <= K < M={self.num_elements}, got {k}")
         if len(set(self.user_counts)) < len(self.user_counts):
             raise ConfigError(f"user_counts must not repeat, got {', '.join(map(str, self.user_counts))}")
         if self.master_seed < 0:
@@ -192,11 +192,6 @@ class ScenarioConfig:
     @cached_property
     def noise_w(self) -> float:
         return _watts(self.noise_power_dbm)
-
-
-def _check_user_count(k_users: int, config: ScenarioConfig) -> None:
-    if not 1 <= k_users < config.num_elements:
-        raise ConfigError(f"user_counts must satisfy 1 <= K < M={config.num_elements}, got {k_users}")
 
 
 def _watts(dbm: float) -> float:
@@ -563,23 +558,6 @@ def _beam_gains(h_rows: np.ndarray, drops: np.ndarray, beams: np.ndarray, n_beam
     return gains
 
 
-def evaluate_trial(config: ScenarioConfig, k_users: int, trial_index: int) -> dict[SchemeId, Columns]:
-    """Every scheme's columns on the drop of (master_seed, K, trial), all five of them, one entry each.
-
-    The users and their channels are drawn once.  It is a block of one
-    trial, and gives the entries a sweep's larger blocks give.  A K outside
-    the loader's 1 <= K < M, or a trial index outside [0, 2**32), raises
-    ConfigError.
-    """
-    _check_user_count(k_users, config)
-    if trial_index < 0:
-        raise ConfigError(f"trial index must be nonnegative, got {trial_index}")
-    if trial_index >= MAX_TRIALS:
-        raise ConfigError(f"trial index must be below 2**32, got {trial_index}")
-    outcomes = _block_outcomes(config, _drop_users(config, k_users, [trial_index]), k_users)
-    return {s: _columns(config, outcome) for s, outcome in outcomes.items()}
-
-
 def _columns(config: ScenarioConfig, outcome: _Outcome) -> Columns:
     """One scheme's columns of a block, each trial's rates summed alone, left to right in beam order.
 
@@ -602,9 +580,10 @@ def run_sweep(config: ScenarioConfig) -> dict[tuple[SchemeId, int], Columns]:
 
     Each (K, trial) drop is drawn once and evaluated for all configured
     schemes, the trials of one K in blocks of ``_BLOCK_BYTES`` of channel
-    rows; entry t of each column equals :func:`evaluate_trial`'s for trial
-    t.  The keys are sorted once at the end, so the output does not depend
-    on the order in which the independent user counts run.
+    rows; entry t of each column is the one that trial t's drop gives
+    scored alone, as a block of one.  The keys are sorted once at the end,
+    so the output does not depend on the order in which the independent
+    user counts run.
     """
     blocks: dict[tuple[SchemeId, int], list[Columns]] = {}
     for k_users in config.user_counts:

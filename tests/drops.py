@@ -1,7 +1,7 @@
 """Arrays and channel records built by hand for tests, their per-user view and
 mirror image, their channel rows and beams steered from angles, the betas of
-directions, and, for properties, blocks of LOS angles and integers spread by
-bit length."""
+directions, every scheme's columns on given drops, and, for properties,
+blocks of LOS angles and integers spread by bit length."""
 
 import math
 from typing import NamedTuple
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from nomabeam.array_geometry import eligible_pairs, steering_matrix
 from nomabeam.beamforming import build_plan
 from nomabeam.channel import DropPaths, channel_rows
-from nomabeam.sim_harness import ScenarioConfig
+from nomabeam.sim_harness import ScenarioConfig, _block_outcomes, _columns, _drop_users
 
 
 class Direction(NamedTuple):
@@ -91,6 +91,17 @@ def plan_toward(cfg: ScenarioConfig, theta, phi, sizes, total_power_w: float, ru
     rounds as the harness's does."""
     weights = steering_matrix(cfg, theta, phi).T
     return weights, build_plan(sizes, cfg.num_elements, total_power_w, rule)
+
+
+def scores(config: ScenarioConfig, paths: DropPaths, k_users: int) -> dict:
+    """Every scheme's columns on a block of drops of K users each, given their paths,
+    one entry per drop: what a sweep writes for those drops."""
+    return {s: _columns(config, o) for s, o in _block_outcomes(config, paths, k_users).items()}
+
+
+def trial_scores(config: ScenarioConfig, k_users: int, trial: int) -> dict:
+    """Every scheme's columns on the drop of (master_seed, K, ``trial``), scored alone."""
+    return scores(config, _drop_users(config, k_users, [trial]), k_users)
 
 
 @st.composite

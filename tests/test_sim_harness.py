@@ -31,7 +31,6 @@ from nomabeam.sim_harness import (
     _stdev,
     _trial_generator,
     _trial_states,
-    evaluate_trial,
     format_aggregates,
     load_scenario,
     run_sweep,
@@ -39,7 +38,18 @@ from nomabeam.sim_harness import (
 )
 
 from csv_reference import SWEEP_HEADER, sweep_csv
-from drops import Direction, channel_matrix, drop_paths, magnitudes, mirrored, pair_beta, plan_toward, user_paths
+from drops import (
+    Direction,
+    channel_matrix,
+    drop_paths,
+    magnitudes,
+    mirrored,
+    pair_beta,
+    plan_toward,
+    scores,
+    trial_scores,
+    user_paths,
+)
 from oracles import beta_phasor_sum, sinr_dbs_monopath_closed
 
 SMALL = ScenarioConfig(
@@ -154,9 +164,10 @@ class TestConfigParsing:
 
 
 class TestConfigValidation:
-    def test_user_count_must_stay_below_element_count(self):
-        with pytest.raises(ConfigError, match="1 <= K < M"):
-            ScenarioConfig(m_h=4, m_v=2, user_counts=(8,))
+    @pytest.mark.parametrize("k", [0, 8, 9])
+    def test_user_count_must_stay_below_element_count(self, k):
+        with pytest.raises(ConfigError, match=f"user_counts must satisfy 1 <= K < M=8, got {k}"):
+            ScenarioConfig(m_h=4, m_v=2, user_counts=(k,))
 
     def test_trials_must_be_positive(self):
         with pytest.raises(ConfigError):
@@ -224,7 +235,7 @@ class TestConfigValidation:
     def test_bounds_give_finite_rates(self, overrides):
         config = replace(SMALL, **{"paths_per_cluster": (2, 2), **overrides})
         for k in (1, 2, 5):
-            for columns in evaluate_trial(config, k, 0).values():
+            for columns in trial_scores(config, k, 0).values():
                 assert math.isfinite(columns.sum_rate_bps[0]) and columns.sum_rate_bps[0] >= 0
 
     def test_power_conversion(self):
@@ -402,24 +413,38 @@ class TestLoaderProperty:
             assert all(math.isfinite(float(x)) and float(x) >= 0 for x in row.split(",")[3:]), row
 
 
-class TestRunTrial:
+EQUIVALENCE_BASE = ScenarioConfig(user_counts=(1, 2, 5), master_seed=11)
+EQUIVALENCE_CONFIGS = {
+    "rural-defaults": EQUIVALENCE_BASE,
+    # beta0 this low pairs the two users of K=2 on one beam with no other
+    # beam, the noise-floored partial-CSI branch
+    "lone-shared-beam": replace(EQUIVALENCE_BASE, beta0=0.05),
+    "uniform-split": replace(EQUIVALENCE_BASE, inter_cluster_rule="uniform"),
+    "single-row-array": replace(EQUIVALENCE_BASE, m_v=1),
+    "four-paths": replace(EQUIVALENCE_BASE, num_time_clusters=(2, 2), paths_per_cluster=(2, 2)),
+}
+
+
+class TestDropScoredAlone:
+    """One seeded drop, drawn from its paths and scored as a block of one."""
+
     def test_single_user_is_noise_limited(self):
         config = replace(SMALL, user_counts=(1,))
-        result = evaluate_trial(config, 1, 0)[SchemeId.DBS]
+        result = trial_scores(config, 1, 0)[SchemeId.DBS]
         assert result.noma_clusters[0] == 0
         assert result.sum_rate_bps[0] > 0
         assert result.spectral_eff[0] == pytest.approx(result.sum_rate_bps[0] / config.bandwidth_hz, rel=1e-12)
 
     def test_deterministic_per_key(self):
-        a = evaluate_trial(SMALL, 4, 2)[SchemeId.NOMA_DBS_FCSI]
-        b = evaluate_trial(SMALL, 4, 2)[SchemeId.NOMA_DBS_FCSI]
+        a = trial_scores(SMALL, 4, 2)[SchemeId.NOMA_DBS_FCSI]
+        b = trial_scores(SMALL, 4, 2)[SchemeId.NOMA_DBS_FCSI]
         assert [column[0] for column in a] == [column[0] for column in b]
 
     def test_schemes_share_the_same_drop(self):
         # K=1 leaves nothing to pair, so the shared-beam scheme reduces to
         # plain steering on the identical channel draw
         config = replace(SMALL, user_counts=(1,))
-        results = evaluate_trial(config, 1, 5)
+        results = trial_scores(config, 1, 5)
         dbs, noma = results[SchemeId.DBS], results[SchemeId.NOMA_DBS_FCSI]
         assert dbs.sum_rate_bps[0] == pytest.approx(noma.sum_rate_bps[0], rel=1e-12)
 
@@ -431,8 +456,8 @@ class TestRunTrial:
             user_counts=(6,),
         )
         k = 6
-        result = evaluate_trial(config, k, 1)[SchemeId.DBS]
         paths = _drop_users(config, k, [1])
+        result = scores(config, paths, k)[SchemeId.DBS]
         gains = paths.gains[paths.starts].tolist()
         dirs = [user[0] for user in user_paths(paths)[1]]
         eta_dbs = config.total_power_w / (config.num_elements * k)
@@ -449,49 +474,21 @@ class TestRunTrial:
         assert result.sum_rate_bps[0] == pytest.approx(closed_sum, rel=1e-9)
 
     def test_partial_csi_scheme_runs(self):
-        result = evaluate_trial(SMALL, 4, 0)[SchemeId.NOMA_DBS_PCSI]
+        result = trial_scores(SMALL, 4, 0)[SchemeId.NOMA_DBS_PCSI]
         assert result.sum_rate_bps[0] > 0
 
     def test_oma_scheme_runs(self):
-        result = evaluate_trial(SMALL, 4, 0)[SchemeId.OMA_DBS]
+        result = trial_scores(SMALL, 4, 0)[SchemeId.OMA_DBS]
         assert result.sum_rate_bps[0] > 0
 
-    @pytest.mark.parametrize("k", [0, 8, 9])
-    def test_user_count_outside_the_array_rejected(self, k):
-        config = replace(SMALL, m_h=4, m_v=2)
-        with pytest.raises(ConfigError, match=f"user_counts must satisfy 1 <= K < M=8, got {k}"):
-            evaluate_trial(config, k, 0)
+    def test_last_trial_index_is_reachable(self):
+        # 2**32 trials end at index 2**32 - 1, the largest that one 32-bit
+        # seed word holds
+        assert trial_scores(SMALL, 4, 2**32 - 1)[SchemeId.DBS].sum_rate_bps[0] > 0
 
-    def test_negative_trial_rejected(self):
-        with pytest.raises(ConfigError, match="trial index must be nonnegative, got -1"):
-            evaluate_trial(SMALL, 4, -1)
-
-    def test_trial_index_past_32_bits_rejected(self):
-        assert evaluate_trial(SMALL, 4, 2**32 - 1)[SchemeId.DBS].sum_rate_bps[0] > 0
-        with pytest.raises(ConfigError, match=rf"trial index must be below 2\*\*32, got {2**32}"):
-            evaluate_trial(SMALL, 4, 2**32)
-
-
-EQUIVALENCE_BASE = ScenarioConfig(user_counts=(1, 2, 5), master_seed=11)
-EQUIVALENCE_CONFIGS = {
-    "rural-defaults": EQUIVALENCE_BASE,
-    # beta0 this low pairs the two users of K=2 on one beam with no other
-    # beam, the noise-floored partial-CSI branch
-    "lone-shared-beam": replace(EQUIVALENCE_BASE, beta0=0.05),
-    "uniform-split": replace(EQUIVALENCE_BASE, inter_cluster_rule="uniform"),
-    "single-row-array": replace(EQUIVALENCE_BASE, m_v=1),
-    "four-paths": replace(EQUIVALENCE_BASE, num_time_clusters=(2, 2), paths_per_cluster=(2, 2)),
-}
-
-
-class TestEvaluateTrial:
     def test_lone_shared_beam_is_reached(self):
         config = EQUIVALENCE_CONFIGS["lone-shared-beam"]
-        paired = [
-            t
-            for t in range(2)
-            if evaluate_trial(config, 2, t)[SchemeId.NOMA_DBS_PCSI].noma_clusters[0] == 1
-        ]
+        paired = [t for t in range(2) if trial_scores(config, 2, t)[SchemeId.NOMA_DBS_PCSI].noma_clusters[0] == 1]
         assert paired
 
     def test_four_paths_per_user(self):
@@ -508,10 +505,10 @@ class TestEvaluateTrial:
         # through its weighing takes it to 11.66 MiB, and conjugate
         # beamforming's [Re H, Im H] copy through the imaginary part to 11.72.
         config = ScenarioConfig(m_h=64, m_v=8, user_counts=(448,))
-        evaluate_trial(config, 448, 0)
+        trial_scores(config, 448, 0)
         tracemalloc.start()
         try:
-            evaluate_trial(config, 448, 0)
+            trial_scores(config, 448, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -636,8 +633,8 @@ class TestUnitGainPaths:
                 theta[t, u] = theta[t, source] + rng.choice([0.0, 1e-3, 0.02])
                 phi[t, u] = phi[t, source]
         paths = drop_paths([[(1.0, Direction(*d))] for d in zip(theta.ravel().tolist(), phi.ravel().tolist())])
-        outcomes = _block_outcomes(config, paths, k_users)
-        full, partial = (_columns(config, outcomes[s]) for s in (SchemeId.NOMA_DBS_FCSI, SchemeId.NOMA_DBS_PCSI))
+        columns = scores(config, paths, k_users)
+        full, partial = columns[SchemeId.NOMA_DBS_FCSI], columns[SchemeId.NOMA_DBS_PCSI]
         assert full.noma_clusters.any()
         assert partial.sum_rate_bps.tolist() == pytest.approx(full.sum_rate_bps.tolist(), rel=1e-12)
         assert partial.deactivated_users.tolist() == full.deactivated_users.tolist()
@@ -773,8 +770,7 @@ class TestInvariances:
 
         def sweep(config, mirror=False):
             paths = _drop_users(config, k_users, range(trials))
-            paths = mirrored(paths) if mirror else paths
-            return {s: _columns(config, outcome) for s, outcome in _block_outcomes(config, paths, k_users).items()}
+            return scores(config, mirrored(paths) if mirror else paths, k_users)
 
         expected, results = sweep(config), sweep(related, mirror=relation == "mirror")
         scale, rel = (c if relation == "bandwidth" else 1.0), self.TOLERANCE[relation]
@@ -918,7 +914,7 @@ class TestTrialBlocks:
         results = run_sweep(config)
         assert len(results) == len(config.schemes) * len(config.user_counts)
         assert all(len(column) == config.trials for columns in results.values() for column in columns)
-        alone = {(k, t): evaluate_trial(config, k, t) for k in config.user_counts for t in range(config.trials)}
+        alone = {(k, t): trial_scores(config, k, t) for k in config.user_counts for t in range(config.trials)}
         for k in config.user_counts:
             # each drop is the one drawn from numpy's own seed sequence of (master_seed, K, t)
             own = [np.random.SeedSequence(config.master_seed, spawn_key=(k, t)) for t in range(config.trials)]

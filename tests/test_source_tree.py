@@ -87,10 +87,7 @@ def test_every_import_is_read():
 
 # Exports that no other package module reads, each for its reason.
 _EXPORTS_READ_OUTSIDE = {
-    # The one-trial entry point: the tests evaluate single drops through it,
-    # and an array draw must keep reproducing one trial alone through it.
-    ("sim_harness", "evaluate_trial"),
-    # The type of what run_sweep and evaluate_trial return, one per (scheme, K).
+    # The type of what run_sweep returns, one per (scheme, K).
     ("sim_harness", "Columns"),
     # The codes of opa's second result, which a caller compares against.
     ("power_allocation", "Branch"),
